@@ -54,7 +54,7 @@ func (db *DB) QueryAppend(ctx context.Context, p Predicate, dst []int64) ([]int6
 func (db *DB) appendRange(ctx context.Context, col string, lo, hi int64, dst []int64) ([]int64, error) {
 	switch {
 	case db.ix != nil:
-		res := db.ix.Query(lo, hi)
+		res := db.ix.query(lo, hi)
 		return res.Materialize(dst), nil
 	case db.x != nil:
 		return db.x.QueryAppendCtx(ctx, lo, hi, dst)
@@ -154,7 +154,7 @@ func (db *DB) QueryBatchAppend(ctx context.Context, ps []Predicate, bb *BatchBuf
 			}
 			start := len(bb.vals)
 			if r.Lo < r.Hi {
-				res := db.ix.Query(r.Lo, r.Hi)
+				res := db.ix.query(r.Lo, r.Hi)
 				bb.vals = res.Materialize(bb.vals)
 			}
 			bb.offs[i] = [2]int{start, len(bb.vals)}

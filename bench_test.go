@@ -15,7 +15,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/column"
 	"repro/internal/core"
-	"repro/internal/updates"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -143,7 +142,7 @@ func BenchmarkFig15(b *testing.B) {
 		b.Run(spec, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rng := xrand.New(cfg.Seed + 99)
-				_, err := bench.RunWithUpdates(cfg, spec, "sequential", func(q int, u *updates.Index) {
+				_, err := bench.RunWithUpdates(cfg, spec, "sequential", func(q int, u bench.Updater) {
 					if q%10 == 0 {
 						for k := 0; k < 10; k++ {
 							u.Insert(rng.Int63n(cfg.N))

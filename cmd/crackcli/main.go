@@ -1,7 +1,7 @@
 // Command crackcli is an interactive shell for an adaptive database: load
 // or generate a column, run predicate queries against any algorithm in
 // any concurrency mode, watch the index adapt, and persist the earned
-// state. It speaks the public crackdb v2 API end to end — the same front
+// state. It speaks the public crackdb DB API end to end — the same front
 // door applications use.
 //
 // Usage:

@@ -59,13 +59,6 @@
 //
 // Use DD1R for the best total cost, PMDD1R for the lowest per-query
 // overhead while adapting, and Crack to reproduce the original behavior.
-//
-// # v1 API
-//
-// The pre-DB constructors (New, Index.Synchronized, NewSharded, NewTable)
-// remain as thin shims over the same execution core and keep working;
-// new code should use Open/OpenTable. See the README for a migration
-// table.
 package crackdb
 
 import (
@@ -80,7 +73,7 @@ import (
 	"repro/internal/updates"
 )
 
-// Algorithm names accepted by Open and New. The parameterized families
+// Algorithm names accepted by Open. The parameterized families
 // also accept spec strings like "pmdd1r-25", "every-4", "scrackmon-10"
 // and "r4crack".
 const (
@@ -224,29 +217,22 @@ func WithPartitions(k int) Option {
 	return func(c *config) { c.partitions = k }
 }
 
-// Index is an adaptive index over a single integer column. Queries refine
-// the physical organization as a side effect; there is no build step.
-// An Index is not safe for concurrent use.
-//
-// Index is the Single-mode core behind DB; new code should open a DB
-// instead and let WithConcurrency pick the execution strategy.
-type Index struct {
+// singleIndex is the Single-mode backend behind DB: one adaptive index
+// over one column, unsynchronized. Queries refine the physical
+// organization as a side effect; there is no build step.
+type singleIndex struct {
 	inner bench.Index
 	upd   *updates.Index // nil when the algorithm cannot take updates
 }
 
-// New builds an adaptive index over values using the named algorithm.
-// The slice is owned by the index afterwards and will be reorganized in
-// place. Unknown algorithms fail with ErrUnknownAlgorithm.
-//
-// Deprecated: use Open, which serves the same algorithms behind the
-// context-aware, predicate-first DB API.
-func New(values []int64, algorithm string, opts ...Option) (*Index, error) {
-	cfg := applyOptions(opts)
+// buildSingle builds the named algorithm over values, which it owns and
+// reorganizes in place afterwards. Unknown algorithms fail with
+// ErrUnknownAlgorithm.
+func buildSingle(values []int64, algorithm string, cfg config) (*singleIndex, error) {
 	ix, err := core.Build(values, algorithm, cfg.core)
 	if err == nil {
 		u, _ := updates.Wrap(ix)
-		return &Index{inner: ix, upd: u}, nil
+		return &singleIndex{inner: ix, upd: u}, nil
 	}
 	if !errors.Is(err, ErrUnknownAlgorithm) {
 		return nil, fmt.Errorf("crackdb: %w", err)
@@ -259,23 +245,21 @@ func New(values []int64, algorithm string, opts ...Option) (*Index, error) {
 	if herr != nil {
 		return nil, fmt.Errorf("crackdb: %w", herr)
 	}
-	return &Index{inner: h}, nil
+	return &singleIndex{inner: h}, nil
 }
 
-// Query returns the qualifying tuples for the half-open value range
-// [lo, hi), adapting the index as a side effect.
-func (ix *Index) Query(lo, hi int64) Result {
+// query answers [lo, hi), merging the pending updates it covers first.
+func (ix *singleIndex) query(lo, hi int64) Result {
 	if ix.upd != nil {
 		return ix.upd.Query(lo, hi)
 	}
 	return ix.inner.Query(lo, hi)
 }
 
-// Insert queues a value for insertion; it is merged into the column by
-// the first query whose range covers it (Ripple merge, [17]). It fails
-// with ErrUpdatesUnsupported for algorithms that cannot take updates
-// (sorted/hybrid stores).
-func (ix *Index) Insert(v int64) error {
+// insert queues v, merged by the first query whose range covers it
+// (Ripple merge, [17]); sorted and hybrid stores fail with
+// ErrUpdatesUnsupported.
+func (ix *singleIndex) insert(v int64) error {
 	if ix.upd == nil {
 		return fmt.Errorf("crackdb: %s: %w", ix.inner.Name(), ErrUpdatesUnsupported)
 	}
@@ -283,9 +267,8 @@ func (ix *Index) Insert(v int64) error {
 	return nil
 }
 
-// Delete queues the removal of one occurrence of v, merged on demand like
-// Insert.
-func (ix *Index) Delete(v int64) error {
+// delete queues the removal of one occurrence of v, like insert.
+func (ix *singleIndex) delete(v int64) error {
 	if ix.upd == nil {
 		return fmt.Errorf("crackdb: %s: %w", ix.inner.Name(), ErrUpdatesUnsupported)
 	}
@@ -293,48 +276,27 @@ func (ix *Index) Delete(v int64) error {
 	return nil
 }
 
-// PendingUpdates returns the number of queued, not-yet-merged updates.
-func (ix *Index) PendingUpdates() int {
+func (ix *singleIndex) pending() int {
 	if ix.upd == nil {
 		return 0
 	}
 	return ix.upd.Pending()
 }
 
-// Name returns the algorithm name.
-func (ix *Index) Name() string { return ix.inner.Name() }
+func (ix *singleIndex) name() string { return ix.inner.Name() }
 
-// Stats returns cumulative physical-cost counters: queries answered,
-// tuples touched during reorganization, swaps, cracks and pieces.
-func (ix *Index) Stats() Stats { return ix.inner.Stats() }
-
-// Pieces returns the current number of column pieces — a measure of how
-// refined the index is.
-func (ix *Index) Pieces() int { return ix.inner.Stats().Pieces }
+func (ix *singleIndex) stats() Stats { return ix.inner.Stats() }
 
 // executor wraps the index in the adaptive execution layer, preferring
 // the update-carrying surface when the algorithm has one. The executor
 // assumes ownership.
-func (ix *Index) executor() *exec.Executor {
+func (ix *singleIndex) executor() *exec.Executor {
 	if ix.upd != nil {
 		return exec.New(ix.upd)
 	}
 	// Hybrids (and the sorted baseline) expose no convergence probe; the
 	// executor serves them entirely under the exclusive lock.
 	return exec.New(ix.inner)
-}
-
-// Synchronized wraps the index for concurrent use through the adaptive
-// execution layer (internal/exec): converged queries run in parallel under
-// a shared lock, reorganizing queries serialize under an exclusive one,
-// and results are returned as owned slices. Updatable indexes keep their
-// update path — Insert and Delete on the wrapper queue updates under the
-// exclusive lock. The returned wrapper assumes ownership; drop the
-// unsynchronized Index afterwards.
-//
-// Deprecated: open the DB with WithConcurrency(Shared) instead.
-func (ix *Index) Synchronized() *ConcurrentIndex {
-	return &ConcurrentIndex{x: ix.executor()}
 }
 
 // Algorithms returns every algorithm spec Open accepts (with

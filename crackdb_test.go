@@ -1,6 +1,7 @@
 package crackdb_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -9,11 +10,14 @@ import (
 
 func TestQuickstartFlow(t *testing.T) {
 	data := crackdb.MakeData(100_000, 1)
-	ix, err := crackdb.New(data, crackdb.DD1R, crackdb.WithSeed(7))
+	db, err := crackdb.Open(data, crackdb.DD1R, crackdb.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ix.Query(1000, 2000)
+	res, err := db.Query(context.Background(), crackdb.Range(1000, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Count() != 1000 {
 		t.Fatalf("count = %d, want 1000", res.Count())
 	}
@@ -24,82 +28,90 @@ func TestQuickstartFlow(t *testing.T) {
 	if res.Sum() != want {
 		t.Fatalf("sum = %d, want %d", res.Sum(), want)
 	}
-	if ix.Pieces() < 2 {
+	if db.Stats().Pieces < 2 {
 		t.Fatal("query did not crack the column")
 	}
-	if ix.Name() != "dd1r" {
-		t.Fatalf("name = %q", ix.Name())
+	if db.Name() != "dd1r" {
+		t.Fatalf("name = %q", db.Name())
 	}
 }
 
 func TestAllFacadeAlgorithms(t *testing.T) {
+	ctx := context.Background()
 	for _, spec := range crackdb.Algorithms() {
-		ix, err := crackdb.New(crackdb.MakeData(10_000, 2), spec, crackdb.WithSeed(3))
+		db, err := crackdb.Open(crackdb.MakeData(10_000, 2), spec, crackdb.WithSeed(3))
 		if err != nil {
-			t.Fatalf("New(%q): %v", spec, err)
+			t.Fatalf("Open(%q): %v", spec, err)
 		}
-		res := ix.Query(100, 400)
-		if res.Count() != 300 {
-			t.Fatalf("%s: count = %d, want 300", spec, res.Count())
+		res, err := db.Query(ctx, crackdb.Range(100, 400))
+		if err != nil || res.Count() != 300 {
+			t.Fatalf("%s: count = %d, want 300 (err %v)", spec, res.Count(), err)
 		}
 	}
-	if _, err := crackdb.New(nil, "not-an-algorithm"); err == nil {
+	if _, err := crackdb.Open(nil, "not-an-algorithm"); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
 
 func TestFacadeOptions(t *testing.T) {
-	ix, err := crackdb.New(crackdb.MakeData(50_000, 3), "pmdd1r-1",
+	ctx := context.Background()
+	db, err := crackdb.Open(crackdb.MakeData(50_000, 3), "pmdd1r-1",
 		crackdb.WithSeed(11), crackdb.WithCrackSize(128),
 		crackdb.WithProgressiveSize(1024), crackdb.WithSwapBudget(5),
 		crackdb.WithRowIDs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := ix.Query(10, 20); res.Count() != 10 {
-		t.Fatalf("count = %d", res.Count())
+	if res, err := db.Query(ctx, crackdb.Range(10, 20)); err != nil || res.Count() != 10 {
+		t.Fatalf("count = %d (err %v)", res.Count(), err)
 	}
-	h, err := crackdb.New(crackdb.MakeData(10_000, 4), crackdb.AICC1R,
+	h, err := crackdb.Open(crackdb.MakeData(10_000, 4), crackdb.AICC1R,
 		crackdb.WithPartitions(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := h.Query(0, 100); res.Count() != 100 {
+	if res, err := h.Query(ctx, crackdb.Range(0, 100)); err != nil || res.Count() != 100 {
 		t.Fatal("hybrid with custom partitions failed")
 	}
 }
 
 func TestFacadeUpdates(t *testing.T) {
-	ix, err := crackdb.New(crackdb.MakeData(10_000, 5), crackdb.Crack)
+	ctx := context.Background()
+	db, err := crackdb.Open(crackdb.MakeData(10_000, 5), crackdb.Crack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Query(2000, 3000)
-	if err := ix.Insert(2500); err != nil {
+	if _, err := db.Query(ctx, crackdb.Range(2000, 3000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Delete(2600); err != nil {
+	if err := db.Insert(2500); err != nil {
 		t.Fatal(err)
 	}
-	if ix.PendingUpdates() != 2 {
-		t.Fatalf("pending = %d", ix.PendingUpdates())
+	if err := db.Delete(2600); err != nil {
+		t.Fatal(err)
 	}
-	res := ix.Query(2400, 2700)
+	if db.PendingUpdates() != 2 {
+		t.Fatalf("pending = %d", db.PendingUpdates())
+	}
+	res, err := db.Query(ctx, crackdb.Range(2400, 2700))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Count() != 300 { // +1 insert, -1 delete
 		t.Fatalf("count after updates = %d, want 300", res.Count())
 	}
-	if ix.PendingUpdates() != 0 {
+	if db.PendingUpdates() != 0 {
 		t.Fatal("updates not merged")
 	}
 
-	srt, err := crackdb.New(crackdb.MakeData(1000, 6), crackdb.Sort)
+	srt, err := crackdb.Open(crackdb.MakeData(1000, 6), crackdb.Sort)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := srt.Insert(5); err == nil {
 		t.Fatal("sort accepted an update")
 	}
-	hyb, err := crackdb.New(crackdb.MakeData(1000, 6), crackdb.AICS)
+	hyb, err := crackdb.Open(crackdb.MakeData(1000, 6), crackdb.AICS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +124,13 @@ func TestFacadeUpdates(t *testing.T) {
 }
 
 func TestSynchronizedFacade(t *testing.T) {
+	ctx := context.Background()
 	for _, spec := range []string{crackdb.MDD1R, crackdb.AICS} {
-		ix, err := crackdb.New(crackdb.MakeData(50_000, 7), spec, crackdb.WithSeed(9))
+		db, err := crackdb.Open(crackdb.MakeData(50_000, 7), spec, crackdb.WithSeed(9),
+			crackdb.WithConcurrency(crackdb.Shared))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ci := ix.Synchronized()
 		var wg sync.WaitGroup
 		bad := make(chan int, 16)
 		for g := 0; g < 8; g++ {
@@ -126,14 +139,14 @@ func TestSynchronizedFacade(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 25; i++ {
 					a := int64((g*1000 + i*37) % 49000)
-					vals := ci.Query(a, a+100)
-					if len(vals) != 100 {
-						bad <- len(vals)
+					res, err := db.Query(ctx, crackdb.Range(a, a+100))
+					if err != nil || res.Count() != 100 {
+						bad <- res.Count()
 						return
 					}
-					c, _ := ci.QueryAggregate(a, a+100)
-					if c != 100 {
-						bad <- c
+					agg, err := db.QueryAggregate(ctx, crackdb.Range(a, a+100))
+					if err != nil || agg.Count != 100 {
+						bad <- agg.Count
 						return
 					}
 				}
@@ -144,7 +157,7 @@ func TestSynchronizedFacade(t *testing.T) {
 		for b := range bad {
 			t.Fatalf("%s: bad concurrent result size %d", spec, b)
 		}
-		if ci.Stats().Queries == 0 {
+		if db.Stats().Queries == 0 {
 			t.Fatal("no queries recorded")
 		}
 	}
@@ -158,15 +171,15 @@ func TestWorkloadFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := crackdb.New(crackdb.MakeData(10_000, 8), crackdb.PMDD1R)
+	db, err := crackdb.Open(crackdb.MakeData(10_000, 8), crackdb.PMDD1R)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
 		lo, hi := g.Next()
-		res := ix.Query(lo, hi)
-		if int64(res.Count()) != hi-lo {
-			t.Fatalf("query %d [%d,%d): count %d", i, lo, hi, res.Count())
+		res, err := db.Query(context.Background(), crackdb.Range(lo, hi))
+		if err != nil || int64(res.Count()) != hi-lo {
+			t.Fatalf("query %d [%d,%d): count %d (err %v)", i, lo, hi, res.Count(), err)
 		}
 	}
 	if _, err := crackdb.NewWorkload("unknown", crackdb.WorkloadParams{}); err == nil {
@@ -175,12 +188,14 @@ func TestWorkloadFacade(t *testing.T) {
 }
 
 func TestStatsExposure(t *testing.T) {
-	ix, err := crackdb.New(crackdb.MakeData(10_000, 9), crackdb.Crack)
+	db, err := crackdb.Open(crackdb.MakeData(10_000, 9), crackdb.Crack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Query(100, 200)
-	s := ix.Stats()
+	if _, err := db.Query(context.Background(), crackdb.Range(100, 200)); err != nil {
+		t.Fatal(err)
+	}
+	s := db.Stats()
 	if s.Queries != 1 || s.Touched == 0 || s.Cracks == 0 {
 		t.Fatalf("stats = %+v", s)
 	}

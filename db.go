@@ -97,7 +97,7 @@ type DB struct {
 	rows   int
 
 	// Single-column backends (exactly one non-nil, per mode).
-	ix *Index         // Single
+	ix *singleIndex   // Single
 	x  *exec.Executor // Shared
 	sh *exec.Sharded  // Sharded(k)
 
@@ -122,13 +122,13 @@ func Open(values []int64, algorithm string, opts ...Option) (*DB, error) {
 	db := &DB{mode: cfg.conc, rows: len(values)}
 	switch cfg.conc.kind {
 	case concSingle:
-		ix, err := New(values, algorithm, opts...)
+		ix, err := buildSingle(values, algorithm, cfg)
 		if err != nil {
 			return nil, err
 		}
 		db.ix = ix
 	case concShared:
-		ix, err := New(values, algorithm, opts...)
+		ix, err := buildSingle(values, algorithm, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +238,7 @@ func (db *DB) Columns() []string { return append([]string(nil), db.cols...) }
 func (db *DB) Name() string {
 	switch {
 	case db.ix != nil:
-		return db.ix.Name()
+		return db.ix.name()
 	case db.x != nil:
 		return db.x.Name()
 	case db.sh != nil:
@@ -324,7 +324,7 @@ func (db *DB) Query(ctx context.Context, p Predicate) (Result, error) {
 func (db *DB) queryRange(ctx context.Context, col string, lo, hi int64) (Result, error) {
 	switch {
 	case db.ix != nil:
-		return db.ix.Query(lo, hi), nil
+		return db.ix.query(lo, hi), nil
 	case db.x != nil:
 		vals, err := db.x.QueryCtx(ctx, lo, hi)
 		if err != nil {
@@ -371,7 +371,7 @@ func (db *DB) batchRanges(ctx context.Context, col string, ranges []exec.Range) 
 				return nil, err
 			}
 			if db.ix != nil {
-				res := db.ix.Query(r.Lo, r.Hi)
+				res := db.ix.query(r.Lo, r.Hi)
 				out[i] = res.Materialize(make([]int64, 0, res.Count()))
 				continue
 			}
@@ -488,7 +488,7 @@ func (db *DB) QueryAggregate(ctx context.Context, p Predicate) (Aggregate, error
 func (db *DB) aggRange(ctx context.Context, col string, lo, hi int64, agg Aggregate) (Aggregate, error) {
 	switch {
 	case db.ix != nil:
-		res := db.ix.Query(lo, hi)
+		res := db.ix.query(lo, hi)
 		agg.Count += res.Count()
 		agg.Sum += res.Sum()
 	case db.x != nil:
@@ -525,6 +525,63 @@ func (db *DB) aggRange(ctx context.Context, col string, lo, hi int64, agg Aggreg
 	return agg, nil
 }
 
+// SelectProject answers SELECT proj WHERE p on a table DB with late
+// (row-id) tuple reconstruction: p's column (resolved like Query's, so
+// scope it with On) is cracked as a side effect, and proj is fetched from
+// its base column by row id. Multi-range predicates concatenate in
+// ascending range order, like Query. Projection is single-threaded: only
+// Single-mode tables serve it; Shared and Sharded tables fail with
+// errors.ErrUnsupported and single-column DBs with ErrUnknownColumn.
+// Columns restored from a snapshot or written to since opening have lost
+// their row alignment and fail with ErrSnapshotUnsupported and
+// ErrUpdatesUnsupported respectively.
+func (db *DB) SelectProject(ctx context.Context, p Predicate, proj string) ([]int64, error) {
+	return db.project(ctx, p, proj, (*table.Table).SelectProject)
+}
+
+// SelectProjectSideways answers SelectProject's query through a sideways
+// cracker map: proj's values physically travel with the selection column
+// during cracking, so the projection is one contiguous copy. The map is
+// built lazily per (selection, projection) column pair; the contract is
+// SelectProject's.
+func (db *DB) SelectProjectSideways(ctx context.Context, p Predicate, proj string) ([]int64, error) {
+	return db.project(ctx, p, proj, (*table.Table).SelectProjectSideways)
+}
+
+// project answers every range of p through one reconstruction strategy.
+func (db *DB) project(ctx context.Context, p Predicate, proj string,
+	strategy func(t *table.Table, sel, proj string, lo, hi int64) ([]int64, error)) ([]int64, error) {
+	if err := db.check(ctx); err != nil {
+		return nil, err
+	}
+	switch {
+	case db.stbl != nil:
+		return nil, fmt.Errorf("crackdb: projection on a %s table: %w", db.mode, errors.ErrUnsupported)
+	case db.tbl == nil || !slices.Contains(db.cols, proj):
+		return nil, fmt.Errorf("crackdb: no column %q to project: %w", proj, ErrUnknownColumn)
+	}
+	sel, err := db.resolveColumn(p)
+	if err != nil {
+		return nil, err
+	}
+	var out []int64
+	for _, r := range p.rangeList() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		vals, err := strategy(db.tbl, sel, proj, r[0], r[1])
+		if err != nil {
+			return nil, err
+		}
+		if out == nil {
+			out = vals // the answer owns it; a single range needs no copy
+			continue
+		}
+		out = append(out, vals...)
+	}
+	return out, nil
+}
+
 // Insert queues a value for insertion; it is merged into the column by
 // the first query whose range covers it (Ripple merge). On a sharded DB
 // the value routes to the shard owning its range; with WithGroupCommit
@@ -547,7 +604,7 @@ func (db *DB) Insert(v int64) error {
 	}
 	switch {
 	case db.ix != nil:
-		return db.ix.Insert(v)
+		return db.ix.insert(v)
 	case db.x != nil:
 		return db.x.Insert(v)
 	default:
@@ -579,7 +636,7 @@ func (db *DB) Delete(v int64) error {
 	}
 	switch {
 	case db.ix != nil:
-		return db.ix.Delete(v)
+		return db.ix.delete(v)
 	case db.x != nil:
 		return db.x.Delete(v)
 	default:
@@ -648,9 +705,9 @@ func (db *DB) ApplyBatch(ctx context.Context, inserts, deletes []int64) (UpdateT
 		start := time.Now()
 		for _, op := range ops {
 			if op.Delete {
-				err = db.ix.Delete(op.Value)
+				err = db.ix.delete(op.Value)
 			} else {
-				err = db.ix.Insert(op.Value)
+				err = db.ix.insert(op.Value)
 			}
 			if err != nil {
 				return UpdateTimings{}, err
@@ -729,7 +786,7 @@ func (db *DB) GroupCommitStats() (st exec.BatcherStats, ok bool) {
 func (db *DB) PendingUpdates() int {
 	switch {
 	case db.ix != nil:
-		return db.ix.PendingUpdates()
+		return db.ix.pending()
 	case db.x != nil:
 		return db.x.Pending()
 	case db.sh != nil:
@@ -748,7 +805,7 @@ func (db *DB) PendingUpdates() int {
 func (db *DB) Stats() Stats {
 	switch {
 	case db.ix != nil:
-		return db.ix.Stats()
+		return db.ix.stats()
 	case db.x != nil:
 		return db.x.Stats()
 	case db.sh != nil:

@@ -368,6 +368,118 @@ func TestDBTableModes(t *testing.T) {
 	}
 }
 
+// TestDBSelectProject pins projection on DB: both reconstruction
+// strategies answer exactly on a Single-mode table, and every handle that
+// cannot project fails with its sentinel.
+func TestDBSelectProject(t *testing.T) {
+	const n = 5000
+	a := crackdb.MakeData(n, 43)
+	cols := func() map[string][]int64 {
+		b := make([]int64, n)
+		for i, v := range a {
+			b[i] = 3 * v
+		}
+		return map[string][]int64{"a": append([]int64(nil), a...), "b": b}
+	}
+	openTable := func(t *testing.T, opts ...crackdb.Option) *crackdb.DB {
+		t.Helper()
+		db, err := crackdb.OpenTable(cols(), crackdb.DD1R, append(opts, crackdb.WithSeed(44))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	strategies := map[string]func(*crackdb.DB, context.Context, crackdb.Predicate, string) ([]int64, error){
+		"late":     (*crackdb.DB).SelectProject,
+		"sideways": (*crackdb.DB).SelectProjectSideways,
+	}
+	ctx := context.Background()
+	for name, project := range strategies {
+		db := openTable(t)
+		// Twice: the second pass runs on the cracks the first one made.
+		for pass := 0; pass < 2; pass++ {
+			got, err := project(db, ctx, crackdb.Range(300, 400).Or(crackdb.Range(100, 110)).On("a"), "b")
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(got) != 110 {
+				t.Fatalf("%s: %d rows, want 110", name, len(got))
+			}
+			// Ascending range order: [100,110) first, then [300,400).
+			var lowSum, highSum int64
+			for i, v := range got {
+				if i < 10 {
+					lowSum += v
+				} else {
+					highSum += v
+				}
+			}
+			if lowSum != 3*sumRange(100, 110) || highSum != 3*sumRange(300, 400) {
+				t.Fatalf("%s: sums (%d, %d), want (%d, %d)", name, lowSum, highSum,
+					3*sumRange(100, 110), 3*sumRange(300, 400))
+			}
+		}
+	}
+
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, c := range []struct {
+		name string
+		prep func(t *testing.T) (*crackdb.DB, context.Context, crackdb.Predicate, string)
+		want error
+	}{
+		{"shared table", func(t *testing.T) (*crackdb.DB, context.Context, crackdb.Predicate, string) {
+			return openTable(t, crackdb.WithConcurrency(crackdb.Shared)), ctx, crackdb.Range(0, 10).On("a"), "b"
+		}, errors.ErrUnsupported},
+		{"sharded table", func(t *testing.T) (*crackdb.DB, context.Context, crackdb.Predicate, string) {
+			return openTable(t, crackdb.WithConcurrency(crackdb.Sharded(2))), ctx, crackdb.Range(0, 10).On("a"), "b"
+		}, errors.ErrUnsupported},
+		{"single column", func(t *testing.T) (*crackdb.DB, context.Context, crackdb.Predicate, string) {
+			db, err := crackdb.Open(crackdb.MakeData(n, 43), crackdb.DD1R)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db, ctx, crackdb.Range(0, 10), "b"
+		}, crackdb.ErrUnknownColumn},
+		{"unknown projection", func(t *testing.T) (*crackdb.DB, context.Context, crackdb.Predicate, string) {
+			return openTable(t), ctx, crackdb.Range(0, 10).On("a"), "zzz"
+		}, crackdb.ErrUnknownColumn},
+		{"restored", func(t *testing.T) (*crackdb.DB, context.Context, crackdb.Predicate, string) {
+			snap, err := openTable(t).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := crackdb.OpenSnapshot(snap, crackdb.DD1R)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db, ctx, crackdb.Range(0, 10).On("a"), "b"
+		}, crackdb.ErrSnapshotUnsupported},
+		{"written to", func(t *testing.T) (*crackdb.DB, context.Context, crackdb.Predicate, string) {
+			db := openTable(t)
+			if err := db.InsertOn("a", 5); err != nil {
+				t.Fatal(err)
+			}
+			return db, ctx, crackdb.Range(0, 10).On("a"), "b"
+		}, crackdb.ErrUpdatesUnsupported},
+		{"closed", func(t *testing.T) (*crackdb.DB, context.Context, crackdb.Predicate, string) {
+			db := openTable(t)
+			db.Close()
+			return db, ctx, crackdb.Range(0, 10).On("a"), "b"
+		}, crackdb.ErrClosed},
+		{"canceled", func(t *testing.T) (*crackdb.DB, context.Context, crackdb.Predicate, string) {
+			return openTable(t), canceled, crackdb.Range(0, 10).On("a"), "b"
+		}, context.Canceled},
+	} {
+		for name, project := range strategies {
+			db, cctx, p, proj := c.prep(t)
+			if _, err := project(db, cctx, p, proj); !errors.Is(err, c.want) {
+				t.Fatalf("%s/%s: err = %v, want %v", c.name, name, err, c.want)
+			}
+		}
+	}
+}
+
 func TestDBConcurrentTraffic(t *testing.T) {
 	const n = 30_000
 	ctx := context.Background()

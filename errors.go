@@ -12,14 +12,14 @@ var (
 
 	// ErrUpdatesUnsupported: Insert/Delete against an index kind that
 	// cannot take updates (the sorted baseline, the partition/merge
-	// hybrids) or against a table database.
+	// hybrids), or a projection over a table column written to since it
+	// was opened.
 	ErrUpdatesUnsupported = dberr.ErrUpdatesUnsupported
 
 	// ErrSnapshotUnsupported: Snapshot against an index kind that cannot
-	// serialize its physical state (hybrids, table databases), or a
-	// restore that cannot honor the snapshot's contents (merging sharded
-	// row-id payloads into a different layout). All single-column
-	// concurrency modes — Single, Shared and Sharded — snapshot fine.
+	// serialize its physical state (the hybrids), a restore that cannot
+	// honor the snapshot's contents (merging sharded row-id payloads into
+	// a different layout), or a projection over a restored table column.
 	ErrSnapshotUnsupported = dberr.ErrSnapshotUnsupported
 
 	// ErrSnapshotCorrupt: snapshot bytes failed structural decoding or
@@ -28,10 +28,9 @@ var (
 	// partially.
 	ErrSnapshotCorrupt = dberr.ErrSnapshotCorrupt
 
-	// ErrPendingUpdates: Snapshot while updates are queued but not yet
-	// merged; the queues are not part of the snapshot format, so
-	// proceeding would silently lose them. Query the affected ranges to
-	// merge first.
+	// ErrPendingUpdates: SnapshotStrict while updates are queued but not
+	// yet merged. Query the affected ranges to merge first, or use
+	// Snapshot, which carries the queues.
 	ErrPendingUpdates = dberr.ErrPendingUpdates
 
 	// ErrUnknownColumn: a predicate or projection names a column the

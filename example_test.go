@@ -114,18 +114,6 @@ func ExampleNewWorkload() {
 	// 198 208
 }
 
-// The v1 constructors remain as deprecated shims over the same core.
-func ExampleNew() {
-	ix, err := crackdb.New(crackdb.MakeData(1000, 42), crackdb.DD1R, crackdb.WithSeed(7))
-	if err != nil {
-		panic(err)
-	}
-	res := ix.Query(100, 110)
-	fmt.Println("rows:", res.Count(), "sum:", res.Sum())
-	// Output:
-	// rows: 10 sum: 1045
-}
-
 // Latency-sensitive callers reuse a buffer across queries: QueryAppend
 // appends into caller-owned memory, and once the query's bounds are
 // converged cracks, the whole path runs without heap allocations.

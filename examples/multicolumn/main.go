@@ -78,24 +78,25 @@ func main() {
 		fmt.Printf("strip [%7d,%7d): %5d objects (counted concurrently)\n", s.lo, s.hi, counts[i])
 	}
 
-	// Part 2: projection, two ways. The projection APIs live on the Table
-	// handle (single-threaded); the selection column is cracked as a side
-	// effect either way.
-	tbl, err := crackdb.NewTable(catalog(), crackdb.DD1R, crackdb.WithSeed(3))
+	// Part 2: projection, two ways. Projection is single-threaded, so it
+	// runs on a Single-mode table; the selection column is cracked as a
+	// side effect either way.
+	tbl, err := crackdb.OpenTable(catalog(), crackdb.DD1R, crackdb.WithSeed(3))
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println()
 	for _, s := range strips {
+		strip := crackdb.Range(s.lo, s.hi).On("ra")
 		t0 := time.Now()
-		late, err := tbl.SelectProject("ra", "brightness", s.lo, s.hi)
+		late, err := tbl.SelectProject(ctx, strip, "brightness")
 		if err != nil {
 			panic(err)
 		}
 		dLate := time.Since(t0)
 
 		t0 = time.Now()
-		side, err := tbl.SelectProjectSideways("ra", "brightness", s.lo, s.hi)
+		side, err := tbl.SelectProjectSideways(ctx, strip, "brightness")
 		if err != nil {
 			panic(err)
 		}

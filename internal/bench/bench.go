@@ -27,6 +27,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -147,12 +148,66 @@ func Run(cfg Config, spec, workloadName string) (*Series, error) {
 	return RunIndex(cfg, ix, gen, nil)
 }
 
-// UpdateStream injects updates into a run: before query i, Apply is called
-// and may queue inserts/deletes on the updatable wrapper.
-type UpdateStream func(i int, u *updates.Index)
+// Updater is the write surface an UpdateStream drives. Deletes must name
+// a value the column holds at that point, so the oracle can track them.
+type Updater interface {
+	Insert(v int64)
+	Delete(v int64)
+}
 
-// RunWithUpdates executes one cell with interleaved updates (Fig. 15). The
-// algorithm must be engine-backed (everything except sort/scan hybrids).
+// UpdateStream injects updates into a run: before query i, it is called
+// and may queue inserts/deletes on the updatable index.
+type UpdateStream func(i int, u Updater)
+
+// netUpdates forwards a stream's updates to the wrapper and records their
+// net effect on the value multiset as two sorted slices, which the oracle
+// adds to the closed form of the untouched permutation.
+type netUpdates struct {
+	u        *updates.Index
+	ins, del []int64
+}
+
+func (r *netUpdates) Insert(v int64) {
+	r.u.Insert(v)
+	r.ins = insertSorted(r.ins, v)
+}
+
+func (r *netUpdates) Delete(v int64) {
+	r.u.Delete(v)
+	if i, ok := slices.BinarySearch(r.ins, v); ok {
+		r.ins = slices.Delete(r.ins, i, i+1) // cancels an earlier insert
+		return
+	}
+	r.del = insertSorted(r.del, v)
+}
+
+// within returns the net (count, sum) the stream added inside [a, b).
+func (r *netUpdates) within(a, b int64) (count, sum int64) {
+	ic, is := sortedSpan(r.ins, a, b)
+	dc, ds := sortedSpan(r.del, a, b)
+	return ic - dc, is - ds
+}
+
+// sortedSpan returns the count and sum of the sorted vs inside [a, b).
+func sortedSpan(vs []int64, a, b int64) (count, sum int64) {
+	lo, _ := slices.BinarySearch(vs, a)
+	hi, _ := slices.BinarySearch(vs, b)
+	hi = max(lo, hi)
+	for _, v := range vs[lo:hi] {
+		sum += v
+	}
+	return int64(hi - lo), sum
+}
+
+func insertSorted(vs []int64, v int64) []int64 {
+	i, _ := slices.BinarySearch(vs, v)
+	return slices.Insert(vs, i, v)
+}
+
+// RunWithUpdates executes one cell with interleaved updates (Fig. 15),
+// validating each answer (cfg.Validate) against the closed form plus the
+// stream's net updates. The algorithm must be engine-backed (everything
+// except sort/scan hybrids).
 func RunWithUpdates(cfg Config, spec, workloadName string, stream UpdateStream) (*Series, error) {
 	cfg = cfg.WithDefaults()
 	data := MakeData(cfg.N, cfg.Seed)
@@ -172,15 +227,21 @@ func RunWithUpdates(cfg Config, spec, workloadName string, stream UpdateStream) 
 	if !ok {
 		return nil, fmt.Errorf("bench: %q is not engine-backed; cannot take updates", spec)
 	}
-	return RunIndex(cfg, u, gen, func(i int, ix Index) {
-		stream(i, u)
-	})
+	net := &netUpdates{u: u}
+	return runIndex(cfg, u, gen, func(i int, ix Index) {
+		stream(i, net)
+	}, net)
 }
 
 // RunIndex drives a prebuilt index through a workload. before, if
 // non-nil, runs ahead of each query (outside the timed section only for
 // update queueing; the merge cost itself lands in the query, as in [17]).
 func RunIndex(cfg Config, ix Index, gen workload.Generator, before func(i int, ix Index)) (*Series, error) {
+	return runIndex(cfg, ix, gen, before, nil)
+}
+
+// runIndex is RunIndex whose oracle also counts net's updates (nil: none).
+func runIndex(cfg Config, ix Index, gen workload.Generator, before func(i int, ix Index), net *netUpdates) (*Series, error) {
 	cfg = cfg.WithDefaults()
 	s := &Series{
 		Algo:         ix.Name(),
@@ -205,6 +266,10 @@ func RunIndex(cfg Config, ix Index, gen workload.Generator, before func(i int, i
 		dt := time.Since(t0).Nanoseconds()
 		if cfg.Validate {
 			wc, ws := oracle(a, b, cfg.N)
+			if net != nil {
+				dc, ds := net.within(a, b)
+				wc, ws = wc+dc, ws+ds
+			}
 			if int64(res.Count()) != wc || res.Sum() != ws {
 				return nil, fmt.Errorf("bench: %s/%s query %d [%d,%d): got (%d,%d), want (%d,%d)",
 					ix.Name(), gen.Name(), i, a, b, res.Count(), res.Sum(), wc, ws)

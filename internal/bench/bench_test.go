@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/updates"
 )
 
 func tinyConfig() Config {
@@ -92,37 +90,53 @@ func TestRunUnknownSpecAndWorkload(t *testing.T) {
 }
 
 func TestRunWithUpdates(t *testing.T) {
-	// With updates the closed-form oracle no longer holds, so run without
-	// Validate and check the update stream was exercised.
+	// Validate stays on: the oracle adds the stream's net updates to the
+	// closed form, so every answer is checked through the merges.
 	cfg := tinyConfig()
-	cfg.Validate = false
+	step := (cfg.N - cfg.S) / int64(cfg.Q) // sequential query i is [i*step, i*step+S)
 	var queued int
-	var wrapped *updates.Index
-	s, err := RunWithUpdates(cfg, "crack", "random", func(i int, u *updates.Index) {
-		wrapped = u
-		if i%10 == 0 {
-			u.Insert(int64(i))
-			queued++
+	s, err := RunWithUpdates(cfg, "crack", "sequential", func(i int, u Updater) {
+		next := int64(i) * step // inside the query about to run
+		switch i % 3 {
+		case 0: // a duplicate of a base value, and one for the next query
+			u.Insert(next + 1)
+			u.Insert(next + step + 2)
+		case 1: // a base value removed
+			u.Delete(next + 2)
+		case 2: // inserted, then deleted again before any merge
+			u.Insert(next + 3)
+			u.Delete(next + 3)
 		}
+		queued++
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if queued == 0 || wrapped == nil {
+	if queued == 0 {
 		t.Fatal("update stream never ran")
-	}
-	if wrapped.Merged()+int64(wrapped.Pending()) != int64(queued) {
-		t.Fatalf("merged %d + pending %d != queued %d",
-			wrapped.Merged(), wrapped.Pending(), queued)
 	}
 	if s.TotalNS <= 0 {
 		t.Fatal("no time recorded")
 	}
-	if _, err := RunWithUpdates(cfg, "sort", "random", func(int, *updates.Index) {}); err == nil {
+	if _, err := RunWithUpdates(cfg, "sort", "random", func(int, Updater) {}); err == nil {
 		t.Fatal("sort must reject updates")
 	}
-	if _, err := RunWithUpdates(cfg, "aicc", "random", func(int, *updates.Index) {}); err == nil {
+	if _, err := RunWithUpdates(cfg, "aicc", "random", func(int, Updater) {}); err == nil {
 		t.Fatal("hybrids must reject updates (not engine-backed)")
+	}
+}
+
+// TestRunWithUpdatesCatchesLostUpdate proves the oracle sees the stream:
+// an insert the wrapper never receives fails validation.
+func TestRunWithUpdatesCatchesLostUpdate(t *testing.T) {
+	cfg := tinyConfig()
+	_, err := RunWithUpdates(cfg, "crack", "sequential", func(i int, u Updater) {
+		if i == 0 {
+			u.(*netUpdates).ins = []int64{5} // recorded, never applied
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "want") {
+		t.Fatalf("lost insert not caught: %v", err)
 	}
 }
 

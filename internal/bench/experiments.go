@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/updates"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -269,7 +268,7 @@ func runFig15(cfg Config, w io.Writer) error {
 	printSeriesHeader(w)
 	for _, spec := range []string{"crack", "pmdd1r-10"} {
 		rng := xrand.New(cfg.Seed + 99)
-		stream := func(i int, u *updates.Index) {
+		stream := func(i int, u Updater) {
 			if i%10 == 0 {
 				for k := 0; k < 10; k++ {
 					u.Insert(rng.Int63n(cfg.N))

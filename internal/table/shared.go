@@ -26,7 +26,8 @@ import (
 // per column when built with NewSharded — the table analogue of the
 // facade's Sharded(k) single-column mode. The wrapper assumes ownership
 // of the Table; the single-threaded projection paths (SelectProject,
-// SelectProjectSideways) must not be used concurrently with it.
+// SelectProjectSideways) must not be used concurrently with it, which is
+// why DB.SelectProject refuses Shared and Sharded tables.
 type Shared struct {
 	t       *Table
 	shards  int        // 0: one executor per column; k>0: k shards per column

@@ -122,7 +122,7 @@ func New(cols map[string][]int64, algorithm string, opt core.Options) (*Table, e
 // queues included), consumed lazily on the column's first selection.
 // Captured states carry no row ids, so the restored table answers every
 // per-column selection exactly but rejects the cross-column projection
-// paths (SelectProject, SelectProjectSideways) with
+// paths behind DB.SelectProject and DB.SelectProjectSideways with
 // dberr.ErrSnapshotUnsupported.
 func Restore(cols []snapshot.TableColumn, algorithm string, opt core.Options) (*Table, error) {
 	if len(cols) == 0 {

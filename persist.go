@@ -29,34 +29,11 @@ type DBSnapshot = snapshot.Manifest
 // shard plus the half-open value range [Lo, Hi) it owns.
 type SnapshotPart = snapshot.Part
 
-// SnapshotOf wraps a single engine state (Index.Snapshot) as a
-// whole-domain DBSnapshot, for feeding v1-API snapshots into
-// OpenSnapshot.
-func SnapshotOf(st SnapshotState) DBSnapshot { return snapshot.Single(st) }
-
-// Snapshot captures the index's physical state so that a later Restore
-// resumes with all adaptation earned so far. Only engine-backed
-// algorithms (everything except the hybrids) support snapshots — others
-// fail with ErrSnapshotUnsupported; indexes with pending updates fail
-// with ErrPendingUpdates (query the relevant ranges to merge them
-// first).
-func (ix *Index) Snapshot() (SnapshotState, error) {
-	acc, ok := ix.inner.(interface{ Engine() *core.Engine })
-	if !ok {
-		return SnapshotState{}, fmt.Errorf("crackdb: %s: %w", ix.inner.Name(), ErrSnapshotUnsupported)
-	}
-	if ix.upd != nil && ix.upd.Pending() > 0 {
-		return SnapshotState{}, fmt.Errorf("crackdb: %d updates queued; merge them before snapshotting: %w",
-			ix.upd.Pending(), ErrPendingUpdates)
-	}
-	return acc.Engine().Snapshot(), nil
-}
-
 // snapshotState captures the index's physical state with any queued
-// updates carried in the state's pending-queue fields — the DB snapshot
-// path, which never refuses. The v1 Index.Snapshot above keeps its
-// documented strict contract.
-func (ix *Index) snapshotState() (SnapshotState, error) {
+// updates carried in the state's pending-queue fields, so a capture never
+// refuses (DB.SnapshotStrict adds the refusal). Only engine-backed
+// algorithms serialize; the hybrids fail with ErrSnapshotUnsupported.
+func (ix *singleIndex) snapshotState() (SnapshotState, error) {
 	acc, ok := ix.inner.(interface{ Engine() *core.Engine })
 	if !ok {
 		return SnapshotState{}, fmt.Errorf("crackdb: %s: %w", ix.inner.Name(), ErrSnapshotUnsupported)
@@ -66,16 +43,6 @@ func (ix *Index) snapshotState() (SnapshotState, error) {
 		st.PendingInserts, st.PendingDeletes = ix.upd.PendingSnapshot()
 	}
 	return st, nil
-}
-
-// SaveSnapshot writes the index's state to path (atomic write, CRC32
-// protected).
-func (ix *Index) SaveSnapshot(path string) error {
-	st, err := ix.Snapshot()
-	if err != nil {
-		return err
-	}
-	return snapshot.SaveFile(path, st)
 }
 
 // SaveSnapshot writes the DB's state to path (atomic temp-file write +
@@ -98,12 +65,12 @@ func SaveSnapshotFile(path string, snap DBSnapshot) error {
 	return snapshot.SaveManifestFile(path, snap)
 }
 
-// Restore rebuilds an index from a snapshot, validating every crack
-// invariant first. algorithm selects who continues the cracking; crack
-// state is algorithm-agnostic, so restoring a "crack" snapshot into a
-// "dd1r" index is legal and useful.
-func Restore(st SnapshotState, algorithm string, opts ...Option) (*Index, error) {
-	cfg := applyOptions(opts)
+// restoreSingle rebuilds a Single-mode backend from one engine state,
+// validating every crack invariant first and re-queuing its pending
+// updates. algorithm selects who continues the cracking; crack state is
+// algorithm-agnostic, so restoring a "crack" snapshot into a "dd1r" index
+// is legal and useful.
+func restoreSingle(st SnapshotState, algorithm string, cfg config) (*singleIndex, error) {
 	inner, err := core.Restore(st, algorithm, cfg.core)
 	if err != nil {
 		return nil, err
@@ -116,7 +83,7 @@ func Restore(st SnapshotState, algorithm string, opts ...Option) (*Index, error)
 		}
 		u.SeedPending(st.PendingInserts, st.PendingDeletes)
 	}
-	return &Index{inner: inner, upd: u}, nil
+	return &singleIndex{inner: inner, upd: u}, nil
 }
 
 // OpenSnapshot restores a DB from a snapshot manifest, resuming with all
@@ -176,7 +143,7 @@ func OpenSnapshot(snap DBSnapshot, algorithm string, opts ...Option) (*DB, error
 	if err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
-	ix, err := Restore(st, algorithm, opts...)
+	ix, err := restoreSingle(st, algorithm, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -197,8 +164,8 @@ func OpenSnapshot(snap DBSnapshot, algorithm string, opts ...Option) (*DB, error
 // state and pending queues, consumed lazily on the column's first
 // selection (re-cut along shard bounds in Sharded(k) mode). Captured
 // tables carry no row-id payloads, so the restored DB serves every
-// per-column selection but the v1 shim's cross-column projections fail
-// with ErrSnapshotUnsupported.
+// per-column selection but DB.SelectProject and SelectProjectSideways
+// fail with ErrSnapshotUnsupported.
 func openTableSnapshot(snap DBSnapshot, algorithm string, cfg config) (*DB, error) {
 	t, err := table.Restore(snap.Columns, algorithm, cfg.core)
 	if err != nil {
@@ -220,19 +187,6 @@ func openTableSnapshot(snap DBSnapshot, algorithm string, cfg config) (*DB, erro
 		return nil, err
 	}
 	return db, nil
-}
-
-// LoadSnapshot reads a snapshot file written by SaveSnapshot and restores
-// an index from it.
-//
-// Deprecated: use OpenSnapshotFile, which restores a DB in any supported
-// concurrency mode.
-func LoadSnapshot(path, algorithm string, opts ...Option) (*Index, error) {
-	st, err := snapshot.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Restore(st, algorithm, opts...)
 }
 
 // OpenSnapshotFile reads a snapshot file written by SaveSnapshot and

@@ -11,66 +11,78 @@ import (
 )
 
 func TestFacadeSnapshotRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
-	ix, err := crackdb.New(crackdb.MakeData(20_000, 1), crackdb.Crack, crackdb.WithSeed(2))
+	db, err := crackdb.Open(crackdb.MakeData(20_000, 1), crackdb.Crack, crackdb.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 30; i++ {
-		ix.Query(i*600, i*600+100)
+		if _, err := db.Query(ctx, crackdb.Range(i*600, i*600+100)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cracksBefore := ix.Stats().Cracks
+	cracksBefore := db.Stats().Cracks
 	path := filepath.Join(dir, "ix.crks")
-	if err := ix.SaveSnapshot(path); err != nil {
+	if err := db.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
 
 	// Restore under a different (stochastic) algorithm: the crack state is
 	// algorithm-agnostic.
-	restored, err := crackdb.LoadSnapshot(path, crackdb.DD1R, crackdb.WithSeed(3))
+	restored, err := crackdb.OpenSnapshotFile(path, crackdb.DD1R, crackdb.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if restored.Stats().Cracks != cracksBefore {
 		t.Fatalf("restored cracks = %d, want %d", restored.Stats().Cracks, cracksBefore)
 	}
-	res := restored.Query(600, 700)
-	if res.Count() != 100 {
-		t.Fatalf("restored query count = %d", res.Count())
+	count := func() int {
+		res, err := restored.Query(ctx, crackdb.Range(600, 700))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Count()
+	}
+	if got := count(); got != 100 {
+		t.Fatalf("restored query count = %d", got)
 	}
 	// Updates still work after restore.
 	if err := restored.Insert(650); err != nil {
 		t.Fatal(err)
 	}
-	if res := restored.Query(600, 700); res.Count() != 101 {
-		t.Fatalf("count after insert = %d", res.Count())
+	if got := count(); got != 101 {
+		t.Fatalf("count after insert = %d", got)
 	}
 }
 
 func TestFacadeSnapshotRejectsPendingUpdates(t *testing.T) {
-	ix, err := crackdb.New(crackdb.MakeData(1_000, 4), crackdb.Crack)
+	db, err := crackdb.Open(crackdb.MakeData(1_000, 4), crackdb.Crack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Insert(5); err != nil {
+	if err := db.Insert(5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.Snapshot(); err == nil {
-		t.Fatal("snapshot with pending updates accepted")
+	if _, err := db.SnapshotStrict(); !errors.Is(err, crackdb.ErrPendingUpdates) {
+		t.Fatalf("snapshot with pending updates: err = %v", err)
 	}
-	ix.Query(0, 10) // merges the insert
-	if _, err := ix.Snapshot(); err != nil {
+	// Merges the insert.
+	if _, err := db.Query(context.Background(), crackdb.Range(0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.SnapshotStrict(); err != nil {
 		t.Fatalf("snapshot after merge failed: %v", err)
 	}
 }
 
 func TestFacadeSnapshotRejectsHybrids(t *testing.T) {
-	ix, err := crackdb.New(crackdb.MakeData(1_000, 5), crackdb.AICS)
+	db, err := crackdb.Open(crackdb.MakeData(1_000, 5), crackdb.AICS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.Snapshot(); err == nil {
-		t.Fatal("hybrid snapshot accepted")
+	if _, err := db.Snapshot(); !errors.Is(err, crackdb.ErrSnapshotUnsupported) {
+		t.Fatalf("hybrid snapshot: err = %v", err)
 	}
 }
 
@@ -195,12 +207,12 @@ func TestFacadeColumnFiles(t *testing.T) {
 			}
 		}
 	}
-	// Loaded columns feed straight into New.
-	ix, err := crackdb.New(vals, crackdb.MDD1R)
+	// Loaded columns feed straight into Open.
+	db, err := crackdb.Open(vals, crackdb.MDD1R)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := ix.Query(0, 100); res.Count() != 100 {
+	if res, err := db.Query(context.Background(), crackdb.Range(0, 100)); err != nil || res.Count() != 100 {
 		t.Fatal("query over loaded column failed")
 	}
 }

@@ -17,8 +17,8 @@ import (
 // Predicates compose: And intersects, Or unions (producing a multi-range
 // predicate, answered as a batch under the hood), and On scopes the
 // condition to a named column for table databases. Predicate is the only
-// range vocabulary of the v2 query API — DB.Query, DB.QueryBatch and
-// DB.QueryAggregate all consume it. A Predicate is an immutable value;
+// range vocabulary of the query API — DB.Query, DB.QueryBatch,
+// DB.QueryAggregate and DB.SelectProject all consume it. A Predicate is an immutable value;
 // every method returns a new one.
 type Predicate struct {
 	lo, hi int64
@@ -26,8 +26,7 @@ type Predicate struct {
 	// conflict records an illegal composition (And/Or of predicates
 	// scoped to different columns). Instead of silently answering against
 	// the wrong column, DB queries then fail with ErrUnknownColumn at
-	// resolve time, and the v1 QueryWhere shims (no error channel) select
-	// nothing.
+	// resolve time.
 	conflict string
 	// set holds the disjoint ranges of a multi-range predicate (built by
 	// Or). nil for the common single-range form; when non-nil it has at
@@ -225,8 +224,7 @@ func (p Predicate) Empty() bool {
 }
 
 // Matches reports whether value v satisfies the predicate. A predicate
-// composed across different columns matches nothing, mirroring the
-// QueryWhere shims.
+// composed across different columns matches nothing.
 func (p Predicate) Matches(v int64) bool {
 	if p.conflict != "" {
 		return false
@@ -276,31 +274,4 @@ func incSat(x int64) int64 {
 		return x
 	}
 	return x + 1
-}
-
-// QueryWhere answers the predicate through the index, adapting it as a
-// side effect. Multi-range predicates are answered range by range and
-// returned materialized in ascending range order. The shim has no column
-// vocabulary: column scopes are ignored, and a predicate composed across
-// two different columns selects nothing.
-//
-// Deprecated: open a DB with Open and use DB.Query, which adds context
-// cancellation, column-aware errors, and serves every concurrency mode.
-func (ix *Index) QueryWhere(p Predicate) Result {
-	if p.conflict != "" {
-		return Result{}
-	}
-	rs := p.rangeList()
-	switch len(rs) {
-	case 0:
-		return Result{}
-	case 1:
-		return ix.Query(rs[0][0], rs[0][1])
-	}
-	var out []int64
-	for _, r := range rs {
-		res := ix.Query(r[0], r[1])
-		out = res.Materialize(out)
-	}
-	return NewResult(out)
 }

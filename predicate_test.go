@@ -1,6 +1,7 @@
 package crackdb_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -127,52 +128,60 @@ func TestPredicateOn(t *testing.T) {
 }
 
 func TestQueryWhere(t *testing.T) {
-	ix, err := crackdb.New(crackdb.MakeData(10_000, 7), crackdb.Crack)
+	db, err := crackdb.Open(crackdb.MakeData(10_000, 7), crackdb.Crack)
 	if err != nil {
 		t.Fatal(err)
 	}
+	where := func(p crackdb.Predicate) crackdb.Result {
+		res, err := db.Query(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	// Fig. 1's Q1 on a dense domain: A > 10 AND A < 14 selects {11,12,13}.
-	res := ix.QueryWhere(crackdb.Greater(10).And(crackdb.Less(14)))
+	res := where(crackdb.Greater(10).And(crackdb.Less(14)))
 	if res.Count() != 3 || res.Sum() != 36 {
 		t.Fatalf("Q1: count=%d sum=%d", res.Count(), res.Sum())
 	}
-	if res := ix.QueryWhere(crackdb.Eq(42)); res.Count() != 1 || res.Sum() != 42 {
+	if res := where(crackdb.Eq(42)); res.Count() != 1 || res.Sum() != 42 {
 		t.Fatal("Eq predicate failed")
 	}
-	if res := ix.QueryWhere(crackdb.Greater(20).And(crackdb.Less(10))); res.Count() != 0 {
+	if res := where(crackdb.Greater(20).And(crackdb.Less(10))); res.Count() != 0 {
 		t.Fatal("empty predicate returned rows")
 	}
 	// Unbounded sides work: everything below 100.
-	if res := ix.QueryWhere(crackdb.Less(100)); res.Count() != 100 {
+	if res := where(crackdb.Less(100)); res.Count() != 100 {
 		t.Fatalf("Less(100) count = %d", res.Count())
 	}
-	if res := ix.QueryWhere(crackdb.GreaterEq(9_900)); res.Count() != 100 {
+	if res := where(crackdb.GreaterEq(9_900)); res.Count() != 100 {
 		t.Fatalf("GreaterEq count = %d", res.Count())
 	}
 }
 
 func TestFacadeTable(t *testing.T) {
+	ctx := context.Background()
 	n := 5000
 	a := crackdb.MakeData(int64(n), 8)
 	b := make([]int64, n)
 	for i, v := range a {
 		b[i] = v * 3
 	}
-	tbl, err := crackdb.NewTable(map[string][]int64{"a": a, "b": b}, crackdb.DD1R, crackdb.WithSeed(9))
+	tbl, err := crackdb.OpenTable(map[string][]int64{"a": a, "b": b}, crackdb.DD1R, crackdb.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Rows() != n || len(tbl.Columns()) != 2 {
 		t.Fatal("table shape wrong")
 	}
-	sel, err := tbl.Select("a", 100, 200)
+	sel, err := tbl.Query(ctx, crackdb.Range(100, 200).On("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel) != 100 {
-		t.Fatalf("select returned %d", len(sel))
+	if sel.Count() != 100 {
+		t.Fatalf("select returned %d", sel.Count())
 	}
-	proj, err := tbl.SelectProject("a", "b", 100, 200)
+	proj, err := tbl.SelectProject(ctx, crackdb.Range(100, 200).On("a"), "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +196,7 @@ func TestFacadeTable(t *testing.T) {
 	if sum != want {
 		t.Fatalf("projection sum = %d, want %d", sum, want)
 	}
-	side, err := tbl.SelectProjectSideways("a", "b", 100, 200)
+	side, err := tbl.SelectProjectSideways(ctx, crackdb.Range(100, 200).On("a"), "b")
 	if err != nil {
 		t.Fatal(err)
 	}

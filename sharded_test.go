@@ -1,6 +1,8 @@
 package crackdb_test
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -9,14 +11,20 @@ import (
 
 func TestShardedFacade(t *testing.T) {
 	const n = 80_000
-	ix, err := crackdb.NewSharded(crackdb.MakeData(n, 10), crackdb.DD1R, 8, crackdb.WithSeed(11))
+	ctx := context.Background()
+	db, err := crackdb.Open(crackdb.MakeData(n, 10), crackdb.DD1R, crackdb.WithSeed(11),
+		crackdb.WithConcurrency(crackdb.Sharded(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumShards() != 8 {
-		t.Fatalf("shards = %d", ix.NumShards())
+	if got := db.Mode().String(); got != "sharded-8" {
+		t.Fatalf("mode = %q", got)
 	}
-	got := ix.Query(1000, 2000)
+	res, err := db.Query(ctx, crackdb.Range(1000, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Owned()
 	if len(got) != 1000 {
 		t.Fatalf("count = %d", len(got))
 	}
@@ -31,19 +39,19 @@ func TestShardedFacade(t *testing.T) {
 	if sum != want {
 		t.Fatal("wrong values")
 	}
-	if p := ix.QueryWhere(crackdb.Between(10, 19)); len(p) != 10 {
-		t.Fatalf("predicate query count = %d", len(p))
+	if p, err := db.Query(ctx, crackdb.Between(10, 19)); err != nil || p.Count() != 10 {
+		t.Fatalf("predicate query count = %d (err %v)", p.Count(), err)
 	}
-	if p := ix.QueryWhere(crackdb.Greater(5).And(crackdb.Less(5))); p != nil {
+	if p, err := db.Query(ctx, crackdb.Greater(5).And(crackdb.Less(5))); err != nil || p.Count() != 0 {
 		t.Fatal("empty predicate returned rows")
 	}
 	// Multi-range predicates answer range by range, never the envelope.
-	if p := ix.QueryWhere(crackdb.Range(10, 20).Or(crackdb.Range(40, 50))); len(p) != 20 {
-		t.Fatalf("multi-range predicate count = %d, want 20", len(p))
+	if p, err := db.Query(ctx, crackdb.Range(10, 20).Or(crackdb.Range(40, 50))); err != nil || p.Count() != 20 {
+		t.Fatalf("multi-range predicate count = %d, want 20 (err %v)", p.Count(), err)
 	}
-	// Cross-column compositions select nothing (the shim has no columns).
-	if p := ix.QueryWhere(crackdb.Eq(1).On("a").And(crackdb.Eq(1).On("b"))); p != nil {
-		t.Fatal("conflicted predicate returned rows")
+	// Cross-column compositions are rejected, never answered.
+	if _, err := db.Query(ctx, crackdb.Eq(1).On("a").And(crackdb.Eq(1).On("b"))); !errors.Is(err, crackdb.ErrUnknownColumn) {
+		t.Fatalf("conflicted predicate error = %v", err)
 	}
 
 	var wg sync.WaitGroup
@@ -53,7 +61,7 @@ func TestShardedFacade(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				a := int64((g*997 + i*131) % (n - 100))
-				if len(ix.Query(a, a+100)) != 100 {
+				if res, err := db.Query(ctx, crackdb.Range(a, a+100)); err != nil || res.Count() != 100 {
 					t.Error("concurrent query wrong")
 					return
 				}
@@ -61,10 +69,10 @@ func TestShardedFacade(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if ix.Stats().Queries == 0 || ix.Name() == "" {
+	if db.Stats().Queries == 0 || db.Name() == "" {
 		t.Fatal("stats/name broken")
 	}
-	if _, err := crackdb.NewSharded(nil, "bogus", 2); err == nil {
+	if _, err := crackdb.Open(nil, "bogus", crackdb.WithConcurrency(crackdb.Sharded(2))); err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}
 }

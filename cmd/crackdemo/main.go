@@ -89,7 +89,7 @@ func main() {
 func printColumn(e *core.Engine) {
 	col := e.Column()
 	boundaries := make(map[int]bool)
-	e.CrackerIndex().Ascend(func(_ int64, pos int) bool {
+	e.CrackerIndex().Ascend(func(_ int64, pos, _ int) bool {
 		boundaries[pos] = true
 		return true
 	})

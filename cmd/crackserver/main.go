@@ -52,7 +52,8 @@
 //
 // On SIGINT/SIGTERM the server drains gracefully: it stops accepting,
 // waits up to -drain for in-flight requests, then cancels their contexts
-// (the DB's query paths honor cancellation) and exits.
+// (the DB's query paths honor cancellation), saves a snapshot when
+// -snapshot or -snapshot-store is set, and exits.
 package main
 
 import (
@@ -311,6 +312,9 @@ func main() {
 			*shardLo, *shardHi, *shardOf, db.Name(), db.Mode())
 	}
 	serve(ctx, *addr, *addrFile, *tlsCert, *tlsKey, *drain, srv.Handler(), banner)
+	if *snapPath != "" || store != nil {
+		saveAfterDrain("", srv)
+	}
 }
 
 // tablesConfig carries everything the catalog boot needs out of main's
@@ -446,6 +450,22 @@ func runTables(cfg tablesConfig) {
 	}
 	banner := fmt.Sprintf("serving catalog of %d tables (%s)", len(servers), strings.Join(names, ", "))
 	serve(ctx, cfg.addr, cfg.addrFile, cfg.tlsCert, cfg.tlsKey, cfg.drain, cat.Handler(), banner)
+	if cfg.store != nil {
+		for _, ts := range servers {
+			saveAfterDrain("table "+ts.name+": ", ts.srv)
+		}
+	}
+}
+
+// saveAfterDrain saves srv's state once serve has drained every request,
+// so a graceful restart resumes with every write acknowledged before it.
+// A crash or SIGKILL still loses the writes made since the last save.
+func saveAfterDrain(prefix string, srv *server.Server) {
+	if info, err := srv.SaveSnapshot(); err != nil {
+		log.Printf("%ssnapshot on exit: %v", prefix, err)
+	} else {
+		log.Printf("%ssnapshot on exit: %d pieces -> %s (%dms)", prefix, info.Pieces, info.Path, info.ElapsedMS)
+	}
 }
 
 // parseTables parses the -tables spec list ("users:100000,orders:50000").

@@ -2,10 +2,11 @@
 //
 // Cracking does not stop the world for maintenance. Updates queue as
 // pending and are merged lazily — each query merges exactly the pending
-// values that fall inside its range, using the Ripple reorganization of
-// the paper's reference [17], which moves one tuple per column piece
-// instead of rewriting the array (reproducing Fig. 15's setup: 10 random
-// inserts arriving with every 10 queries).
+// values that fall inside its range, in the spirit of the Ripple
+// reorganization of the paper's reference [17]: a merge moves one tuple
+// per piece it crosses on the way to the nearest empty slot, instead of
+// rewriting the array (reproducing Fig. 15's setup: 10 random inserts
+// arriving with every 10 queries).
 //
 // The same DB.Insert/DB.Delete calls work in every concurrency mode — a
 // sharded database routes each value to the shard owning its range.
@@ -80,5 +81,5 @@ func main() {
 	fmt.Printf("index state: %d pieces, %d tuples touched in total\n", st.Pieces, st.Touched)
 	fmt.Println("\npaper shape (Fig. 15): the update stream does not disturb stochastic")
 	fmt.Println("cracking's robustness - cumulative cost stays flat, because each merge")
-	fmt.Println("moves one tuple per piece (Ripple) rather than rebuilding anything.")
+	fmt.Println("moves a few tuples next to its piece rather than rebuilding anything.")
 }

@@ -6,9 +6,17 @@
 // A crack (key, pos) states that every tuple at a position < pos has a
 // value < key, and every tuple at a position >= pos has a value >= key.
 // Cracks are immutable once placed — physical reorganization only ever
-// happens inside pieces — with one exception: updates. Ripple insertion and
-// deletion shift all cracks above the affected piece by one position, which
+// happens inside pieces — with one exception: updates. A merged insert that
+// carries a tuple across cracks shifts each of them by one position, which
 // this tree supports in O(log n) through lazy subtree position deltas.
+//
+// Updates also leave holes: empty slots a merged delete vacates, or slack
+// reserved for later inserts (internal/updates). Holes always sit at the end
+// of a piece, and each crack counts the holes of the piece it closes (the
+// last piece's count is kept on the tree). A piece's values are its live
+// slots: PieceFor reports the live end, Live walks the live runs of a
+// position range, and Pieces reports live (dense) boundaries, so code above
+// the engine never sees a hole.
 //
 // Each node additionally carries the crack counter of the piece that starts
 // at it (used by the ScrackMon selective strategy of §4): when a crack
@@ -22,11 +30,14 @@ type Tree struct {
 	root     *node
 	size     int
 	counter0 int64 // crack counter of the piece that starts at position 0
+	holes    int   // holes in the whole column
+	tail     int   // holes at the end of the last piece
 }
 
 type node struct {
 	key     int64 // pivot value
 	pos     int   // crack position, relative to accumulated ancestor shifts
+	holes   int   // holes at the end of the piece this crack closes
 	shift   int   // lazy position delta applying to both children's subtrees
 	counter int64 // crack counter of the piece starting at this crack
 	height  int
@@ -36,6 +47,14 @@ type node struct {
 
 // Len returns the number of cracks in the index.
 func (t *Tree) Len() int { return t.size }
+
+// Holes returns the number of holes in the whole column: its physical
+// length minus its live tuples.
+func (t *Tree) Holes() int { return t.holes }
+
+// End returns the live end of a column of n slots: n minus the holes at
+// the end of its last piece.
+func (t *Tree) End(n int) int { return n - t.tail }
 
 // Height returns the height of the tree (0 for an empty tree).
 func (t *Tree) Height() int { return height(t.root) }
@@ -122,7 +141,9 @@ func rebalance(n *node) *node {
 
 // Insert adds the crack (key, pos). If a crack with the same key already
 // exists the tree is unchanged and Insert returns false. The piece split by
-// the new crack passes its crack counter on to the new piece.
+// the new crack passes its crack counter on to the new piece. pos must not
+// lie past the split piece's live end: the new crack closes a piece without
+// holes, and the split piece's holes stay with its upper part.
 func (t *Tree) Insert(key int64, pos int) bool {
 	inherited := *t.CounterFor(key)
 	inserted := false
@@ -153,18 +174,20 @@ func (t *Tree) insert(n *node, key int64, pos int, counter int64, inserted *bool
 	return rebalance(n)
 }
 
-// PieceFor returns the piece [lo, hi) of a column of n tuples that holds
-// value v, together with exact: whether a crack lies exactly at key v (in
-// which case a query bound at v needs no further cracking).
+// PieceFor returns the live slots [lo, hi) of the piece that holds value v
+// in a column of n slots, together with exact: whether a crack lies exactly
+// at key v (in which case a query bound at v needs no further cracking).
+// hi is the next crack's position minus its holes, or End(n) for the last
+// piece.
 func (t *Tree) PieceFor(v int64, n int) (lo, hi int, exact bool) {
-	lo, hi = 0, n
+	lo, hi = 0, n-t.tail
 	acc := 0
 	cur := t.root
 	for cur != nil {
 		abs := cur.pos + acc
 		switch {
 		case v < cur.key:
-			hi = abs
+			hi = abs - cur.holes
 			acc += cur.shift
 			cur = cur.left
 		case v > cur.key:
@@ -178,7 +201,7 @@ func (t *Tree) PieceFor(v int64, n int) (lo, hi int, exact bool) {
 			acc += cur.shift
 			cur = cur.right
 			for cur != nil {
-				hi = cur.pos + acc
+				hi = cur.pos + acc - cur.holes
 				acc += cur.shift
 				cur = cur.left
 			}
@@ -186,6 +209,42 @@ func (t *Tree) PieceFor(v int64, n int) (lo, hi int, exact bool) {
 		}
 	}
 	return lo, hi, false
+}
+
+// Above returns the crack that closes the piece holding v — the crack with
+// the smallest key greater than v — with its absolute position and the
+// holes at the end of that piece. ok is false when v's piece is the last
+// one; pos and holes then describe the column end n and the last piece's
+// holes.
+func (t *Tree) Above(v int64, n int) (key int64, pos, holes int, ok bool) {
+	pos, holes = n, t.tail
+	acc := 0
+	for cur := t.root; cur != nil; {
+		if v < cur.key {
+			key, pos, holes, ok = cur.key, cur.pos+acc, cur.holes, true
+			acc += cur.shift
+			cur = cur.left
+		} else {
+			acc += cur.shift
+			cur = cur.right
+		}
+	}
+	return key, pos, holes, ok
+}
+
+// AddHoles adds delta to the hole count of the piece holding v.
+func (t *Tree) AddHoles(v int64, delta int) {
+	count := &t.tail
+	for cur := t.root; cur != nil; {
+		if v < cur.key {
+			count = &cur.holes
+			cur = cur.left
+		} else {
+			cur = cur.right
+		}
+	}
+	*count += delta
+	t.holes += delta
 }
 
 // BoundConverged reports whether a query bound at value v would trigger no
@@ -233,9 +292,9 @@ func (t *Tree) CounterFor(v int64) *int64 {
 }
 
 // RangeShift adds delta to the position of every crack whose key is
-// strictly greater than afterKey, in O(log n). Ripple updates use it: an
-// insertion into the piece containing value v shifts every crack above that
-// piece one position to the right.
+// strictly greater than afterKey, in O(log n). A merged insert that carries
+// tuples across cracks shifts each crossed crack one position to the right
+// with two calls: +1 above its value, -1 above the last crack crossed.
 func (t *Tree) RangeShift(afterKey int64, delta int) {
 	cur := t.root
 	for cur != nil {
@@ -253,78 +312,90 @@ func (t *Tree) RangeShift(afterKey int64, delta int) {
 }
 
 // Ascend calls fn for every crack in increasing key order with its absolute
-// position, stopping early if fn returns false.
-func (t *Tree) Ascend(fn func(key int64, pos int) bool) {
+// position and the holes at the end of the piece it closes, stopping early
+// if fn returns false.
+func (t *Tree) Ascend(fn func(key int64, pos, holes int) bool) {
 	ascend(t.root, 0, fn)
 }
 
-func ascend(n *node, acc int, fn func(key int64, pos int) bool) bool {
+func ascend(n *node, acc int, fn func(key int64, pos, holes int) bool) bool {
 	if n == nil {
 		return true
 	}
 	if !ascend(n.left, acc+n.shift, fn) {
 		return false
 	}
-	if !fn(n.key, n.pos+acc) {
+	if !fn(n.key, n.pos+acc, n.holes) {
 		return false
 	}
 	return ascend(n.right, acc+n.shift, fn)
 }
 
-// AscendGreater calls fn for every crack with key strictly greater than
-// afterKey, in increasing key order, stopping early if fn returns false.
-func (t *Tree) AscendGreater(afterKey int64, fn func(key int64, pos int) bool) {
-	ascendGreater(t.root, 0, afterKey, fn)
+// Live calls fn, in position order, for every run of live slots in the
+// positions [lo, hi), skipping the holes of every crack positioned in
+// (lo, hi]. lo and hi must not fall inside a run of holes: the readers pass
+// crack positions and live piece ends.
+func (t *Tree) Live(lo, hi int, fn func(lo, hi int)) {
+	start := lo
+	live(t.root, 0, lo, hi, &start, fn)
+	if start < hi {
+		fn(start, hi)
+	}
 }
 
-func ascendGreater(n *node, acc int, after int64, fn func(key int64, pos int) bool) bool {
+func live(n *node, acc, lo, hi int, start *int, fn func(lo, hi int)) {
 	if n == nil {
-		return true
+		return
 	}
-	if n.key > after {
-		if !ascendGreater(n.left, acc+n.shift, after, fn) {
-			return false
-		}
-		if !fn(n.key, n.pos+acc) {
-			return false
+	abs := n.pos + acc
+	acc += n.shift
+	if abs > lo {
+		live(n.left, acc, lo, hi, start, fn)
+		if abs <= hi && n.holes > 0 {
+			if end := abs - n.holes; end > *start {
+				fn(*start, end)
+			}
+			*start = abs
 		}
 	}
-	return ascendGreater(n.right, acc+n.shift, after, fn)
+	if abs <= hi {
+		live(n.right, acc, lo, hi, start, fn)
+	}
 }
 
-// DescendGreater calls fn for every crack with key strictly greater than
-// afterKey, in decreasing key order, stopping early if fn returns false.
-// Ripple insertion visits exactly these cracks, highest piece first.
-func (t *Tree) DescendGreater(afterKey int64, fn func(key int64, pos int) bool) {
-	descendGreater(t.root, 0, afterKey, fn)
+// Relayout moves every crack, in increasing key order, to the position fn
+// returns for it and gives the piece it closes the hole count fn returns;
+// tail becomes the last piece's hole count. fn receives each crack's
+// current position and holes. Spreading a column's slack uses it, after
+// moving the tuples to match.
+func (t *Tree) Relayout(tail int, fn func(pos, holes int) (int, int)) {
+	t.tail = tail
+	t.holes = tail + relayout(t.root, 0, fn)
 }
 
-func descendGreater(n *node, acc int, after int64, fn func(key int64, pos int) bool) bool {
+func relayout(n *node, acc int, fn func(pos, holes int) (int, int)) int {
 	if n == nil {
-		return true
+		return 0
 	}
-	if !descendGreater(n.right, acc+n.shift, after, fn) {
-		return false
-	}
-	if n.key > after {
-		if !fn(n.key, n.pos+acc) {
-			return false
-		}
-		return descendGreater(n.left, acc+n.shift, after, fn)
-	}
-	return true
+	sum := relayout(n.left, acc+n.shift, fn)
+	n.pos, n.holes = fn(n.pos+acc, n.holes)
+	sum += n.holes + relayout(n.right, acc+n.shift, fn)
+	n.shift = 0
+	return sum
 }
 
-// Pieces returns the piece boundaries of a column with n tuples as a sorted
-// slice of positions, beginning with 0 and ending with n. A freshly created
-// index yields [0, n]: one piece covering the whole column.
+// Pieces returns the live piece boundaries of a column of n slots as a
+// sorted slice of positions in the column without its holes, beginning
+// with 0 and ending with n - Holes(). A freshly created index yields
+// [0, n]: one piece covering the whole column.
 func (t *Tree) Pieces(n int) []int {
 	out := make([]int, 0, t.size+2)
 	out = append(out, 0)
-	t.Ascend(func(_ int64, pos int) bool {
-		out = append(out, pos)
+	gone := 0
+	t.Ascend(func(_ int64, pos, holes int) bool {
+		gone += holes
+		out = append(out, pos-gone)
 		return true
 	})
-	out = append(out, n)
-	return out
+	return append(out, n-t.holes)
 }

@@ -1,6 +1,7 @@
 package cindex
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -171,7 +172,7 @@ func TestAscendOrderAndPieces(t *testing.T) {
 	}
 	var prev int64 = -1
 	count := 0
-	tr.Ascend(func(key int64, pos int) bool {
+	tr.Ascend(func(key int64, pos, _ int) bool {
 		if key <= prev {
 			t.Fatalf("Ascend out of order: %d after %d", key, prev)
 		}
@@ -200,7 +201,7 @@ func TestAscendEarlyStop(t *testing.T) {
 		tr.Insert(i, int(i))
 	}
 	count := 0
-	tr.Ascend(func(key int64, pos int) bool {
+	tr.Ascend(func(key int64, pos, _ int) bool {
 		count++
 		return count < 10
 	})
@@ -290,7 +291,7 @@ func TestRangeShiftAgainstReference(t *testing.T) {
 	}
 	// Ascend must also report shifted absolute positions.
 	i := 0
-	tr.Ascend(func(key int64, pos int) bool {
+	tr.Ascend(func(key int64, pos, _ int) bool {
 		if key != ref.keys[i] || pos != ref.pos[i] {
 			t.Fatalf("Ascend[%d] = (%d,%d), ref (%d,%d)", i, key, pos, ref.keys[i], ref.pos[i])
 		}
@@ -312,7 +313,7 @@ func TestRangeShiftQuick(t *testing.T) {
 		ref.rangeShift(after, delta)
 		ok := true
 		i := 0
-		tr.Ascend(func(key int64, pos int) bool {
+		tr.Ascend(func(key int64, pos, _ int) bool {
 			if i >= len(ref.keys) || key != ref.keys[i] || pos != ref.pos[i] {
 				ok = false
 				return false
@@ -388,6 +389,95 @@ func TestCrackPositionsMonotone(t *testing.T) {
 		t.Fatal("piece positions not monotone in key order")
 	}
 	checkAVL(t, &tr)
+}
+
+// TestHolesAgainstReference checks the hole-aware reads — PieceFor's live
+// end, Above, Live, Pieces and Relayout — against a slot-by-slot model
+// of a column whose pieces end in random numbers of holes.
+func TestHolesAgainstReference(t *testing.T) {
+	r := xrand.New(17)
+	for round := 0; round < 50; round++ {
+		// Piece i holds live[i] tuples followed by holes[i] holes; crack i
+		// (key 10*(i+1)) closes piece i.
+		pieces := 1 + r.Intn(20)
+		live, holes := make([]int, pieces), make([]int, pieces)
+		var tr Tree
+		n, total := 0, 0
+		for i := range live {
+			live[i], holes[i] = r.Intn(5), r.Intn(3)
+			n += live[i] + holes[i]
+			total += holes[i]
+			if i < pieces-1 {
+				tr.Insert(int64(10*(i+1)), n)
+			}
+		}
+		for i, h := range holes {
+			tr.AddHoles(int64(10*i+5), h)
+		}
+		if tr.Holes() != total || tr.End(n) != n-holes[pieces-1] {
+			t.Fatalf("Holes %d End %d, want %d and %d", tr.Holes(), tr.End(n), total, n-holes[pieces-1])
+		}
+		hole := make([]bool, n) // the model: which slots are holes
+		start := 0
+		dense := []int{0}
+		for i := range live {
+			for j := start + live[i]; j < start+live[i]+holes[i]; j++ {
+				hole[j] = true
+			}
+			lo, hi, exact := tr.PieceFor(int64(10*i+5), n)
+			if lo != start || hi != start+live[i] || exact {
+				t.Fatalf("piece %d: PieceFor = [%d,%d) %v, want [%d,%d)", i, lo, hi, exact, start, start+live[i])
+			}
+			key, pos, h, ok := tr.Above(int64(10*i+5), n)
+			if end := start + live[i] + holes[i]; pos != end || h != holes[i] || ok != (i < pieces-1) || (ok && key != int64(10*(i+1))) {
+				t.Fatalf("piece %d: Above = (%d, %d, %d, %v), want pos %d holes %d", i, key, pos, h, ok, end, holes[i])
+			}
+			start += live[i] + holes[i]
+			dense = append(dense, dense[len(dense)-1]+live[i])
+		}
+		if got := tr.Pieces(n); !slices.Equal(got, dense) {
+			t.Fatalf("Pieces = %v, want %v", got, dense)
+		}
+		// Live over every range between crack positions and live ends
+		// visits exactly the live slots.
+		var bounds []int
+		tr.Ascend(func(_ int64, pos, h int) bool {
+			bounds = append(bounds, pos-h, pos)
+			return true
+		})
+		bounds = append(bounds, 0, tr.End(n))
+		for _, lo := range bounds {
+			for _, hi := range bounds {
+				if lo > hi {
+					continue
+				}
+				var got []int
+				tr.Live(lo, hi, func(a, b int) {
+					for j := a; j < b; j++ {
+						got = append(got, j)
+					}
+				})
+				var want []int
+				for j := lo; j < hi; j++ {
+					if !hole[j] {
+						want = append(want, j)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("Live(%d, %d) visits %v, want %v", lo, hi, got, want)
+				}
+			}
+		}
+		// Relayout to a hole-free layout matches the dense boundaries.
+		i := 0
+		tr.Relayout(0, func(pos, h int) (int, int) {
+			i++
+			return dense[i], 0
+		})
+		if got := tr.Pieces(n - total); tr.Holes() != 0 || !slices.Equal(got, dense) {
+			t.Fatalf("after Relayout: holes %d, Pieces %v, want %v", tr.Holes(), got, dense)
+		}
+	}
 }
 
 func BenchmarkInsert(b *testing.B) {

@@ -61,7 +61,7 @@ func (t *AutoTune) Switches() int { return t.switches }
 
 // Query answers [a, b), choosing the cracking flavor by recent cost.
 func (t *AutoTune) Query(a, b int64) Result {
-	n := t.e.col.Len()
+	n := t.e.col.Len() - t.e.idx.Holes()
 	before := t.e.col.Stats.Touched
 
 	useStochastic := t.stochastic

@@ -54,8 +54,11 @@ func (s *Scan) Query(a, b int64) Result {
 	if a >= b {
 		return res
 	}
-	s.e.leftBuf = s.e.col.ScanMaterialize(0, s.e.col.Len(), a, b, s.e.leftBuf[:0])
-	res.left = s.e.leftBuf
+	e := s.e
+	buf := e.leftBuf[:0]
+	e.idx.Live(0, e.idx.End(e.col.Len()), func(lo, hi int) { buf = e.col.ScanMaterialize(lo, hi, a, b, buf) })
+	e.leftBuf = buf
+	res.left = buf
 	return res
 }
 

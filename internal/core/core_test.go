@@ -307,7 +307,7 @@ func TestDDCCracksAtMedians(t *testing.T) {
 	ix := NewDDC(xrand.New(11).Perm(n), Options{})
 	ix.Query(10, 20)
 	found := false
-	ix.Engine().CrackerIndex().Ascend(func(key int64, pos int) bool {
+	ix.Engine().CrackerIndex().Ascend(func(key int64, pos, _ int) bool {
 		if pos == n/2 && key == n/2 {
 			found = true
 			return false
@@ -350,7 +350,7 @@ func TestMDD1RNeverCracksOnBounds(t *testing.T) {
 		m.Query(a, b)
 	}
 	hits := 0
-	m.Engine().CrackerIndex().Ascend(func(key int64, _ int) bool {
+	m.Engine().CrackerIndex().Ascend(func(key int64, _, _ int) bool {
 		if bounds[key] {
 			hits++
 		}

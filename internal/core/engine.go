@@ -66,7 +66,7 @@ func (e *Engine) Column() *column.Column { return e.col }
 func (e *Engine) CrackerIndex() *cindex.Tree { return e.idx }
 
 // AbandonProgressivePartitions drops all in-flight progressive partition
-// states. Ripple updates shift piece boundaries, invalidating the saved
+// states. Merged updates move piece boundaries, invalidating the saved
 // positions; abandoning a partial partition is harmless — the piece keeps
 // the same multiset and simply remains uncracked until a later query
 // starts a fresh partition.
@@ -138,7 +138,7 @@ func (e *Engine) queryMixed(a, b int64, stoch func(lo, hi int, v int64) bool) Re
 		e.idx.Insert(a, p1)
 		e.idx.Insert(b, p2)
 		res.lo, res.hi = p1, p2
-		return res
+		return e.settle(res)
 	}
 
 	// The two bounds fall in different pieces (or are exactly cracked).
@@ -183,5 +183,19 @@ func (e *Engine) queryMixed(a, b int64, stoch func(lo, hi int, v int64) bool) Re
 	}
 
 	res.lo, res.hi = viewStart, viewEnd
-	return res
+	return e.settle(res)
+}
+
+// settle returns res as its reader may take it. A view spanning cracks can
+// hold the holes merged updates leave at piece ends; when the column has
+// any, the view's live runs are copied after the left part into leftBuf,
+// and res carries the whole answer materialized, valid until the next
+// query like every Result.
+func (e *Engine) settle(res Result) Result {
+	if e.idx.Holes() == 0 || res.hi <= res.lo {
+		return res
+	}
+	buf := e.appendLive(append(e.leftBuf[:0], res.left...), res.lo, res.hi)
+	e.leftBuf = append(buf, res.right...)
+	return Result{col: e.col, left: e.leftBuf}
 }

@@ -50,7 +50,7 @@ func checkPhysicalInvariants(t *testing.T, e *Engine, original []int64) {
 	var cracks []crack
 	prevKey := int64(-1 << 62)
 	prevPos := -1
-	e.CrackerIndex().Ascend(func(key int64, pos int) bool {
+	e.CrackerIndex().Ascend(func(key int64, pos, _ int) bool {
 		if key <= prevKey {
 			t.Fatalf("cracker index keys out of order: %d after %d", key, prevKey)
 		}

@@ -106,7 +106,7 @@ func TestCoarseInitDeterministic(t *testing.T) {
 		}
 		e, _ := engineBacked(ix)
 		var out []CrackEntry
-		e.CrackerIndex().Ascend(func(key int64, pos int) bool {
+		e.CrackerIndex().Ascend(func(key int64, pos, _ int) bool {
 			out = append(out, CrackEntry{Key: key, Pos: pos})
 			return true
 		})

@@ -122,9 +122,14 @@ func (e *Engine) answerPieces(dst []int64, a, b int64, loA, hiA int, exactA bool
 		viewStart = hiA
 	}
 	// Middle: every piece strictly between the bound pieces qualifies
-	// whole — one contiguous copy, fanned out to the worker pool when wide.
+	// whole — one contiguous copy, fanned out to the worker pool when wide,
+	// or one per live run when merged updates left holes between them.
 	if loB > viewStart {
-		dst = appendBulk(dst, vals[viewStart:loB])
+		if e.idx.Holes() == 0 {
+			dst = appendBulk(dst, vals[viewStart:loB])
+		} else {
+			dst = e.appendLive(dst, viewStart, loB)
+		}
 	}
 	// Right end piece: qualifying values are those < b.
 	if !exactB {
@@ -147,9 +152,10 @@ func (e *Engine) aggregatePieces(a, b int64, loA, hiA int, exactA bool, loB, hiB
 		viewStart = hiA
 	}
 	if loB > viewStart {
-		count += loB - viewStart
-		for _, v := range vals[viewStart:loB] {
-			sum += v
+		if e.idx.Holes() == 0 {
+			count, sum = addAll(count, sum, vals[viewStart:loB])
+		} else {
+			count, sum = e.addLive(count, sum, viewStart, loB)
 		}
 	}
 	if !exactB {
@@ -157,6 +163,29 @@ func (e *Engine) aggregatePieces(a, b int64, loA, hiA int, exactA bool, loB, hiB
 		count, sum = count+c, sum+s
 	}
 	return count, sum
+}
+
+// appendLive appends the live values of positions [lo, hi), which may
+// span holes, to dst.
+func (e *Engine) appendLive(dst []int64, lo, hi int) []int64 {
+	vals := e.col.Values
+	e.idx.Live(lo, hi, func(lo, hi int) { dst = appendBulk(dst, vals[lo:hi]) })
+	return dst
+}
+
+// addLive is appendLive adding to a running count and sum instead.
+func (e *Engine) addLive(count int, sum int64, lo, hi int) (int, int64) {
+	vals := e.col.Values
+	e.idx.Live(lo, hi, func(lo, hi int) { count, sum = addAll(count, sum, vals[lo:hi]) })
+	return count, sum
+}
+
+// addAll adds every value of a whole piece to a running count and sum.
+func addAll(count int, sum int64, piece []int64) (int, int64) {
+	for _, v := range piece {
+		sum += v
+	}
+	return count + len(piece), sum
 }
 
 // inRange is a <= v && v < b in one compare: uint64(v-a) is v's rank in

@@ -36,17 +36,26 @@ func (st SnapshotState) Pending() int {
 	return len(st.PendingInserts) + len(st.PendingDeletes)
 }
 
-// Snapshot captures the engine's current physical state. The returned
+// Snapshot captures the engine's current physical state, dense: the
+// holes merged updates leave at piece ends are dropped, and every crack is
+// recorded at its position in the column without them. The returned
 // slices are copies; the engine can keep cracking afterwards.
 func (e *Engine) Snapshot() SnapshotState {
-	st := SnapshotState{
-		Values: append([]int64(nil), e.col.Values...),
-	}
+	n := e.col.Len()
+	st := SnapshotState{Values: make([]int64, 0, n-e.idx.Holes())}
 	if e.col.RowIDs != nil {
-		st.RowIDs = append([]uint32(nil), e.col.RowIDs...)
+		st.RowIDs = make([]uint32, 0, n-e.idx.Holes())
 	}
-	e.idx.Ascend(func(key int64, pos int) bool {
-		st.Cracks = append(st.Cracks, CrackEntry{Key: key, Pos: pos})
+	e.idx.Live(0, e.idx.End(n), func(lo, hi int) {
+		st.Values = append(st.Values, e.col.Values[lo:hi]...)
+		if st.RowIDs != nil {
+			st.RowIDs = append(st.RowIDs, e.col.RowIDs[lo:hi]...)
+		}
+	})
+	gone := 0
+	e.idx.Ascend(func(key int64, pos, holes int) bool {
+		gone += holes
+		st.Cracks = append(st.Cracks, CrackEntry{Key: key, Pos: pos - gone})
 		return true
 	})
 	return st

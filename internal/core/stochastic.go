@@ -78,7 +78,7 @@ func (d *DD) Query(a, b int64) Result {
 	}
 	res.lo = d.boundCrack(a)
 	res.hi = d.boundCrack(b)
-	return res
+	return d.e.settle(res)
 }
 
 // boundCrack is Fig. 4's ddc_crack (and its DDR/DD1C/DD1R variants): find
@@ -277,7 +277,7 @@ func (p *PMDD1R) Query(a, b int64) Result {
 	}
 
 	res.lo, res.hi = viewStart, viewEnd
-	return res
+	return e.settle(res)
 }
 
 const (

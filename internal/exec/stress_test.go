@@ -3,9 +3,11 @@ package exec
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/updates"
 	"repro/internal/xrand"
 )
 
@@ -118,4 +120,88 @@ func TestParallelCrackRaceStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestSharedReadsBesideMergesRaceStress runs two readers on the shared
+// read path beside one writer whose merges create and consume holes. The
+// readers replay converged ranges of the lower half of the domain, whose
+// answers never change; the writer inserts and deletes values of the upper
+// half through ApplyOps and merges them with covering reads, checked
+// against its multiset model. Spreading the slack moves every piece, the
+// readers' included, so under -race this checks that hole-aware reads only
+// ever see the column between merges.
+func TestSharedReadsBesideMergesRaceStress(t *testing.T) {
+	const (
+		n      = 1 << 16
+		half   = n / 2
+		width  = 200
+		ranges = 64
+		writes = 300
+	)
+	u, ok := updates.Wrap(core.NewDD1R(xrand.New(7).Perm(n), core.Options{Seed: 8}))
+	if !ok {
+		t.Fatal("Wrap rejected dd1r")
+	}
+	x := New(u)
+	ctx := context.Background()
+	rng := xrand.New(9)
+	los := make([]int64, ranges)
+	for i := range los {
+		los[i] = rng.Int63n(half - width)
+		if out, err := x.QueryAppendCtx(ctx, los[i], los[i]+width, nil); err != nil || len(out) != width {
+			t.Fatalf("warm-up [%d, +%d): len=%d err=%v", los[i], width, len(out), err)
+		}
+	}
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			buf := make([]int64, 0, width)
+			for i := 0; !done.Load(); i++ {
+				lo := los[(i*7+r)%ranges]
+				var err error
+				buf, err = x.QueryAppendCtx(ctx, lo, lo+width, buf[:0])
+				var sum int64
+				for _, v := range buf {
+					sum += v
+				}
+				if err != nil || len(buf) != width || sum != (2*lo+width-1)*width/2 {
+					t.Errorf("reader %d: [%d, +%d): len=%d sum=%d err=%v", r, lo, width, len(buf), sum, err)
+					return
+				}
+			}
+		}(r)
+	}
+
+	model := make(map[int64]int)
+	for v := int64(half); v < n; v++ {
+		model[v] = 1
+	}
+	wrng := xrand.New(10)
+	gone := wrng.Perm(half)
+	for i := 0; i < writes && !t.Failed(); i++ {
+		ins, del := half+wrng.Int63n(half), half+gone[i]
+		if _, _, err := x.ApplyOps([]Op{{Value: ins}, {Value: del, Delete: true}}); err != nil {
+			t.Fatal(err)
+		}
+		model[ins]++
+		model[del]--
+		for _, v := range []int64{ins, del} {
+			out, err := x.QueryAppendCtx(ctx, v, v+1, nil)
+			if err != nil || len(out) != model[v] {
+				t.Fatalf("writer: [%d, %d) after write %d: %d values, model says %d (err %v)", v, v+1, i, len(out), model[v], err)
+			}
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if _, excl := x.PathStats(); excl < 2*writes {
+		t.Fatalf("only %d exclusive-path queries; the writer's reads did not merge", excl)
+	}
+	if e := u.Engine(); e.CrackerIndex().Holes() == 0 {
+		t.Fatal("the merges left no holes; the readers never read across one")
+	}
 }

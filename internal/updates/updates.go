@@ -5,16 +5,25 @@
 // and merged into the cracker column on demand: when a query requests a
 // value range in which at least one pending update falls, exactly the
 // qualifying updates are merged — during query processing, like every
-// other cracking action — using the Ripple reorganization of [17].
+// other cracking action.
 //
-// Ripple insertion never rewrites the column. To place a value into its
-// piece it moves one tuple per piece boundary above the target (each
-// shifted piece rotates its first tuple to its end, preserving piece
-// contents) and shifts the affected crack positions, which the cracker
-// index supports in O(log n) (lazy range shift). Deletion mirrors this.
+// A merge touches only the neighbourhood of its piece, through piece-local
+// slack. Empty slots ("holes") sit at the end of pieces, counted per crack
+// by the cracker index. A merged delete moves its piece's last tuple into
+// the vacated slot and leaves the hole there. A merged insert takes the
+// nearest hole at or above its piece: every piece in between rotates its
+// first tuple to its end, so the insert moves one tuple per crack it
+// crosses, shifts only those cracks, and never touches the column beyond
+// the hole. When no hole lies within maxCross cracks, one pass spreads the
+// column's holes evenly over its pieces, first growing the column to a
+// reserve of about 1 % of its rows (more on a column cracked into pieces
+// of under 25 tuples) when it holds half of that or less. Vacated slots
+// hold holeCanary; hole positions come from the counts, never from the
+// value.
 package updates
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/cindex"
@@ -22,40 +31,81 @@ import (
 	"repro/internal/core"
 )
 
+const (
+	// maxCross is how many hole-less cracks a merged insert may carry its
+	// tuple across before the column's slack is spread again.
+	maxCross = 64
+	// slackDiv sets the reserve a spread grows the column to: one hole
+	// per slackDiv live tuples...
+	slackDiv = 100
+	// ...and at least one per piecesPerHole pieces, so that on a finely
+	// cracked column random merges keep a hole well within maxCross
+	// cracks of every piece long after the spread.
+	piecesPerHole = 4
+	// holeCanary fills every vacated slot. Nothing reads it; a reader
+	// that ever returns it has read a hole.
+	holeCanary = math.MinInt64
+)
+
 // RippleInsert inserts value v into the cracker column, preserving every
 // piece invariant: v lands inside the piece whose value range covers it,
-// each piece above the target shifts one position right (rotating its
-// first tuple to its end), and all cracks above v shift by one.
+// in the nearest hole at or above that piece. Each piece between v's
+// piece and the hole rotates its first tuple to its end, and each crack
+// crossed shifts one position up.
 func RippleInsert(col *column.Column, idx *cindex.Tree, v int64) {
-	col.Values = append(col.Values, 0)
-	if col.RowIDs != nil {
-		col.RowIDs = append(col.RowIDs, uint32(len(col.RowIDs)))
-	}
-	hole := len(col.Values) - 1
-	idx.DescendGreater(v, func(_ int64, pos int) bool {
-		col.Values[hole] = col.Values[pos]
-		if col.RowIDs != nil {
-			col.RowIDs[hole] = col.RowIDs[pos]
+	var cross [maxCross]int
+	crossed, hole, key, ok := nearestHole(idx, v, col.Len(), &cross)
+	if !ok {
+		spread(col, idx)
+		if crossed, hole, key, ok = nearestHole(idx, v, col.Len(), &cross); !ok {
+			panic("updates: no hole within reach after spreading the slack")
 		}
-		col.Stats.Swaps++
-		hole = pos
-		return true
-	})
+	}
+	id := uint32(col.Len() - idx.Holes())
+	for i := crossed - 1; i >= 0; i-- {
+		if p := cross[i]; p != hole {
+			moveRun(col, p, hole, 1)
+			hole = p
+		}
+	}
 	col.Values[hole] = v
 	if col.RowIDs != nil {
-		col.RowIDs[hole] = uint32(len(col.RowIDs) - 1)
+		col.RowIDs[hole] = id
 	}
-	col.Stats.Touched += int64(idx.Len() + 1)
-	idx.RangeShift(v, 1)
+	col.Stats.Touched++
+	if crossed > 0 {
+		idx.RangeShift(v, 1)
+		idx.RangeShift(key, -1)
+	}
+	idx.AddHoles(key, -1)
+}
+
+// nearestHole finds the nearest piece at or above v's piece with a hole,
+// crossing at most maxCross cracks. It records the crossed cracks'
+// positions in cross, lowest first, and returns how many it crossed, the
+// first hole of the piece found, and a value in that piece (v, or the key
+// of the last crack crossed). ok is false when no such piece is in reach.
+func nearestHole(idx *cindex.Tree, v int64, n int, cross *[maxCross]int) (crossed, hole int, key int64, ok bool) {
+	key = v
+	for {
+		k, pos, holes, more := idx.Above(key, n)
+		if holes > 0 {
+			return crossed, pos - holes, key, true
+		}
+		if !more || crossed == maxCross {
+			return 0, 0, 0, false
+		}
+		cross[crossed] = pos
+		crossed++
+		key = k
+	}
 }
 
 // RippleDelete removes one occurrence of value v from the cracker column,
-// if present, and reports whether a tuple was removed. Pieces above the
-// target shift one position left (rotating their last tuple to their
-// front) and cracks above v shift by one.
+// if present, and reports whether a tuple was removed. The piece's last
+// tuple fills the vacated slot, and the piece ends one hole longer.
 func RippleDelete(col *column.Column, idx *cindex.Tree, v int64) bool {
-	n := len(col.Values)
-	lo, hi, _ := idx.PieceFor(v, n)
+	lo, hi, _ := idx.PieceFor(v, col.Len())
 	at := -1
 	for i := lo; i < hi; i++ {
 		if col.Values[i] == v {
@@ -63,40 +113,109 @@ func RippleDelete(col *column.Column, idx *cindex.Tree, v int64) bool {
 			break
 		}
 	}
-	col.Stats.Touched += int64(hi - lo)
 	if at < 0 {
+		col.Stats.Touched += int64(hi - lo)
 		return false
 	}
-	// Fill the hole with the last tuple of its piece, then cascade: each
-	// higher piece donates its last tuple to the boundary slot below.
-	hole := at
-	fill := func(pieceEnd int) {
-		col.Values[hole] = col.Values[pieceEnd-1]
-		if col.RowIDs != nil {
-			col.RowIDs[hole] = col.RowIDs[pieceEnd-1]
-		}
-		col.Stats.Swaps++
-		hole = pieceEnd - 1
+	col.Stats.Touched += int64(at - lo + 1)
+	if last := hi - 1; at != last {
+		moveRun(col, last, at, 1)
 	}
-	fill(hi)
-	idx.AscendGreater(v, func(_ int64, pos int) bool {
-		if pos <= hi {
-			// The boundary that ends v's own piece: already handled.
-			return true
-		}
-		fill(pos)
-		return true
-	})
-	// Hole is now just below the first boundary above v's piece... cascade
-	// through the remaining pieces up to the end of the column.
-	fill(n)
-	col.Values = col.Values[:n-1]
-	if col.RowIDs != nil {
-		col.RowIDs = col.RowIDs[:n-1]
-	}
-	idx.RangeShift(v, -1)
-	col.Stats.Touched += int64(idx.Len() + 1)
+	col.Values[hi-1] = holeCanary
+	idx.AddHoles(v, 1)
 	return true
+}
+
+// moveRun moves the k tuples at from to start at slot to, row ids
+// included; the two runs never overlap.
+func moveRun(col *column.Column, from, to, k int) {
+	copy(col.Values[to:to+k], col.Values[from:from+k])
+	if col.RowIDs != nil {
+		copy(col.RowIDs[to:to+k], col.RowIDs[from:from+k])
+	}
+	col.Stats.Touched += int64(k)
+	col.Stats.Swaps += int64(k)
+}
+
+// spread gives every piece an even share of the column's holes, the last
+// piece included. A column holding at most half its reserve first grows to
+// the reserve: growth, the only place the column ever grows, then costs
+// one reallocation per half a reserve of merged inserts, and a spread
+// leaves a hole within piecesPerHole*2 cracks above every piece. A piece
+// moving by d slots moves min(d, its length) tuples, rotating rather than
+// shifting since a piece's order is free, so one spread moves each tuple
+// at most once.
+func spread(col *column.Column, idx *cindex.Tree) {
+	n, holes := col.Len(), idx.Holes()
+	pieces := idx.Len() + 1
+	reserve := max((n-holes)/slackDiv, pieces/piecesPerHole+1)
+	if 2*holes <= reserve {
+		grow(col, idx, reserve-holes)
+		n, holes = col.Len(), reserve
+	}
+	share := func(i int) int { return (i+1)*holes/pieces - i*holes/pieces }
+	moves := make([]pieceMove, 0, pieces)
+	start, to, end := 0, 0, idx.End(n)
+	idx.Relayout(share(pieces-1), func(pos, h int) (int, int) {
+		m := pieceMove{from: start, to: to, size: pos - h - start}
+		h = share(len(moves))
+		moves = append(moves, m)
+		start, to = pos, to+m.size+h
+		return to, h
+	})
+	moves = append(moves, pieceMove{from: start, to: to, size: end - start})
+	// Pieces moving down go first, lowest first; then pieces moving up,
+	// highest first: each lands only on slots already vacated.
+	for _, m := range moves {
+		if m.to < m.from {
+			shiftPiece(col, m)
+		}
+	}
+	for i := len(moves) - 1; i >= 0; i-- {
+		if m := moves[i]; m.to > m.from {
+			shiftPiece(col, m)
+		}
+	}
+	for i, m := range moves {
+		fillHoles(col.Values[m.to+m.size : m.to+m.size+share(i)])
+	}
+}
+
+// pieceMove is one piece's live tuples moving from one start slot to
+// another.
+type pieceMove struct{ from, to, size int }
+
+// shiftPiece carries out m, given that the slots it lands on are free.
+func shiftPiece(col *column.Column, m pieceMove) {
+	switch d := m.to - m.from; {
+	case d >= m.size || -d >= m.size:
+		moveRun(col, m.from, m.to, m.size)
+	case d > 0: // the first d tuples go to the end
+		moveRun(col, m.from, m.from+m.size, d)
+	default: // the last -d tuples go to the front
+		moveRun(col, m.from+m.size+d, m.to, -d)
+	}
+}
+
+// grow appends extra holes to the end of the column's last piece.
+func grow(col *column.Column, idx *cindex.Tree, extra int) {
+	n := col.Len()
+	vals := make([]int64, n+extra)
+	copy(vals, col.Values)
+	fillHoles(vals[n:])
+	col.Values = vals
+	if col.RowIDs != nil {
+		ids := make([]uint32, n+extra)
+		copy(ids, col.RowIDs)
+		col.RowIDs = ids
+	}
+	idx.AddHoles(math.MaxInt64, extra)
+}
+
+func fillHoles(slots []int64) {
+	for i := range slots {
+		slots[i] = holeCanary
+	}
 }
 
 // Pending is the set of not-yet-merged updates, kept sorted by value so a
@@ -193,17 +312,15 @@ func (p *Pending) PendingInRange(a, b int64) bool {
 	return anyInRange(p.inserts, a, b) || anyInRange(p.deletes, a, b)
 }
 
-// takeRange removes and returns all queued values in [a, b).
-func takeRange(queue *[]int64, a, b int64) []int64 {
+// takeRange removes all queued values in [a, b) and returns them in dst,
+// overwriting its contents.
+func takeRange(queue *[]int64, a, b int64, dst []int64) []int64 {
 	q := *queue
 	lo := sort.Search(len(q), func(i int) bool { return q[i] >= a })
 	hi := sort.Search(len(q), func(i int) bool { return q[i] >= b })
-	if lo == hi {
-		return nil
-	}
-	out := append([]int64(nil), q[lo:hi]...)
+	dst = append(dst[:0], q[lo:hi]...)
 	*queue = append(q[:lo], q[hi:]...)
-	return out
+	return dst
 }
 
 // mergeSorted merges a batch of values (any order) into the sorted queue
@@ -255,6 +372,7 @@ type Index struct {
 	engine  *core.Engine
 	pending Pending
 	merged  int64
+	taken   []int64 // the updates one query merges, reused across queries
 }
 
 // engineAccessor is satisfied by every engine-backed core index.
@@ -311,12 +429,14 @@ func (u *Index) Query(a, b int64) core.Result {
 	if u.pending.PendingInRange(a, b) {
 		col, idx := u.engine.Column(), u.engine.CrackerIndex()
 		u.engine.AbandonProgressivePartitions()
-		for _, v := range takeRange(&u.pending.deletes, a, b) {
+		u.taken = takeRange(&u.pending.deletes, a, b, u.taken)
+		for _, v := range u.taken {
 			if RippleDelete(col, idx, v) {
 				u.merged++
 			}
 		}
-		for _, v := range takeRange(&u.pending.inserts, a, b) {
+		u.taken = takeRange(&u.pending.inserts, a, b, u.taken)
+		for _, v := range u.taken {
 			RippleInsert(col, idx, v)
 			u.merged++
 		}

@@ -1,6 +1,7 @@
 package updates
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -11,36 +12,58 @@ import (
 	"repro/internal/xrand"
 )
 
-// checkPieces verifies that every piece of the column respects the crack
-// invariants implied by the index.
+// piecesOK verifies that every piece of the column respects the crack
+// invariants implied by the index: live slots hold values of the piece's
+// key range, holes sit at piece ends, hold the canary, and add up to
+// idx.Holes().
+func piecesOK(col *column.Column, idx *cindex.Tree) error {
+	n := col.Len()
+	start, prevKey, holes := 0, int64(0), 0
+	var err error
+	check := func(end, h int, lower, upper bool, key int64) {
+		if end-h < start || end > n {
+			err = fmt.Errorf("piece [%d,%d) with %d holes in a column of %d", start, end, h, n)
+			return
+		}
+		for j := start; j < end-h && err == nil; j++ {
+			if v := col.Values[j]; (lower && v < prevKey) || (upper && v >= key) {
+				err = fmt.Errorf("value %d at %d violates piece [%d,%d) of keys [%d,%d)", v, j, start, end, prevKey, key)
+			}
+		}
+		for j := end - h; j < end && err == nil; j++ {
+			if col.Values[j] != holeCanary {
+				err = fmt.Errorf("hole %d holds %d", j, col.Values[j])
+			}
+		}
+		holes += h
+	}
+	first := true
+	idx.Ascend(func(key int64, pos, h int) bool {
+		check(pos, h, !first, true, key)
+		start, prevKey, first = pos, key, false
+		return err == nil
+	})
+	if err == nil {
+		check(n, n-idx.End(n), !first, false, 0)
+	}
+	if err == nil && holes != idx.Holes() {
+		err = fmt.Errorf("piece holes add up to %d, the index counts %d", holes, idx.Holes())
+	}
+	return err
+}
+
 func checkPieces(t *testing.T, col *column.Column, idx *cindex.Tree) {
 	t.Helper()
-	type crack struct {
-		key int64
-		pos int
+	if err := piecesOK(col, idx); err != nil {
+		t.Fatal(err)
 	}
-	var cracks []crack
-	idx.Ascend(func(key int64, pos int) bool {
-		cracks = append(cracks, crack{key, pos})
-		return true
-	})
-	prev := 0
-	for i, c := range cracks {
-		if c.pos < prev || c.pos > col.Len() {
-			t.Fatalf("crack %d at invalid position %d (prev %d, n %d)", i, c.pos, prev, col.Len())
-		}
-		for j := 0; j < c.pos; j++ {
-			if col.Values[j] >= c.key {
-				t.Fatalf("value %d at %d violates crack (%d,%d)", col.Values[j], j, c.key, c.pos)
-			}
-		}
-		for j := c.pos; j < col.Len(); j++ {
-			if col.Values[j] < c.key {
-				t.Fatalf("value %d at %d violates crack (%d,%d)", col.Values[j], j, c.key, c.pos)
-			}
-		}
-		prev = c.pos
-	}
+}
+
+// live returns the column's values without its holes.
+func live(col *column.Column, idx *cindex.Tree) []int64 {
+	var out []int64
+	idx.Live(0, idx.End(col.Len()), func(lo, hi int) { out = append(out, col.Values[lo:hi]...) })
+	return out
 }
 
 func multiset(vals []int64) map[int64]int {
@@ -72,13 +95,13 @@ func TestRippleInsertMaintainsInvariants(t *testing.T) {
 		RippleInsert(col, idx, v)
 		inserted = append(inserted, v)
 	}
-	if col.Len() != 2050 {
-		t.Fatalf("column length = %d, want 2050", col.Len())
+	if n := len(live(col, idx)); n != 2050 {
+		t.Fatalf("live tuples = %d, want 2050", n)
 	}
 	for _, v := range inserted {
 		before[v]++
 	}
-	after := multiset(col.Values)
+	after := multiset(live(col, idx))
 	if len(after) != len(before) {
 		t.Fatal("insert lost or duplicated values")
 	}
@@ -100,8 +123,8 @@ func TestRippleInsertIntoEveryPieceOfSmallColumn(t *testing.T) {
 	RippleInsert(col, idx, 11) // into middle piece
 	RippleInsert(col, idx, 99) // into last piece
 	RippleInsert(col, idx, 10) // exactly on a crack key: belongs to middle
-	if col.Len() != 13 {
-		t.Fatalf("len = %d", col.Len())
+	if n := col.Len() - idx.Holes(); n != 13 {
+		t.Fatalf("live tuples = %d", n)
 	}
 	checkPieces(t, col, idx)
 	lo, hi, _ := idx.PieceFor(15, col.Len())
@@ -133,10 +156,10 @@ func TestRippleDeleteMaintainsInvariants(t *testing.T) {
 	if removed == 0 {
 		t.Fatal("no deletes succeeded on a permutation column")
 	}
-	if col.Len() != 2000-removed {
-		t.Fatalf("length %d after %d deletes", col.Len(), removed)
+	if n := len(live(col, idx)); n != 2000-removed {
+		t.Fatalf("%d live tuples after %d deletes", n, removed)
 	}
-	if got := multiset(col.Values); len(got) != len(present) {
+	if got := multiset(live(col, idx)); len(got) != len(present) {
 		t.Fatal("delete corrupted the multiset")
 	}
 	checkPieces(t, col, idx)
@@ -147,7 +170,7 @@ func TestRippleDeleteMissingValue(t *testing.T) {
 	if RippleDelete(col, idx, 10_000) {
 		t.Fatal("deleted a value outside the domain")
 	}
-	if col.Len() != 500 {
+	if col.Len() != 500 || idx.Holes() != 0 {
 		t.Fatal("failed delete changed the column")
 	}
 }
@@ -179,7 +202,7 @@ func TestRippleInsertDeleteRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		got := multiset(col.Values)
+		got := multiset(live(col, idx))
 		if len(got) != len(want) {
 			return false
 		}
@@ -189,43 +212,43 @@ func TestRippleInsertDeleteRoundTrip(t *testing.T) {
 			}
 		}
 		// And the piece invariants must hold.
-		ok := true
-		prev := 0
-		idx.Ascend(func(key int64, pos int) bool {
-			if pos < prev || pos > col.Len() {
-				ok = false
-				return false
-			}
-			prev = pos
-			for j := 0; j < pos && ok; j++ {
-				if col.Values[j] >= key {
-					ok = false
-				}
-			}
-			for j := pos; j < col.Len() && ok; j++ {
-				if col.Values[j] < key {
-					ok = false
-				}
-			}
-			return ok
-		})
-		return ok
+		return piecesOK(col, idx) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRippleCostIsPerPieceNotPerTuple pins the cost of a merge on a
+// converged column: once slack exists, alternating inserts and deletes of
+// random values move at most 8 tuples each on average, however many cracks
+// lie above them, and spreading the slack in the first place moves each
+// tuple at most once.
 func TestRippleCostIsPerPieceNotPerTuple(t *testing.T) {
-	// The point of Ripple: inserting into a cracked column of n tuples with
-	// k pieces moves O(k) tuples, not O(n).
-	col, idx := buildCracked(t, 100000, 6, 50)
-	pieces := idx.Len() + 1
-	col.Stats.Reset()
-	RippleInsert(col, idx, 5)
-	if col.Stats.Swaps > int64(pieces) {
-		t.Fatalf("insert moved %d tuples for %d pieces", col.Stats.Swaps, pieces)
+	const n, merges = 100_000, 2000
+	col, idx := buildCracked(t, n, 6, 6000)
+	if idx.Len() < 10_000 {
+		t.Fatalf("only %d cracks; the pin needs at least 10 000", idx.Len())
 	}
+	col.Stats.Reset()
+	RippleInsert(col, idx, n/2) // no holes yet: this insert spreads the slack
+	if idx.Holes() == 0 || col.Stats.Swaps > n {
+		t.Fatalf("spreading the slack left %d holes and moved %d tuples of %d", idx.Holes(), col.Stats.Swaps, n)
+	}
+	rng := xrand.New(7)
+	gone := rng.Perm(n) // deletes draw distinct values of the permutation
+	col.Stats.Reset()
+	for i := 0; i < merges; i++ {
+		if i%2 == 0 {
+			RippleInsert(col, idx, rng.Int63n(n))
+		} else if v := gone[i/2]; !RippleDelete(col, idx, v) {
+			t.Fatalf("delete of %d, a value of the permutation, found nothing", v)
+		}
+	}
+	if moved := col.Stats.Swaps; moved > 8*merges {
+		t.Fatalf("%d merges moved %d tuples, %.1f each; want at most 8", merges, moved, float64(moved)/merges)
+	}
+	checkPieces(t, col, idx)
 }
 
 func TestUpdatableIndexMergesOnDemand(t *testing.T) {
@@ -320,10 +343,9 @@ func TestUpdatableWorksWithStochasticIndexes(t *testing.T) {
 // recount computes the expected result by scanning the raw column plus the
 // still-pending inserts that fall in range.
 func recount(u *Index, a, b int64) (int, int64) {
-	col := u.engine.Column()
 	count := 0
 	var sum int64
-	for _, v := range col.Values {
+	for _, v := range live(u.engine.Column(), u.engine.CrackerIndex()) {
 		if a <= v && v < b {
 			count++
 			sum += v
@@ -347,7 +369,7 @@ func TestPendingOrderIndependence(t *testing.T) {
 	for _, v := range vals {
 		p.Insert(v)
 	}
-	got := takeRange(&p.inserts, 0, 10)
+	got := takeRange(&p.inserts, 0, 10, nil)
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Fatalf("takeRange not sorted: %v", got)
 	}
@@ -372,7 +394,7 @@ func TestPendingDeleteAnnihilatesPendingInsert(t *testing.T) {
 		p.Insert(7)
 		p.Insert(7)
 		p.Delete(7)
-		if got := takeRange(&p.inserts, 0, 100); len(got) != 1 || got[0] != 7 {
+		if got := takeRange(&p.inserts, 0, 100, nil); len(got) != 1 || got[0] != 7 {
 			t.Fatalf("two inserts + one delete: surviving inserts %v, want [7]", got)
 		}
 		if len(p.deletes) != 0 {

@@ -108,6 +108,38 @@ func TestConvergedQueryZeroAllocsShared(t *testing.T) {
 	})
 }
 
+// TestMergingQueryZeroAllocsShared: a Shared-mode QueryAppend that merges
+// one pending insert and one pending delete allocates nothing once the
+// column holds slack — the merge moves tuples within the column, and the
+// queues and the merge batch reuse their memory.
+func TestMergingQueryZeroAllocsShared(t *testing.T) {
+	db := convergedDB(t, crackdb.Shared)
+	ctx := context.Background()
+	p := crackdb.Range(zaLo, zaHi)
+	buf := make([]int64, 0, 2*zaCount)
+	// Each run inserts a second copy of one value and deletes one copy of
+	// another, then swaps the two: the column returns to the permutation
+	// every other run.
+	x, y := zaLo+3, zaLo+5
+	merge := func() {
+		if err := db.Insert(x); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Delete(y); err != nil {
+			t.Fatal(err)
+		}
+		out, err := db.QueryAppend(ctx, p, buf[:0])
+		if err != nil || len(out) != zaCount || db.PendingUpdates() != 0 {
+			t.Fatalf("len=%d pending=%d err=%v", len(out), db.PendingUpdates(), err)
+		}
+		x, y = y, x
+	}
+	for i := 0; i < 4; i++ {
+		merge() // spreads the slack, grows the queues and the merge batch
+	}
+	assertZeroAllocs(t, "Shared merging QueryAppend", merge)
+}
+
 // queryBatchZeroAllocs asserts a converged batch of single-range
 // predicates runs allocation-free through a warmed BatchBuffer.
 func queryBatchZeroAllocs(t *testing.T, mode crackdb.Concurrency) {

@@ -11,14 +11,6 @@
 // benchmark missing from the current run also fails: renaming a kernel
 // benchmark must not silently drop it from the gate. Refresh the baseline
 // by regenerating it on the reference machine (see README "Performance").
-//
-// With -check-json, benchgate instead validates committed BENCH_*.json
-// reports against the crackdb-bench/v1 schema (decode + invariant check,
-// see bench.ValidateReport) and exits non-zero on the first malformed
-// file:
-//
-//	benchgate -check-json BENCH_PR6.json,BENCH_PR8.json
-//	benchgate -check-json "$(ls BENCH_*.json | paste -sd,)"
 package main
 
 import (
@@ -37,21 +29,8 @@ func main() {
 		thresholdPct = flag.Float64("threshold-pct", 15, "fail when median ns/op regresses more than this percentage")
 		match        = flag.String("match", "BenchmarkCrackInTwo,BenchmarkCrackInThree,BenchmarkMDD1RMaterialize,BenchmarkConvergedProbe,BenchmarkParallelCrackInTwo",
 			"comma-separated benchmark name prefixes to gate (empty: every baseline benchmark)")
-		checkJSON = flag.String("check-json", "", "comma-separated BENCH_*.json files to validate against the crackdb-bench/v1 schema, then exit")
 	)
 	flag.Parse()
-	if *checkJSON != "" {
-		ok := true
-		for _, path := range strings.Split(*checkJSON, ",") {
-			if path = strings.TrimSpace(path); path != "" && !checkReport(path) {
-				ok = false
-			}
-		}
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
 	if *currentPath == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -current is required")
 		os.Exit(2)
@@ -78,25 +57,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("benchgate: %d benchmarks within %.0f%% of baseline\n", len(findings), *thresholdPct)
-}
-
-// checkReport validates one committed BENCH_*.json against the
-// crackdb-bench/v1 schema, reporting the verdict.
-func checkReport(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		return false
-	}
-	defer f.Close()
-	rep, err := bench.ReadReport(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", path, err)
-		return false
-	}
-	fmt.Printf("%-20s ok: %d rows (%s, go %s %s/%s)\n",
-		path, len(rep.Rows), rep.Schema, rep.Go, rep.GOOS, rep.GOARCH)
-	return true
 }
 
 func parseFile(path string) map[string]*bench.BenchSamples {

@@ -6,47 +6,26 @@
 //	crackbench -experiment fig2            # one experiment
 //	crackbench -experiment all             # the full evaluation
 //	crackbench -experiment fig17 -n 2000000 -q 10000
-//	crackbench -experiment concurrency -procs 8
 //	crackbench -list                       # show experiment ids
+//	crackbench -report report.md           # paper-vs-measured shape checks
+//	crackbench -plot -workload sequential  # ASCII log-log chart
 //
 // Output is plain text: gnuplot-friendly series for the figures and
 // aligned tables for the paper's tables. Paper scale is -n 100000000; the
 // default 10000000 preserves every reported shape at ~1/10 the runtime.
 //
-// With -serve, crackbench is instead a load generator against a running
-// crackserver (cmd/crackserver): -clients concurrent clients replay the
-// -serve-workloads patterns over the wire, every answer is validated
-// against the closed-form oracle, and the run reports per-query latency
-// quantiles plus the live convergence telemetry sampled from /v1/stats:
-//
-//	crackserver -n 10000000 &
-//	crackbench -serve -serve-url http://127.0.0.1:8080 -clients 16 -q 2000
-//	crackbench -serve -quick               # CI smoke
-//
-// With -resume, crackbench measures what snapshot-backed warm starts are
-// worth: it runs half the workload, snapshots, and compares the second
-// half's cost across an uninterrupted index, a cold restart, and warm
-// restarts into every concurrency mode (including a re-sharded layout).
-// Standalone it prints a table; with -json the rows join the report
-// under experiment "resume":
-//
-//	crackbench -resume -quick
-//	crackbench -resume -json BENCH.json
+// Throughput, latency and per-layer cost are measured by the benchmark/
+// module (see benchmark/README.md), not here.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/server"
 )
 
 func main() {
@@ -58,36 +37,14 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "random seed for data, workloads and algorithms")
 		validate   = flag.Bool("validate", false, "validate every result against the closed-form oracle")
 		quick      = flag.Bool("quick", false, "smoke mode: shrink -n/-q to finish in seconds and validate results (CI)")
-		procs      = flag.Int("procs", 0, "set GOMAXPROCS for the run (0: leave as is; the concurrency experiment scales with it)")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		report     = flag.String("report", "", "write a markdown paper-vs-measured report to this file and exit")
-		jsonOut    = flag.String("json", "", "write a machine-readable benchmark report (schema crackdb-bench/v1) to this file and exit; \"-\" for stdout. Every row carries the oracle-validation verdict regardless of -validate")
-		kernels    = flag.String("kernels", "", "comma-separated label=file pairs of `go test -bench` outputs merged into the -json report as kernel rows (e.g. kernel-before=old.txt,kernel-after=new.txt)")
 		plot       = flag.Bool("plot", false, "render an ASCII log-log comparison chart for -workload/-algos and exit")
 		plotWl     = flag.String("workload", "sequential", "workload for -plot")
 		plotAlgos  = flag.String("algos", "crack,dd1r,pmdd1r-10,sort", "comma-separated algorithms for -plot")
-		parCrack   = flag.Bool("parallelcrack", false, "measure the chunked parallel crack kernel vs serial (first touch and convergence) over a GOMAXPROCS ladder; combine with -procs to set the ladder top; rows join the -json report under experiment \"parallelcrack\"")
-		resume     = flag.Bool("resume", false, "measure restored-vs-cold convergence: run half the workload, snapshot, restore into every mode (incl. re-sharded), finish the workload; rows join the -json report under experiment \"resume\"")
-		clusterRun = flag.Bool("cluster", false, "cluster mode: spawn an in-process coordinator over -cluster-backends local shard servers, replay the workloads through it with oracle validation, then live-migrate a range to a fresh node and replay again; rows join the -json report under experiments \"cluster\" and \"cluster-migrate\"")
-		clusterN   = flag.Int("cluster-backends", 3, "backend count for -cluster")
-		tablesRun  = flag.Bool("tables", false, "multi-tenant smoke: boot an in-process two-table catalog server over a shared snapshot store, replay validated workloads per table, snapshot every table, warm-restart the catalog and replay again; rows join the -json report under experiment \"tables\"")
-		killRep    = flag.Bool("kill-replica", false, "with -cluster: instead of the migration scenario, measure availability and p99 while a backend is killed mid-run, replicated (2 copies per range) vs unreplicated, then drain a full node; rows join the -json report under experiment \"cluster-kill\"")
-		serve      = flag.Bool("serve", false, "load-generator mode: replay workloads against a running crackserver and exit")
-		serveURL   = flag.String("serve-url", "http://127.0.0.1:8080", "crackserver base URL for -serve")
-		clients    = flag.Int("clients", 8, "concurrent clients for -serve")
-		serveWls   = flag.String("serve-workloads", "random,sequential,skew", "comma-separated workloads replayed round-robin across -serve clients")
-		serveAgg   = flag.Bool("serve-aggregate", false, "-serve: request (count, sum) only, no value payloads")
-		rate       = flag.Float64("rate", 0, "-serve: offer open-loop load at this many requests/second instead of the closed-loop replay (0: closed loop); also the arrival rate for -openloop")
-		arrival    = flag.String("arrival", "poisson", "-serve -rate: arrival process, poisson or fixed")
-		writePct   = flag.Int("write-pct", 0, "-serve -rate: percentage of arrivals that are insert writes (reads otherwise)")
-		duration   = flag.Duration("duration", 10*time.Second, "-serve -rate: how long to offer open-loop load")
-		openloop   = flag.Bool("openloop", false, "measure open-loop insert throughput and decomposed write p99, group-commit batcher on vs off, over an in-process crackserver; rows join the -json report under experiment \"openloop\"")
 	)
 	flag.Parse()
 
-	if *procs > 0 {
-		runtime.GOMAXPROCS(*procs)
-	}
 	if *quick {
 		// API-regression smoke: every experiment exercises the hot query
 		// path; a tiny column with validation on catches wrong answers and
@@ -109,232 +66,6 @@ func main() {
 		for _, e := range bench.All() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Title)
 		}
-		return
-	}
-	if *serve {
-		// Quick mode shrinks the per-client query count through the shared
-		// -q default above; a few hundred queries per client still crosses
-		// the convergence knee on a quick-sized server column.
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if *quick && !set["clients"] {
-			*clients = 4
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		if *rate > 0 {
-			// Open loop: arrivals at a fixed rate, never waiting for
-			// completions — the regime that exposes queueing delay.
-			_, err := server.RunOpenLoad(ctx, server.OpenLoadConfig{
-				URL: *serveURL, Rate: *rate, Arrival: *arrival,
-				Duration: *duration, WritePct: *writePct, S: *s, Seed: *seed,
-			}, os.Stdout)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crackbench: serve:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		var names []string
-		for _, w := range strings.Split(*serveWls, ",") {
-			if w = strings.TrimSpace(w); w != "" {
-				names = append(names, w)
-			}
-		}
-		_, err := server.RunLoad(ctx, server.LoadConfig{
-			URL: *serveURL, Clients: *clients, Workloads: names,
-			Q: *q, S: *s, Seed: *seed, Aggregate: *serveAgg,
-		}, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crackbench: serve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	var resumeExtra []bench.JSONRow
-	if *clusterRun {
-		// Quick mode's shrunken -n/-q (above) keep this a CI-speed smoke;
-		// the default sizes measure real scatter-gather throughput.
-		nClients := *clients
-		if *quick {
-			set := map[string]bool{}
-			flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			if !set["clients"] {
-				nClients = 4
-			}
-		}
-		var rows []bench.JSONRow
-		var err error
-		if *killRep {
-			rows, err = killReplicaExperiment(*n, *q, *seed, nClients, os.Stdout)
-		} else {
-			rows, err = clusterExperiment(*n, *q, *s, *seed, *clusterN, nClients, os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crackbench: cluster:", err)
-			os.Exit(1)
-		}
-		if *jsonOut == "" {
-			return
-		}
-		// -cluster -json writes just these rows (the full cell matrix is a
-		// separate, much longer run).
-		out := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crackbench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := bench.WriteJSONRows(bench.Config{N: *n, Q: *q, S: *s, Seed: *seed}, out, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "crackbench: json:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "json report written to %s\n", *jsonOut)
-		return
-	}
-	if *tablesRun {
-		nClients := *clients
-		if *quick {
-			set := map[string]bool{}
-			flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			if !set["clients"] {
-				nClients = 4
-			}
-		}
-		rows, err := tablesExperiment(*n, *q, *s, *seed, nClients, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crackbench: tables:", err)
-			os.Exit(1)
-		}
-		if *jsonOut == "" {
-			return
-		}
-		// Like -cluster: -tables -json writes just these rows.
-		out := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crackbench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := bench.WriteJSONRows(bench.Config{N: *n, Q: *q, S: *s, Seed: *seed}, out, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "crackbench: json:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "json report written to %s\n", *jsonOut)
-		return
-	}
-	if *parCrack {
-		rows, err := bench.ParallelCrackRows(bench.Config{N: *n, Q: *q, S: *s, Seed: *seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crackbench: parallelcrack:", err)
-			os.Exit(1)
-		}
-		if *jsonOut == "" {
-			bench.PrintParallelCrack(os.Stdout, rows)
-			for _, r := range rows {
-				if r.Oracle != "ok" {
-					fmt.Fprintln(os.Stderr, "crackbench: parallelcrack: oracle validation failed:", r.Oracle)
-					os.Exit(1)
-				}
-			}
-			return
-		}
-		resumeExtra = rows
-	}
-	if *openloop {
-		rows, err := openloopExperiment(*n, *q, *s, *seed, *rate, os.Stdout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crackbench: openloop:", err)
-			os.Exit(1)
-		}
-		if *jsonOut == "" {
-			return
-		}
-		// -openloop -json writes just these rows, like -cluster: the full
-		// cell matrix is a separate, much longer run.
-		out := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crackbench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := bench.WriteJSONRows(bench.Config{N: *n, Q: *q, S: *s, Seed: *seed}, out, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "crackbench: json:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "json report written to %s\n", *jsonOut)
-		return
-	}
-	if *resume {
-		rows, err := resumeExperiment(*n, *q, *s, *seed, "dd1r")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crackbench: resume:", err)
-			os.Exit(1)
-		}
-		if *jsonOut == "" {
-			printResume(os.Stdout, rows)
-			for _, r := range rows {
-				if r.Oracle != "ok" {
-					fmt.Fprintln(os.Stderr, "crackbench: resume: oracle validation failed:", r.Oracle)
-					os.Exit(1)
-				}
-			}
-			return
-		}
-		resumeExtra = append(resumeExtra, rows...)
-	}
-	if *jsonOut != "" {
-		extra := resumeExtra
-		if *kernels != "" {
-			for _, pair := range strings.Split(*kernels, ",") {
-				label, file, ok := strings.Cut(pair, "=")
-				if !ok {
-					fmt.Fprintf(os.Stderr, "crackbench: -kernels wants label=file, got %q\n", pair)
-					os.Exit(2)
-				}
-				f, err := os.Open(file)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "crackbench:", err)
-					os.Exit(1)
-				}
-				samples, err := bench.ParseBench(f)
-				f.Close()
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "crackbench:", err)
-					os.Exit(1)
-				}
-				extra = append(extra, bench.KernelRows(label, samples)...)
-			}
-		}
-		out := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crackbench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		t0 := time.Now()
-		err := bench.WriteJSON(bench.Config{N: *n, Q: *q, S: *s, Seed: *seed}, out, extra)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crackbench: json:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "json report written to %s (%v)\n", *jsonOut, time.Since(t0).Round(time.Millisecond))
 		return
 	}
 	if *report != "" {

@@ -12,8 +12,8 @@
 //	crackserver -addr 127.0.0.1:0 -addr-file /tmp/addr   # CI: random port
 //
 // Because the data is a permutation, every answer is checkable against a
-// closed-form oracle; `crackbench -serve` exploits that to validate a
-// whole load-test run end to end over the wire.
+// closed-form oracle: [lo, hi) holds hi-lo values summing to
+// (lo+hi-1)(hi-lo)/2, which is how CI validates the server over the wire.
 //
 // # Cluster mode
 //

@@ -15,13 +15,11 @@
 // per-query latencies is mitigated by the engines' buffer reuse and by a
 // forced GC between cells.
 //
-// Three front-ends consume this package: cmd/crackbench (figures, JSON
-// reports, the -kernels merge of `go test -bench` output), cmd/benchgate
-// (the CI regression gate over gate.go's parser), and the facade's
-// re-exports (MakeData, the workload constructors). The over-the-wire
-// load generator lives in internal/server, not here: bench sits below
-// the facade in the import graph (the root package imports it), while
-// the load generator needs the server's wire types above it.
+// Three front-ends consume this package: cmd/crackbench (figures, the
+// paper-vs-measured report, ASCII plots), cmd/benchgate (the CI kernel
+// regression gate over gate.go's parser), and the facade's re-exports
+// (MakeData, the workload constructors). Throughput and latency are
+// measured by the separate benchmark/ module, not here.
 package bench
 
 import (
@@ -102,13 +100,6 @@ type Series struct {
 
 	TotalNS int64
 	Final   core.Stats
-
-	// Heap-allocation totals across the cell's query loop (measured as
-	// runtime.MemStats deltas; the loop runs on one goroutine, so the
-	// deltas are the cell's own). AllocBytes counts cumulative allocated
-	// bytes, not live heap.
-	Allocs     int64
-	AllocBytes int64
 }
 
 // At returns (per-query ns, cumulative ns, touched) for query index i.
@@ -252,8 +243,6 @@ func runIndex(cfg Config, ix Index, gen workload.Generator, before func(i int, i
 	}
 	gen.Reset()
 	runtime.GC()
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
 	var cum int64
 	prevTouched := ix.Stats().Touched
 	for i := 0; i < cfg.Q; i++ {
@@ -284,10 +273,6 @@ func runIndex(cfg Config, ix Index, gen workload.Generator, before func(i int, i
 	}
 	s.TotalNS = cum
 	s.Final = ix.Stats()
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	s.Allocs = int64(m1.Mallocs - m0.Mallocs)
-	s.AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
 	return s, nil
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -168,14 +169,11 @@ func TestSecondsFormatting(t *testing.T) {
 
 func TestExperimentsRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 17 {
-		t.Fatalf("experiment count = %d, want 17", len(all))
+	if len(all) != 15 {
+		t.Fatalf("experiment count = %d, want 15", len(all))
 	}
-	if _, ok := ByID("concurrency"); !ok {
-		t.Fatal("concurrency missing")
-	}
-	if _, ok := ByID("parallelcrack"); !ok {
-		t.Fatal("parallelcrack missing")
+	if _, ok := ByID("concurrency"); ok {
+		t.Fatal("concurrency is not a paper experiment")
 	}
 	if _, ok := ByID("fig2"); !ok {
 		t.Fatal("fig2 missing")
@@ -205,34 +203,48 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	}
 }
 
-func TestStochasticBeatsCrackShapeAtHarnessLevel(t *testing.T) {
-	// The headline reproduction claim, asserted at harness level: on the
-	// sequential workload the stochastic default beats original cracking
-	// in tuples touched by a wide margin.
-	cfg := Config{N: 200_000, Q: 400, S: 10, Seed: 3, Validate: true}
-	crack, err := Run(cfg, "crack", "sequential")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scrack, err := Run(cfg, "pmdd1r-10", "sequential")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scrack.Final.Touched*5 > crack.Final.Touched {
-		t.Fatalf("scrack touched %d vs crack %d; expected >=5x gap",
-			scrack.Final.Touched, crack.Final.Touched)
-	}
-	// And on random workloads the two stay within a small factor.
-	crackR, err := Run(cfg, "crack", "random")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scrackR, err := Run(cfg, "pmdd1r-10", "random")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scrackR.Final.Touched > crackR.Final.Touched*4 {
-		t.Fatalf("on random, scrack touched %d vs crack %d; overhead too large",
-			scrackR.Final.Touched, crackR.Final.Touched)
+// TestRobustnessTuplesTouched asserts the paper's robustness claims in
+// machine-independent tuples touched. Original cracking degrades to scan
+// cost (about q·n/2 in total) on every pattern that walks the domain in
+// order, while each stochastic variant stays within a small factor of its
+// own random-workload cost on every pattern (Figs. 9, 13 and 17).
+func TestRobustnessTuplesTouched(t *testing.T) {
+	const n, q = 200_000, 1_000
+	patterns := []string{"random", "sequential", "skew", "zoomin", "periodic",
+		"seqzoomin", "zoomout", "seqreverse", "zoominalt", "zoomoutalt",
+		"skewzoomoutalt", "seqrandom", "mixed"}
+	// Patterns on which original cracking re-scans the uncracked remainder.
+	scanLike := map[string]bool{"sequential": true, "zoomin": true, "periodic": true,
+		"seqzoomin": true, "zoomout": true, "seqreverse": true, "zoominalt": true}
+	for _, seed := range []uint64{3, 11} {
+		cfg := Config{N: n, Q: q, S: 10, Seed: seed, Validate: true}
+		touched := func(t *testing.T, spec, wl string) int64 {
+			t.Helper()
+			s, err := Run(cfg, spec, wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Final.Touched
+		}
+		t.Run(fmt.Sprintf("seed%d/crack", seed), func(t *testing.T) {
+			t.Parallel()
+			for wl := range scanLike {
+				if got, floor := touched(t, "crack", wl), int64(0.8*q*n/2); got < floor {
+					t.Errorf("crack on %s touched %d, want >= %d (0.8 x q·n/2)", wl, got, floor)
+				}
+			}
+		})
+		for _, spec := range []string{"dd1r", "mdd1r", "pmdd1r-10"} {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, spec), func(t *testing.T) {
+				t.Parallel()
+				random := touched(t, spec, "random")
+				for _, wl := range patterns[1:] {
+					if got := touched(t, spec, wl); float64(got) > 2.5*float64(random) {
+						t.Errorf("%s on %s touched %d, %.2fx its random cost %d; want <= 2.5x",
+							spec, wl, got, float64(got)/float64(random), random)
+					}
+				}
+			})
+		}
 	}
 }

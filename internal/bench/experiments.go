@@ -36,8 +36,6 @@ func All() []Experiment {
 		{"fig19", "Selective stochastic cracking via monitoring, SkyServer (Fig. 19)", runFig19},
 		{"fig20", "Initialization cost vs total cost, sequential workload (Fig. 20)", runFig20},
 		{"patterns", "Workload access patterns (Fig. 7 and Fig. 16b)", runPatterns},
-		{"concurrency", "Adaptive executor vs mutex vs sharded under concurrent load (§6 extension)", runConcurrency},
-		{"parallelcrack", "Serial vs chunked-parallel crack kernel, first touch and convergence (multi-core extension)", runParallelCrack},
 	}
 }
 

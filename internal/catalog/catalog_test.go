@@ -131,7 +131,7 @@ func TestCatalogRoundTrip(t *testing.T) {
 	}
 
 	// The server.Client speaks to one table via WithTable — the same
-	// client the load generator uses, so the rewrite is what CI exercises.
+	// client the benchmark's catalog rung uses, so the rewrite is tested.
 	users := server.NewClient(ts.URL, nil, server.WithToken("s3cret"), server.WithTable("users"))
 	orders := server.NewClient(ts.URL, nil, server.WithToken("s3cret"), server.WithTable("orders"))
 

@@ -9,8 +9,8 @@
 // idea, but each shard is a whole crackserver process reachable over the
 // v1 HTTP/JSON API — cracking state, lazy updates, snapshots and all.
 // The coordinator speaks that same API to its own clients, so everything
-// built against one crackserver (crackbench -serve, the closed-form
-// oracle validation, the Go client) works unchanged against a cluster.
+// built against one crackserver (the Go client, the closed-form oracle
+// validation, curl) works unchanged against a cluster.
 //
 // # Routing and replication
 //
@@ -147,6 +147,23 @@ func (rt *route) liveReplicas() []*node {
 	out := make([]*node, 0, len(rt.replicas))
 	for _, n := range rt.replicas {
 		if n.live() {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// readReplicas returns the replicas a read may ask, preferred first: the
+// live ones or, when none is live, the drained ones that missed no
+// update. A drained node still holds the ranges it handed off, so a read
+// that loaded the routing table just before a drain's swap is answered.
+func (rt *route) readReplicas() []*node {
+	if live := rt.liveReplicas(); len(live) > 0 {
+		return live
+	}
+	var out []*node
+	for _, n := range rt.replicas {
+		if !n.out.Load() {
 			out = append(out, n)
 		}
 	}
@@ -528,7 +545,7 @@ func (c *Coordinator) scatter(ctx context.Context, lo, hi int64, aggregate bool)
 	errs := make([]error, len(spans))
 	run := func(i int) {
 		rt := &routes[spans[i].ri]
-		live := rt.liveReplicas()
+		live := rt.readReplicas()
 		if len(live) == 0 {
 			errs[i] = &rangeUnavailableError{lo: rt.lo, hi: rt.hi, cause: errors.New("no live replicas")}
 			return
@@ -685,15 +702,15 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	var maxPiece int
 	// One representative per range: a node holding several ranges
-	// reports them all in one stats payload, so a range whose live
-	// replica was already counted is covered. Within a range, fail over
+	// reports them all in one stats payload, so a range one of whose
+	// replicas was already counted is covered. Within a range, fail over
 	// across replicas.
 	seen := map[*node]bool{}
 	for i := range routes {
 		rt := &routes[i]
 		covered := false
 		for _, n := range rt.replicas {
-			if seen[n] && n.live() {
+			if seen[n] {
 				covered = true
 				break
 			}
@@ -703,7 +720,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		var lastErr error
 		done := false
-		for _, n := range rt.liveReplicas() {
+		for _, n := range rt.readReplicas() {
 			st, err := n.Stats(r.Context())
 			if err != nil {
 				lastErr = fmt.Errorf("backend %s: %w", n.URL(), err)

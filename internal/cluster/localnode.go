@@ -29,7 +29,7 @@ type LocalNodeConfig struct {
 }
 
 // LocalNode is an in-process crackserver backend on a loopback port,
-// used by crackbench -cluster and the cluster tests. It is a real HTTP
+// used by the cluster tests and the benchmark module. It is a real HTTP
 // server speaking the full v1 API — the coordinator cannot tell it from
 // an out-of-process node.
 type LocalNode struct {

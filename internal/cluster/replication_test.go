@@ -351,6 +351,32 @@ func TestDrainClusterEquivalence(t *testing.T) {
 	}
 }
 
+// TestReadOnPreSwapTableAfterDrain pins the drain race deterministically:
+// a read that loaded the routing table just before a drain's swap must
+// still be answered, even when the drained node is its route's only
+// replica in that table (the node is up and still holds the data).
+func TestReadOnPreSwapTableAfterDrain(t *testing.T) {
+	coord, _ := startCluster(t, 2, Config{})
+	h := coord.Handler()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	before := coord.routes.Load()
+	resp, err := coord.Drain(ctx, (*before)[0].replicas[0].URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Moves) != 1 || resp.Moves[0].Mode != "migrate" {
+		t.Fatalf("drain of a sole copy: want one migrate move, got %+v", resp.Moves)
+	}
+	// Put the pre-swap table back: every read now sees exactly what a
+	// read that raced the swap saw.
+	coord.routes.Store(before)
+	queryRange(t, h, 0, testRows)
+	if code := do(t, h, "GET", "/v1/stats", "", nil); code != http.StatusOK {
+		t.Fatalf("stats on the pre-swap table: status %d", code)
+	}
+}
+
 // TestUnavailableRangeMapsTo503: a range with no replica able to answer
 // is an availability problem, not a gateway mystery — machine-readable
 // 503 with code "unavailable_range" and a Retry-After, mirroring the

@@ -11,9 +11,8 @@ import (
 )
 
 // Client is a minimal Go client for the crackserver wire protocol, used
-// by the crackbench -serve load generator, the cluster layer, the
-// integration tests and the CI smoke. It is safe for concurrent use
-// (http.Client is).
+// by the cluster layer, the benchmark module and the integration tests.
+// It is safe for concurrent use (http.Client is).
 type Client struct {
 	base  string
 	hc    *http.Client
@@ -115,15 +114,6 @@ func (c *Client) Insert(ctx context.Context, values ...int64) (pending int, err 
 	var resp UpdateResponse
 	err = c.post(ctx, "/v1/insert", UpdateRequest{Values: values}, &resp)
 	return resp.Pending, err
-}
-
-// InsertBatch queues values for insertion and returns the full update
-// response, including the decomposed write-latency stages when the server
-// runs group commit — the open-loop load generator's write path.
-func (c *Client) InsertBatch(ctx context.Context, values []int64) (UpdateResponse, error) {
-	var resp UpdateResponse
-	err := c.post(ctx, "/v1/insert", UpdateRequest{Values: values}, &resp)
-	return resp, err
 }
 
 // Delete queues value removals, returning the pending-update depth.

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"os"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	crackdb "repro"
 )
@@ -106,57 +104,5 @@ func TestConcurrentClientsCrossMode(t *testing.T) {
 				t.Error(err)
 			}
 		})
-	}
-}
-
-// TestRunLoadAgainstServer drives the crackbench -serve load generator
-// end to end against an in-process server: every workload validates
-// against the oracle and the telemetry shows the index refining during
-// the run.
-func TestRunLoadAgainstServer(t *testing.T) {
-	const rows = 50_000
-	db, err := crackdb.Open(crackdb.MakeData(rows, 5), crackdb.DD1R,
-		crackdb.WithSeed(5), crackdb.WithConcurrency(crackdb.Shared))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s := New(db, Config{Info: Info{Rows: rows, Algorithm: crackdb.DD1R, Seed: 5, Permutation: true}})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	out := os.Stderr
-	if !testing.Verbose() {
-		devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer devnull.Close()
-		out = devnull
-	}
-	res, err := RunLoad(context.Background(), LoadConfig{
-		URL: ts.URL, Clients: 6, Q: 150, S: 10, Seed: 9,
-		Workloads:     []string{"random", "sequential", "skew"},
-		StatsInterval: 20 * time.Millisecond,
-	}, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries != 6*150 || res.Errors != 0 {
-		t.Fatalf("queries=%d errors=%d", res.Queries, res.Errors)
-	}
-	if !res.Validated {
-		t.Fatal("run was not oracle-validated")
-	}
-	if res.PiecesTo <= 1 {
-		t.Fatalf("index did not refine: pieces -> %d", res.PiecesTo)
-	}
-	if len(res.Workloads) != 3 {
-		t.Fatalf("workload reports: %+v", res.Workloads)
-	}
-	for _, wl := range res.Workloads {
-		if wl.Queries == 0 || wl.P99 < wl.P50 || wl.Max < wl.P99 {
-			t.Fatalf("latency report for %s: %+v", wl.Name, wl)
-		}
 	}
 }

@@ -80,9 +80,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Info describes the dataset behind the served DB, so clients (the
-// crackbench -serve load generator) can validate answers against the
-// closed-form oracle when the data is a permutation of [0, Rows).
+// Info describes the dataset behind the served DB, so clients can
+// validate answers against the closed-form oracle when the data is a
+// permutation of [0, Rows).
 type Info struct {
 	Rows        int64  `json:"rows"`
 	Algorithm   string `json:"algorithm"`

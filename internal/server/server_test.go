@@ -60,6 +60,16 @@ func decodeQuery(t *testing.T, rec *httptest.ResponseRecorder) QueryResponse {
 	return resp
 }
 
+// oracle returns the closed-form (count, sum) of the values in [a, b)
+// when the data is a permutation of [0, n).
+func oracle(a, b, n int64) (count, sum int64) {
+	a, b = max(a, 0), min(b, n)
+	if a >= b {
+		return 0, 0
+	}
+	return b - a, (a + b - 1) * (b - a) / 2
+}
+
 // wantRange asserts a result matches the permutation oracle for [lo, hi):
 // exactly the integers lo..hi-1, in any order.
 func wantRange(t *testing.T, res QueryResult, lo, hi int64) {

@@ -593,14 +593,30 @@ func (c *Coordinator) scatter(ctx context.Context, lo, hi int64, aggregate bool)
 	// Gather in route order: range i's values all precede range i+1's,
 	// so a split-range answer concatenates into one deterministic
 	// ascending-by-shard sequence.
-	for _, res := range results {
-		out.Count += res.Count
-		out.Sum += res.Sum
-		if !aggregate {
-			out.Values = append(out.Values, res.Values...)
-		}
+	return gather(results), nil
+}
+
+// gather concatenates parts in order, summing counts and sums. A lone
+// part is handed through as is: its values are a fresh slice decoded for
+// this request, so a query answered by one route copies no values.
+func gather(parts []server.QueryResult) server.QueryResult {
+	if len(parts) == 1 {
+		return parts[0]
 	}
-	return out, nil
+	var out server.QueryResult
+	n := 0
+	for _, p := range parts {
+		n += len(p.Values)
+	}
+	if n > 0 {
+		out.Values = make([]int64, 0, n)
+	}
+	for _, p := range parts {
+		out.Count += p.Count
+		out.Sum += p.Sum
+		out.Values = append(out.Values, p.Values...)
+	}
+	return out
 }
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -628,21 +644,17 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
-		var item server.QueryResult
-		for _, rg := range rs {
-			part, err := c.scatter(r.Context(), rg[0], rg[1], req.Aggregate)
-			if err != nil {
+		parts := make([]server.QueryResult, len(rs))
+		for i, rg := range rs {
+			if parts[i], err = c.scatter(r.Context(), rg[0], rg[1], req.Aggregate); err != nil {
 				writeBackendError(w, err)
 				return
 			}
-			item.Count += part.Count
-			item.Sum += part.Sum
-			item.Values = append(item.Values, part.Values...)
 		}
-		resp.Results = append(resp.Results, item)
+		resp.Results = append(resp.Results, gather(parts))
 	}
 	c.queries.Add(int64(len(items)))
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteQueryResponse(w, resp)
 }
 
 // routeIndexFor returns the index of the routing entry owning value v.
@@ -687,7 +699,7 @@ func (c *Coordinator) handleUpdate(w http.ResponseWriter, r *http.Request, inser
 		}
 		pending += p
 	}
-	writeJSON(w, http.StatusOK, server.UpdateResponse{Pending: pending})
+	writeJSON(w, http.StatusOK, server.UpdateResponse{Pending: pending, Accepted: len(values)})
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -183,6 +184,75 @@ func TestSplitRangeMergeOrdering(t *testing.T) {
 		if v != lo+int64(i) {
 			t.Fatalf("sorted[%d] = %d, want %d", i, v, lo+int64(i))
 		}
+	}
+}
+
+// TestQueryWireCompat: the coordinator's 1 000-value answers — one route
+// handed through, two routes concatenated — go out with Content-Length
+// and byte-identical to the encoding/json rendering of the same value,
+// so curl, jq and encoding/json clients see exactly what they always saw.
+func TestQueryWireCompat(t *testing.T) {
+	coord, _ := startCluster(t, 2, Config{})
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(ts.Close)
+	for _, r := range [][2]int64{{1_000, 2_000}, {14_500, 15_500}} {
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"lo":%d,"hi":%d}`, r[0], r[1])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("[%d, %d): status %d, %v: %s", r[0], r[1], resp.StatusCode, err, body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("[%d, %d): Content-Length %d, transfer encoding %v, for a %d-byte body",
+				r[0], r[1], resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		var qr server.QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		var ref bytes.Buffer
+		if err := json.NewEncoder(&ref).Encode(qr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, ref.Bytes()) {
+			t.Fatalf("[%d, %d): body differs from encoding/json:\n got %q\nwant %q", r[0], r[1], body, ref.Bytes())
+		}
+		vals := qr.Results[0].Values
+		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		wc, ws := oracle(r[0], r[1], testRows)
+		if int64(len(vals)) != wc || int64(qr.Results[0].Count) != wc || qr.Results[0].Sum != ws ||
+			vals[0] != r[0] || vals[len(vals)-1] != r[1]-1 {
+			t.Fatalf("[%d, %d): count %d sum %d over %d values, oracle (%d, %d)",
+				r[0], r[1], qr.Results[0].Count, qr.Results[0].Sum, len(vals), wc, ws)
+		}
+	}
+}
+
+// TestUpdateReportsAccepted: like a single server, the coordinator
+// reports how many values a write carried, also when the batch is split
+// across routes.
+func TestUpdateReportsAccepted(t *testing.T) {
+	coord, _ := startCluster(t, 2, Config{})
+	h := coord.Handler()
+	var ur server.UpdateResponse
+	// -5 routes to the bottom node, the other two to the top one.
+	body := fmt.Sprintf(`{"values":[-5,%d,%d]}`, testRows+1, testRows+2)
+	if code := do(t, h, "POST", "/v1/insert", body, &ur); code != http.StatusOK {
+		t.Fatalf("insert status %d", code)
+	}
+	if ur.Accepted != 3 || ur.Pending != 3 {
+		t.Fatalf("accepted=%d pending=%d, want 3/3", ur.Accepted, ur.Pending)
+	}
+	ur = server.UpdateResponse{}
+	if code := do(t, h, "POST", "/v1/delete", `{"value":7}`, &ur); code != http.StatusOK {
+		t.Fatalf("delete status %d", code)
+	}
+	if ur.Accepted != 1 {
+		t.Fatalf("delete accepted=%d, want 1", ur.Accepted)
 	}
 }
 

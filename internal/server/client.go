@@ -242,6 +242,11 @@ func (c *Client) do(req *http.Request, out any) error {
 	if resp.StatusCode/100 != 2 {
 		return apiError(resp)
 	}
+	// Query answers grow with the result, so they skip reflection.
+	if qr, ok := out.(*QueryResponse); ok {
+		*qr, err = readQueryResponse(resp.Body)
+		return err
+	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 

@@ -39,7 +39,8 @@
 // query runs through DB.QueryAppend and a batch through
 // DB.QueryBatchAppend, both into sync.Pool-recycled buffers, so the query
 // hot path performs no per-request heap allocations beyond what HTTP and
-// JSON encoding inherently cost. Request contexts thread into the DB's
+// request decoding cost; the response body is encoded without reflection
+// into a pooled buffer (codec.go). Request contexts thread into the DB's
 // context-aware query paths: a disconnected client cancels its query at
 // the next cancellation point instead of holding the executor's locks.
 //
@@ -674,7 +675,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.met.queries.Add(int64(len(qb.preds)))
 	// Encode before the deferred bufPool.Put: batch results alias qb.bb's
 	// arena and are invalid once the buffers are recycled.
-	writeJSON(w, http.StatusOK, QueryResponse{Results: qb.res})
+	WriteQueryResponse(w, QueryResponse{Results: qb.res})
 }
 
 // valuesResult builds a QueryResult over a materialized value slice,

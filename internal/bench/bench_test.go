@@ -2,9 +2,15 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/updates"
 )
 
 func tinyConfig() Config {
@@ -207,7 +213,13 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 // machine-independent tuples touched. Original cracking degrades to scan
 // cost (about q·n/2 in total) on every pattern that walks the domain in
 // order, while each stochastic variant stays within a small factor of its
-// own random-workload cost on every pattern (Figs. 9, 13 and 17).
+// own random-workload cost on every pattern (Figs. 9, 13 and 17). The
+// shared2 rows run the same claims through the Shared-mode executor with
+// two clients splitting each sequence: there the lock decides which
+// queries reorganize, and a sequential pattern must not degrade. Original
+// cracking's floor halves there: whichever client runs ahead scans the
+// uncracked remainder, and the other's queries land in pieces it already
+// cracked.
 func TestRobustnessTuplesTouched(t *testing.T) {
 	const n, q = 200_000, 1_000
 	patterns := []string{"random", "sequential", "skew", "zoomin", "periodic",
@@ -218,33 +230,94 @@ func TestRobustnessTuplesTouched(t *testing.T) {
 		"seqzoomin": true, "zoomout": true, "seqreverse": true, "zoominalt": true}
 	for _, seed := range []uint64{3, 11} {
 		cfg := Config{N: n, Q: q, S: 10, Seed: seed, Validate: true}
-		touched := func(t *testing.T, spec, wl string) int64 {
-			t.Helper()
-			s, err := Run(cfg, spec, wl)
-			if err != nil {
-				t.Fatal(err)
+		for _, clients := range []int{1, 2} {
+			prefix := ""
+			if clients > 1 {
+				prefix = fmt.Sprintf("shared%d/", clients)
 			}
-			return s.Final.Touched
-		}
-		t.Run(fmt.Sprintf("seed%d/crack", seed), func(t *testing.T) {
-			t.Parallel()
-			for wl := range scanLike {
-				if got, floor := touched(t, "crack", wl), int64(0.8*q*n/2); got < floor {
-					t.Errorf("crack on %s touched %d, want >= %d (0.8 x q·n/2)", wl, got, floor)
+			touched := func(t *testing.T, spec, wl string) int64 {
+				t.Helper()
+				if clients == 1 {
+					return serialTouched(t, cfg, spec, wl)
 				}
+				return sharedTouched(t, cfg, spec, wl, clients)
 			}
-		})
-		for _, spec := range []string{"dd1r", "mdd1r", "pmdd1r-10"} {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, spec), func(t *testing.T) {
+			t.Run(fmt.Sprintf("seed%d/%scrack", seed, prefix), func(t *testing.T) {
 				t.Parallel()
-				random := touched(t, spec, "random")
-				for _, wl := range patterns[1:] {
-					if got := touched(t, spec, wl); float64(got) > 2.5*float64(random) {
-						t.Errorf("%s on %s touched %d, %.2fx its random cost %d; want <= 2.5x",
-							spec, wl, got, float64(got)/float64(random), random)
+				floor := int64(0.8 * q * n / 2 / float64(clients))
+				for wl := range scanLike {
+					if got := touched(t, "crack", wl); got < floor {
+						t.Errorf("crack on %s with %d clients touched %d, want >= %d (0.8 x q·n/2 / clients)",
+							wl, clients, got, floor)
 					}
 				}
 			})
+			for _, spec := range []string{"dd1r", "mdd1r", "pmdd1r-10"} {
+				t.Run(fmt.Sprintf("seed%d/%s%s", seed, prefix, spec), func(t *testing.T) {
+					t.Parallel()
+					random := touched(t, spec, "random")
+					for _, wl := range patterns[1:] {
+						if got := touched(t, spec, wl); float64(got) > 2.5*float64(random) {
+							t.Errorf("%s on %s touched %d, %.2fx its random cost %d; want <= 2.5x",
+								spec, wl, got, float64(got)/float64(random), random)
+						}
+					}
+				})
+			}
 		}
 	}
+}
+
+// serialTouched runs one cell on one goroutine and returns the tuples
+// touched.
+func serialTouched(t *testing.T, cfg Config, spec, wl string) int64 {
+	t.Helper()
+	s, err := Run(cfg, spec, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Final.Touched
+}
+
+// sharedTouched runs one cell through the executor a Shared DB builds (the
+// updates wrapper behind exec) with k concurrent clients: client c answers
+// queries c, c+k, c+2k, ... of the sequence. Every answer is checked
+// against the oracle.
+func sharedTouched(t *testing.T, cfg Config, spec, wl string, k int) int64 {
+	t.Helper()
+	gen, err := newWorkload(cfg, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := core.Build(MakeData(cfg.N, cfg.Seed), spec, core.Options{Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, ok := updates.Wrap(ix)
+	if !ok {
+		t.Fatalf("%s is not engine-backed", spec)
+	}
+	x := exec.New(u)
+	queries := make([][2]int64, cfg.Q)
+	for i := range queries {
+		queries[i][0], queries[i][1] = gen.Next()
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < k; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(queries); i += k {
+				a, b := queries[i][0], queries[i][1]
+				count, sum, err := x.QueryAggregateCtx(context.Background(), a, b)
+				if wc, ws := oracle(a, b, cfg.N); err != nil || int64(count) != wc || sum != ws {
+					t.Errorf("%s/%s query %d [%d,%d): got (%d,%d), want (%d,%d) (err %v)",
+						spec, wl, i, a, b, count, sum, wc, ws, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	return x.Stats().Touched
 }

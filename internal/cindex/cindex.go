@@ -211,6 +211,54 @@ func (t *Tree) PieceFor(v int64, n int) (lo, hi int, exact bool) {
 	return lo, hi, false
 }
 
+// Bounds returns PieceFor(a, n) followed by PieceFor(b, n), for a < b, in
+// one descent whenever b lies in a's piece or on the crack that closes it —
+// the common case for a converged query. The descent for a remembers that
+// closing crack and the one before it on the path; b's live end is then the
+// closing crack's successor, found by a walk down its right subtree rather
+// than a second descent from the root. Any other b takes PieceFor.
+func (t *Tree) Bounds(a, b int64, n int) (loA, hiA int, exactA bool, loB, hiB int, exactB bool) {
+	loA, hiA = 0, n-t.tail
+	var (
+		c    *node // the crack closing a's piece: the last left turn
+		cPos int   // c's absolute position
+		cAcc int   // the shift applying to c's children
+		pHi  int   // hi of the left turn before c: c's successor when c.right is nil
+	)
+	acc := 0
+	for cur := t.root; cur != nil; {
+		abs := cur.pos + acc
+		acc += cur.shift
+		switch {
+		case a < cur.key:
+			pHi, hiA = hiA, abs-cur.holes
+			c, cPos, cAcc = cur, abs, acc
+			cur = cur.left
+		case a > cur.key:
+			loA = abs
+			cur = cur.right
+		default:
+			// Every key of the right subtree exceeds a, so the rest of the
+			// descent only turns left, down to a's successor.
+			loA, exactA = abs, true
+			cur = cur.right
+		}
+	}
+	switch {
+	case c == nil || b < c.key:
+		return loA, hiA, exactA, loA, hiA, false
+	case b == c.key:
+		hiB = pHi
+		for cur, acc := c.right, cAcc; cur != nil; cur = cur.left {
+			hiB = cur.pos + acc - cur.holes
+			acc += cur.shift
+		}
+		return loA, hiA, exactA, cPos, hiB, true
+	}
+	loB, hiB, exactB = t.PieceFor(b, n)
+	return loA, hiA, exactA, loB, hiB, exactB
+}
+
 // Above returns the crack that closes the piece holding v — the crack with
 // the smallest key greater than v — with its absolute position and the
 // holes at the end of that piece. ok is false when v's piece is the last
@@ -245,17 +293,6 @@ func (t *Tree) AddHoles(v int64, delta int) {
 	}
 	*count += delta
 	t.holes += delta
-}
-
-// BoundConverged reports whether a query bound at value v would trigger no
-// physical reorganization in a column of n tuples: either a crack lies
-// exactly at v, or the piece holding v has at most noCrack tuples — small
-// enough that scanning it beats splitting it. It is the per-bound half of
-// the executor's converged-query probe and never mutates the tree, so it is
-// safe to call under a shared (read) lock.
-func (t *Tree) BoundConverged(v int64, n, noCrack int) bool {
-	lo, hi, exact := t.PieceFor(v, n)
-	return exact || hi-lo <= noCrack
 }
 
 // Has reports whether a crack at exactly key v exists.

@@ -518,32 +518,159 @@ func BenchmarkRangeShift(b *testing.B) {
 	}
 }
 
+// TestBoundConverged checks what Bounds gives the engine's convergence
+// test (a bound is converged when it lies exactly on a crack or its piece
+// holds at most threshold tuples): the piece sizes and exactness of both
+// bounds, with the threshold inclusive, and no mutation from probing.
 func TestBoundConverged(t *testing.T) {
 	var tr Tree
 	const n = 1000
+	converged := func(lo, hi int, exact bool, threshold int) bool {
+		return exact || hi-lo <= threshold
+	}
+	both := func(a, b int64, threshold int) (bool, bool) {
+		loA, hiA, exA, loB, hiB, exB := tr.Bounds(a, b, n)
+		return converged(loA, hiA, exA, threshold), converged(loB, hiB, exB, threshold)
+	}
 	// Empty tree: the whole column is one piece; converged only when the
 	// threshold covers it.
-	if tr.BoundConverged(500, n, 10) {
+	if ca, cb := both(500, 600, 10); ca || cb {
 		t.Fatal("large single piece reported converged")
 	}
-	if !tr.BoundConverged(500, n, n) {
+	if ca, cb := both(500, 600, n); !ca || !cb {
 		t.Fatal("threshold >= piece size must converge")
 	}
 	tr.Insert(100, 100)
 	tr.Insert(200, 200)
-	// Exact crack: converged regardless of threshold.
-	if !tr.BoundConverged(100, n, 0) {
+	// Exact cracks: converged regardless of threshold.
+	if ca, cb := both(100, 200, 0); !ca || !cb {
 		t.Fatal("exact crack not converged")
 	}
-	// Value inside piece [100, 200): piece has 100 tuples.
-	if tr.BoundConverged(150, n, 99) {
+	// Value inside piece [100, 200): piece has 100 tuples; b on the crack
+	// closing it stays converged.
+	if ca, cb := both(150, 200, 99); ca || !cb {
 		t.Fatal("piece of 100 converged at threshold 99")
 	}
-	if !tr.BoundConverged(150, n, 100) {
+	if ca, _ := both(150, 200, 100); !ca {
 		t.Fatal("piece of 100 not converged at threshold 100")
+	}
+	// b inside the same piece as a.
+	if ca, cb := both(120, 180, 99); ca || cb {
+		t.Fatal("both bounds in a piece of 100 converged at threshold 99")
+	}
+	if ca, cb := both(120, 180, 100); !ca || !cb {
+		t.Fatal("both bounds in a piece of 100 not converged at threshold 100")
 	}
 	// Probing must not mutate the tree.
 	if tr.Len() != 2 {
 		t.Fatalf("probe changed the tree: %d cracks", tr.Len())
 	}
+}
+
+// TestBoundsMatchesPieceFor checks the fused descent against two PieceFor
+// calls on random trees, after every mutation the tree supports: inserts,
+// range shifts (which leave lazy shifts on inner nodes), holes (the last
+// piece's included) and a relayout. Each a is tried exact and not exact,
+// with b inside a's piece, on the crack closing it and several cracks
+// further.
+func TestBoundsMatchesPieceFor(t *testing.T) {
+	var empty Tree
+	if !boundsAgree(t, &empty, 100, []int64{-3, 0, 7}) {
+		t.Fatal("empty tree")
+	}
+	empty.AddHoles(5, 4)
+	if !boundsAgree(t, &empty, 100, []int64{-3, 0, 7}) {
+		t.Fatal("empty tree with tail holes")
+	}
+	f := func(seed uint64, cracks uint8) bool {
+		r := xrand.New(seed)
+		var tr Tree
+		// Keys are multiples of 10, so every crack has values strictly on
+		// both sides of it; each crack splits its piece's live slots at a
+		// random position.
+		const domain = 2000
+		n := domain
+		insert := func(count int) {
+			for i := 0; i < count; i++ {
+				k := 10 * (1 + r.Int63n(domain/10-1))
+				lo, hi, _ := tr.PieceFor(k, n)
+				tr.Insert(k, lo+r.Intn(hi-lo+1))
+			}
+		}
+		insert(int(cracks % 64))
+		if !boundsAgree(t, &tr, n, probes(&tr)) {
+			return false
+		}
+		for i := 0; i < 8; i++ {
+			tr.RangeShift(r.Int63n(domain), 1)
+			n++
+		}
+		if !boundsAgree(t, &tr, n, probes(&tr)) {
+			return false
+		}
+		// h holes at the end of v's piece: h more slots, and every crack
+		// above v moves up by h.
+		addHoles := func(v int64, h int) {
+			tr.AddHoles(v, h)
+			tr.RangeShift(v, h)
+			n += h
+		}
+		for i := 0; i < 8; i++ {
+			addHoles(r.Int63n(domain), 1+r.Intn(3))
+		}
+		addHoles(domain, 2) // the last piece's tail
+		if !boundsAgree(t, &tr, n, probes(&tr)) {
+			return false
+		}
+		insert(8)
+		if !boundsAgree(t, &tr, n, probes(&tr)) {
+			return false
+		}
+		// Relayout gives every piece up to two more holes.
+		extra, grow := r.Intn(3), 0
+		tr.Relayout(n-tr.End(n)+extra, func(pos, holes int) (int, int) {
+			d := r.Intn(3)
+			grow += d
+			return pos + grow, holes + d
+		})
+		return boundsAgree(t, &tr, n+grow+extra, probes(&tr))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// probes returns sorted query bounds around every crack of tr — just
+// below, exact, just above — and beyond both ends of the key range.
+func probes(tr *Tree) []int64 {
+	out := []int64{-5}
+	tr.Ascend(func(key int64, _, _ int) bool {
+		out = append(out, key-1, key, key+1)
+		return true
+	})
+	return append(out, 1<<20)
+}
+
+// boundsAgree compares Bounds(a, b, n) with PieceFor(a, n) and
+// PieceFor(b, n) for every a in ps and every b among the next eight
+// probes after it and the last one, reporting the first mismatch.
+func boundsAgree(t *testing.T, tr *Tree, n int, ps []int64) bool {
+	t.Helper()
+	for i, a := range ps {
+		bs := append([]int64{a + 1}, ps[i+1:min(i+9, len(ps))]...)
+		for _, b := range append(bs, ps[len(ps)-1]) {
+			if b <= a {
+				continue
+			}
+			loA, hiA, exA, loB, hiB, exB := tr.Bounds(a, b, n)
+			wloA, whiA, wexA := tr.PieceFor(a, n)
+			wloB, whiB, wexB := tr.PieceFor(b, n)
+			if loA != wloA || hiA != whiA || exA != wexA || loB != wloB || hiB != whiB || exB != wexB {
+				t.Errorf("Bounds(%d, %d) = [%d,%d) %v, [%d,%d) %v; PieceFor gives [%d,%d) %v, [%d,%d) %v",
+					a, b, loA, hiA, exA, loB, hiB, exB, wloA, whiA, wexA, wloB, whiB, wexB)
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -119,8 +119,7 @@ func (e *Engine) queryMixed(a, b int64, stoch func(lo, hi int, v int64) bool) Re
 	if a >= b || n == 0 {
 		return res
 	}
-	loA, hiA, exactA := e.idx.PieceFor(a, n)
-	loB, hiB, exactB := e.idx.PieceFor(b, n)
+	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
 
 	// Both bounds inside the same piece, neither already cracked. Note an
 	// empty piece can share its start with a neighboring piece, so both

@@ -33,7 +33,7 @@ func convergedEngine(b *testing.B) (*Engine, [][2]int64) {
 
 // BenchmarkConvergedProbe measures the fused convergence probe plus
 // read-only answer — the whole hot path of a converged query minus
-// locking: two cracker-index descents and the piece scans.
+// locking: one cracker-index descent for both bounds and the piece scans.
 func BenchmarkConvergedProbe(b *testing.B) {
 	e, ranges := convergedEngine(b)
 	dst := make([]int64, 0, probeWidth)

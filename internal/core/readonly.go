@@ -20,28 +20,30 @@ func (e *Engine) CanAnswerWithoutCracking(a, b int64) bool {
 	if a >= b || n == 0 {
 		return true
 	}
-	return e.idx.BoundConverged(a, n, e.opt.NoCrackSize) &&
-		e.idx.BoundConverged(b, n, e.opt.NoCrackSize)
+	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
+	return e.converged(loA, hiA, exactA) && e.converged(loB, hiB, exactB)
+}
+
+// converged reports whether a query bound in the piece [lo, hi) needs no
+// crack: it lies exactly on one, or the piece is small enough that
+// scanning it beats splitting it.
+func (e *Engine) converged(lo, hi int, exact bool) bool {
+	return exact || hi-lo <= e.opt.NoCrackSize
 }
 
 // TryAnswerReadOnly answers [a, b) without mutating the engine when the
 // query is converged (see CanAnswerWithoutCracking), appending the
 // qualifying values to dst. ok is false — with dst returned unchanged —
 // when answering would require reorganization. Probe and answer share one
-// pair of cracker-index descents, which keeps the executor's read path as
-// cheap as a write-path lookup.
+// cracker-index descent (Tree.Bounds), which keeps the executor's read path
+// as cheap as a write-path lookup.
 func (e *Engine) TryAnswerReadOnly(a, b int64, dst []int64) (_ []int64, ok bool) {
 	n := e.col.Len()
 	if a >= b || n == 0 {
 		return dst, true
 	}
-	noCrack := e.opt.NoCrackSize
-	loA, hiA, exactA := e.idx.PieceFor(a, n)
-	if !exactA && hiA-loA > noCrack {
-		return dst, false
-	}
-	loB, hiB, exactB := e.idx.PieceFor(b, n)
-	if !exactB && hiB-loB > noCrack {
+	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
+	if !e.converged(loA, hiA, exactA) || !e.converged(loB, hiB, exactB) {
 		return dst, false
 	}
 	return e.answerPieces(dst, a, b, loA, hiA, exactA, loB, hiB, exactB), true
@@ -54,13 +56,8 @@ func (e *Engine) TryAnswerReadOnlyAggregate(a, b int64) (count int, sum int64, o
 	if a >= b || n == 0 {
 		return 0, 0, true
 	}
-	noCrack := e.opt.NoCrackSize
-	loA, hiA, exactA := e.idx.PieceFor(a, n)
-	if !exactA && hiA-loA > noCrack {
-		return 0, 0, false
-	}
-	loB, hiB, exactB := e.idx.PieceFor(b, n)
-	if !exactB && hiB-loB > noCrack {
+	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
+	if !e.converged(loA, hiA, exactA) || !e.converged(loB, hiB, exactB) {
 		return 0, 0, false
 	}
 	count, sum = e.aggregatePieces(a, b, loA, hiA, exactA, loB, hiB, exactB)
@@ -78,8 +75,7 @@ func (e *Engine) AnswerReadOnly(a, b int64, dst []int64) []int64 {
 	if a >= b || n == 0 {
 		return dst
 	}
-	loA, hiA, exactA := e.idx.PieceFor(a, n)
-	loB, hiB, exactB := e.idx.PieceFor(b, n)
+	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
 	return e.answerPieces(dst, a, b, loA, hiA, exactA, loB, hiB, exactB)
 }
 
@@ -90,8 +86,7 @@ func (e *Engine) AnswerReadOnlyAggregate(a, b int64) (count int, sum int64) {
 	if a >= b || n == 0 {
 		return 0, 0
 	}
-	loA, hiA, exactA := e.idx.PieceFor(a, n)
-	loB, hiB, exactB := e.idx.PieceFor(b, n)
+	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
 	return e.aggregatePieces(a, b, loA, hiA, exactA, loB, hiB, exactB)
 }
 

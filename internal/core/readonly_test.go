@@ -87,6 +87,18 @@ func TestCanAnswerWithoutCracking(t *testing.T) {
 	if !small.Engine().CanAnswerWithoutCracking(10, 20) {
 		t.Fatal("piece below threshold not converged")
 	}
+	// The threshold is inclusive: after [100, 200) the piece holding 150
+	// has exactly 100 tuples.
+	for _, tc := range []struct {
+		noCrack int
+		want    bool
+	}{{99, false}, {100, true}} {
+		c := NewCrack(xrand.New(23).Perm(n), Options{Seed: 24, NoCrackSize: tc.noCrack})
+		c.Query(100, 200)
+		if got := c.Engine().CanAnswerWithoutCracking(150, 200); got != tc.want {
+			t.Fatalf("piece of 100 at threshold %d: converged = %v, want %v", tc.noCrack, got, tc.want)
+		}
+	}
 }
 
 // TestAnswerReadOnlyDuplicatesAndEdges exercises duplicate-heavy data and

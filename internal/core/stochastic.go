@@ -206,8 +206,7 @@ func (p *PMDD1R) Query(a, b int64) Result {
 	if a >= b || n == 0 {
 		return res
 	}
-	loA, hiA, exactA := e.idx.PieceFor(a, n)
-	loB, hiB, exactB := e.idx.PieceFor(b, n)
+	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
 
 	if !exactA && !exactB && loA == loB && hiA == hiB {
 		// Both bounds in one piece.

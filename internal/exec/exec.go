@@ -13,10 +13,15 @@
 // (arXiv:1404.2034) show that exploiting exactly this is where the payoff
 // of parallel adaptive indexing comes from. The Executor therefore probes
 // each query with the index's non-mutating CanAnswerWithoutCracking: a
-// converged query is answered read-only under RWMutex.RLock, in parallel
+// converged query is answered read-only under a shared lock, in parallel
 // with other converged queries, while a reorganizing query takes the write
 // lock. On a converged workload throughput scales with GOMAXPROCS instead
 // of being serialized behind one mutex.
+//
+// The shared lock is striped per P (stripes.go): a converged read locks,
+// counts itself on and unlocks only its own P's stripe, so parallel reads
+// write no cache line another reader writes. A writer — a reorganizing
+// query, an update, Exclusive — locks every stripe in index order.
 //
 // Every query path takes a context.Context and honors cancellation at the
 // points where a long operation can be abandoned cheaply: before taking a
@@ -31,7 +36,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,7 +53,7 @@ type Index interface {
 }
 
 // prober is the optional fast-path surface: fused convergence probe plus
-// read-only answer, sharing one pair of cracker-index descents (see
+// read-only answer, sharing one cracker-index descent (see
 // core.Engine.CanAnswerWithoutCracking for the probe alone). core.Engine
 // implements it directly; updates.Index implements it with a
 // pending-update check layered on top.
@@ -85,12 +89,11 @@ type Range struct {
 // Executor makes an Index safe for concurrent use with adaptive read/write
 // locking. Results are returned as owned slices, safe to retain.
 type Executor struct {
-	mu    sync.RWMutex
+	mu    stripeLock
 	inner Index
 	p     prober   // nil: every query takes the write lock
 	ins   inserter // nil: updates unsupported
 
-	readQueries  atomic.Int64 // queries answered under the shared lock
 	writeQueries atomic.Int64 // queries answered under the exclusive lock
 }
 
@@ -99,6 +102,7 @@ type Executor struct {
 // core index — and degrades to exclusive locking otherwise (hybrids).
 func New(inner Index) *Executor {
 	x := &Executor{inner: inner}
+	x.mu.init()
 	if p, ok := inner.(prober); ok {
 		x.p = p
 	} else if acc, ok := inner.(engineAccessor); ok {
@@ -126,11 +130,13 @@ func (x *Executor) QueryCtx(ctx context.Context, a, b int64) ([]int64, error) {
 		return nil, err
 	}
 	if x.p != nil {
-		x.mu.RLock()
+		s := x.mu.rlock()
 		out, ok := x.p.TryAnswerReadOnly(a, b, nil)
-		x.mu.RUnlock()
 		if ok {
-			x.readQueries.Add(1)
+			s.reads.Add(1)
+		}
+		x.mu.runlock(s)
+		if ok {
 			return out, nil
 		}
 	}
@@ -156,11 +162,13 @@ func (x *Executor) QueryAppendCtx(ctx context.Context, a, b int64, dst []int64) 
 		return dst, err
 	}
 	if x.p != nil {
-		x.mu.RLock()
+		s := x.mu.rlock()
 		out, ok := x.p.TryAnswerReadOnly(a, b, dst)
-		x.mu.RUnlock()
 		if ok {
-			x.readQueries.Add(1)
+			s.reads.Add(1)
+		}
+		x.mu.runlock(s)
+		if ok {
 			return out, nil
 		}
 	}
@@ -187,11 +195,13 @@ func (x *Executor) QueryAggregateCtx(ctx context.Context, a, b int64) (count int
 		return 0, 0, err
 	}
 	if x.p != nil {
-		x.mu.RLock()
+		s := x.mu.rlock()
 		count, sum, ok := x.p.TryAnswerReadOnlyAggregate(a, b)
-		x.mu.RUnlock()
 		if ok {
-			x.readQueries.Add(1)
+			s.reads.Add(1)
+		}
+		x.mu.runlock(s)
+		if ok {
 			return count, sum, nil
 		}
 	}
@@ -237,7 +247,7 @@ func (x *Executor) QueryBatchCtx(ctx context.Context, ranges []Range) ([][]int64
 	pending := order[:0] // reuses order's backing array; reads stay ahead
 	if x.p != nil {
 		reads := int64(0)
-		x.mu.RLock()
+		s := x.mu.rlock()
 		for _, i := range order {
 			r := ranges[i]
 			if res, ok := x.p.TryAnswerReadOnly(r.Lo, r.Hi, nil); ok {
@@ -247,8 +257,8 @@ func (x *Executor) QueryBatchCtx(ctx context.Context, ranges []Range) ([][]int64
 				pending = append(pending, i)
 			}
 		}
-		x.mu.RUnlock()
-		x.readQueries.Add(reads)
+		s.reads.Add(reads)
+		x.mu.runlock(s)
 	} else {
 		pending = order
 	}
@@ -340,7 +350,7 @@ func (x *Executor) QueryBatchInto(ctx context.Context, ranges []Range, bb *Batch
 	pending := bb.order[:0] // reuses order's backing array; reads stay ahead
 	if x.p != nil {
 		reads := int64(0)
-		x.mu.RLock()
+		s := x.mu.rlock()
 		for _, i := range bb.order {
 			r := ranges[i]
 			start := len(bb.vals)
@@ -352,8 +362,8 @@ func (x *Executor) QueryBatchInto(ctx context.Context, ranges []Range, bb *Batch
 				pending = append(pending, i)
 			}
 		}
-		x.mu.RUnlock()
-		x.readQueries.Add(reads)
+		s.reads.Add(reads)
+		x.mu.runlock(s)
 	} else {
 		pending = bb.order
 	}
@@ -471,8 +481,8 @@ func (x *Executor) Pending() int {
 	if x.ins == nil {
 		return 0
 	}
-	x.mu.RLock()
-	defer x.mu.RUnlock()
+	s := x.mu.rlock()
+	defer x.mu.runlock(s)
 	if p, ok := x.inner.(interface{ Pending() int }); ok {
 		return p.Pending()
 	}
@@ -496,15 +506,15 @@ func (x *Executor) Name() string { return "exec(" + x.inner.Name() + ")" }
 // Stats reports the wrapped index's counters. Queries answered on the read
 // path never reach the wrapped index, so their count is added back in.
 func (x *Executor) Stats() core.Stats {
-	x.mu.RLock()
+	s := x.mu.rlock()
 	st := x.inner.Stats()
-	x.mu.RUnlock()
-	st.Queries += x.readQueries.Load()
+	x.mu.runlock(s)
+	st.Queries += x.mu.reads()
 	return st
 }
 
 // PathStats reports how many queries ran under the shared read lock versus
 // the exclusive write lock — the executor's adaptivity, observable.
 func (x *Executor) PathStats() (reads, writes int64) {
-	return x.readQueries.Load(), x.writeQueries.Load()
+	return x.mu.reads(), x.writeQueries.Load()
 }

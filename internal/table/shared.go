@@ -31,9 +31,11 @@ import (
 type Shared struct {
 	t       *Table
 	shards  int        // 0: one executor per column; k>0: k shards per column
-	mu      sync.Mutex // guards the execs map only (cheap, never held during a build)
 	buildMu sync.Mutex // serializes lazy index construction on the shared Table
-	execs   map[string]*colExec
+	// execs holds one slot per column, made at construction: the columns
+	// are fixed when the table opens, so the map is read-only afterwards
+	// and a query's slot lookup takes no lock.
+	execs map[string]*colExec
 
 	// Group commit: when enabled (before first use), every column backend
 	// gets its own write batcher, created with the backend.
@@ -73,7 +75,16 @@ type colExec struct {
 
 // NewShared wraps t for concurrent use, one executor per column.
 func NewShared(t *Table) *Shared {
-	return &Shared{t: t, execs: make(map[string]*colExec)}
+	return &Shared{t: t, execs: slots(t)}
+}
+
+// slots makes one empty backend slot per column of t.
+func slots(t *Table) map[string]*colExec {
+	execs := make(map[string]*colExec, len(t.names))
+	for _, name := range t.names {
+		execs[name] = &colExec{}
+	}
+	return execs
 }
 
 // NewSharded wraps t for concurrent use with k range-partitioned
@@ -89,7 +100,7 @@ func NewSharded(t *Table, k int) *Shared {
 	if rows := t.Rows(); k > rows && rows > 0 {
 		k = rows
 	}
-	return &Shared{t: t, shards: k, execs: make(map[string]*colExec)}
+	return &Shared{t: t, shards: k, execs: slots(t)}
 }
 
 // EnableGroupCommit turns on per-column write batching: every column
@@ -112,23 +123,15 @@ func (s *Shared) Columns() []string { return s.t.Columns() }
 func (s *Shared) Sharded() int { return s.shards }
 
 // backend returns (building lazily) the concurrent backend on column sel.
-// The map mutex is held only for the slot lookup; the build itself runs
-// under buildMu (the Table's lazy-build state is shared across columns),
-// so concurrent builds of different columns serialize with each other but
-// never stall queries on columns that already have backends.
+// The build runs under buildMu (the Table's lazy-build state is shared
+// across columns), so concurrent builds of different columns serialize
+// with each other but never stall queries on columns that already have
+// backends.
 func (s *Shared) backend(sel string) (*colBackend, error) {
-	// Reject unknown columns before touching the slot map: caller-supplied
-	// bad names must not grow the map without bound on a serving handle.
-	if _, ok := s.t.base[sel]; !ok {
+	ce, ok := s.execs[sel]
+	if !ok {
 		return nil, fmt.Errorf("table: %w %q", dberr.ErrUnknownColumn, sel)
 	}
-	s.mu.Lock()
-	ce := s.execs[sel]
-	if ce == nil {
-		ce = &colExec{}
-		s.execs[sel] = ce
-	}
-	s.mu.Unlock()
 	ce.once.Do(func() {
 		s.buildMu.Lock()
 		defer s.buildMu.Unlock()
@@ -269,8 +272,6 @@ func (s *Shared) Pending() int {
 
 // built returns the currently built column backends (order unspecified).
 func (s *Shared) built() []*colBackend {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]*colBackend, 0, len(s.execs))
 	for _, ce := range s.execs {
 		if cb := ce.v.Load(); cb != nil {
@@ -282,8 +283,6 @@ func (s *Shared) built() []*colBackend {
 
 // builtFor returns column name's backend if built, without building it.
 func (s *Shared) builtFor(name string) *colBackend {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if ce := s.execs[name]; ce != nil {
 		return ce.v.Load()
 	}

@@ -87,6 +87,9 @@ func TestSharedTableErrors(t *testing.T) {
 	if _, err := s.Query(context.Background(), "nope", 0, 10); !errors.Is(err, dberr.ErrUnknownColumn) {
 		t.Fatalf("unknown column error = %v", err)
 	}
+	if len(s.execs) != 1 {
+		t.Fatalf("unknown column grew the slot map to %d slots", len(s.execs))
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Query(ctx, "a", 0, 10); !errors.Is(err, context.Canceled) {

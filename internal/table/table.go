@@ -315,12 +315,10 @@ func (t *Table) SelectProject(sel, proj string, lo, hi int64) ([]int64, error) {
 	// Stochastic variants materialize end pieces without row ids; recover
 	// them by scanning the (now partially cracked) end pieces for
 	// qualifying values. The middle view still projects contiguously.
-	idx := si.e.CrackerIndex()
-	plo, _, _ := idx.PieceFor(lo, col.Len())
-	_, phi, _ := idx.PieceFor(hi, col.Len())
 	if hi <= lo {
 		return out, nil
 	}
+	plo, _, _, _, phi, _ := si.e.CrackerIndex().Bounds(lo, hi, col.Len())
 	for i := plo; i < phi; i++ {
 		if v := col.Values[i]; lo <= v && v < hi {
 			out = append(out, base[col.RowIDs[i]])

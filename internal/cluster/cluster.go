@@ -36,17 +36,21 @@
 //
 // Migrate moves [lo, hi) from the replica set owning it to a joining
 // node in four steps: capture the range from a live replica (GET
-// /v1/snapshot/range, pending updates ride along in the v3 stream),
+// /v1/snapshot/range, pending updates ride along in the stream),
 // restore it into the joiner (POST /v1/restore — the joiner starts
 // warm, with every crack the donor earned), swap the routing table
 // atomically, then shrink the donors (POST /v1/retain). Updates are
 // blocked for the whole window (updMu); queries keep flowing throughout
 // — the donors still hold the moving range until the swap, and clamping
 // hides whatever they hold after. Replica bootstrap (AddReplica) is the
-// same protocol minus the shrink: restore without retain.
+// same protocol minus the shrink: restore without retain. Migrate,
+// AddReplica, a re-seed and a drain all copy data through one routine,
+// transfer (capture → merge → restore), and publish their tables through
+// one more, install.
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -61,6 +65,7 @@ import (
 	"repro/internal/cluster/client"
 	"repro/internal/intervals"
 	"repro/internal/server"
+	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
 
@@ -1000,13 +1005,9 @@ func (c *Coordinator) Migrate(ctx context.Context, toURL string, lo, hi int64) (
 	c.updMu.Lock()
 	defer c.updMu.Unlock()
 
-	stream, err := src.SnapshotRange(ctx, lo, hi)
+	restored, err := c.transfer(ctx, joiner, []rangeCopy{{src: src, lo: lo, hi: hi}})
 	if err != nil {
-		return MigrateResponse{}, fmt.Errorf("cluster: capturing [%d, %d) from %s: %w", lo, hi, src.URL(), err)
-	}
-	restored, err := joiner.RestoreSnapshot(ctx, stream, lo, hi)
-	if err != nil {
-		return MigrateResponse{}, fmt.Errorf("cluster: restoring into %s: %w", toURL, err)
+		return MigrateResponse{}, fmt.Errorf("cluster: %w", err)
 	}
 
 	// Swap the routing table: the joiner takes [lo, hi) alone, the
@@ -1022,17 +1023,8 @@ func (c *Coordinator) Migrate(ctx context.Context, toURL string, lo, hi int64) (
 		next = append(next, route{lo: hi, hi: donor.hi, replicas: donor.replicas})
 	}
 	next = append(next, routes[di+1:]...)
-	joiner.rejoin()
-	if err := validateRoutes(next); err != nil {
+	if err := c.install(ctx, next, joiner); err != nil {
 		return MigrateResponse{}, err
-	}
-	c.routes.Store(&next)
-	joiner.healthy.Store(true)
-	// Refresh the joiner's cached readiness right away — its pre-restore
-	// payload says cold/unrouted, and /healthz should not wait a probe
-	// period to show the warm join.
-	if h, err := joiner.Health(ctx); err == nil {
-		joiner.last.Store(&h)
 	}
 
 	resp := MigrateResponse{
@@ -1067,6 +1059,98 @@ func firstServing(replicas []*node) *node {
 	for _, n := range replicas {
 		if n.live() && n.healthy.Load() {
 			return n
+		}
+	}
+	return nil
+}
+
+// rangeCopy is one value range to copy into a node, and the node to
+// capture it from.
+type rangeCopy struct {
+	src    *node
+	lo, hi int64
+}
+
+// transfer is the one routine that moves data between nodes — migrate,
+// replicate, re-seed and drain all call it. It captures every range from
+// its source (GET /v1/snapshot/range), merges several captures into one
+// manifest (POST /v1/restore replaces a node's whole state), passes a
+// single capture through unchanged, and restores the result into dst.
+// The caller holds updMu, so the captures are exactly the acked history.
+func (c *Coordinator) transfer(ctx context.Context, dst *node, copies []rangeCopy) (server.RestoreResponse, error) {
+	sort.Slice(copies, func(i, j int) bool { return copies[i].lo < copies[j].lo })
+	streams := make([][]byte, len(copies))
+	for i, rc := range copies {
+		var err error
+		if streams[i], err = rc.src.SnapshotRange(ctx, rc.lo, rc.hi); err != nil {
+			return server.RestoreResponse{}, fmt.Errorf("capturing [%d, %d) from %s: %w", rc.lo, rc.hi, rc.src.URL(), err)
+		}
+	}
+	stream := streams[0]
+	if len(copies) > 1 {
+		var err error
+		if stream, err = mergeStreams(copies, streams); err != nil {
+			return server.RestoreResponse{}, err
+		}
+	}
+	restored, err := dst.RestoreSnapshot(ctx, stream, copies[0].lo, copies[len(copies)-1].hi)
+	if err != nil {
+		return server.RestoreResponse{}, fmt.Errorf("restoring into %s: %w", dst.URL(), err)
+	}
+	return restored, nil
+}
+
+// mergeStreams re-tiles the captured streams of ascending, disjoint
+// ranges into one whole-domain manifest. The parts are widened to tile
+// the full domain — safe because each stream's values and cracks lie
+// strictly within its actual range, and disjoint sorted ranges nest in
+// the widened bounds; the restore request carries the actual range.
+func mergeStreams(copies []rangeCopy, streams [][]byte) ([]byte, error) {
+	var m snapshot.Manifest
+	for i, rc := range copies {
+		pm, err := snapshot.ReadManifest(bytes.NewReader(streams[i]))
+		if err != nil {
+			return nil, fmt.Errorf("decoding captured [%d, %d): %w", rc.lo, rc.hi, err)
+		}
+		st, err := pm.Merged()
+		if err != nil {
+			return nil, fmt.Errorf("merging captured [%d, %d): %w", rc.lo, rc.hi, err)
+		}
+		wlo, whi := minInt64, maxInt64
+		if i > 0 {
+			wlo = rc.lo
+		}
+		if i < len(copies)-1 {
+			whi = copies[i+1].lo
+		}
+		m.Parts = append(m.Parts, snapshot.ClampedPart(wlo, whi, st))
+	}
+	var buf bytes.Buffer
+	if err := snapshot.WriteManifest(&buf, m); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// install publishes a planned routing table in which the receivers just
+// got their data: it rejoins them, validates the plan, stores it, marks
+// them healthy and refreshes their cached readiness (the pre-restore
+// payload says cold, and /healthz should not wait a probe period to show
+// the warm join). Rejoining a live node changes nothing — only an out
+// node holds a journal or a resync mark — so a drain target keeps its
+// state.
+func (c *Coordinator) install(ctx context.Context, next []route, receivers ...*node) error {
+	for _, n := range receivers {
+		n.rejoin()
+	}
+	if err := validateRoutes(next); err != nil {
+		return err
+	}
+	c.routes.Store(&next)
+	for _, n := range receivers {
+		n.healthy.Store(true)
+		if h, err := n.Health(ctx); err == nil {
+			n.last.Store(&h)
 		}
 	}
 	return nil

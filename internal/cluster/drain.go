@@ -124,40 +124,29 @@ func (c *Coordinator) Drain(ctx context.Context, backendURL string) (DrainRespon
 
 	next, migrateIdx := dropFromRoutes(routes, d)
 	var moves []DrainMove
-	var target *node
+	var receivers []*node
 	if len(migrateIdx) > 0 {
-		if target = c.pickDrainTarget(next, d); target == nil {
+		target := c.pickDrainTarget(next, d)
+		if target == nil {
 			return DrainResponse{}, fmt.Errorf("cluster: drain: no surviving node can take %s's sole-copy ranges", backendURL)
 		}
-		// Capture the moving ranges from d, and the target's own ranges
-		// from the target — /v1/restore replaces its whole state, so
-		// everything it must serve afterwards goes into one merged
-		// manifest.
-		var parts []capturedPart
+		// Copy the moving ranges from d, and the target's own ranges from
+		// the target — /v1/restore replaces its whole state, so everything
+		// it must serve afterwards goes in one transfer.
+		var copies []rangeCopy
 		for _, i := range migrateIdx {
-			stream, err := d.SnapshotRange(ctx, routes[i].lo, routes[i].hi)
-			if err != nil {
-				return DrainResponse{}, fmt.Errorf("cluster: drain: capturing [%d, %d) from %s: %w", routes[i].lo, routes[i].hi, backendURL, err)
-			}
-			parts = append(parts, capturedPart{lo: routes[i].lo, hi: routes[i].hi, stream: stream})
+			copies = append(copies, rangeCopy{src: d, lo: routes[i].lo, hi: routes[i].hi})
 		}
 		for i := range next {
 			if next[i].has(target) {
-				stream, err := target.SnapshotRange(ctx, next[i].lo, next[i].hi)
-				if err != nil {
-					return DrainResponse{}, fmt.Errorf("cluster: drain: re-capturing [%d, %d) from target %s: %w", next[i].lo, next[i].hi, target.URL(), err)
-				}
-				parts = append(parts, capturedPart{lo: next[i].lo, hi: next[i].hi, stream: stream})
+				copies = append(copies, rangeCopy{src: target, lo: next[i].lo, hi: next[i].hi})
 			}
 		}
-		stream, lo, hi, err := mergeStreams(parts)
+		restored, err := c.transfer(ctx, target, copies)
 		if err != nil {
 			return DrainResponse{}, fmt.Errorf("cluster: drain: %w", err)
 		}
-		restored, err := target.RestoreSnapshot(ctx, stream, lo, hi)
-		if err != nil {
-			return DrainResponse{}, fmt.Errorf("cluster: drain: restoring into %s: %w", target.URL(), err)
-		}
+		receivers = []*node{target}
 		for _, i := range migrateIdx {
 			next[i].replicas = []*node{target}
 			moves = append(moves, DrainMove{
@@ -178,24 +167,17 @@ func (c *Coordinator) Drain(ctx context.Context, backendURL string) (DrainRespon
 			Lo: next[i].lo, Hi: next[i].hi, To: to.URL(), Mode: "handoff",
 		})
 	}
-	if err := validateRoutes(next); err != nil {
+	if err := c.install(ctx, next, receivers...); err != nil {
 		return DrainResponse{}, fmt.Errorf("cluster: drain would break routing: %w", err)
 	}
-	c.routes.Store(&next)
 	d.drained.Store(true)
 	d.jmu.Lock()
 	d.journal = nil
 	d.jmu.Unlock()
 	c.drains.Add(1)
 	// Best-effort bookkeeping: flip the node's own draining flag so its
-	// /healthz tells operators it is safe to stop, and refresh the
-	// target's readiness so the warm join shows immediately.
+	// /healthz tells operators it is safe to stop.
 	_, _ = d.Backend.Drain(ctx)
-	if target != nil {
-		if h, err := target.Health(ctx); err == nil {
-			target.last.Store(&h)
-		}
-	}
 	return DrainResponse{
 		Backend: backendURL, Moves: moves, ElapsedMS: time.Since(start).Milliseconds(),
 	}, nil

@@ -32,17 +32,14 @@ package cluster
 // reads, immediately.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/cluster/client"
-	"repro/internal/snapshot"
 )
 
 // journalOp is one acked update a replica provably missed.
@@ -211,58 +208,13 @@ func replayJournal(ctx context.Context, n *node, ops []journalOp) error {
 	return nil
 }
 
-// capturedPart is one range's snapshot stream, captured from a live
-// replica, awaiting merge into a whole-node restore.
-type capturedPart struct {
-	lo, hi int64
-	stream []byte
-}
-
-// mergeStreams re-tiles several captured range streams into one
-// whole-domain manifest (POST /v1/restore replaces a node's entire
-// state, so a multi-range node must be restored in one shot). The parts
-// are widened to tile the full domain — safe because each stream's
-// values and cracks lie strictly within its actual range, and disjoint
-// sorted ranges nest in the widened bounds. Returns the stream plus the
-// actual (unwidened) served range for the restore envelope.
-func mergeStreams(parts []capturedPart) ([]byte, int64, int64, error) {
-	if len(parts) == 0 {
-		return nil, 0, 0, errors.New("cluster: nothing to merge")
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].lo < parts[j].lo })
-	var m snapshot.Manifest
-	for i, p := range parts {
-		pm, err := snapshot.ReadManifest(bytes.NewReader(p.stream))
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("decoding captured [%d, %d): %w", p.lo, p.hi, err)
-		}
-		st, err := pm.Merged()
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("merging captured [%d, %d): %w", p.lo, p.hi, err)
-		}
-		wlo, whi := minInt64, maxInt64
-		if i > 0 {
-			wlo = p.lo
-		}
-		if i < len(parts)-1 {
-			whi = parts[i+1].lo
-		}
-		m.Parts = append(m.Parts, snapshot.ClampedPart(wlo, whi, st))
-	}
-	var buf bytes.Buffer
-	if err := snapshot.WriteManifest(&buf, m); err != nil {
-		return nil, 0, 0, err
-	}
-	return buf.Bytes(), parts[0].lo, parts[len(parts)-1].hi, nil
-}
-
-// reseed rebuilds an out replica from scratch: capture each range it
-// belongs to from a live, healthy peer, merge the streams, and restore
-// them as the node's whole state. Runs under updMu, so the peers'
-// snapshots are exactly the acked history.
+// reseed rebuilds an out replica from scratch: every range it belongs to
+// is copied from a live, healthy peer and restored as the node's whole
+// state. Runs under updMu, so the peers' snapshots are exactly the acked
+// history.
 func (c *Coordinator) reseed(ctx context.Context, n *node) error {
 	routes := *c.routes.Load()
-	var parts []capturedPart
+	var copies []rangeCopy
 	for i := range routes {
 		rt := &routes[i]
 		if !rt.has(n) {
@@ -278,23 +230,13 @@ func (c *Coordinator) reseed(ctx context.Context, n *node) error {
 		if peer == nil {
 			return fmt.Errorf("no live peer holds [%d, %d)", rt.lo, rt.hi)
 		}
-		stream, err := peer.SnapshotRange(ctx, rt.lo, rt.hi)
-		if err != nil {
-			return fmt.Errorf("capturing [%d, %d) from %s: %w", rt.lo, rt.hi, peer.URL(), err)
-		}
-		parts = append(parts, capturedPart{lo: rt.lo, hi: rt.hi, stream: stream})
+		copies = append(copies, rangeCopy{src: peer, lo: rt.lo, hi: rt.hi})
 	}
-	if len(parts) == 0 {
+	if len(copies) == 0 {
 		return nil // the node no longer belongs to any route; nothing to hold
 	}
-	stream, lo, hi, err := mergeStreams(parts)
-	if err != nil {
-		return err
-	}
-	if _, err := n.RestoreSnapshot(ctx, stream, lo, hi); err != nil {
-		return fmt.Errorf("restoring into %s: %w", n.URL(), err)
-	}
-	return nil
+	_, err := c.transfer(ctx, n, copies)
+	return err
 }
 
 // Recover synchronously catches up the out replica at backendURL —
@@ -375,25 +317,15 @@ func (c *Coordinator) AddReplica(ctx context.Context, toURL string, lo, hi int64
 	c.updMu.Lock()
 	defer c.updMu.Unlock()
 
-	stream, err := src.SnapshotRange(ctx, lo, hi)
+	restored, err := c.transfer(ctx, joiner, []rangeCopy{{src: src, lo: lo, hi: hi}})
 	if err != nil {
-		return ReplicateResponse{}, fmt.Errorf("cluster: capturing [%d, %d) from %s: %w", lo, hi, src.URL(), err)
-	}
-	restored, err := joiner.RestoreSnapshot(ctx, stream, lo, hi)
-	if err != nil {
-		return ReplicateResponse{}, fmt.Errorf("cluster: restoring into %s: %w", toURL, err)
+		return ReplicateResponse{}, fmt.Errorf("cluster: %w", err)
 	}
 
 	next := append([]route(nil), routes...)
 	next[ri].replicas = append(append([]*node(nil), routes[ri].replicas...), joiner)
-	joiner.rejoin()
-	if err := validateRoutes(next); err != nil {
+	if err := c.install(ctx, next, joiner); err != nil {
 		return ReplicateResponse{}, err
-	}
-	c.routes.Store(&next)
-	joiner.healthy.Store(true)
-	if h, err := joiner.Health(ctx); err == nil {
-		joiner.last.Store(&h)
 	}
 	c.replications.Add(1)
 	return ReplicateResponse{

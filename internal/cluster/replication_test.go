@@ -239,6 +239,124 @@ func TestReplicatedClusterSurvivesBackendKill(t *testing.T) {
 	verify("after recovery and sibling kill")
 }
 
+// TestRecoverReplaysOrReseeds pins which catch-up path a miss leads to.
+// A provable miss (an injected 503 on every insert) is journaled and
+// Recover replays it; an ambiguous one (an insert that never answers)
+// marks the replica for a full re-seed from its sibling. Either way the
+// recovered copy alone then serves every acked update.
+func TestRecoverReplaysOrReseeds(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		rule     faultproxy.Rule
+		reseeded bool
+	}{
+		{"replay", faultproxy.Rule{Mode: faultproxy.Flaky, Rate: 1}, false},
+		{"reseed", faultproxy.Rule{Mode: faultproxy.Blackhole}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// No health probes: the test, not the loop, decides when to
+			// recover.
+			coord, proxies := startReplicatedCluster(t, 1, 2, Config{
+				HealthInterval: time.Hour,
+				Client: client.Config{
+					Timeout: 300 * time.Millisecond, Retries: 1, Backoff: 5 * time.Millisecond,
+				},
+			})
+			h := coord.Handler()
+			faulty, sibling := proxies[0][1], proxies[0][0]
+			n := coord.findNode(faulty.URL())
+			faulty.Set("/v1/insert", tc.rule)
+
+			var wantCnt, wantSum int64
+			for i := int64(0); i < 5; i++ {
+				v := testRows + 100 + i
+				if code, body := postJSON(h, "POST", "/v1/insert", fmt.Sprintf(`{"values":[%d]}`, v)); code != http.StatusOK {
+					t.Fatalf("insert %d: status %d: %s", v, code, body)
+				}
+				wantCnt++
+				wantSum += v
+			}
+			if code, body := postJSON(h, "POST", "/v1/delete", fmt.Sprintf(`{"values":[%d]}`, testRows+102)); code != http.StatusOK {
+				t.Fatalf("delete: status %d: %s", code, body)
+			}
+			wantCnt--
+			wantSum -= testRows + 102
+
+			if !n.out.Load() || n.resync.Load() != tc.reseeded {
+				t.Fatalf("after the misses: out=%v resync=%v, want out and resync=%v", n.out.Load(), n.resync.Load(), tc.reseeded)
+			}
+			if !tc.reseeded && n.journalLen() != 6 {
+				t.Fatalf("journal holds %d ops, want all 6 missed", n.journalLen())
+			}
+			faulty.Set("/v1/insert", faultproxy.Rule{})
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := coord.Recover(ctx, faulty.URL()); err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			if n.out.Load() || n.journalLen() != 0 {
+				t.Fatalf("after recover: out=%v journal=%d", n.out.Load(), n.journalLen())
+			}
+			// Only a re-seed restores a snapshot into the node.
+			if restored := n.last.Load().Restored; restored != tc.reseeded {
+				t.Fatalf("recovered node restored=%v, want %v", restored, tc.reseeded)
+			}
+
+			sibling.Kill()
+			cnt, sum, err := aggQuery(h, testRows, maxInt64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cnt != wantCnt || sum != wantSum {
+				t.Fatalf("recovered copy reads (count %d, sum %d), acked (count %d, sum %d)", cnt, sum, wantCnt, wantSum)
+			}
+			queryRange(t, h, 0, testRows)
+		})
+	}
+}
+
+// TestAddReplicaWarm: POST /v1/replicate bootstraps an empty node as a
+// second copy of a whole route, warm, and that copy alone serves the
+// range once the original dies. Partial ranges and nodes already serving
+// a range are refused with 400.
+func TestAddReplicaWarm(t *testing.T) {
+	coord, nodes := startCluster(t, 2, Config{
+		Client: client.Config{Timeout: time.Second, Retries: 1, Backoff: 5 * time.Millisecond},
+	})
+	h := coord.Handler()
+	for i := 0; i < 40; i++ { // warm the top route
+		lo := 15_000 + int64(i)*300
+		queryRange(t, h, lo, lo+100)
+	}
+	joiner, err := StartLocalNode(LocalNodeConfig{Algorithm: "dd1r"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(joiner.Close)
+
+	var rep ReplicateResponse
+	body := fmt.Sprintf(`{"to":%q,"lo":15000,"hi":%d}`, joiner.URL, maxInt64)
+	if code := do(t, h, "POST", "/v1/replicate", body, &rep); code != http.StatusOK {
+		t.Fatalf("replicate status %d", code)
+	}
+	if rep.Rows != 15_000 || rep.Pieces <= 1 {
+		t.Fatalf("replica restored %d rows in %d pieces; want 15000 rows, warm", rep.Rows, rep.Pieces)
+	}
+
+	nodes[1].Close() // the original copy of the top route
+	queryRange(t, h, 15_000, testRows)
+	queryRange(t, h, 0, testRows)
+
+	for _, bad := range []string{
+		fmt.Sprintf(`{"to":%q,"lo":15000,"hi":20000}`, joiner.URL),          // not a whole route
+		fmt.Sprintf(`{"to":%q,"lo":15000,"hi":%d}`, nodes[0].URL, maxInt64), // already serves the bottom
+	} {
+		if code := do(t, h, "POST", "/v1/replicate", bad, nil); code != http.StatusBadRequest {
+			t.Fatalf("replicate %s: status %d, want 400", bad, code)
+		}
+	}
+}
+
 // TestDrainClusterEquivalence: draining nodes out from under a live
 // validated workload is invisible — zero failed requests, the drained
 // node ends with no routed ranges, and when the drain has to move data

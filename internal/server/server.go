@@ -880,11 +880,8 @@ func snapParts(snap crackdb.DBSnapshot) int {
 // along in the stream, so a migration never refuses because updates are
 // queued.
 func (s *Server) handleSnapshotRange(w http.ResponseWriter, r *http.Request) {
-	lo, err1 := strconv.ParseInt(r.URL.Query().Get("lo"), 10, 64)
-	hi, err2 := strconv.ParseInt(r.URL.Query().Get("hi"), 10, 64)
-	if err1 != nil || err2 != nil || lo >= hi {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			"need integer query params lo < hi")
+	lo, hi, ok := rangeParams(w, r)
+	if !ok {
 		return
 	}
 	release, ok := s.admit(r.Context())
@@ -893,24 +890,10 @@ func (s *Server) handleSnapshotRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	db := s.state().db
-	unlock := s.lockSerial()
-	snap, err := db.Snapshot()
-	unlock()
-	if err != nil {
-		writeMappedError(w, err)
+	part, ok := s.captureRange(w, lo, hi)
+	if !ok {
 		return
 	}
-	st, err := snap.Extract(lo, hi)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	// The part claims the whole domain even though it carries only
-	// [lo, hi): manifests must tile the domain, and the extracted state's
-	// cracks are strictly inside the range, so the widened part is valid.
-	// The true owned range travels in the restore request instead.
-	part := crackdb.DBSnapshot{Parts: []crackdb.SnapshotPart{{Lo: math.MinInt64, Hi: math.MaxInt64, State: st}}}
 	// Encode to memory first so a serialization failure can still return a
 	// clean error status instead of a torn stream.
 	var buf bytes.Buffer
@@ -922,6 +905,39 @@ func (s *Server) handleSnapshotRange(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes())
+}
+
+// rangeParams parses the ?lo=&hi= query params, writing a 400 and
+// reporting false unless both are integers with lo < hi.
+func rangeParams(w http.ResponseWriter, r *http.Request) (lo, hi int64, ok bool) {
+	lo, err1 := strconv.ParseInt(r.URL.Query().Get("lo"), 10, 64)
+	hi, err2 := strconv.ParseInt(r.URL.Query().Get("hi"), 10, 64)
+	if err1 != nil || err2 != nil || lo >= hi {
+		writeError(w, http.StatusBadRequest, "bad_request", "need integer query params lo < hi")
+		return 0, 0, false
+	}
+	return lo, hi, true
+}
+
+// captureRange captures the live state under the serial lock and returns
+// its [lo, hi) slice widened to one whole-domain part — valid, since the
+// slice's cracks lie strictly inside [lo, hi); the owned range travels
+// beside it. On failure it writes the error response and reports false.
+func (s *Server) captureRange(w http.ResponseWriter, lo, hi int64) (crackdb.DBSnapshot, bool) {
+	db := s.state().db
+	unlock := s.lockSerial()
+	snap, err := db.Snapshot()
+	unlock()
+	if err != nil {
+		writeMappedError(w, err)
+		return crackdb.DBSnapshot{}, false
+	}
+	st, err := snap.Extract(lo, hi)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return crackdb.DBSnapshot{}, false
+	}
+	return crackdb.DBSnapshot{Parts: []crackdb.SnapshotPart{{Lo: math.MinInt64, Hi: math.MaxInt64, State: st}}}, true
 }
 
 // RestoreResponse is the body of a successful POST /v1/restore or
@@ -948,6 +964,17 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 			"server started without a restore hook")
 		return
 	}
+	// Check the declared range before the stream is decoded and the DB
+	// rebuilt: a bad request must cost nothing.
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	q := r.URL.Query()
+	declared := q.Get("lo") != "" || q.Get("hi") != ""
+	if declared {
+		var ok bool
+		if lo, hi, ok = rangeParams(w, r); !ok {
+			return
+		}
+	}
 	release, ok := s.admit(r.Context())
 	if !ok {
 		s.rejectOverCapacity(w)
@@ -964,26 +991,15 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "empty snapshot manifest")
 		return
 	}
+	if !declared && !snap.IsTable() {
+		lo, hi = snap.Parts[0].Lo, snap.Parts[len(snap.Parts)-1].Hi
+	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	db, err := s.reopen(snap)
 	if err != nil {
 		writeMappedError(w, err)
 		return
-	}
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-	if !snap.IsTable() {
-		lo, hi = snap.Parts[0].Lo, snap.Parts[len(snap.Parts)-1].Hi
-	}
-	if q := r.URL.Query(); q.Get("lo") != "" || q.Get("hi") != "" {
-		qlo, err1 := strconv.ParseInt(q.Get("lo"), 10, 64)
-		qhi, err2 := strconv.ParseInt(q.Get("hi"), 10, 64)
-		if err1 != nil || err2 != nil || qlo >= qhi {
-			writeError(w, http.StatusBadRequest, "bad_request",
-				"lo/hi query params must be integers with lo < hi")
-			return
-		}
-		lo, hi = qlo, qhi
 	}
 	s.swapState(db, lo, hi)
 	writeJSON(w, http.StatusOK, RestoreResponse{
@@ -1026,22 +1042,10 @@ func (s *Server) handleRetain(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	cur := s.state()
-	unlock := s.lockSerial()
-	snap, err := cur.db.Snapshot()
-	unlock()
-	if err != nil {
-		writeMappedError(w, err)
+	part, ok := s.captureRange(w, req.Lo, req.Hi)
+	if !ok {
 		return
 	}
-	st, err := snap.Extract(req.Lo, req.Hi)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	// Same widening as the migration stream: the manifest tiles the
-	// domain, the request's [lo, hi) is what the node now owns.
-	part := crackdb.DBSnapshot{Parts: []crackdb.SnapshotPart{{Lo: math.MinInt64, Hi: math.MaxInt64, State: st}}}
 	db, err := s.reopen(part)
 	if err != nil {
 		writeMappedError(w, err)

@@ -72,6 +72,43 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 }
 
+// TestRestoreChecksRangeBeforeRebuilding: POST /v1/restore refuses a bad
+// ?lo=&hi= before it decodes the stream or rebuilds the DB, and a good
+// restore rebuilds exactly once.
+func TestRestoreChecksRangeBeforeRebuilding(t *testing.T) {
+	var reopens atomic.Int64
+	s := newTestServer(t, crackdb.Shared, Config{
+		Reopen: func(snap crackdb.DBSnapshot) (*crackdb.DB, error) {
+			reopens.Add(1)
+			return crackdb.OpenSnapshot(snap, crackdb.DD1R, crackdb.WithConcurrency(crackdb.Shared))
+		},
+	})
+	capture := get(t, s, "/v1/snapshot/range?lo=0&hi=5000")
+	if capture.Code != http.StatusOK {
+		t.Fatalf("capture status %d: %s", capture.Code, capture.Body)
+	}
+	stream := capture.Body.String()
+	for _, bad := range []string{"lo=5&hi=1", "lo=5", "lo=x&hi=9"} {
+		if rec := post(t, s, "/v1/restore?"+bad, stream); rec.Code != http.StatusBadRequest {
+			t.Fatalf("restore ?%s: status %d, want 400", bad, rec.Code)
+		}
+	}
+	if n := reopens.Load(); n != 0 {
+		t.Fatalf("bad-range restores rebuilt the DB %d times, want 0", n)
+	}
+	rec := post(t, s, "/v1/restore?lo=0&hi=5000", stream)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("restore status %d: %s", rec.Code, rec.Body)
+	}
+	var resp RestoreResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if n := reopens.Load(); n != 1 || resp.Rows != 5000 || resp.ShardLo != 0 || resp.ShardHi != 5000 {
+		t.Fatalf("good restore: %d rebuilds, response %+v; want 1 rebuild of 5000 rows owning [0, 5000)", n, resp)
+	}
+}
+
 func TestSnapshotUnconfigured(t *testing.T) {
 	s := newTestServer(t, crackdb.Shared, Config{})
 	rec := post(t, s, "/v1/snapshot", "")

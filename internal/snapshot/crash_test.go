@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -53,6 +52,8 @@ func (w *truncatingWriter) Write(p []byte) (int, error) {
 
 func (w *truncatingWriter) Close() error { return w.f.Close() }
 
+func (w *truncatingWriter) Sync() error { return w.f.Sync() }
+
 // TestAtomicSaveSurvivesMidWriteFailure injects a write failure partway
 // through the temp file: the save must error, the torn temp must not be
 // promoted, and the previous snapshot file must stay loadable.
@@ -65,7 +66,7 @@ func TestAtomicSaveSurvivesMidWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	createFile = func(p string) (io.WriteCloser, error) {
+	createFile = func(p string) (tempFile, error) {
 		f, err := os.Create(p)
 		if err != nil {
 			return nil, err
@@ -138,5 +139,50 @@ func TestCrashLeftoverTmpDoesNotShadow(t *testing.T) {
 	}
 	if !slices.Equal(m.Parts[0].State.Values, next.Parts[0].State.Values) {
 		t.Fatal("promoted snapshot content wrong")
+	}
+}
+
+// syncRecorder logs the save path's file operations in order.
+type syncRecorder struct {
+	*os.File
+	log *[]string
+}
+
+func (r syncRecorder) Sync() error {
+	*r.log = append(*r.log, "sync")
+	return r.File.Sync()
+}
+
+func (r syncRecorder) Close() error {
+	*r.log = append(*r.log, "close")
+	return r.File.Close()
+}
+
+// TestSaveSyncsBeforeRename: the temp file's data reaches the disk before
+// the rename publishes it, so a power loss after the rename cannot leave
+// an empty or torn file under the snapshot's name.
+func TestSaveSyncsBeforeRename(t *testing.T) {
+	restoreHooks(t)
+	var log []string
+	createFile = func(p string) (tempFile, error) {
+		f, err := os.Create(p)
+		if err != nil {
+			return nil, err
+		}
+		return syncRecorder{File: f, log: &log}, nil
+	}
+	renameFile = func(oldpath, newpath string) error {
+		log = append(log, "rename")
+		return os.Rename(oldpath, newpath)
+	}
+	path := filepath.Join(t.TempDir(), "db.crks")
+	if err := SaveManifestFile(path, shardedManifest(t, 1000, 2, false)); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(log, []string{"sync", "close", "rename"}) {
+		t.Fatalf("save ran %v, want sync, close, rename", log)
+	}
+	if got := loadRows(t, path); got != 1000 {
+		t.Fatalf("saved snapshot has %d rows, want 1000", got)
 	}
 }

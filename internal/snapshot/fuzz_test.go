@@ -12,9 +12,10 @@ import (
 // panic, never hang, never balloon memory (lengths are read in chunks),
 // and never yield state that silently re-encodes differently.
 func FuzzSnapshotDecode(f *testing.F) {
-	// Seed corpus from real saved snapshots: v1 single-state (with and
-	// without row ids) and v2 multi-part manifests, plus truncated and
-	// version-bumped variants and plain garbage.
+	// Seed corpus from real saved snapshots: single-part (with and without
+	// row ids) and multi-part single-column manifests and table manifests,
+	// then the legacy v1–v3 goldens, each plus truncated and
+	// version-bumped variants, and plain garbage.
 	encode := func(m Manifest) []byte {
 		var buf bytes.Buffer
 		if err := WriteManifest(&buf, m); err != nil {
@@ -22,14 +23,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	v1 := encode(shardedManifest(f, 300, 1, false))
-	v1r := encode(shardedManifest(f, 300, 1, true))
-	v2 := encode(shardedManifest(f, 500, 3, false))
-	v2r := encode(shardedManifest(f, 500, 4, true))
-	// v4 table manifests: single-part and sharded per-column part lists.
-	v4 := encode(tableManifest(f, 300, 1))
-	v4s := encode(tableManifest(f, 500, 3))
-	for _, seed := range [][]byte{v1, v1r, v2, v2r, v4, v4s} {
+	single := encode(shardedManifest(f, 300, 1, false))
+	singleR := encode(shardedManifest(f, 300, 1, true))
+	parts := encode(shardedManifest(f, 500, 3, false))
+	partsR := encode(shardedManifest(f, 500, 4, true))
+	// Table manifests: single-part and sharded per-column part lists.
+	table := encode(tableManifest(f, 300, 1))
+	tableS := encode(tableManifest(f, 500, 3))
+	addVariants := func(seed []byte) {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])
 		f.Add(seed[:9])
@@ -37,9 +38,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 		bumped[7]++
 		f.Add(bumped)
 	}
+	for _, seed := range [][]byte{single, singleR, parts, partsR, table, tableS} {
+		addVariants(seed)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("CRKS"))
 	f.Add([]byte("not a snapshot at all, just text"))
+	for _, g := range goldens {
+		addVariants(readGolden(f, g.file))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadManifest(bytes.NewReader(data))

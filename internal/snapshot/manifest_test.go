@@ -98,25 +98,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSinglePartManifestWritesV1(t *testing.T) {
-	m := shardedManifest(t, 2000, 1, false)
-	var buf bytes.Buffer
-	if err := WriteManifest(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	if got := [8]byte(buf.Bytes()[:8]); got != magicV1 {
-		t.Fatalf("single-part manifest wrote magic %x, want v1", got)
-	}
-	// ...and the v1 single-state reader loads it directly.
-	st, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Values) != 2000 {
-		t.Fatalf("v1 reload has %d values", len(st.Values))
-	}
-}
-
 func TestMergedTurnsBoundsIntoCracks(t *testing.T) {
 	const n = 6000
 	m := shardedManifest(t, n, 4, false)

@@ -10,7 +10,7 @@ import (
 )
 
 // pendingManifest builds a two-part manifest whose states carry pending
-// update queues, for the v3 stream tests.
+// update queues, for the pending-queue stream tests.
 func pendingManifest(t *testing.T) Manifest {
 	t.Helper()
 	lowState := crackedState(t, 2000, false)
@@ -58,30 +58,6 @@ func TestManifestPendingRoundTrip(t *testing.T) {
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("round-tripped manifest invalid: %v", err)
-	}
-}
-
-func TestV1WriteRefusesPending(t *testing.T) {
-	st := core.SnapshotState{Values: []int64{1, 2}, PendingInserts: []int64{1}}
-	if err := Write(&bytes.Buffer{}, st); err == nil {
-		t.Fatal("v1 Write accepted pending updates")
-	}
-}
-
-func TestPendingFreeManifestStaysPreV3(t *testing.T) {
-	// Without pending queues the stream must keep its old magic so
-	// pre-upgrade readers still load it.
-	m := pendingManifest(t)
-	for i := range m.Parts {
-		m.Parts[i].State.PendingInserts = nil
-		m.Parts[i].State.PendingDeletes = nil
-	}
-	var buf bytes.Buffer
-	if err := WriteManifest(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	if b := buf.Bytes(); b[7] != 2 {
-		t.Fatalf("pending-free multi-part manifest wrote version %d, want 2", b[7])
 	}
 }
 

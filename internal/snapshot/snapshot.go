@@ -7,25 +7,23 @@
 // resume with all adaptation intact, and is the building block for the
 // paper's §6 "disk-based processing" direction.
 //
-// Three wire versions share the "CRKS" magic:
+// One wire format is written, v4 (the "CRKS" magic, version 4): a column
+// count followed by one (name, part list) pair per column, names in
+// strictly ascending order. A part list is a part count followed by one
+// record per part in ascending value order: its bounds (lo, hi), its
+// engine state (column length, row-id flag, values, optional row ids,
+// crack count, (key, pos) pairs) and its two sorted pending-update
+// queues. A table manifest names every column; a single-column manifest
+// is written as exactly one column with an empty name. Cracking is per
+// attribute, so a table snapshot is a set of named single-column
+// snapshots.
 //
-//   - v1 holds one engine state: magic/version, column length, row-id
-//     flag, values, optional row ids, crack count, (key, pos) pairs.
-//   - v2 is the multi-part manifest behind sharded databases: a part
-//     count followed by one (lo, hi, engine state) triple per shard, in
-//     ascending value order. A single-part manifest spanning the whole
-//     domain is byte-equivalent in content to v1 and is written as v1,
-//     so unsharded snapshots stay loadable by the v1 API.
-//   - v3 is v2 plus the pending-update queues: each part's engine state
-//     is followed by its sorted pending-insert and pending-delete value
-//     lists, so a capture taken while updates are queued loses nothing.
-//     Manifests without pending updates are still written as v1/v2, so
-//     the new version only appears when it is needed.
-//   - v4 is the table manifest behind multi-column databases: a column
-//     count followed by one (name, part list) pair per column, names in
-//     strictly ascending order, each part in the v3 shape (bounds,
-//     engine state, pending queues). Cracking is per attribute, so a
-//     table snapshot is a set of named single-column snapshots.
+// Versions 1–3 are read, never written, through the same part reader:
+//
+//   - v1 is one whole-domain part: an engine state with no bounds and no
+//     pending queues.
+//   - v2 is one part list whose records carry no pending queues.
+//   - v3 is one part list of full v4 records.
 //
 // Everything is little-endian and a CRC32 trailer guards against torn
 // writes. Decoding failures wrap dberr.ErrSnapshotCorrupt (sentinel,
@@ -38,11 +36,13 @@ package snapshot
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"repro/internal/core"
@@ -61,7 +61,7 @@ var (
 var ErrCorrupt = dberr.ErrSnapshotCorrupt
 
 // Limits on counts read from the wire before allocating. Reads are
-// chunked (see readInt64s), so a corrupt length costs bounded memory
+// chunked (see readSlice), so a corrupt length costs bounded memory
 // before the truncation or checksum error surfaces, but the hard caps
 // keep even a maliciously long stream from ballooning.
 const (
@@ -78,20 +78,34 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("snapshot: %s: %w", fmt.Sprintf(format, args...), ErrCorrupt)
 }
 
-// Write serializes one engine state st to w in the v1 format. v1 cannot
-// carry pending-update queues; states holding them must go through
-// WriteManifest (which picks v3), so Write refuses rather than drop them.
-func Write(w io.Writer, st core.SnapshotState) error {
-	if st.Pending() > 0 {
-		return fmt.Errorf("snapshot: v1 cannot carry %d pending updates; write a manifest instead", st.Pending())
+// WriteManifest serializes m to w in the v4 format. A single-column
+// manifest becomes one unnamed column; a table manifest keeps its names.
+// An empty manifest (no parts, no columns) is refused: no reader accepts
+// one.
+func WriteManifest(w io.Writer, m Manifest) error {
+	cols := m.Columns
+	if !m.IsTable() {
+		if len(m.Parts) == 0 {
+			return errors.New("snapshot: refusing to write an empty manifest")
+		}
+		cols = []TableColumn{{Parts: m.Parts}}
+	}
+	for _, c := range cols {
+		if m.IsTable() && c.Name == "" || len(c.Name) > maxNameLen {
+			return fmt.Errorf("snapshot: column name %q out of range (1..%d bytes)", c.Name, maxNameLen)
+		}
 	}
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	if _, err := bw.Write(magicV1[:]); err != nil {
-		return err
-	}
-	if err := writeState(bw, st); err != nil {
-		return err
+	// bufio keeps the first write error and refuses every later write, so
+	// one check at Flush covers the whole body.
+	put := func(v any) { _ = binary.Write(bw, binary.LittleEndian, v) }
+	put(magicV4)
+	put(uint64(len(cols)))
+	for _, c := range cols {
+		put(uint64(len(c.Name)))
+		put([]byte(c.Name))
+		writeParts(put, c.Parts)
 	}
 	// Flush the buffered body through the CRC before emitting the trailer
 	// directly to w (the trailer itself is not part of the checksum).
@@ -101,154 +115,46 @@ func Write(w io.Writer, st core.SnapshotState) error {
 	return binary.Write(w, binary.LittleEndian, crc.Sum32())
 }
 
-// WriteManifest serializes a multi-part manifest to w. Single-part
-// manifests spanning the whole value domain are written in the v1 format
-// (content-equivalent), so unsharded snapshots remain loadable by v1
-// readers; multi-part manifests use v2; manifests carrying pending-update
-// queues on any part use v3 (the only version with room for them); table
-// manifests always use v4 (the only version with named columns).
-func WriteManifest(w io.Writer, m Manifest) error {
-	if m.IsTable() {
-		return writeTableManifest(w, m)
-	}
-	v3 := m.Pending() > 0
-	if !v3 && len(m.Parts) == 1 && m.Parts[0].Lo == math.MinInt64 && m.Parts[0].Hi == math.MaxInt64 {
-		return Write(w, m.Parts[0].State)
-	}
-	magic := magicV2
-	if v3 {
-		magic = magicV3
-	}
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(m.Parts))); err != nil {
-		return err
-	}
-	for _, p := range m.Parts {
-		if err := binary.Write(bw, binary.LittleEndian, p.Lo); err != nil {
-			return err
+// writeParts emits one part list: the count, then per part its bounds,
+// engine state and pending queues.
+func writeParts(put func(any), parts []Part) {
+	put(uint64(len(parts)))
+	for _, p := range parts {
+		st := p.State
+		put(p.Lo)
+		put(p.Hi)
+		put(uint64(len(st.Values)))
+		put(st.RowIDs != nil)
+		put(st.Values)
+		if st.RowIDs != nil {
+			put(st.RowIDs)
 		}
-		if err := binary.Write(bw, binary.LittleEndian, p.Hi); err != nil {
-			return err
+		put(uint64(len(st.Cracks)))
+		for _, c := range st.Cracks {
+			put(c.Key)
+			put(uint64(c.Pos))
 		}
-		if err := writeState(bw, p.State); err != nil {
-			return err
-		}
-		if v3 {
-			if err := writePending(bw, p.State); err != nil {
-				return err
-			}
+		for _, q := range [][]int64{st.PendingInserts, st.PendingDeletes} {
+			put(uint64(len(q)))
+			put(q)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, crc.Sum32())
 }
 
-// writeTableManifest serializes a table manifest in the v4 format:
-// column count, then per column a length-prefixed name and a v3-shaped
-// part list (every part carries its pending queues — v4 always has room
-// for them, so no version split exists within table snapshots).
-func writeTableManifest(w io.Writer, m Manifest) error {
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	if _, err := bw.Write(magicV4[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(m.Columns))); err != nil {
-		return err
-	}
-	for _, c := range m.Columns {
-		if len(c.Name) == 0 || len(c.Name) > maxNameLen {
-			return fmt.Errorf("snapshot: column name %q out of range (1..%d bytes)", c.Name, maxNameLen)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint64(len(c.Name))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(c.Name); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint64(len(c.Parts))); err != nil {
-			return err
-		}
-		for _, p := range c.Parts {
-			if err := binary.Write(bw, binary.LittleEndian, p.Lo); err != nil {
-				return err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, p.Hi); err != nil {
-				return err
-			}
-			if err := writeState(bw, p.State); err != nil {
-				return err
-			}
-			if err := writePending(bw, p.State); err != nil {
-				return err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, crc.Sum32())
+// partFormat is the subset of the v4 part record a wire version carries.
+type partFormat struct {
+	// list: a part count precedes the parts and each part starts with its
+	// bounds (v2+). Without it the stream holds one whole-domain part.
+	list bool
+	// pending: each engine state is followed by its pending queues (v3+).
+	pending bool
 }
 
-// writePending emits one part's pending-update queues (v3 only): two
-// length-prefixed sorted value lists.
-func writePending(bw *bufio.Writer, st core.SnapshotState) error {
-	for _, q := range [][]int64{st.PendingInserts, st.PendingDeletes} {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(len(q))); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, q); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeState emits one engine state body (no magic, no checksum).
-func writeState(bw *bufio.Writer, st core.SnapshotState) error {
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(st.Values))); err != nil {
-		return err
-	}
-	hasRowIDs := uint8(0)
-	if st.RowIDs != nil {
-		hasRowIDs = 1
-	}
-	if err := binary.Write(bw, binary.LittleEndian, hasRowIDs); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, st.Values); err != nil {
-		return err
-	}
-	if hasRowIDs == 1 {
-		if err := binary.Write(bw, binary.LittleEndian, st.RowIDs); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(st.Cracks))); err != nil {
-		return err
-	}
-	for _, c := range st.Cracks {
-		if err := binary.Write(bw, binary.LittleEndian, c.Key); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint64(c.Pos)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadManifest deserializes a snapshot of either wire version from r,
-// verifying structure and checksum; a v1 stream yields one part spanning
-// the whole value domain. Decoding failures wrap ErrCorrupt. The result
-// carries no semantic guarantees until Manifest.Validate (run by the
-// restore paths) accepts it.
+// ReadManifest deserializes a snapshot of any wire version from r,
+// verifying structure and checksum. A v1 stream, and a v4 stream whose
+// only column is unnamed, yield a single-column manifest. Decoding
+// failures wrap ErrCorrupt. The result carries no semantic guarantees
+// until Manifest.Validate (run by the restore paths) accepts it.
 //
 // The body is read with exact-size reads through a TeeReader feeding the
 // CRC — deliberately unbuffered, so no lookahead can pull trailer bytes
@@ -262,106 +168,24 @@ func ReadManifest(r io.Reader) (Manifest, error) {
 		return Manifest{}, corruptf("reading magic: %v", err)
 	}
 	var man Manifest
+	var err error
 	switch m {
 	case magicV1:
-		st, err := readState(tr)
-		if err != nil {
-			return Manifest{}, err
-		}
-		// Single clamps domain-edge cracks (keys MinInt64/MaxInt64), which
-		// legitimate v1 snapshots may carry from unbounded predicates.
-		man = Single(st)
-	case magicV2, magicV3:
-		v3 := m == magicV3
-		var parts uint64
-		if err := binary.Read(tr, binary.LittleEndian, &parts); err != nil {
-			return Manifest{}, corruptf("reading part count: %v", err)
-		}
-		if parts == 0 || parts > maxParts {
-			return Manifest{}, corruptf("claims %d parts", parts)
-		}
-		man.Parts = make([]Part, 0, min(parts, readChunk))
-		for i := uint64(0); i < parts; i++ {
-			var lo, hi int64
-			if err := binary.Read(tr, binary.LittleEndian, &lo); err != nil {
-				return Manifest{}, corruptf("part %d: reading bounds: %v", i, err)
-			}
-			if err := binary.Read(tr, binary.LittleEndian, &hi); err != nil {
-				return Manifest{}, corruptf("part %d: reading bounds: %v", i, err)
-			}
-			st, err := readState(tr)
-			if err != nil {
-				return Manifest{}, fmt.Errorf("part %d: %w", i, err)
-			}
-			if v3 {
-				if st.PendingInserts, err = readPendingQueue(tr); err != nil {
-					return Manifest{}, fmt.Errorf("part %d: %w", i, err)
-				}
-				if st.PendingDeletes, err = readPendingQueue(tr); err != nil {
-					return Manifest{}, fmt.Errorf("part %d: %w", i, err)
-				}
-			}
-			// Clamp like the v1 path: our own writers never emit cracks
-			// outside a part's range, but decoding normalizes foreign
-			// streams the same way so encode/decode stays idempotent.
-			man.Parts = append(man.Parts, ClampedPart(lo, hi, st))
-		}
+		man.Parts, err = readParts(tr, partFormat{})
+	case magicV2:
+		man.Parts, err = readParts(tr, partFormat{list: true})
+	case magicV3:
+		man.Parts, err = readParts(tr, partFormat{list: true, pending: true})
 	case magicV4:
-		var cols uint64
-		if err := binary.Read(tr, binary.LittleEndian, &cols); err != nil {
-			return Manifest{}, corruptf("reading column count: %v", err)
-		}
-		if cols == 0 || cols > maxParts {
-			return Manifest{}, corruptf("claims %d columns", cols)
-		}
-		man.Columns = make([]TableColumn, 0, min(cols, readChunk))
-		for ci := uint64(0); ci < cols; ci++ {
-			var nameLen uint64
-			if err := binary.Read(tr, binary.LittleEndian, &nameLen); err != nil {
-				return Manifest{}, corruptf("column %d: reading name length: %v", ci, err)
-			}
-			if nameLen == 0 || nameLen > maxNameLen {
-				return Manifest{}, corruptf("column %d: name length %d out of range", ci, nameLen)
-			}
-			name := make([]byte, nameLen)
-			if _, err := io.ReadFull(tr, name); err != nil {
-				return Manifest{}, corruptf("column %d: reading name: %v", ci, err)
-			}
-			var parts uint64
-			if err := binary.Read(tr, binary.LittleEndian, &parts); err != nil {
-				return Manifest{}, corruptf("column %q: reading part count: %v", name, err)
-			}
-			if parts == 0 || parts > maxParts {
-				return Manifest{}, corruptf("column %q claims %d parts", name, parts)
-			}
-			col := TableColumn{Name: string(name), Parts: make([]Part, 0, min(parts, readChunk))}
-			for i := uint64(0); i < parts; i++ {
-				var lo, hi int64
-				if err := binary.Read(tr, binary.LittleEndian, &lo); err != nil {
-					return Manifest{}, corruptf("column %q part %d: reading bounds: %v", name, i, err)
-				}
-				if err := binary.Read(tr, binary.LittleEndian, &hi); err != nil {
-					return Manifest{}, corruptf("column %q part %d: reading bounds: %v", name, i, err)
-				}
-				st, err := readState(tr)
-				if err != nil {
-					return Manifest{}, fmt.Errorf("column %q part %d: %w", name, i, err)
-				}
-				if st.PendingInserts, err = readPendingQueue(tr); err != nil {
-					return Manifest{}, fmt.Errorf("column %q part %d: %w", name, i, err)
-				}
-				if st.PendingDeletes, err = readPendingQueue(tr); err != nil {
-					return Manifest{}, fmt.Errorf("column %q part %d: %w", name, i, err)
-				}
-				col.Parts = append(col.Parts, ClampedPart(lo, hi, st))
-			}
-			man.Columns = append(man.Columns, col)
-		}
+		man, err = readColumns(tr)
 	default:
 		if m[0] == 'C' && m[1] == 'R' && m[2] == 'K' && m[3] == 'S' {
 			return Manifest{}, corruptf("unsupported CRKS version %d", binary.BigEndian.Uint32(m[4:]))
 		}
 		return Manifest{}, corruptf("not a CRKS snapshot (magic %x)", m)
+	}
+	if err != nil {
+		return Manifest{}, err
 	}
 	want := crc.Sum32()
 	var got uint32
@@ -374,16 +198,77 @@ func ReadManifest(r io.Reader) (Manifest, error) {
 	return man, nil
 }
 
-// Read deserializes a snapshot from r into a single engine state,
-// verifying structure and checksum. A v2 multi-part stream is merged into
-// one contiguous state (shard boundaries become cracks); decoding
-// failures wrap ErrCorrupt.
-func Read(r io.Reader) (core.SnapshotState, error) {
-	man, err := ReadManifest(r)
-	if err != nil {
-		return core.SnapshotState{}, err
+// readColumns reads a v4 body: the column count, then per column a
+// length-prefixed name and a part list. A lone unnamed column is a
+// single-column manifest; an empty name anywhere else is corruption.
+func readColumns(tr io.Reader) (Manifest, error) {
+	var cols uint64
+	if err := binary.Read(tr, binary.LittleEndian, &cols); err != nil {
+		return Manifest{}, corruptf("reading column count: %v", err)
 	}
-	return man.Merged()
+	if cols == 0 || cols > maxParts {
+		return Manifest{}, corruptf("claims %d columns", cols)
+	}
+	var man Manifest
+	for ci := uint64(0); ci < cols; ci++ {
+		var nameLen uint64
+		if err := binary.Read(tr, binary.LittleEndian, &nameLen); err != nil {
+			return Manifest{}, corruptf("column %d: reading name length: %v", ci, err)
+		}
+		if nameLen > maxNameLen || nameLen == 0 && cols > 1 {
+			return Manifest{}, corruptf("column %d: name length %d out of range", ci, nameLen)
+		}
+		name := make([]byte, nameLen)
+		if _, err := io.ReadFull(tr, name); err != nil {
+			return Manifest{}, corruptf("column %d: reading name: %v", ci, err)
+		}
+		parts, err := readParts(tr, partFormat{list: true, pending: true})
+		if err != nil {
+			return Manifest{}, fmt.Errorf("column %q: %w", name, err)
+		}
+		if nameLen == 0 {
+			return Manifest{Parts: parts}, nil
+		}
+		man.Columns = append(man.Columns, TableColumn{Name: string(name), Parts: parts})
+	}
+	return man, nil
+}
+
+// readParts reads one part list in format f. Every part is clamped like
+// Single clamps: our own writers never emit cracks outside a part's
+// range, but legitimate v1 streams carry domain-edge cracks from
+// unbounded predicates, and normalizing every version alike keeps
+// encode/decode idempotent.
+func readParts(tr io.Reader, f partFormat) ([]Part, error) {
+	n := uint64(1)
+	if f.list {
+		if err := binary.Read(tr, binary.LittleEndian, &n); err != nil {
+			return nil, corruptf("reading part count: %v", err)
+		}
+		if n == 0 || n > maxParts {
+			return nil, corruptf("claims %d parts", n)
+		}
+	}
+	parts := make([]Part, 0, n)
+	for i := uint64(0); i < n; i++ {
+		bounds := [2]int64{math.MinInt64, math.MaxInt64}
+		if f.list {
+			if err := binary.Read(tr, binary.LittleEndian, &bounds); err != nil {
+				return nil, corruptf("part %d: reading bounds: %v", i, err)
+			}
+		}
+		st, err := readState(tr)
+		if err == nil && f.pending {
+			if st.PendingInserts, err = readPendingQueue(tr); err == nil {
+				st.PendingDeletes, err = readPendingQueue(tr)
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("part %d: %w", i, err)
+		}
+		parts = append(parts, ClampedPart(bounds[0], bounds[1], st))
+	}
+	return parts, nil
 }
 
 // readState reads one engine state body (no magic, no checksum).
@@ -441,9 +326,9 @@ func readState(tr io.Reader) (core.SnapshotState, error) {
 	return st, nil
 }
 
-// readPendingQueue reads one length-prefixed pending-update value list
-// (v3 parts), rejecting unsorted queues — concatenating per-part queues
-// on restore relies on each being sorted.
+// readPendingQueue reads one length-prefixed pending-update value list,
+// rejecting unsorted queues — concatenating per-part queues on restore
+// relies on each being sorted.
 func readPendingQueue(tr io.Reader) ([]int64, error) {
 	var n uint64
 	if err := binary.Read(tr, binary.LittleEndian, &n); err != nil {
@@ -483,36 +368,39 @@ func readSlice[T int64 | uint32](r io.Reader, n uint64) ([]T, error) {
 	return out, nil
 }
 
+// tempFile is what a save writes its body through (*os.File in
+// production).
+type tempFile interface {
+	io.WriteCloser
+	Sync() error
+}
+
 // Hooks for the crash-safety tests: they inject failures between the
 // temp-file write and the rename, and mid-write truncation, to prove the
 // previous snapshot file survives every failure mode. Production code
 // never touches them.
 var (
-	createFile = func(path string) (io.WriteCloser, error) { return os.Create(path) }
+	createFile = func(path string) (tempFile, error) { return os.Create(path) }
 	renameFile = os.Rename
 )
 
-// SaveFile writes a single-state snapshot to path atomically (temp file +
-// rename), in the v1 format.
-func SaveFile(path string, st core.SnapshotState) error {
-	return saveAtomic(path, func(w io.Writer) error { return Write(w, st) })
-}
-
-// SaveManifestFile writes a manifest to path atomically (temp file +
-// rename). A crash at any point leaves either the previous file or the
-// new one, never a torn mix: the body goes to path.tmp first and the
-// rename is the only step that touches path.
+// SaveManifestFile writes a manifest to path atomically and durably. A
+// crash or power loss at any point leaves either the previous file or
+// the new one, never a torn mix: the body goes to path.tmp first and is
+// synced to disk before the rename, the only step that touches path,
+// and the directory is synced after it so the rename itself persists.
 func SaveManifestFile(path string, m Manifest) error {
-	return saveAtomic(path, func(w io.Writer) error { return WriteManifest(w, m) })
-}
-
-func saveAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := createFile(tmp)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := WriteManifest(f, m); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -525,18 +413,12 @@ func saveAtomic(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
-}
-
-// LoadFile reads a snapshot from path as one engine state (a multi-part
-// file is merged; see Read).
-func LoadFile(path string) (core.SnapshotState, error) {
-	f, err := os.Open(path)
+	dir, err := os.Open(filepath.Dir(path))
 	if err != nil {
-		return core.SnapshotState{}, err
+		return err
 	}
-	defer f.Close()
-	return Read(f)
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // LoadManifestFile reads a snapshot manifest from path.

@@ -22,17 +22,28 @@ func crackedState(t *testing.T, n int, rowIDs bool) core.SnapshotState {
 	return ix.Engine().Snapshot()
 }
 
+// roundTrip encodes m and decodes it back.
+func roundTrip(t *testing.T, m Manifest) Manifest {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteManifest(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadManifest(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, rowIDs := range []bool{false, true} {
 		st := crackedState(t, 5000, rowIDs)
-		var buf bytes.Buffer
-		if err := Write(&buf, st); err != nil {
-			t.Fatal(err)
+		m := roundTrip(t, Single(st))
+		if m.IsTable() || len(m.Parts) != 1 {
+			t.Fatalf("single state decoded as table=%v with %d parts", m.IsTable(), len(m.Parts))
 		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := m.Parts[0].State
 		if len(got.Values) != len(st.Values) || len(got.Cracks) != len(st.Cracks) {
 			t.Fatalf("round trip sizes: %d/%d values, %d/%d cracks",
 				len(got.Values), len(st.Values), len(got.Cracks), len(st.Cracks))
@@ -111,9 +122,8 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 }
 
 func TestReadRejectsCorruptStream(t *testing.T) {
-	st := crackedState(t, 500, true)
 	var buf bytes.Buffer
-	if err := Write(&buf, st); err != nil {
+	if err := WriteManifest(&buf, Single(crackedState(t, 500, true))); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -121,20 +131,20 @@ func TestReadRejectsCorruptStream(t *testing.T) {
 	// Flip a byte in the middle: checksum must catch it.
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)/2] ^= 0xff
-	if _, err := Read(bytes.NewReader(flipped)); err == nil {
+	if _, err := ReadManifest(bytes.NewReader(flipped)); err == nil {
 		t.Fatal("bit flip not detected")
 	}
 
 	// Truncate: must error, not hang or panic.
 	for _, cut := range []int{1, 8, 9, len(raw) / 2, len(raw) - 1} {
-		if _, err := Read(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := ReadManifest(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 
 	// Wrong magic.
 	garbage := append([]byte("NOTASNAP"), raw[8:]...)
-	if _, err := Read(bytes.NewReader(garbage)); err == nil {
+	if _, err := ReadManifest(bytes.NewReader(garbage)); err == nil {
 		t.Fatal("wrong magic accepted")
 	}
 }
@@ -143,30 +153,27 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := crackedState(t, 2000, true)
 	path := filepath.Join(dir, "index.crks")
-	if err := SaveFile(path, st); err != nil {
+	if err := SaveManifestFile(path, Single(st)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := LoadManifestFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Values) != 2000 || len(got.Cracks) != len(st.Cracks) {
+	if got.Rows() != 2000 || len(got.Parts[0].State.Cracks) != len(st.Cracks) {
 		t.Fatal("file round trip lost data")
 	}
-	if _, err := LoadFile(filepath.Join(dir, "missing.crks")); err == nil {
+	if _, err := LoadManifestFile(filepath.Join(dir, "missing.crks")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
 
 func TestEmptySnapshot(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, core.SnapshotState{}); err != nil {
-		t.Fatal(err)
+	m := roundTrip(t, Single(core.SnapshotState{}))
+	if len(m.Parts) != 1 {
+		t.Fatalf("empty state decoded to %d parts", len(m.Parts))
 	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := m.Parts[0].State
 	if len(got.Values) != 0 || len(got.Cracks) != 0 || got.RowIDs != nil {
 		t.Fatal("empty snapshot round trip wrong")
 	}

@@ -104,33 +104,55 @@ func TestLegacyGoldensDecode(t *testing.T) {
 	}
 }
 
-// TestEveryManifestFormWritesV4: single states, part lists with and
-// without pending queues, and tables all go out as v4, the single-column
-// forms come back as single-column manifests, and an empty manifest is
-// refused.
-func TestEveryManifestFormWritesV4(t *testing.T) {
-	forms := map[string]Manifest{
-		"single":          Single(crackedState(t, 1000, false)),
-		"single row ids":  Single(crackedState(t, 1000, true)),
-		"parts":           shardedManifest(t, 1500, 3, false),
-		"parts + pending": pendingManifest(t),
-		"table":           tableManifest(t, 300, 2),
+// pendingFreeManifest is pendingManifest with its queues dropped: the
+// multi-part form the legacy writer sent as v2.
+func pendingFreeManifest(t *testing.T) Manifest {
+	m := pendingManifest(t)
+	for i := range m.Parts {
+		m.Parts[i].State.PendingInserts = nil
+		m.Parts[i].State.PendingDeletes = nil
 	}
-	for name, m := range forms {
-		var buf bytes.Buffer
-		if err := WriteManifest(&buf, m); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := [8]byte(buf.Bytes()); got != magicV4 {
-			t.Fatalf("%s: wrote magic %x, want v4", name, got)
-		}
-		got, err := ReadManifest(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.IsTable() != m.IsTable() || !sameManifest(got, m) {
-			t.Fatalf("%s: decoded to a different manifest (table=%v)", name, got.IsTable())
-		}
+	return m
+}
+
+// TestEveryManifestFormWritesV4: single states (with and without
+// pending queues), part lists with and without pending queues, and
+// tables all go out as v4, the single-column forms come back as
+// single-column manifests, and an empty manifest is refused.
+func TestEveryManifestFormWritesV4(t *testing.T) {
+	forms := []struct {
+		name string
+		m    Manifest
+	}{
+		{"single", Single(crackedState(t, 1000, false))},
+		{"single_rowids", Single(crackedState(t, 1000, true))},
+		{"single_pending", Single(core.SnapshotState{Values: []int64{1, 2}, PendingInserts: []int64{1}})},
+		{"one_part", shardedManifest(t, 2000, 1, false)},
+		{"parts", shardedManifest(t, 1500, 3, false)},
+		{"pending_free_parts", pendingFreeManifest(t)},
+		{"parts_pending", pendingManifest(t)},
+		{"table", tableManifest(t, 300, 2)},
+	}
+	for _, f := range forms {
+		t.Run(f.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteManifest(&buf, f.m); err != nil {
+				t.Fatal(err)
+			}
+			if got := [8]byte(buf.Bytes()); got != magicV4 {
+				t.Fatalf("wrote magic %x, want v4", got)
+			}
+			got, err := ReadManifest(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.IsTable() != f.m.IsTable() || !sameManifest(got, f.m) {
+				t.Fatalf("decoded to a different manifest (table=%v)", got.IsTable())
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("decoded manifest invalid: %v", err)
+			}
+		})
 	}
 	for _, empty := range []Manifest{{}, {Parts: []Part{}}, {Columns: []TableColumn{}}} {
 		if err := WriteManifest(&bytes.Buffer{}, empty); err == nil {

@@ -62,15 +62,11 @@
 package crackdb
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/hybrids"
-	"repro/internal/updates"
 )
 
 // Algorithm names accepted by Open. The parameterized families
@@ -124,8 +120,7 @@ type config struct {
 	core       core.Options
 	partitions int
 	conc       Concurrency
-	groupOpt   exec.BatcherOptions
-	groupOn    bool
+	group      *exec.BatcherOptions // nil without WithGroupCommit
 }
 
 func applyOptions(opts []Option) config {
@@ -205,9 +200,7 @@ func WithCoarseInit(p int) Option {
 // DB with it fails with errors.ErrUnsupported.
 func WithGroupCommit(batchSize int, maxWait time.Duration) Option {
 	return func(c *config) {
-		c.groupOn = true
-		c.groupOpt.BatchSize = batchSize
-		c.groupOpt.MaxWait = maxWait
+		c.group = &exec.BatcherOptions{BatchSize: batchSize, MaxWait: maxWait}
 	}
 }
 
@@ -215,88 +208,6 @@ func WithGroupCommit(batchSize int, maxWait time.Duration) Option {
 // algorithms (ignored by the others).
 func WithPartitions(k int) Option {
 	return func(c *config) { c.partitions = k }
-}
-
-// singleIndex is the Single-mode backend behind DB: one adaptive index
-// over one column, unsynchronized. Queries refine the physical
-// organization as a side effect; there is no build step.
-type singleIndex struct {
-	inner bench.Index
-	upd   *updates.Index // nil when the algorithm cannot take updates
-}
-
-// buildSingle builds the named algorithm over values, which it owns and
-// reorganizes in place afterwards. Unknown algorithms fail with
-// ErrUnknownAlgorithm.
-func buildSingle(values []int64, algorithm string, cfg config) (*singleIndex, error) {
-	ix, err := core.Build(values, algorithm, cfg.core)
-	if err == nil {
-		u, _ := updates.Wrap(ix)
-		return &singleIndex{inner: ix, upd: u}, nil
-	}
-	if !errors.Is(err, ErrUnknownAlgorithm) {
-		return nil, fmt.Errorf("crackdb: %w", err)
-	}
-	h, herr := hybrids.Build(values, algorithm, hybrids.Options{
-		Seed:          cfg.core.Seed,
-		CrackSize:     cfg.core.CrackSize,
-		NumPartitions: cfg.partitions,
-	})
-	if herr != nil {
-		return nil, fmt.Errorf("crackdb: %w", herr)
-	}
-	return &singleIndex{inner: h}, nil
-}
-
-// query answers [lo, hi), merging the pending updates it covers first.
-func (ix *singleIndex) query(lo, hi int64) Result {
-	if ix.upd != nil {
-		return ix.upd.Query(lo, hi)
-	}
-	return ix.inner.Query(lo, hi)
-}
-
-// insert queues v, merged by the first query whose range covers it
-// (Ripple merge, [17]); sorted and hybrid stores fail with
-// ErrUpdatesUnsupported.
-func (ix *singleIndex) insert(v int64) error {
-	if ix.upd == nil {
-		return fmt.Errorf("crackdb: %s: %w", ix.inner.Name(), ErrUpdatesUnsupported)
-	}
-	ix.upd.Insert(v)
-	return nil
-}
-
-// delete queues the removal of one occurrence of v, like insert.
-func (ix *singleIndex) delete(v int64) error {
-	if ix.upd == nil {
-		return fmt.Errorf("crackdb: %s: %w", ix.inner.Name(), ErrUpdatesUnsupported)
-	}
-	ix.upd.Delete(v)
-	return nil
-}
-
-func (ix *singleIndex) pending() int {
-	if ix.upd == nil {
-		return 0
-	}
-	return ix.upd.Pending()
-}
-
-func (ix *singleIndex) name() string { return ix.inner.Name() }
-
-func (ix *singleIndex) stats() Stats { return ix.inner.Stats() }
-
-// executor wraps the index in the adaptive execution layer, preferring
-// the update-carrying surface when the algorithm has one. The executor
-// assumes ownership.
-func (ix *singleIndex) executor() *exec.Executor {
-	if ix.upd != nil {
-		return exec.New(ix.upd)
-	}
-	// Hybrids (and the sorted baseline) expose no convergence probe; the
-	// executor serves them entirely under the exclusive lock.
-	return exec.New(ix.inner)
 }
 
 // Algorithms returns every algorithm spec Open accepts (with

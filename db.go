@@ -4,64 +4,40 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/hybrids"
-	"repro/internal/snapshot"
-	"repro/internal/stats"
 	"repro/internal/table"
-	"repro/internal/updates"
 )
 
 // Concurrency selects how a DB executes queries. It is a construction
 // option (WithConcurrency), not a separate index type: the query API is
 // identical in every mode, only the execution strategy changes.
 type Concurrency struct {
-	kind   concKind
-	shards int
+	m exec.Mode
 }
-
-type concKind uint8
-
-const (
-	concSingle concKind = iota
-	concShared
-	concSharded
-)
 
 // Single serves queries on the caller's goroutine with no locking and
 // zero-copy results. The DB is not safe for concurrent use in this mode;
 // it is the fastest choice for single-threaded workloads (the paper's
 // experimental setting).
-var Single = Concurrency{kind: concSingle}
+var Single = Concurrency{}
 
 // Shared serves queries through the adaptive read/write execution layer
 // (internal/exec): converged queries run in parallel under a shared lock,
 // reorganizing queries serialize under an exclusive one. Results are
 // owned slices. Safe for concurrent use.
-var Shared = Concurrency{kind: concShared}
+var Shared = Concurrency{exec.Mode{Kind: exec.ModeShared}}
 
 // Sharded value-range partitions the column into k shards, each an
 // independent adaptive index behind its own executor; queries fan out to
 // the intersected shards on a bounded worker pool. Safe for concurrent
 // use; the highest-throughput mode for large columns under heavy traffic.
-func Sharded(k int) Concurrency { return Concurrency{kind: concSharded, shards: k} }
+func Sharded(k int) Concurrency { return Concurrency{exec.Mode{Kind: exec.ModeSharded, Shards: k}} }
 
 // String names the mode ("single", "shared", "sharded-8").
-func (c Concurrency) String() string {
-	switch c.kind {
-	case concShared:
-		return "shared"
-	case concSharded:
-		return fmt.Sprintf("sharded-%d", c.shards)
-	default:
-		return "single"
-	}
-}
+func (c Concurrency) String() string { return c.m.String() }
 
 // WithConcurrency sets the DB's concurrency mode (default Single).
 func WithConcurrency(c Concurrency) Option {
@@ -96,21 +72,10 @@ type DB struct {
 	closed atomic.Bool
 	rows   int
 
-	// Single-column backends (exactly one non-nil, per mode).
-	ix *singleIndex   // Single
-	x  *exec.Executor // Shared
-	sh *exec.Sharded  // Sharded(k)
-
-	// b is the group-commit batcher in front of the write path; nil
-	// unless the DB was opened with WithGroupCommit.
-	b *exec.Batcher
-
-	// Table backends (exactly one non-nil for OpenTable handles).
-	tbl  *table.Table  // Single
-	stbl *table.Shared // Shared
-
-	cols       []string // table column names; nil for single-column DBs
-	defaultCol string   // the only column of a one-column table
+	// Exactly one is set. Every column, stand-alone or in a table, is one
+	// exec.Backend (behind its optional group-commit batcher).
+	col *exec.Column // single-column DB
+	tbl *table.Table // table DB
 }
 
 // Open builds a DB over a single integer column using the named algorithm
@@ -118,60 +83,25 @@ type DB struct {
 // reorganized in place. The zero Option set gives a Single-mode DB with
 // the paper's default tuning.
 func Open(values []int64, algorithm string, opts ...Option) (*DB, error) {
-	cfg := applyOptions(opts)
-	db := &DB{mode: cfg.conc, rows: len(values)}
-	switch cfg.conc.kind {
-	case concSingle:
-		ix, err := buildSingle(values, algorithm, cfg)
-		if err != nil {
-			return nil, err
-		}
-		db.ix = ix
-	case concShared:
-		ix, err := buildSingle(values, algorithm, cfg)
-		if err != nil {
-			return nil, err
-		}
-		db.x = ix.executor()
-	case concSharded:
-		s, err := exec.NewSharded(values, algorithm, cfg.conc.shards, cfg.core)
-		if err != nil {
-			// The hybrids are known algorithms that the engine-backed
-			// sharding layer cannot run; say "unsupported in this mode",
-			// not "unknown".
-			if errors.Is(err, ErrUnknownAlgorithm) && slices.Contains(hybrids.Specs(), algorithm) {
-				return nil, fmt.Errorf("crackdb: algorithm %q in sharded mode: %w", algorithm, errors.ErrUnsupported)
-			}
-			return nil, fmt.Errorf("crackdb: %w", err)
-		}
-		db.sh = s
-	}
-	if err := db.attachGroupCommit(cfg); err != nil {
+	cfg, err := configure(opts)
+	if err != nil {
 		return nil, err
 	}
-	return db, nil
+	b, err := exec.Build(values, algorithm, cfg.conc.m, cfg.core, cfg.partitions)
+	if err != nil {
+		return nil, fmt.Errorf("crackdb: %w", err)
+	}
+	return &DB{mode: cfg.conc, rows: len(values), col: exec.NewColumn(b, cfg.group)}, nil
 }
 
-// attachGroupCommit installs the group-commit batcher over the DB's
-// executor when WithGroupCommit was given. Concurrent table modes get one
-// batcher per column (writes to different columns are independent);
-// Single mode — column or table — has no concurrent write path to batch
-// and fails with errors.ErrUnsupported.
-func (db *DB) attachGroupCommit(cfg config) error {
-	if !cfg.groupOn {
-		return nil
+// configure applies opts and rejects group commit in Single mode, which
+// has no concurrent write path to batch — column or table.
+func configure(opts []Option) (config, error) {
+	cfg := applyOptions(opts)
+	if cfg.group != nil && cfg.conc.m.Kind == exec.ModeSingle {
+		return cfg, fmt.Errorf("crackdb: group commit in %s mode: %w", cfg.conc, errors.ErrUnsupported)
 	}
-	switch {
-	case db.x != nil:
-		db.b = exec.NewBatcher(db.x, cfg.groupOpt)
-	case db.sh != nil:
-		db.b = exec.NewBatcher(db.sh, cfg.groupOpt)
-	case db.stbl != nil:
-		db.stbl.EnableGroupCommit(cfg.groupOpt)
-	default:
-		return fmt.Errorf("crackdb: group commit in %s mode: %w", db.mode, errors.ErrUnsupported)
-	}
-	return nil
+	return cfg, nil
 }
 
 // OpenTable builds a DB over named, equal-length columns; selections
@@ -180,45 +110,32 @@ func (db *DB) attachGroupCommit(cfg config) error {
 // every selection column its own adaptive executor, so queries on
 // different columns run fully in parallel; Sharded(k) gives every column
 // k range-partitioned executors, so disjoint-range queries on the same
-// column proceed in parallel too.
+// column proceed in parallel too. With WithGroupCommit every column gets
+// its own batcher (writes to different columns are independent).
 func OpenTable(cols map[string][]int64, algorithm string, opts ...Option) (*DB, error) {
-	cfg := applyOptions(opts)
-	t, err := table.New(cols, algorithm, cfg.core)
+	cfg, err := configure(opts)
+	if err != nil {
+		return nil, err
+	}
+	t, err := table.New(cols, algorithm, cfg.conc.m, cfg.core, cfg.group)
 	if err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
-	db := &DB{mode: cfg.conc, rows: t.Rows(), cols: t.Columns()}
-	if len(db.cols) == 1 {
-		db.defaultCol = db.cols[0]
-	}
-	switch cfg.conc.kind {
-	case concSingle:
-		db.tbl = t
-	case concShared:
-		db.stbl = table.NewShared(t)
-	case concSharded:
-		db.stbl = table.NewSharded(t, cfg.conc.shards)
-	}
-	if err := db.attachGroupCommit(cfg); err != nil {
-		return nil, err
-	}
-	return db, nil
+	return &DB{mode: cfg.conc, rows: t.Rows(), tbl: t}, nil
 }
 
 // Close marks the handle closed; subsequent queries, updates and
 // snapshots fail with ErrClosed (read-only accessors stay readable). It
 // does not free the column (the garbage collector does) — Close exists
 // so pooled handles fail loudly instead of serving after their lifecycle
-// ended.
+// ended. Group-commit batchers stop after flushing the writes they
+// already admitted.
 func (db *DB) Close() error {
 	db.closed.Store(true)
-	if db.b != nil {
-		// Stops the collector goroutine; writes already admitted are
-		// still flushed and acknowledged before Close returns.
-		db.b.Close()
-	}
-	if db.stbl != nil {
-		db.stbl.Close() // per-column batchers, same drain-first contract
+	if db.tbl != nil {
+		db.tbl.Close()
+	} else if db.col.Batch != nil {
+		db.col.Batch.Close()
 	}
 	return nil // idempotent, io.Closer-style: repeat closes are not errors
 }
@@ -231,23 +148,20 @@ func (db *DB) Rows() int { return db.rows }
 
 // Columns returns the table's column names in deterministic order, or nil
 // for a single-column DB.
-func (db *DB) Columns() []string { return append([]string(nil), db.cols...) }
+func (db *DB) Columns() []string {
+	if db.tbl == nil {
+		return nil
+	}
+	return db.tbl.Columns()
+}
 
 // Name identifies the backing configuration (e.g. "dd1r",
 // "exec(updatable(dd1r))", "sharded-8(dd1r)", "table").
 func (db *DB) Name() string {
-	switch {
-	case db.ix != nil:
-		return db.ix.name()
-	case db.x != nil:
-		return db.x.Name()
-	case db.sh != nil:
-		return db.sh.Name()
-	case db.stbl != nil && db.stbl.Sharded() > 0:
-		return fmt.Sprintf("table(sharded-%d)", db.stbl.Sharded())
-	default:
-		return "table"
+	if db.tbl != nil {
+		return db.tbl.Name()
 	}
+	return db.col.Name()
 }
 
 // check validates the handle and the context before any operation.
@@ -258,27 +172,38 @@ func (db *DB) check(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// resolveColumn maps a predicate to the column it queries. Single-column
-// DBs take unscoped predicates only; tables require a scope unless they
-// have exactly one column.
-func (db *DB) resolveColumn(p Predicate) (string, error) {
+// column resolves a column name to its backend. A single-column DB has
+// one unnamed column; a table takes "" only when it has exactly one.
+func (db *DB) column(name string) (*exec.Column, error) {
+	if db.tbl != nil {
+		c, err := db.tbl.Column(name)
+		if err != nil {
+			return nil, fmt.Errorf("crackdb: %w", err)
+		}
+		return c, nil
+	}
+	if name != "" {
+		return nil, fmt.Errorf("crackdb: single-column database has no column %q: %w", name, ErrUnknownColumn)
+	}
+	return db.col, nil
+}
+
+// resolve maps a predicate to the backend of the column it queries.
+func (db *DB) resolve(p Predicate) (*exec.Column, error) {
+	name, err := scope(p)
+	if err != nil {
+		return nil, err
+	}
+	return db.column(name)
+}
+
+// scope returns the column p names, rejecting predicates composed across
+// different columns.
+func scope(p Predicate) (string, error) {
 	if p.conflict != "" {
 		return "", fmt.Errorf("crackdb: predicate composes different columns (%s): %w", p.conflict, ErrUnknownColumn)
 	}
-	col := p.Column()
-	if db.tbl == nil && db.stbl == nil {
-		if col != "" {
-			return "", fmt.Errorf("crackdb: single-column database, predicate is scoped to %q: %w", col, ErrUnknownColumn)
-		}
-		return "", nil
-	}
-	if col == "" {
-		if db.defaultCol != "" {
-			return db.defaultCol, nil
-		}
-		return "", fmt.Errorf("crackdb: predicate names no column (scope it with Predicate.On): %w", ErrUnknownColumn)
-	}
-	return col, nil
+	return p.Column(), nil
 }
 
 // Query answers the predicate, adapting the index as a side effect, and
@@ -290,7 +215,7 @@ func (db *DB) Query(ctx context.Context, p Predicate) (Result, error) {
 	if err := db.check(ctx); err != nil {
 		return Result{}, err
 	}
-	col, err := db.resolveColumn(p)
+	c, err := db.resolve(p)
 	if err != nil {
 		return Result{}, err
 	}
@@ -301,11 +226,10 @@ func (db *DB) Query(ctx context.Context, p Predicate) (Result, error) {
 		if lo >= hi {
 			return Result{}, nil
 		}
-		return db.queryRange(ctx, col, lo, hi)
+		return c.View(ctx, lo, hi)
 	}
-	rs := p.rangeList()
 	// Multi-range: one batch, concatenated in ascending range order.
-	parts, err := db.batchRanges(ctx, col, toExecRanges(rs))
+	parts, err := c.QueryBatchCtx(ctx, toExecRanges(p.rangeList()))
 	if err != nil {
 		return Result{}, err
 	}
@@ -318,71 +242,6 @@ func (db *DB) Query(ctx context.Context, p Predicate) (Result, error) {
 		out = append(out, p...)
 	}
 	return NewResult(out), nil
-}
-
-// queryRange answers one half-open range on one column in the DB's mode.
-func (db *DB) queryRange(ctx context.Context, col string, lo, hi int64) (Result, error) {
-	switch {
-	case db.ix != nil:
-		return db.ix.query(lo, hi), nil
-	case db.x != nil:
-		vals, err := db.x.QueryCtx(ctx, lo, hi)
-		if err != nil {
-			return Result{}, err
-		}
-		return NewResult(vals), nil
-	case db.sh != nil:
-		vals, err := db.sh.QueryCtx(ctx, lo, hi)
-		if err != nil {
-			return Result{}, err
-		}
-		return NewResult(vals), nil
-	case db.stbl != nil:
-		vals, err := db.stbl.Query(ctx, col, lo, hi)
-		if err != nil {
-			return Result{}, err
-		}
-		return NewResult(vals), nil
-	default:
-		vals, err := db.tbl.Select(col, lo, hi)
-		if err != nil {
-			return Result{}, err
-		}
-		return NewResult(vals), nil
-	}
-}
-
-// batchRanges answers many ranges on one column, one owned slice per
-// range in input order.
-func (db *DB) batchRanges(ctx context.Context, col string, ranges []exec.Range) ([][]int64, error) {
-	switch {
-	case db.x != nil:
-		return db.x.QueryBatchCtx(ctx, ranges)
-	case db.sh != nil:
-		return db.sh.QueryBatchCtx(ctx, ranges)
-	case db.stbl != nil:
-		return db.stbl.QueryBatch(ctx, col, ranges)
-	default:
-		// Single mode (column or table): sequential, re-checking the
-		// context between ranges so long batches cancel cleanly.
-		out := make([][]int64, len(ranges))
-		for i, r := range ranges {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if db.ix != nil {
-				res := db.ix.query(r.Lo, r.Hi)
-				out[i] = res.Materialize(make([]int64, 0, res.Count()))
-				continue
-			}
-			vals, err := db.tbl.Select(col, r.Lo, r.Hi)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = vals
-		}
-		return out, nil
-	}
 }
 
 // QueryBatch answers many predicates, returning one Result per predicate
@@ -398,32 +257,33 @@ func (db *DB) QueryBatch(ctx context.Context, ps []Predicate) ([]Result, error) 
 	// Flatten predicate ranges per column, remembering which predicate
 	// each flattened range answers.
 	type group struct {
+		c      *exec.Column
 		ranges []exec.Range
 		owner  []int
 	}
-	order := make([]string, 0, 1) // columns in first-seen order
-	groups := make(map[string]*group, 1)
+	var groups []*group // columns in first-seen order
 	nRanges := make([]int, len(ps))
 	for pi, p := range ps {
-		col, err := db.resolveColumn(p)
+		c, err := db.resolve(p)
 		if err != nil {
 			return nil, err
 		}
-		g := groups[col]
-		if g == nil {
-			g = &group{}
-			groups[col] = g
-			order = append(order, col)
+		i := 0
+		for i < len(groups) && groups[i].c != c {
+			i++
 		}
+		if i == len(groups) {
+			groups = append(groups, &group{c: c})
+		}
+		g := groups[i]
 		for _, r := range p.rangeList() {
 			g.ranges = append(g.ranges, exec.Range{Lo: r[0], Hi: r[1]})
 			g.owner = append(g.owner, pi)
 			nRanges[pi]++
 		}
 	}
-	for _, col := range order {
-		g := groups[col]
-		parts, err := db.batchRanges(ctx, col, g.ranges)
+	for _, g := range groups {
+		parts, err := g.c.QueryBatchCtx(ctx, g.ranges)
 		if err != nil {
 			return nil, err
 		}
@@ -456,71 +316,32 @@ func (db *DB) QueryAggregate(ctx context.Context, p Predicate) (Aggregate, error
 	if err := db.check(ctx); err != nil {
 		return Aggregate{}, err
 	}
-	col, err := db.resolveColumn(p)
+	c, err := db.resolve(p)
 	if err != nil {
 		return Aggregate{}, err
 	}
-	var agg Aggregate
 	// Single-range predicates skip the range-list allocation, like Query.
 	if lo, hi, ok := p.singleRange(); ok {
 		if lo >= hi {
-			return agg, nil
+			return Aggregate{}, nil
 		}
-		return db.aggRange(ctx, col, lo, hi, agg)
+		count, sum, err := c.QueryAggregateCtx(ctx, lo, hi)
+		return Aggregate{Count: count, Sum: sum}, err
 	}
+	var agg Aggregate
 	for _, r := range p.rangeList() {
 		// Re-check between the ranges of a multi-range predicate so long
 		// Single-mode aggregates cancel cleanly too (the concurrent
-		// branches also check inside the executor).
+		// backends also check inside the executor).
 		if err := ctx.Err(); err != nil {
 			return Aggregate{}, err
 		}
-		var err error
-		if agg, err = db.aggRange(ctx, col, r[0], r[1], agg); err != nil {
-			return Aggregate{}, err
-		}
-	}
-	return agg, nil
-}
-
-// aggRange folds one half-open range's (count, sum) into agg in the DB's
-// mode.
-func (db *DB) aggRange(ctx context.Context, col string, lo, hi int64, agg Aggregate) (Aggregate, error) {
-	switch {
-	case db.ix != nil:
-		res := db.ix.query(lo, hi)
-		agg.Count += res.Count()
-		agg.Sum += res.Sum()
-	case db.x != nil:
-		c, s, err := db.x.QueryAggregateCtx(ctx, lo, hi)
+		count, sum, err := c.QueryAggregateCtx(ctx, r[0], r[1])
 		if err != nil {
 			return Aggregate{}, err
 		}
-		agg.Count += c
-		agg.Sum += s
-	case db.sh != nil:
-		c, s, err := db.sh.QueryAggregateCtx(ctx, lo, hi)
-		if err != nil {
-			return Aggregate{}, err
-		}
-		agg.Count += c
-		agg.Sum += s
-	case db.stbl != nil:
-		c, s, err := db.stbl.QueryAggregate(ctx, col, lo, hi)
-		if err != nil {
-			return Aggregate{}, err
-		}
-		agg.Count += c
-		agg.Sum += s
-	default:
-		vals, err := db.tbl.Select(col, lo, hi)
-		if err != nil {
-			return Aggregate{}, err
-		}
-		agg.Count += len(vals)
-		for _, v := range vals {
-			agg.Sum += v
-		}
+		agg.Count += count
+		agg.Sum += sum
 	}
 	return agg, nil
 }
@@ -554,13 +375,10 @@ func (db *DB) project(ctx context.Context, p Predicate, proj string,
 	if err := db.check(ctx); err != nil {
 		return nil, err
 	}
-	switch {
-	case db.stbl != nil:
-		return nil, fmt.Errorf("crackdb: projection on a %s table: %w", db.mode, errors.ErrUnsupported)
-	case db.tbl == nil || !slices.Contains(db.cols, proj):
+	if db.tbl == nil {
 		return nil, fmt.Errorf("crackdb: no column %q to project: %w", proj, ErrUnknownColumn)
 	}
-	sel, err := db.resolveColumn(p)
+	sel, err := scope(p)
 	if err != nil {
 		return nil, err
 	}
@@ -571,7 +389,7 @@ func (db *DB) project(ctx context.Context, p Predicate, proj string,
 		}
 		vals, err := strategy(db.tbl, sel, proj, r[0], r[1])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("crackdb: %w", err)
 		}
 		if out == nil {
 			out = vals // the answer owns it; a single range needs no copy
@@ -591,25 +409,11 @@ func (db *DB) project(ctx context.Context, p Predicate, proj string,
 // tables). It fails with ErrUpdatesUnsupported for algorithms that
 // cannot take updates.
 func (db *DB) Insert(v int64) error {
-	if db.closed.Load() {
-		return fmt.Errorf("crackdb: %w", ErrClosed)
-	}
-	if db.tbl != nil || db.stbl != nil {
-		_, err := db.applyTable(context.Background(), "", []int64{v}, nil)
+	c, err := db.writeColumn("")
+	if err != nil {
 		return err
 	}
-	if db.b != nil {
-		_, err := db.b.Enqueue(context.Background(), []exec.Op{{Value: v}})
-		return err
-	}
-	switch {
-	case db.ix != nil:
-		return db.ix.insert(v)
-	case db.x != nil:
-		return db.x.Insert(v)
-	default:
-		return db.sh.Insert(v)
-	}
+	return c.Insert(v)
 }
 
 // InsertOn queues a value for insertion into the named table column.
@@ -623,25 +427,19 @@ func (db *DB) InsertOn(col string, v int64) error {
 // Delete queues the removal of one occurrence of v, merged on demand like
 // Insert. Table databases route to the default column, like Insert.
 func (db *DB) Delete(v int64) error {
+	c, err := db.writeColumn("")
+	if err != nil {
+		return err
+	}
+	return c.Delete(v)
+}
+
+// writeColumn checks the handle and resolves the column a write targets.
+func (db *DB) writeColumn(name string) (*exec.Column, error) {
 	if db.closed.Load() {
-		return fmt.Errorf("crackdb: %w", ErrClosed)
+		return nil, fmt.Errorf("crackdb: %w", ErrClosed)
 	}
-	if db.tbl != nil || db.stbl != nil {
-		_, err := db.applyTable(context.Background(), "", nil, []int64{v})
-		return err
-	}
-	if db.b != nil {
-		_, err := db.b.Enqueue(context.Background(), []exec.Op{{Value: v, Delete: true}})
-		return err
-	}
-	switch {
-	case db.ix != nil:
-		return db.ix.delete(v)
-	case db.x != nil:
-		return db.x.Delete(v)
-	default:
-		return db.sh.Delete(v)
-	}
+	return db.column(name)
 }
 
 // DeleteOn queues the removal of one occurrence of v from the named
@@ -672,89 +470,28 @@ type UpdateTimings struct {
 // batch, not one per value, and ApplyBatch returns only after every
 // value is applied. The context governs admission to the group-commit
 // queue; once admitted the batch is applied even if the context expires,
-// because an acknowledged write must never be half-applied.
+// because an acknowledged write must never be half-applied. On a table
+// database the batch goes to the default column, like Insert.
 func (db *DB) ApplyBatch(ctx context.Context, inserts, deletes []int64) (UpdateTimings, error) {
-	if err := db.check(ctx); err != nil {
-		return UpdateTimings{}, err
-	}
-	if len(inserts)+len(deletes) == 0 {
-		return UpdateTimings{}, nil
-	}
-	if db.tbl != nil || db.stbl != nil {
-		return db.applyTable(ctx, "", inserts, deletes)
-	}
-	ops := make([]exec.Op, 0, len(inserts)+len(deletes))
-	for _, v := range deletes {
-		ops = append(ops, exec.Op{Value: v, Delete: true})
-	}
-	for _, v := range inserts {
-		ops = append(ops, exec.Op{Value: v})
-	}
-	if db.b != nil {
-		t, err := db.b.Enqueue(ctx, ops)
-		return UpdateTimings{Queue: t.Queue, Flush: t.Flush, Apply: t.Apply, Grouped: true}, err
-	}
-	var lockWait, apply time.Duration
-	var err error
-	switch {
-	case db.x != nil:
-		lockWait, apply, err = db.x.ApplyOps(ops)
-	case db.sh != nil:
-		lockWait, apply, err = db.sh.ApplyOps(ops)
-	default:
-		start := time.Now()
-		for _, op := range ops {
-			if op.Delete {
-				err = db.ix.delete(op.Value)
-			} else {
-				err = db.ix.insert(op.Value)
-			}
-			if err != nil {
-				return UpdateTimings{}, err
-			}
-		}
-		return UpdateTimings{Apply: time.Since(start)}, nil
-	}
-	return UpdateTimings{Flush: lockWait, Apply: apply}, err
+	return db.ApplyBatchOn(ctx, "", inserts, deletes)
 }
 
 // ApplyBatchOn is ApplyBatch scoped to one table column: the batch
 // queues against col's index only, merged lazily by the next covering
 // query on that column. col may be empty on a one-column table (the
 // default column takes the batch) and on single-column DBs (where the
-// call is plain ApplyBatch).
+// call is plain ApplyBatch). Deletes apply before inserts, so a delete in
+// the batch annihilates a matching queued insert.
 func (db *DB) ApplyBatchOn(ctx context.Context, col string, inserts, deletes []int64) (UpdateTimings, error) {
-	if db.tbl == nil && db.stbl == nil {
-		if col != "" {
-			return UpdateTimings{}, fmt.Errorf("crackdb: single-column database, batch is scoped to %q: %w", col, ErrUnknownColumn)
-		}
-		return db.ApplyBatch(ctx, inserts, deletes)
-	}
 	if err := db.check(ctx); err != nil {
 		return UpdateTimings{}, err
 	}
 	if len(inserts)+len(deletes) == 0 {
 		return UpdateTimings{}, nil
 	}
-	return db.applyTable(ctx, col, inserts, deletes)
-}
-
-// applyTable applies a write batch to one table column in either table
-// mode. Deletes go first, matching ApplyBatch's op order, so a delete in
-// the batch annihilates a matching queued insert.
-func (db *DB) applyTable(ctx context.Context, col string, inserts, deletes []int64) (UpdateTimings, error) {
-	if col == "" {
-		if db.defaultCol == "" {
-			return UpdateTimings{}, fmt.Errorf("crackdb: write names no column (use ApplyBatchOn): %w", ErrUnknownColumn)
-		}
-		col = db.defaultCol
-	}
-	if db.tbl != nil {
-		start := time.Now()
-		if err := db.tbl.Apply(col, inserts, deletes); err != nil {
-			return UpdateTimings{}, err
-		}
-		return UpdateTimings{Apply: time.Since(start)}, nil
+	c, err := db.column(col)
+	if err != nil {
+		return UpdateTimings{}, err
 	}
 	ops := make([]exec.Op, 0, len(inserts)+len(deletes))
 	for _, v := range deletes {
@@ -763,58 +500,40 @@ func (db *DB) applyTable(ctx context.Context, col string, inserts, deletes []int
 	for _, v := range inserts {
 		ops = append(ops, exec.Op{Value: v})
 	}
-	queue, flush, apply, grouped, err := db.stbl.Apply(ctx, col, ops)
-	return UpdateTimings{Queue: queue, Flush: flush, Apply: apply, Grouped: grouped}, err
+	t, grouped, err := c.Apply(ctx, ops)
+	return UpdateTimings{Queue: t.Queue, Flush: t.Flush, Apply: t.Apply, Grouped: grouped}, err
 }
 
 // GroupCommitStats reports the group-commit batcher's counters — summed
 // across the per-column batchers on a table database; ok is false when
 // the DB was opened without WithGroupCommit.
 func (db *DB) GroupCommitStats() (st exec.BatcherStats, ok bool) {
-	if db.stbl != nil {
-		return db.stbl.GroupCommitStats()
+	if db.tbl != nil {
+		return db.tbl.GroupCommitStats()
 	}
-	if db.b == nil {
+	if db.col.Batch == nil {
 		return exec.BatcherStats{}, false
 	}
-	return db.b.Stats(), true
+	return db.col.Batch.Stats(), true
 }
 
 // PendingUpdates returns the number of queued, not-yet-merged updates
 // across the whole DB (all shards in Sharded mode, all columns on a
 // table database).
 func (db *DB) PendingUpdates() int {
-	switch {
-	case db.ix != nil:
-		return db.ix.pending()
-	case db.x != nil:
-		return db.x.Pending()
-	case db.sh != nil:
-		return db.sh.Pending()
-	case db.tbl != nil:
-		return db.tbl.PendingUpdates()
-	case db.stbl != nil:
-		return db.stbl.Pending()
-	default:
-		return 0
+	if db.tbl != nil {
+		return db.tbl.Pending()
 	}
+	return db.col.Pending()
 }
 
 // Stats returns cumulative physical-cost counters, aggregated across
 // shards and columns where applicable.
 func (db *DB) Stats() Stats {
-	switch {
-	case db.ix != nil:
-		return db.ix.stats()
-	case db.x != nil:
-		return db.x.Stats()
-	case db.sh != nil:
-		return db.sh.Stats()
-	case db.stbl != nil:
-		return db.stbl.Stats()
-	default:
+	if db.tbl != nil {
 		return db.tbl.Stats()
 	}
+	return db.col.Stats()
 }
 
 // PathStats reports how many queries the adaptive execution layer
@@ -826,24 +545,20 @@ func (db *DB) Stats() Stats {
 // it touched: the counters measure executor lock traffic. Concurrent
 // table databases sum the counters across their column executors.
 func (db *DB) PathStats() (reads, writes int64, ok bool) {
-	switch {
-	case db.x != nil:
-		reads, writes = db.x.PathStats()
-		return reads, writes, true
-	case db.sh != nil:
-		reads, writes = db.sh.PathStats()
-		return reads, writes, true
-	case db.stbl != nil:
-		reads, writes = db.stbl.PathStats()
-		return reads, writes, true
-	default:
+	if db.mode.m.Kind == exec.ModeSingle {
 		return 0, 0, false
 	}
+	if db.tbl != nil {
+		reads, writes = db.tbl.PathStats()
+	} else {
+		reads, writes = db.col.PathStats()
+	}
+	return reads, writes, true
 }
 
 // PieceSizes returns the current sizes (in tuples) of the column's
 // pieces, in storage order — the physical-refinement state the paper
-// reasons about. A Shared DB reads them under the exclusive lock; a
+// reasons about. Concurrent DBs read them with the executors drained; a
 // sharded DB concatenates its shards' pieces in shard order; a table
 // database concatenates its columns' pieces in column-name order
 // (never-queried columns report one unbroken piece). Non-engine-backed
@@ -852,39 +567,17 @@ func (db *DB) PieceSizes() ([]int, error) {
 	if db.closed.Load() {
 		return nil, fmt.Errorf("crackdb: %w", ErrClosed)
 	}
-	sizesOf := func(inner exec.Index) ([]int, error) {
-		acc, ok := inner.(interface{ Engine() *core.Engine })
-		if !ok {
-			return nil, fmt.Errorf("crackdb: %s: piece sizes: %w", inner.Name(), errors.ErrUnsupported)
-		}
-		e := acc.Engine()
-		return stats.SizesFromBounds(e.CrackerIndex().Pieces(e.Column().Len())), nil
+	var sizes []int
+	var err error
+	if db.tbl != nil {
+		sizes, err = db.tbl.PieceSizes()
+	} else {
+		sizes, err = exec.PieceSizes(db.col)
 	}
-	switch {
-	case db.ix != nil:
-		return sizesOf(db.ix.inner)
-	case db.x != nil:
-		var sizes []int
-		var err error
-		db.x.Exclusive(func(inner exec.Index) { sizes, err = sizesOf(inner) })
-		return sizes, err
-	case db.sh != nil:
-		var all []int
-		for i := 0; i < db.sh.NumShards(); i++ {
-			var sizes []int
-			var err error
-			db.sh.Shard(i).Exclusive(func(inner exec.Index) { sizes, err = sizesOf(inner) })
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, sizes...)
-		}
-		return all, nil
-	case db.tbl != nil:
-		return db.tbl.PieceSizes(), nil
-	default:
-		return db.stbl.PieceSizes(), nil
+	if err != nil {
+		return nil, fmt.Errorf("crackdb: %w", err)
 	}
+	return sizes, nil
 }
 
 // Snapshot captures the DB's physical state as a multi-part manifest so
@@ -908,61 +601,14 @@ func (db *DB) Snapshot() (DBSnapshot, error) {
 	if db.closed.Load() {
 		return DBSnapshot{}, fmt.Errorf("crackdb: %w", ErrClosed)
 	}
-	switch {
-	case db.ix != nil:
-		st, err := db.ix.snapshotState()
-		if err != nil {
-			return DBSnapshot{}, err
-		}
-		return snapshot.Single(st), nil
-	case db.x != nil:
-		var st SnapshotState
-		var err error
-		db.x.Exclusive(func(inner exec.Index) {
-			st, err = snapshotInner(inner)
-		})
-		if err != nil {
-			return DBSnapshot{}, err
-		}
-		return snapshot.Single(st), nil
-	case db.sh != nil:
-		parts := make([]SnapshotPart, 0, db.sh.NumShards())
-		var err error
-		db.sh.ExclusiveAll(func(inners []exec.Index) {
-			for i, inner := range inners {
-				var st SnapshotState
-				if st, err = snapshotInner(inner); err != nil {
-					return
-				}
-				lo, hi := db.sh.ShardRange(i)
-				parts = append(parts, snapshot.ClampedPart(lo, hi, st))
-			}
-		})
-		if err != nil {
-			return DBSnapshot{}, err
-		}
-		return DBSnapshot{Parts: parts}, nil
-	case db.tbl != nil:
+	if db.tbl != nil {
 		return db.tbl.Snapshot()
-	default:
-		return db.stbl.Snapshot()
 	}
-}
-
-// snapshotInner serializes any engine-backed index. Pending updates are
-// captured into the state's queue fields, not merged: the restore
-// re-queues them so the first covering query merges them lazily, exactly
-// as it would have on the snapshotted index.
-func snapshotInner(inner exec.Index) (SnapshotState, error) {
-	acc, ok := inner.(interface{ Engine() *core.Engine })
-	if !ok {
-		return SnapshotState{}, fmt.Errorf("crackdb: %s: %w", inner.Name(), ErrSnapshotUnsupported)
+	parts, err := exec.CaptureParts(db.col)
+	if err != nil {
+		return DBSnapshot{}, fmt.Errorf("crackdb: %w", err)
 	}
-	st := acc.Engine().Snapshot()
-	if u, ok := inner.(*updates.Index); ok {
-		st.PendingInserts, st.PendingDeletes = u.PendingSnapshot()
-	}
-	return st, nil
+	return DBSnapshot{Parts: parts}, nil
 }
 
 // SnapshotStrict is Snapshot refusing to capture while updates are

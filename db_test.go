@@ -368,6 +368,71 @@ func TestDBTableModes(t *testing.T) {
 	}
 }
 
+// TestRestoredTablePendingUpdates: a restored table counts the queued
+// updates its columns carry before their first use, in every table mode,
+// and a covering query merges them.
+func TestRestoredTablePendingUpdates(t *testing.T) {
+	ctx := context.Background()
+	for _, mode := range []crackdb.Concurrency{crackdb.Single, crackdb.Shared, crackdb.Sharded(3)} {
+		src, err := crackdb.OpenTable(map[string][]int64{"v": crackdb.MakeData(1_000, 5)}, crackdb.DD1R,
+			crackdb.WithConcurrency(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := int64(2_000); v < 2_007; v++ {
+			if err := src.Insert(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := src.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := crackdb.OpenSnapshot(snap, crackdb.DD1R, crackdb.WithConcurrency(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := db.PendingUpdates(); n != 7 {
+			t.Fatalf("%v: restored table reports %d pending updates, want 7", mode, n)
+		}
+		if res, err := db.Query(ctx, crackdb.Range(2_000, 2_007)); err != nil || res.Count() != 7 {
+			t.Fatalf("%v: covering query count=%d err=%v", mode, res.Count(), err)
+		}
+		if n := db.PendingUpdates(); n != 0 {
+			t.Fatalf("%v: %d updates pending after a covering query, want 0", mode, n)
+		}
+	}
+}
+
+// TestSharedTableMatchesColumnDB: a Shared one-column table and a Shared
+// single-column DB run the same backend over the same data, so the same
+// queries cost the same physical work.
+func TestSharedTableMatchesColumnDB(t *testing.T) {
+	const n = 50_000
+	ctx := context.Background()
+	opts := []crackdb.Option{crackdb.WithSeed(9), crackdb.WithConcurrency(crackdb.Shared)}
+	col, err := crackdb.Open(crackdb.MakeData(n, 8), crackdb.DD1R, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := crackdb.OpenTable(map[string][]int64{"v": crackdb.MakeData(n, 8)}, crackdb.DD1R, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := int64(0); lo < n; lo += 97 {
+		for _, db := range []*crackdb.DB{col, tbl} {
+			if agg, err := db.QueryAggregate(ctx, crackdb.Range(lo, lo+10)); err != nil || agg.Count != int(min(10, n-lo)) {
+				t.Fatalf("%s [%d,%d): count=%d err=%v", db.Name(), lo, lo+10, agg.Count, err)
+			}
+		}
+	}
+	a, b := col.Stats(), tbl.Stats()
+	if a.Touched != b.Touched || a.Swaps != b.Swaps || a.Cracks != b.Cracks {
+		t.Fatalf("column DB touched/swaps/cracks %d/%d/%d, table %d/%d/%d",
+			a.Touched, a.Swaps, a.Cracks, b.Touched, b.Swaps, b.Cracks)
+	}
+}
+
 // TestDBSelectProject pins projection on DB: both reconstruction
 // strategies answer exactly on a Single-mode table, and every handle that
 // cannot project fails with its sentinel.

@@ -27,12 +27,17 @@ func equivHandles(t *testing.T, n int64) map[string]*crackdb.DB {
 	open("shared", crackdb.MDD1R, crackdb.WithConcurrency(crackdb.Shared))
 	open("sharded", crackdb.Crack, crackdb.WithConcurrency(crackdb.Sharded(5)))
 	open("scan", crackdb.Scan)
-	tbl, err := crackdb.OpenTable(map[string][]int64{"v": crackdb.MakeData(n, 51)},
-		crackdb.PMDD1R, crackdb.WithSeed(52), crackdb.WithConcurrency(crackdb.Shared))
-	if err != nil {
-		t.Fatal(err)
+	openTable := func(name string, mode crackdb.Concurrency) {
+		db, err := crackdb.OpenTable(map[string][]int64{"v": crackdb.MakeData(n, 51)},
+			crackdb.PMDD1R, crackdb.WithSeed(52), crackdb.WithConcurrency(mode))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		handles[name] = db
 	}
-	handles["table"] = tbl
+	openTable("table", crackdb.Shared)
+	openTable("table-single", crackdb.Single)
+	openTable("table-sharded", crackdb.Sharded(3))
 	return handles
 }
 
@@ -121,6 +126,7 @@ func TestCrossModeEquivalenceConcurrent(t *testing.T) {
 	ctx := context.Background()
 	handles := equivHandles(t, n)
 	delete(handles, "single") // not goroutine-safe by contract
+	delete(handles, "table-single")
 	delete(handles, "scan")
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)

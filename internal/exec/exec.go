@@ -2,7 +2,9 @@
 // indexes: one adaptive read/write locking discipline that every
 // goroutine-safe path in the repository routes through (the facade's
 // DB handle and Synchronized wrapper, the sharded index, the benchmark
-// harness).
+// harness). It also owns Backend (backend.go), the one per-column surface
+// the facade and internal/table serve every column through, in every
+// mode.
 //
 // Cracking inverts the usual reader/writer economics — every query may
 // physically reorganize the column, so a mutual-exclusion lock is the
@@ -35,6 +37,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -148,6 +151,12 @@ func (x *Executor) QueryCtx(ctx context.Context, a, b int64) ([]int64, error) {
 	x.writeQueries.Add(1)
 	res := x.inner.Query(a, b)
 	return res.Materialize(make([]int64, 0, res.Count())), nil
+}
+
+// View is QueryCtx as an owned Result.
+func (x *Executor) View(ctx context.Context, a, b int64) (core.Result, error) {
+	vals, err := x.QueryCtx(ctx, a, b)
+	return core.NewOwnedResult(vals), err
 }
 
 // QueryAppendCtx answers [a, b) appending the qualifying values to dst
@@ -383,12 +392,16 @@ func (x *Executor) QueryBatchInto(ctx context.Context, ranges []Range, bb *Batch
 		}
 		x.mu.Unlock()
 	}
-	// Stitch: offsets stay valid across arena growth, so slicing happens
-	// only now, after the last append.
+	return bb.stitch(), nil
+}
+
+// stitch slices every result out of the arena. Offsets stay valid across
+// arena growth, so slicing happens only after the last append.
+func (bb *BatchBuffer) stitch() [][]int64 {
 	for i, o := range bb.offs {
 		bb.out[i] = bb.vals[o[0]:o[1]:o[1]]
 	}
-	return bb.out, nil
+	return bb.out
 }
 
 // Insert queues value v for insertion (merged into the column by the first
@@ -440,39 +453,45 @@ func (x *Executor) ApplyOps(ops []Op) (lockWait, apply time.Duration, err error)
 	start := time.Now()
 	x.mu.Lock()
 	locked := time.Now()
-	if bulk, ok := x.ins.(bulkInserter); ok {
-		// Apply maximal same-kind runs in batch order. Order matters: a
-		// delete annihilates a pending insert queued before it, so a
-		// batch-wide insert/delete split would resolve an
-		// insert-then-delete pair differently from serial application.
-		for i := 0; i < len(ops); {
-			j := i + 1
-			for j < len(ops) && ops[j].Delete == ops[i].Delete {
-				j++
-			}
-			run := make([]int64, 0, j-i)
-			for _, op := range ops[i:j] {
-				run = append(run, op.Value)
-			}
-			if ops[i].Delete {
-				bulk.DeleteMany(run)
-			} else {
-				bulk.InsertMany(run)
-			}
-			i = j
-		}
-	} else {
-		for _, op := range ops {
-			if op.Delete {
-				x.ins.Delete(op.Value)
-			} else {
-				x.ins.Insert(op.Value)
-			}
-		}
-	}
+	applyRuns(x.ins, ops)
 	done := time.Now()
 	x.mu.Unlock()
 	return locked.Sub(start), done.Sub(locked), nil
+}
+
+// applyRuns queues ops in batch order. When ins exposes the bulk surface
+// (updates.Index) it applies maximal same-kind runs. Order matters: a
+// delete annihilates a pending insert queued before it, so a batch-wide
+// insert/delete split would resolve an insert-then-delete pair
+// differently from serial application.
+func applyRuns(ins inserter, ops []Op) {
+	bulk, ok := ins.(bulkInserter)
+	if !ok {
+		for _, op := range ops {
+			if op.Delete {
+				ins.Delete(op.Value)
+			} else {
+				ins.Insert(op.Value)
+			}
+		}
+		return
+	}
+	for i := 0; i < len(ops); {
+		j := i + 1
+		for j < len(ops) && ops[j].Delete == ops[i].Delete {
+			j++
+		}
+		run := make([]int64, 0, j-i)
+		for _, op := range ops[i:j] {
+			run = append(run, op.Value)
+		}
+		if ops[i].Delete {
+			bulk.DeleteMany(run)
+		} else {
+			bulk.InsertMany(run)
+		}
+		i = j
+	}
 }
 
 // Pending returns the number of queued, not-yet-merged updates (0 when
@@ -498,6 +517,12 @@ func (x *Executor) Exclusive(fn func(inner Index)) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	fn(x.inner)
+}
+
+// Capture runs fn on the whole domain under Exclusive.
+func (x *Executor) Capture(fn func(lo, hi int64, inner Index) error) (err error) {
+	x.Exclusive(func(inner Index) { err = fn(math.MinInt64, math.MaxInt64, inner) })
+	return err
 }
 
 // Name identifies the wrapped algorithm.

@@ -67,11 +67,8 @@ func NewSharded(values []int64, spec string, k int, opt core.Options) (*Sharded,
 		if err != nil {
 			return nil, fmt.Errorf("exec: sharded: %w", err)
 		}
-		var inner Index = ix
-		if u, ok := updates.Wrap(ix); ok {
-			inner = u
-		}
-		s.shards = append(s.shards, shard{lo: lo, hi: hi, ex: New(inner)})
+		u, _ := updates.Wrap(ix)
+		s.shards = append(s.shards, shard{lo: lo, hi: hi, ex: shared(ix, u)})
 		lo = hi
 	}
 	return s, nil
@@ -101,21 +98,11 @@ func RestoreSharded(states []core.SnapshotState, bounds []int64, spec string, op
 		if hi <= lo {
 			return nil, fmt.Errorf("exec: sharded restore: bounds not ascending at shard %d", i)
 		}
-		ix, err := core.Restore(st, spec, opt)
+		ix, u, err := restore(st, spec, opt)
 		if err != nil {
 			return nil, fmt.Errorf("exec: sharded restore: shard %d: %w", i, err)
 		}
-		var inner Index = ix
-		if u, ok := updates.Wrap(ix); ok {
-			if st.Pending() > 0 {
-				u.SeedPending(st.PendingInserts, st.PendingDeletes)
-			}
-			inner = u
-		} else if st.Pending() > 0 {
-			return nil, fmt.Errorf("exec: sharded restore: shard %d: %d pending updates but %q takes no updates",
-				i, st.Pending(), spec)
-		}
-		s.shards = append(s.shards, shard{lo: lo, hi: hi, ex: New(inner)})
+		s.shards = append(s.shards, shard{lo: lo, hi: hi, ex: shared(ix, u)})
 		lo = hi
 	}
 	return s, nil
@@ -276,6 +263,24 @@ func (s *Sharded) QueryCtx(ctx context.Context, a, b int64) ([]int64, error) {
 	return out, nil
 }
 
+// View is QueryCtx as an owned Result.
+func (s *Sharded) View(ctx context.Context, a, b int64) (core.Result, error) {
+	vals, err := s.QueryCtx(ctx, a, b)
+	return core.NewOwnedResult(vals), err
+}
+
+// QueryAppendCtx answers [a, b) appending to dst. A range inside one shard
+// runs that shard's QueryAppendCtx, so a converged one allocates nothing;
+// wider ranges append the fan-out's answer.
+func (s *Sharded) QueryAppendCtx(ctx context.Context, a, b int64, dst []int64) ([]int64, error) {
+	if first, last, ok := s.intersect(a, b); ok && first == last && a < b {
+		s.q.Add(1)
+		return s.shards[first].ex.QueryAppendCtx(ctx, a, b, dst)
+	}
+	vals, err := s.QueryCtx(ctx, a, b)
+	return append(dst, vals...), err
+}
+
 // QueryAggregateCtx answers [a, b) returning only (count, sum), fanning
 // the aggregate out to the intersected shards without materializing any
 // values.
@@ -398,6 +403,17 @@ func (s *Sharded) QueryBatchCtx(ctx context.Context, ranges []Range) ([][]int64,
 	return out, nil
 }
 
+// QueryBatchInto answers like QueryBatchCtx, adopting its owned slices
+// as bb's result headers: the fan-out owns its allocations.
+func (s *Sharded) QueryBatchInto(ctx context.Context, ranges []Range, bb *BatchBuffer) ([][]int64, error) {
+	parts, err := s.QueryBatchCtx(ctx, ranges)
+	if err != nil {
+		return nil, err
+	}
+	bb.out = append(bb.out[:0], parts...)
+	return bb.out, nil
+}
+
 // Insert queues value v for insertion on the shard whose value range owns
 // it; the shard merges it lazily like any single index. It errors when the
 // algorithm cannot take updates.
@@ -478,20 +494,6 @@ func (s *Sharded) PathStats() (reads, writes int64) {
 	return reads, writes
 }
 
-// NumShards returns the number of shards.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Shard exposes shard i's executor (harness and tests).
-func (s *Sharded) Shard(i int) *Executor { return s.shards[i].ex }
-
-// ShardRange returns the half-open value range [lo, hi) shard i owns
-// (the first shard's lo is math.MinInt64, the last shard's hi is
-// math.MaxInt64 and absorbs the top edge). Snapshots record it so a
-// restore can rebuild — or deliberately re-cut — the same partitioning.
-func (s *Sharded) ShardRange(i int) (lo, hi int64) {
-	return s.shards[i].lo, s.shards[i].hi
-}
-
 // ExclusiveAll runs fn with every shard's executor drained at once, so
 // fn observes one atomic cut of the whole index — no query or update can
 // complete on any shard between the first lock and fn's return.
@@ -514,4 +516,17 @@ func (s *Sharded) ExclusiveAll(fn func(inners []Index)) {
 		})
 	}
 	acquire(0)
+}
+
+// Capture runs fn on every shard's range under ExclusiveAll, in shard
+// order.
+func (s *Sharded) Capture(fn func(lo, hi int64, inner Index) error) (err error) {
+	s.ExclusiveAll(func(inners []Index) {
+		for i, inner := range inners {
+			if err = fn(s.shards[i].lo, s.shards[i].hi, inner); err != nil {
+				return
+			}
+		}
+	})
+	return err
 }

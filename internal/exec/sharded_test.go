@@ -115,13 +115,13 @@ func TestShardedBalancedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumShards() != 8 {
-		t.Fatalf("shards = %d", s.NumShards())
+	if len(s.shards) != 8 {
+		t.Fatalf("shards = %d", len(s.shards))
 	}
 	// Each shard should hold a reasonable share: between 1/4x and 4x the
 	// even split, given sampling-based bounds.
-	for i := 0; i < s.NumShards(); i++ {
-		acc, ok := s.Shard(i).inner.(interface{ Engine() *core.Engine })
+	for i := 0; i < len(s.shards); i++ {
+		acc, ok := s.shards[i].ex.inner.(interface{ Engine() *core.Engine })
 		if !ok {
 			t.Fatal("shard not engine-backed")
 		}
@@ -215,14 +215,14 @@ func TestRestoreShardedResumesCracks(t *testing.T) {
 		a := rng.Int63n(n - 50)
 		src.Query(a, a+50)
 	}
-	states := make([]core.SnapshotState, src.NumShards())
-	bounds := make([]int64, 0, src.NumShards()-1)
-	for i := 0; i < src.NumShards(); i++ {
-		lo, _ := src.ShardRange(i)
+	states := make([]core.SnapshotState, len(src.shards))
+	bounds := make([]int64, 0, len(src.shards)-1)
+	for i := 0; i < len(src.shards); i++ {
+		lo := src.shards[i].lo
 		if i > 0 {
 			bounds = append(bounds, lo)
 		}
-		src.Shard(i).Exclusive(func(inner Index) {
+		src.shards[i].ex.Exclusive(func(inner Index) {
 			acc := inner.(interface{ Engine() *core.Engine })
 			states[i] = acc.Engine().Snapshot()
 		})
@@ -231,13 +231,13 @@ func TestRestoreShardedResumesCracks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.NumShards() != 4 {
-		t.Fatalf("restored %d shards, want 4", restored.NumShards())
+	if len(restored.shards) != 4 {
+		t.Fatalf("restored %d shards, want 4", len(restored.shards))
 	}
 	// Same bounds as the source.
 	for i := 0; i < 4; i++ {
-		slo, shi := src.ShardRange(i)
-		rlo, rhi := restored.ShardRange(i)
+		slo, shi := src.shards[i].lo, src.shards[i].hi
+		rlo, rhi := restored.shards[i].lo, restored.shards[i].hi
 		if slo != rlo || shi != rhi {
 			t.Fatalf("shard %d range [%d,%d), want [%d,%d)", i, rlo, rhi, slo, shi)
 		}

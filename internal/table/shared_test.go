@@ -19,12 +19,15 @@ func TestSharedTableConcurrentColumns(t *testing.T) {
 	for i, v := range a {
 		b[i] = v * 2
 	}
-	tbl, err := New(map[string][]int64{"a": a, "b": b}, "dd1r", core.Options{Seed: 32})
+	tbl, err := New(map[string][]int64{"a": a, "b": b}, "dd1r", exec.Mode{Kind: exec.ModeShared}, core.Options{Seed: 32}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewShared(tbl)
 	ctx := context.Background()
+	ca, err := tbl.Column("a")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 32)
@@ -37,13 +40,18 @@ func TestSharedTableConcurrentColumns(t *testing.T) {
 				// Even goroutines hit column a, odd ones column b: both
 				// columns crack concurrently, independently.
 				if g%2 == 0 {
-					vals, err := s.Query(ctx, "a", lo, lo+100)
+					vals, err := ca.QueryAppendCtx(ctx, lo, lo+100, nil)
 					if err != nil || len(vals) != 100 {
 						errs <- "column a query wrong"
 						return
 					}
 				} else {
-					c, sum, err := s.QueryAggregate(ctx, "b", 2*lo, 2*lo+200)
+					cb, err := tbl.Column("b")
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					c, sum, err := cb.QueryAggregateCtx(ctx, 2*lo, 2*lo+200)
 					if err != nil || c != 100 {
 						errs <- "column b aggregate wrong"
 						return
@@ -66,33 +74,36 @@ func TestSharedTableConcurrentColumns(t *testing.T) {
 		t.Fatal(e)
 	}
 
-	out, err := s.QueryBatch(ctx, "a", []exec.Range{{Lo: 10, Hi: 20}, {Lo: 500, Hi: 600}})
+	out, err := ca.QueryBatchCtx(ctx, []exec.Range{{Lo: 10, Hi: 20}, {Lo: 500, Hi: 600}})
 	if err != nil || len(out[0]) != 10 || len(out[1]) != 100 {
 		t.Fatalf("batch: err=%v sizes=(%d,%d)", err, len(out[0]), len(out[1]))
 	}
-	if s.Stats().Queries == 0 || s.Stats().Cracks == 0 {
+	if tbl.Stats().Queries == 0 || tbl.Stats().Cracks == 0 {
 		t.Fatal("no work recorded")
 	}
-	if s.Rows() != n || len(s.Columns()) != 2 {
+	if tbl.Rows() != n || len(tbl.Columns()) != 2 {
 		t.Fatal("table shape lost")
 	}
 }
 
 func TestSharedTableErrors(t *testing.T) {
-	tbl, err := New(map[string][]int64{"a": {1, 2, 3}}, "crack", core.Options{})
+	tbl, err := New(map[string][]int64{"a": {1, 2, 3}}, "crack", exec.Mode{Kind: exec.ModeShared}, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewShared(tbl)
-	if _, err := s.Query(context.Background(), "nope", 0, 10); !errors.Is(err, dberr.ErrUnknownColumn) {
+	if _, err := tbl.Column("nope"); !errors.Is(err, dberr.ErrUnknownColumn) {
 		t.Fatalf("unknown column error = %v", err)
 	}
-	if len(s.execs) != 1 {
-		t.Fatalf("unknown column grew the slot map to %d slots", len(s.execs))
+	if len(tbl.cols) != 1 {
+		t.Fatalf("unknown column grew the slot map to %d slots", len(tbl.cols))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Query(ctx, "a", 0, 10); !errors.Is(err, context.Canceled) {
+	c, err := tbl.Column("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.View(ctx, 0, 10); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled query error = %v", err)
 	}
 }

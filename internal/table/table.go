@@ -19,61 +19,69 @@
 //     cracker column ("pieces of cracker columns are dynamically
 //     created ... based on storage restrictions", §2).
 //
-// Selection uses any core cracking algorithm; the table owns one adaptive
-// index per selection attribute plus the lazily built sideways maps.
+// Selection uses any core cracking algorithm. Every selection attribute
+// gets its own exec.Backend, built lazily on first use in the table's
+// mode: unsynchronized in Single mode, one executor in Shared mode, k
+// range-partitioned executors in Sharded(k) mode. Columns share no
+// physical state, so queries on different columns of a concurrent table
+// run fully in parallel. Projection is single-threaded: only Single
+// tables serve it, and only their columns track row ids.
 package table
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cindex"
 	"repro/internal/column"
 	"repro/internal/core"
 	"repro/internal/dberr"
+	"repro/internal/exec"
 	"repro/internal/snapshot"
-	"repro/internal/stats"
-	"repro/internal/updates"
 )
 
-// Table is a column-store table: named columns of equal length. It is not
-// safe for concurrent use.
+// Table is a column-store table: named columns of equal length. Selections
+// and writes through Column are safe for concurrent use in the Shared and
+// Sharded modes; the projection paths, which only Single tables serve, are
+// not.
 type Table struct {
-	names   []string
-	base    map[string][]int64 // immutable base columns
-	rows    int
-	algo    string
-	opt     core.Options
-	indexes map[string]*selIndex      // adaptive index per selection attribute
-	maps    map[[2]string]*crackerMap // sideways maps keyed by (sel, proj)
+	names []string
+	// cols holds one slot per column, made at construction: the map is
+	// read-only afterwards, so a query's slot lookup takes no lock.
+	cols  map[string]*slot
+	rows  int
+	algo  string
+	opt   core.Options
+	mode  exec.Mode            // Shards clamped to the row count
+	group *exec.BatcherOptions // nil without group commit
 
-	// seeds holds per-column snapshot states a restored table starts
-	// from; index consumes a column's seed on first build. restored
-	// marks columns that came from a snapshot: their cracked order no
-	// longer matches base order (row ids were dropped at capture), so
-	// the projection paths reject them.
-	seeds    map[string]core.SnapshotState
-	restored map[string]bool
+	// buildMu serializes lazy column builds; PieceSizes and Snapshot hold
+	// it throughout, so no column flips from cold to built mid-walk and a
+	// write racing the capture of a cold column cannot be acknowledged and
+	// then missed.
+	buildMu sync.Mutex
+
+	maps map[[2]string]*crackerMap // sideways maps keyed by (sel, proj)
 }
 
-// selIndex is the adaptive index on one selection attribute: a cracked
-// copy of the attribute with a row-id payload for late reconstruction.
-// u is the update-carrying wrapper when the algorithm supports it (nil
-// for index kinds without an engine).
-type selIndex struct {
-	ix core.Index
-	e  *core.Engine
-	u  *updates.Index
-}
-
-// query answers [lo, hi) through the update wrapper when present, so
-// pending inserts/deletes merge lazily on first covering read.
-func (si *selIndex) query(lo, hi int64) core.Result {
-	if si.u != nil {
-		return si.u.Query(lo, hi)
-	}
-	return si.ix.Query(lo, hi)
+// slot is one column: its base values, the snapshot state a restored
+// column resumes from, and its lazily built backend. once gates the
+// O(rows) build so queries on built columns never wait for it; col is
+// atomic because Stats and Pending peek at slots without entering once.
+type slot struct {
+	base []int64
+	// seed is the captured state of a restored column (nil otherwise),
+	// never modified. Its cracked order no longer matches base order (row
+	// ids were dropped at capture), so the projection paths reject it.
+	seed *core.SnapshotState
+	once sync.Once
+	col  atomic.Pointer[exec.Column]
+	err  error // read only after once.Do returns
 }
 
 // crackerMap is a sideways map: a copy of the selection attribute cracked
@@ -83,86 +91,66 @@ type crackerMap struct {
 	idx *cindex.Tree
 }
 
-// New creates a table from named columns, all of equal length. algorithm
-// selects the cracking flavor for selection indexes (any core spec, e.g.
-// "crack", "dd1r", "pmdd1r-10").
-func New(cols map[string][]int64, algorithm string, opt core.Options) (*Table, error) {
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("table: no columns")
-	}
-	t := &Table{
-		base:    make(map[string][]int64, len(cols)),
-		algo:    algorithm,
-		opt:     opt,
-		indexes: make(map[string]*selIndex),
-		maps:    make(map[[2]string]*crackerMap),
-		rows:    -1,
-	}
-	for name := range cols {
-		t.names = append(t.names, name)
-	}
-	sort.Strings(t.names)
-	for _, name := range t.names {
+// New creates a table from named columns, all of equal length, served in
+// mode. algorithm selects the cracking flavor for selection indexes (any
+// core spec, e.g. "crack", "dd1r", "pmdd1r-10"); a non-nil group attaches
+// a group-commit batcher to every column backend.
+func New(cols map[string][]int64, algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
+	t := &Table{cols: make(map[string]*slot, len(cols)), rows: -1}
+	for _, name := range slices.Sorted(maps.Keys(cols)) {
 		vals := cols[name]
 		if t.rows == -1 {
 			t.rows = len(vals)
 		} else if len(vals) != t.rows {
 			return nil, fmt.Errorf("table: column %q has %d rows, want %d", name, len(vals), t.rows)
 		}
-		t.base[name] = vals
+		t.cols[name] = &slot{base: vals}
 	}
-	if _, err := core.Build(nil, algorithm, opt); err != nil {
-		return nil, err // validate the algorithm spec eagerly
-	}
-	return t, nil
+	return t.init(algorithm, mode, opt, group)
 }
 
 // Restore rebuilds a table from a table manifest's columns: each column
-// seeds its adaptive index with the captured state (cracks and pending
-// queues included), consumed lazily on the column's first selection.
-// Captured states carry no row ids, so the restored table answers every
-// per-column selection exactly but rejects the cross-column projection
-// paths behind DB.SelectProject and DB.SelectProjectSideways with
-// dberr.ErrSnapshotUnsupported.
-func Restore(cols []snapshot.TableColumn, algorithm string, opt core.Options) (*Table, error) {
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("table: no columns")
-	}
-	t := &Table{
-		base:     make(map[string][]int64, len(cols)),
-		algo:     algorithm,
-		opt:      opt,
-		indexes:  make(map[string]*selIndex),
-		maps:     make(map[[2]string]*crackerMap),
-		seeds:    make(map[string]core.SnapshotState, len(cols)),
-		restored: make(map[string]bool, len(cols)),
-	}
+// resumes from its captured state (cracks and pending queues included),
+// consumed lazily on the column's first use. Captured states carry no row
+// ids, so the restored table answers every per-column selection exactly
+// but rejects the projection paths with dberr.ErrSnapshotUnsupported.
+func Restore(cols []snapshot.TableColumn, algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
+	t := &Table{cols: make(map[string]*slot, len(cols))}
 	for _, c := range cols {
-		merged, err := (snapshot.Manifest{Parts: c.Parts}).Merged()
+		if _, dup := t.cols[c.Name]; dup {
+			return nil, fmt.Errorf("table: duplicate column %q", c.Name)
+		}
+		st, err := (snapshot.Manifest{Parts: c.Parts}).Merged()
 		if err != nil {
 			return nil, fmt.Errorf("table: column %q: %w", c.Name, err)
 		}
-		merged.RowIDs = nil // capture drops them; tolerate hand-built manifests
-		t.names = append(t.names, c.Name)
-		t.base[c.Name] = merged.Values
-		t.seeds[c.Name] = merged
-		t.restored[c.Name] = true
+		st.RowIDs = nil // capture drops them; tolerate hand-built manifests
+		t.cols[c.Name] = &slot{base: st.Values, seed: &st}
 		// Columns may hold different counts once per-column updates merged;
 		// report the widest. Pending inserts stay out of the count until
 		// they merge — the same convention the single-column restore uses.
-		if n := len(merged.Values); n > t.rows {
-			t.rows = n
-		}
+		t.rows = max(t.rows, len(st.Values))
 	}
-	sort.Strings(t.names)
-	for i := 1; i < len(t.names); i++ {
-		if t.names[i] == t.names[i-1] {
-			return nil, fmt.Errorf("table: duplicate column %q", t.names[i])
-		}
+	return t.init(algorithm, mode, opt, group)
+}
+
+// init completes a table whose slots are filled.
+func (t *Table) init(algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
+	if len(t.cols) == 0 {
+		return nil, fmt.Errorf("table: no columns")
 	}
 	if _, err := core.Build(nil, algorithm, opt); err != nil {
 		return nil, err // validate the algorithm spec eagerly
 	}
+	if mode.Kind == exec.ModeSharded {
+		mode.Shards = max(mode.Shards, 1)
+		if t.rows > 0 {
+			mode.Shards = min(mode.Shards, t.rows)
+		}
+	}
+	t.names = slices.Sorted(maps.Keys(t.cols))
+	t.algo, t.mode, t.opt, t.group = algorithm, mode, opt, group
+	t.maps = make(map[[2]string]*crackerMap)
 	return t, nil
 }
 
@@ -172,272 +160,189 @@ func (t *Table) Rows() int { return t.rows }
 // Columns returns the column names in deterministic (sorted) order.
 func (t *Table) Columns() []string { return append([]string(nil), t.names...) }
 
-// Stats aggregates physical-cost counters over all selection indexes and
-// sideways maps.
-func (t *Table) Stats() core.Stats {
-	var s core.Stats
-	for _, si := range t.indexes {
-		st := si.ix.Stats()
-		s.Queries += st.Queries
-		s.Touched += st.Touched
-		s.Swaps += st.Swaps
-		s.Cracks += st.Cracks
-		s.Pieces += st.Pieces
+// Name identifies the configuration: "table", or "table(sharded-k)".
+func (t *Table) Name() string {
+	if t.mode.Kind == exec.ModeSharded {
+		return "table(" + t.mode.String() + ")"
 	}
-	for _, m := range t.maps {
-		s.Touched += m.col.Stats.Touched
-		s.Swaps += m.col.Stats.Swaps
-		s.Cracks += m.idx.Len()
-		s.Pieces += m.idx.Len() + 1
-	}
-	return s
+	return "table"
 }
 
-// index returns (building lazily) the adaptive index on column sel. A
-// restored column consumes its snapshot seed: the index resumes with the
-// captured cracks and pending queues instead of rebuilding cold.
-func (t *Table) index(sel string) (*selIndex, error) {
-	if si, ok := t.indexes[sel]; ok {
-		return si, nil
-	}
-	base, ok := t.base[sel]
-	if !ok {
-		return nil, fmt.Errorf("table: %w %q", dberr.ErrUnknownColumn, sel)
-	}
-	var (
-		ix  core.Index
-		err error
-	)
-	seed, seeded := t.seeds[sel]
-	if seeded {
-		// Restored columns carry no row ids (dropped at capture), so do
-		// not ask the engine to invent a meaningless fresh set.
-		opt := t.opt
-		opt.TrackRowIDs = false
-		ix, err = core.Restore(seed, t.algo, opt)
-		if err == nil {
-			delete(t.seeds, sel)
+// slot resolves a column name to its slot, returning the name too: ""
+// names a one-column table's only column.
+func (t *Table) slot(name string) (string, *slot, error) {
+	if name == "" {
+		if len(t.names) != 1 {
+			return "", nil, fmt.Errorf("table: no column named (scope predicates with Predicate.On, writes with ApplyBatchOn): %w",
+				dberr.ErrUnknownColumn)
 		}
+		name = t.names[0]
+	}
+	s, ok := t.cols[name]
+	if !ok {
+		return "", nil, fmt.Errorf("table: %w %q", dberr.ErrUnknownColumn, name)
+	}
+	return name, s, nil
+}
+
+// Column returns column name's backend, building it on first use ("" names
+// a one-column table's only column). The build runs under buildMu, so
+// builds of different columns serialize with each other but never stall
+// queries on columns that are already built.
+func (t *Table) Column(name string) (*exec.Column, error) {
+	_, s, err := t.slot(name)
+	if err != nil {
+		return nil, err
+	}
+	s.once.Do(func() {
+		t.buildMu.Lock()
+		defer t.buildMu.Unlock()
+		c, err := t.build(s)
+		if err != nil {
+			s.err = err
+			return
+		}
+		s.col.Store(c)
+	})
+	return s.col.Load(), s.err
+}
+
+// build constructs one column's backend in the table's mode: from its
+// restore seed when the table came from a snapshot, else from a copy of
+// its base values. Only Single tables track row ids: projection needs
+// them, and the concurrent modes refuse projection.
+func (t *Table) build(s *slot) (*exec.Column, error) {
+	var b exec.Backend
+	var err error
+	if s.seed != nil {
+		b, err = exec.Restore([]snapshot.Part{snapshot.ClampedPart(math.MinInt64, math.MaxInt64, *s.seed)},
+			t.algo, t.mode, t.opt)
 	} else {
 		opt := t.opt
-		opt.TrackRowIDs = true
-		ix, err = core.Build(append([]int64(nil), base...), t.algo, opt)
+		opt.TrackRowIDs = t.mode.Kind == exec.ModeSingle
+		b, err = exec.Build(slices.Clone(s.base), t.algo, t.mode, opt, 0)
 	}
 	if err != nil {
 		return nil, err
 	}
-	acc, ok := ix.(interface{ Engine() *core.Engine })
-	if !ok {
-		return nil, fmt.Errorf("table: algorithm %q does not expose its engine", t.algo)
-	}
-	si := &selIndex{ix: ix, e: acc.Engine()}
-	if u, ok := updates.Wrap(ix); ok {
-		si.u = u
-	}
-	if seeded && seed.Pending() > 0 {
-		if si.u == nil {
-			return nil, fmt.Errorf("table: column %q: restore pending updates: %w", sel, dberr.ErrUpdatesUnsupported)
+	return exec.NewColumn(b, t.group), nil
+}
+
+// built returns the built column backends (order unspecified).
+func (t *Table) built() []*exec.Column {
+	out := make([]*exec.Column, 0, len(t.cols))
+	for _, s := range t.cols {
+		if c := s.col.Load(); c != nil {
+			out = append(out, c)
 		}
-		si.u.SeedPending(seed.PendingInserts, seed.PendingDeletes)
 	}
-	t.indexes[sel] = si
-	return si, nil
+	return out
 }
 
-// Select returns the values of column sel falling in [lo, hi), cracking
-// sel's index as a side effect — the single-attribute select the paper's
-// experiments run.
-func (t *Table) Select(sel string, lo, hi int64) ([]int64, error) {
-	si, err := t.index(sel)
-	if err != nil {
-		return nil, err
+// Stats aggregates physical-cost counters over the built columns and the
+// sideways maps. Columns never queried cost, and report, nothing.
+func (t *Table) Stats() core.Stats {
+	var agg core.Stats
+	for _, c := range t.built() {
+		st := c.Stats()
+		agg.Queries += st.Queries
+		agg.Touched += st.Touched
+		agg.Swaps += st.Swaps
+		agg.Cracks += st.Cracks
+		agg.Pieces += st.Pieces
 	}
-	res := si.query(lo, hi)
-	return res.Materialize(make([]int64, 0, res.Count())), nil
+	for _, m := range t.maps {
+		agg.Touched += m.col.Stats.Touched
+		agg.Swaps += m.col.Stats.Swaps
+		agg.Cracks += m.idx.Len()
+		agg.Pieces += m.idx.Len() + 1
+	}
+	return agg
 }
 
-// Apply queues a write batch against column sel: deletes first (matching
-// the facade's batch order, so a delete in the same batch annihilates a
-// matching queued insert), then inserts. Updates merge lazily on the next
-// covering selection; other columns are untouched — cracking, and
-// updating, is per attribute.
-func (t *Table) Apply(sel string, inserts, deletes []int64) error {
-	si, err := t.index(sel)
-	if err != nil {
-		return err
-	}
-	if si.u == nil {
-		return fmt.Errorf("table: algorithm %q: %w", t.algo, dberr.ErrUpdatesUnsupported)
-	}
-	si.u.DeleteMany(deletes)
-	si.u.InsertMany(inserts)
-	return nil
-}
-
-// PendingUpdates reports queued, not-yet-merged updates across all column
-// indexes.
-func (t *Table) PendingUpdates() int {
+// Pending reports queued, not-yet-merged updates across all columns,
+// including the queues a restored column has not consumed yet.
+func (t *Table) Pending() int {
 	n := 0
-	for _, si := range t.indexes {
-		if si.u != nil {
-			n += si.u.Pending()
+	for _, s := range t.cols {
+		if c := s.col.Load(); c != nil {
+			n += c.Pending()
+		} else if s.seed != nil {
+			n += s.seed.Pending()
 		}
 	}
 	return n
 }
 
-// SelectProject answers SELECT proj FROM t WHERE lo <= sel AND sel < hi
-// with late tuple reconstruction: the selection column is cracked as a
-// side effect, and proj is fetched from its base column through the
-// row-id payload.
-func (t *Table) SelectProject(sel, proj string, lo, hi int64) ([]int64, error) {
-	if err := t.projectable(sel, proj); err != nil {
-		return nil, err
+// PathStats sums the read-path and write-path query counts across the
+// built columns.
+func (t *Table) PathStats() (reads, writes int64) {
+	for _, c := range t.built() {
+		r, w := c.PathStats()
+		reads += r
+		writes += w
 	}
-	base, ok := t.base[proj]
-	if !ok {
-		return nil, fmt.Errorf("table: %w %q", dberr.ErrUnknownColumn, proj)
-	}
-	si, err := t.index(sel)
-	if err != nil {
-		return nil, err
-	}
-	res := si.ix.Query(lo, hi)
-	col := si.e.Column()
-	out := make([]int64, 0, res.Count())
-	if res.ViewLen() == res.Count() {
-		// Pure view: project the contiguous qualifying area by row id.
-		for i := res.ViewLo(); i < res.ViewHi(); i++ {
-			out = append(out, base[col.RowIDs[i]])
-		}
-		return out, nil
-	}
-	// Stochastic variants materialize end pieces without row ids; recover
-	// them by scanning the (now partially cracked) end pieces for
-	// qualifying values. The middle view still projects contiguously.
-	if hi <= lo {
-		return out, nil
-	}
-	plo, _, _, _, phi, _ := si.e.CrackerIndex().Bounds(lo, hi, col.Len())
-	for i := plo; i < phi; i++ {
-		if v := col.Values[i]; lo <= v && v < hi {
-			out = append(out, base[col.RowIDs[i]])
-		}
-	}
-	return out, nil
+	return reads, writes
 }
 
-// SelectProjectSideways answers the same query through a sideways cracker
-// map: the projected attribute physically travels with the selection
-// attribute during cracking, so the projection is one contiguous copy.
-// The map is built lazily for each (sel, proj) pair and cracked
-// query-driven.
-func (t *Table) SelectProjectSideways(sel, proj string, lo, hi int64) ([]int64, error) {
-	if err := t.projectable(sel, proj); err != nil {
-		return nil, err
+// GroupCommitStats aggregates batcher counters across the built columns;
+// ok reports whether group commit is enabled at all.
+func (t *Table) GroupCommitStats() (agg exec.BatcherStats, ok bool) {
+	if t.group == nil {
+		return exec.BatcherStats{}, false
 	}
-	m, err := t.sidewaysMap(sel, proj)
-	if err != nil {
-		return nil, err
+	agg.BatchSize = t.group.BatchSize
+	agg.MaxWait = t.group.MaxWait
+	for _, c := range t.built() {
+		st := c.Batch.Stats()
+		agg.Enqueued += st.Enqueued
+		agg.Ops += st.Ops
+		agg.Flushes += st.Flushes
+		agg.MaxBatch = max(agg.MaxBatch, st.MaxBatch)
+		agg.QueueNS += st.QueueNS
+		agg.FlushNS += st.FlushNS
+		agg.ApplyNS += st.ApplyNS
+		agg.BatchSize = st.BatchSize
+		agg.MaxWait = st.MaxWait
 	}
-	if lo >= hi {
-		return nil, nil
-	}
-	p1 := m.crackBound(lo)
-	p2 := m.crackBound(hi)
-	return append([]int64(nil), m.col.Payload[p1:p2]...), nil
+	return agg, true
 }
 
-// Maps returns the number of sideways maps materialized so far.
-func (t *Table) Maps() int { return len(t.maps) }
-
-func (t *Table) sidewaysMap(sel, proj string) (*crackerMap, error) {
-	key := [2]string{sel, proj}
-	if m, ok := t.maps[key]; ok {
-		return m, nil
-	}
-	selBase, ok := t.base[sel]
-	if !ok {
-		return nil, fmt.Errorf("table: %w %q", dberr.ErrUnknownColumn, sel)
-	}
-	projBase, ok := t.base[proj]
-	if !ok {
-		return nil, fmt.Errorf("table: %w %q", dberr.ErrUnknownColumn, proj)
-	}
-	m := &crackerMap{
-		col: column.NewWithPayload(
-			append([]int64(nil), selBase...),
-			append([]int64(nil), projBase...)),
-		idx: &cindex.Tree{},
-	}
-	t.maps[key] = m
-	return m, nil
-}
-
-// projectable reports whether the cross-column projection paths can
-// serve (sel, proj): both reconstruction strategies assume base columns
-// aligned row-for-row with the selection index, which restored columns
-// (row ids dropped at capture) and written-to columns (updates never
-// touch base) no longer guarantee.
-func (t *Table) projectable(sel, proj string) error {
-	for _, name := range [2]string{sel, proj} {
-		if t.restored[name] {
-			return fmt.Errorf("table: column %q was restored from a snapshot, projections need row alignment: %w",
-				name, dberr.ErrSnapshotUnsupported)
-		}
-		if si, ok := t.indexes[name]; ok && si.u != nil && (si.u.Pending() > 0 || si.u.Merged() > 0) {
-			return fmt.Errorf("table: column %q has updates, projections read the immutable base: %w",
-				name, dberr.ErrUpdatesUnsupported)
+// Close shuts down the per-column group-commit batchers (no-op without
+// group commit). In-flight enqueues drain first; later writes fail with
+// exec.ErrBatcherClosed.
+func (t *Table) Close() {
+	for _, c := range t.built() {
+		if c.Batch != nil {
+			c.Batch.Close()
 		}
 	}
-	return nil
 }
 
-// captureState snapshots one built column index: the engine's physical
-// state plus the update wrapper's pending queues, with the row-id payload
-// dropped — table snapshots capture per-column value state only (see
-// snapshot.TableColumn).
-func captureState(si *selIndex) core.SnapshotState {
-	st := si.e.Snapshot()
-	st.RowIDs = nil
-	if si.u != nil {
-		st.PendingInserts, st.PendingDeletes = si.u.PendingSnapshot()
-	}
-	return st
-}
-
-// columnState returns column name's current snapshot state whether the
-// index is built (live engine capture), seeded-but-unbuilt (the unconsumed
-// restore seed, cracks intact), or cold (base values, no cracks).
-func (t *Table) columnState(name string) core.SnapshotState {
-	if si, ok := t.indexes[name]; ok {
-		return captureState(si)
-	}
-	if st, ok := t.seeds[name]; ok {
-		return st
-	}
-	return core.SnapshotState{Values: append([]int64(nil), t.base[name]...)}
-}
-
-// Snapshot captures the whole table as a table manifest: one column entry
-// per attribute, each holding that column's cracked state and pending
-// update queues. Never-queried columns snapshot as their base values with
-// no cracks; restored-but-untouched columns re-emit their seed state, so
-// adaptation is never lost by a save/load cycle.
-func (t *Table) Snapshot() (snapshot.Manifest, error) {
-	cols := make([]snapshot.TableColumn, 0, len(t.names))
+// PieceSizes reports current piece sizes column by column, in column-name
+// order: built columns from their live cracker indexes (drained, so the
+// sizes are consistent), restored columns from their seed's cracks, cold
+// columns as one unbroken piece.
+func (t *Table) PieceSizes() ([]int, error) {
+	t.buildMu.Lock()
+	defer t.buildMu.Unlock()
+	var sizes []int
 	for _, name := range t.names {
-		st := t.columnState(name)
-		cols = append(cols, snapshot.TableColumn{
-			Name:  name,
-			Parts: []snapshot.Part{snapshot.ClampedPart(math.MinInt64, math.MaxInt64, st)},
-		})
+		s := t.cols[name]
+		switch c := s.col.Load(); {
+		case c != nil:
+			cs, err := exec.PieceSizes(c)
+			if err != nil {
+				return nil, err
+			}
+			sizes = append(sizes, cs...)
+		case s.seed != nil:
+			sizes = append(sizes, sizesFromState(*s.seed)...)
+		default:
+			sizes = append(sizes, len(s.base))
+		}
 	}
-	m := snapshot.Table(cols)
-	if err := m.Validate(); err != nil {
-		return snapshot.Manifest{}, err
-	}
-	return m, nil
+	return sizes, nil
 }
 
 // sizesFromState derives piece sizes from a snapshot state's crack set —
@@ -454,23 +359,144 @@ func sizesFromState(st core.SnapshotState) []int {
 	return append(sizes, len(st.Values)-prev)
 }
 
-// PieceSizes reports current piece sizes column by column, in column-name
-// order: built columns from their live cracker index, seeded columns from
-// the seed's cracks, cold columns as one unbroken piece.
-func (t *Table) PieceSizes() []int {
-	var sizes []int
+// Snapshot captures the whole table as a table manifest: one entry per
+// column holding its cracked state and pending queues — one part per
+// shard in Sharded mode — with row ids dropped (see snapshot.TableColumn).
+// Built columns drain while they are captured; never-queried columns
+// capture their base values with no cracks, and restored-but-untouched
+// columns re-emit their seed, so a save/load cycle never loses
+// adaptation. Each column's capture is atomic; the cut is per column,
+// matching the independence of per-column updates.
+func (t *Table) Snapshot() (snapshot.Manifest, error) {
+	t.buildMu.Lock()
+	defer t.buildMu.Unlock()
+	cols := make([]snapshot.TableColumn, 0, len(t.names))
 	for _, name := range t.names {
-		if si, ok := t.indexes[name]; ok {
-			sizes = append(sizes, stats.SizesFromBounds(si.e.CrackerIndex().Pieces(si.e.Column().Len()))...)
-			continue
+		s := t.cols[name]
+		var parts []snapshot.Part
+		if c := s.col.Load(); c != nil {
+			var err error
+			if parts, err = exec.CaptureParts(c); err != nil {
+				return snapshot.Manifest{}, err
+			}
+			for i := range parts {
+				parts[i].State.RowIDs = nil
+			}
+		} else {
+			st := core.SnapshotState{Values: slices.Clone(s.base)}
+			if s.seed != nil {
+				st = *s.seed
+			}
+			parts = []snapshot.Part{snapshot.ClampedPart(math.MinInt64, math.MaxInt64, st)}
 		}
-		if st, ok := t.seeds[name]; ok {
-			sizes = append(sizes, sizesFromState(st)...)
-			continue
-		}
-		sizes = append(sizes, len(t.base[name]))
+		cols = append(cols, snapshot.TableColumn{Name: name, Parts: parts})
 	}
-	return sizes
+	m := snapshot.Table(cols)
+	if err := m.Validate(); err != nil {
+		return snapshot.Manifest{}, err
+	}
+	return m, nil
+}
+
+// SelectProject answers SELECT proj FROM t WHERE lo <= sel AND sel < hi
+// with late tuple reconstruction: the selection column is cracked as a
+// side effect, and proj is fetched from its base column through the
+// row-id payload.
+func (t *Table) SelectProject(sel, proj string, lo, hi int64) ([]int64, error) {
+	sel, base, err := t.projectable(sel, proj)
+	if err != nil {
+		return nil, err
+	}
+	c, err := t.Column(sel)
+	if err != nil {
+		return nil, err
+	}
+	si := c.Backend.(*exec.Single) // projectable checked the mode
+	res := si.Query(lo, hi)
+	e := si.Engine()
+	col := e.Column()
+	out := make([]int64, 0, res.Count())
+	if res.ViewLen() == res.Count() {
+		// Pure view: project the contiguous qualifying area by row id.
+		for i := res.ViewLo(); i < res.ViewHi(); i++ {
+			out = append(out, base[col.RowIDs[i]])
+		}
+		return out, nil
+	}
+	// Stochastic variants materialize end pieces without row ids; recover
+	// them by scanning the (now partially cracked) end pieces for
+	// qualifying values. The middle view still projects contiguously.
+	if hi <= lo {
+		return out, nil
+	}
+	plo, _, _, _, phi, _ := e.CrackerIndex().Bounds(lo, hi, col.Len())
+	for i := plo; i < phi; i++ {
+		if v := col.Values[i]; lo <= v && v < hi {
+			out = append(out, base[col.RowIDs[i]])
+		}
+	}
+	return out, nil
+}
+
+// SelectProjectSideways answers the same query through a sideways cracker
+// map: the projected attribute physically travels with the selection
+// attribute during cracking, so the projection is one contiguous copy.
+// The map is built lazily for each (sel, proj) pair and cracked
+// query-driven.
+func (t *Table) SelectProjectSideways(sel, proj string, lo, hi int64) ([]int64, error) {
+	sel, projBase, err := t.projectable(sel, proj)
+	if err != nil {
+		return nil, err
+	}
+	key := [2]string{sel, proj}
+	m, ok := t.maps[key]
+	if !ok {
+		m = &crackerMap{
+			col: column.NewWithPayload(slices.Clone(t.cols[sel].base), slices.Clone(projBase)),
+			idx: &cindex.Tree{},
+		}
+		t.maps[key] = m
+	}
+	if lo >= hi {
+		return nil, nil
+	}
+	p1 := m.crackBound(lo)
+	p2 := m.crackBound(hi)
+	return append([]int64(nil), m.col.Payload[p1:p2]...), nil
+}
+
+// Maps returns the number of sideways maps materialized so far.
+func (t *Table) Maps() int { return len(t.maps) }
+
+// projectable reports whether the projection paths can serve (sel, proj),
+// returning sel's resolved name and proj's base column. Both
+// reconstruction strategies are single-threaded and assume base columns
+// aligned row-for-row with the selection index, which restored columns
+// (row ids dropped at capture) and written-to columns (updates never
+// touch base) no longer guarantee.
+func (t *Table) projectable(sel, proj string) (string, []int64, error) {
+	if t.mode.Kind != exec.ModeSingle {
+		return "", nil, fmt.Errorf("table: projection on a %s table: %w", t.mode, errors.ErrUnsupported)
+	}
+	ps, ok := t.cols[proj]
+	if !ok {
+		return "", nil, fmt.Errorf("table: no column %q to project: %w", proj, dberr.ErrUnknownColumn)
+	}
+	sel, ss, err := t.slot(sel)
+	if err != nil {
+		return "", nil, err
+	}
+	for _, s := range [2]*slot{ss, ps} {
+		if s.seed != nil {
+			return "", nil, fmt.Errorf("table: a column was restored from a snapshot, projections need row alignment: %w",
+				dberr.ErrSnapshotUnsupported)
+		}
+		if c := s.col.Load(); c != nil && (c.Pending() > 0 || c.Backend.(*exec.Single).Merged() > 0) {
+			return "", nil, fmt.Errorf("table: a column has updates, projections read the immutable base: %w",
+				dberr.ErrUpdatesUnsupported)
+		}
+	}
+	return sel, ps.base, nil
 }
 
 // crackBound cracks the map on v (query-driven), keeping the projected

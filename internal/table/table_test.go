@@ -1,10 +1,12 @@
 package table
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/xrand"
 )
 
@@ -19,12 +21,24 @@ func makeTable(t *testing.T, n int, algo string) (*Table, []int64) {
 		b[i] = v * 2
 		c[i] = -v
 	}
-	tbl, err := New(map[string][]int64{"a": a, "b": b, "c": c}, algo, core.Options{Seed: 5})
+	tbl, err := New(map[string][]int64{"a": a, "b": b, "c": c}, algo, exec.Mode{}, core.Options{Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tbl, a
 }
+
+// selectVals answers a value selection on column sel of a Single table.
+func selectVals(tbl *Table, sel string, lo, hi int64) ([]int64, error) {
+	c, err := tbl.Column(sel)
+	if err != nil {
+		return nil, err
+	}
+	return c.QueryAppendCtx(context.Background(), lo, hi, nil)
+}
+
+// builtColumns counts the columns whose backend has been built.
+func builtColumns(tbl *Table) int { return len(tbl.built()) }
 
 func sortedCopy(v []int64) []int64 {
 	out := append([]int64(nil), v...)
@@ -44,20 +58,20 @@ func TestTableBasics(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, "crack", core.Options{}); err == nil {
+	if _, err := New(nil, "crack", exec.Mode{}, core.Options{}, nil); err == nil {
 		t.Fatal("empty table accepted")
 	}
-	if _, err := New(map[string][]int64{"a": {1, 2}, "b": {1}}, "crack", core.Options{}); err == nil {
+	if _, err := New(map[string][]int64{"a": {1, 2}, "b": {1}}, "crack", exec.Mode{}, core.Options{}, nil); err == nil {
 		t.Fatal("ragged columns accepted")
 	}
-	if _, err := New(map[string][]int64{"a": {1}}, "bogus", core.Options{}); err == nil {
+	if _, err := New(map[string][]int64{"a": {1}}, "bogus", exec.Mode{}, core.Options{}, nil); err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}
 }
 
 func TestSelectMatchesOracle(t *testing.T) {
 	tbl, _ := makeTable(t, 5000, "crack")
-	got, err := tbl.Select("a", 100, 300)
+	got, err := selectVals(tbl, "a", 100, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +88,7 @@ func TestSelectMatchesOracle(t *testing.T) {
 			t.Fatalf("select[%d] = %d, want %d", i, gs[i], want[i])
 		}
 	}
-	if _, err := tbl.Select("nope", 0, 1); err == nil {
+	if _, err := selectVals(tbl, "nope", 0, 1); err == nil {
 		t.Fatal("unknown column accepted")
 	}
 }
@@ -173,21 +187,21 @@ func TestSelectionIndexesIndependentPerAttribute(t *testing.T) {
 	// Cracking on a must not touch b's index or base column (attribute-
 	// level adaptation, §2).
 	tbl, _ := makeTable(t, 2000, "crack")
-	if _, err := tbl.Select("a", 100, 200); err != nil {
+	if _, err := selectVals(tbl, "a", 100, 200); err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.indexes) != 1 {
-		t.Fatalf("indexes = %d, want 1", len(tbl.indexes))
+	if builtColumns(tbl) != 1 {
+		t.Fatalf("indexes = %d, want 1", builtColumns(tbl))
 	}
-	if _, err := tbl.Select("b", 100, 200); err != nil {
+	if _, err := selectVals(tbl, "b", 100, 200); err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.indexes) != 2 {
-		t.Fatalf("indexes = %d, want 2", len(tbl.indexes))
+	if builtColumns(tbl) != 2 {
+		t.Fatalf("indexes = %d, want 2", builtColumns(tbl))
 	}
 	// Base columns remain untouched (cracking copies).
-	for i, v := range tbl.base["a"] {
-		if tbl.base["b"][i] != v*2 {
+	for i, v := range tbl.cols["a"].base {
+		if tbl.cols["b"].base[i] != v*2 {
 			t.Fatal("base columns were mutated by cracking")
 		}
 	}
@@ -218,7 +232,7 @@ func TestStatsAggregation(t *testing.T) {
 	if s := tbl.Stats(); s.Touched != 0 || s.Queries != 0 {
 		t.Fatalf("fresh table stats: %+v", s)
 	}
-	tbl.Select("a", 10, 20)
+	selectVals(tbl, "a", 10, 20)
 	tbl.SelectProjectSideways("a", "b", 30, 40)
 	s := tbl.Stats()
 	if s.Queries != 1 || s.Touched == 0 || s.Cracks == 0 {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/snapshot"
 	"repro/internal/table"
-	"repro/internal/updates"
 )
 
 // SnapshotState is the serializable physical state of one index engine:
@@ -28,22 +27,6 @@ type DBSnapshot = snapshot.Manifest
 // SnapshotPart is one part of a DBSnapshot: the engine state of one
 // shard plus the half-open value range [Lo, Hi) it owns.
 type SnapshotPart = snapshot.Part
-
-// snapshotState captures the index's physical state with any queued
-// updates carried in the state's pending-queue fields, so a capture never
-// refuses (DB.SnapshotStrict adds the refusal). Only engine-backed
-// algorithms serialize; the hybrids fail with ErrSnapshotUnsupported.
-func (ix *singleIndex) snapshotState() (SnapshotState, error) {
-	acc, ok := ix.inner.(interface{ Engine() *core.Engine })
-	if !ok {
-		return SnapshotState{}, fmt.Errorf("crackdb: %s: %w", ix.inner.Name(), ErrSnapshotUnsupported)
-	}
-	st := acc.Engine().Snapshot()
-	if ix.upd != nil {
-		st.PendingInserts, st.PendingDeletes = ix.upd.PendingSnapshot()
-	}
-	return st, nil
-}
 
 // SaveSnapshot writes the DB's state to path (atomic temp-file write +
 // rename, CRC32 protected) in every single-column concurrency mode; see
@@ -65,27 +48,6 @@ func SaveSnapshotFile(path string, snap DBSnapshot) error {
 	return snapshot.SaveManifestFile(path, snap)
 }
 
-// restoreSingle rebuilds a Single-mode backend from one engine state,
-// validating every crack invariant first and re-queuing its pending
-// updates. algorithm selects who continues the cracking; crack state is
-// algorithm-agnostic, so restoring a "crack" snapshot into a "dd1r" index
-// is legal and useful.
-func restoreSingle(st SnapshotState, algorithm string, cfg config) (*singleIndex, error) {
-	inner, err := core.Restore(st, algorithm, cfg.core)
-	if err != nil {
-		return nil, err
-	}
-	u, _ := updates.Wrap(inner)
-	if st.Pending() > 0 {
-		if u == nil {
-			return nil, fmt.Errorf("crackdb: %s: snapshot carries %d pending updates: %w",
-				algorithm, st.Pending(), ErrUpdatesUnsupported)
-		}
-		u.SeedPending(st.PendingInserts, st.PendingDeletes)
-	}
-	return &singleIndex{inner: inner, upd: u}, nil
-}
-
 // OpenSnapshot restores a DB from a snapshot manifest, resuming with all
 // adaptation earned so far, in any single-column concurrency mode. The
 // target layout need not match the source: restoring a sharded snapshot
@@ -97,96 +59,33 @@ func restoreSingle(st SnapshotState, algorithm string, cfg config) (*singleIndex
 // cracks. The one restriction: a multi-part snapshot carrying row-id
 // payloads only restores into its own shard layout (row ids are
 // shard-local), else ErrSnapshotUnsupported.
+//
+// A table manifest restores a table DB, in any table concurrency mode:
+// every column resumes from its captured cracked state and pending
+// queues, consumed lazily on the column's first selection. Captured
+// tables carry no row-id payloads, so the restored DB serves every
+// per-column selection but SelectProject and SelectProjectSideways fail
+// with ErrSnapshotUnsupported.
 func OpenSnapshot(snap DBSnapshot, algorithm string, opts ...Option) (*DB, error) {
-	cfg := applyOptions(opts)
+	cfg, err := configure(opts)
+	if err != nil {
+		return nil, err
+	}
 	if err := snap.Validate(); err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
 	if snap.IsTable() {
-		return openTableSnapshot(snap, algorithm, cfg)
-	}
-	if cfg.conc.kind == concSharded {
-		k := cfg.conc.shards
-		if k < 1 {
-			k = 1
-		}
-		if rows := snap.Rows(); k > rows && rows > 0 {
-			k = rows
-		}
-		m := snap
-		if k != len(snap.Parts) {
-			var err error
-			m, err = snap.Reshard(snap.SplitBounds(k, cfg.core.Seed))
-			if err != nil {
-				return nil, fmt.Errorf("crackdb: %w", err)
-			}
-		}
-		states := make([]core.SnapshotState, len(m.Parts))
-		bounds := make([]int64, 0, len(m.Parts)-1)
-		for i, p := range m.Parts {
-			states[i] = p.State
-			if i > 0 {
-				bounds = append(bounds, p.Lo)
-			}
-		}
-		sh, err := exec.RestoreSharded(states, bounds, algorithm, cfg.core)
+		t, err := table.Restore(snap.Columns, algorithm, cfg.conc.m, cfg.core, cfg.group)
 		if err != nil {
 			return nil, fmt.Errorf("crackdb: %w", err)
 		}
-		db := &DB{mode: cfg.conc, rows: snap.Rows(), sh: sh}
-		if err := db.attachGroupCommit(cfg); err != nil {
-			return nil, err
-		}
-		return db, nil
+		return &DB{mode: cfg.conc, rows: t.Rows(), tbl: t}, nil
 	}
-	st, err := snap.Merged()
+	b, err := exec.Restore(snap.Parts, algorithm, cfg.conc.m, cfg.core)
 	if err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
-	ix, err := restoreSingle(st, algorithm, cfg)
-	if err != nil {
-		return nil, err
-	}
-	db := &DB{mode: cfg.conc, rows: len(st.Values)}
-	if cfg.conc.kind == concShared {
-		db.x = ix.executor()
-	} else {
-		db.ix = ix
-	}
-	if err := db.attachGroupCommit(cfg); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// openTableSnapshot restores a table DB from a table manifest, in any
-// table concurrency mode: every column resumes from its captured cracked
-// state and pending queues, consumed lazily on the column's first
-// selection (re-cut along shard bounds in Sharded(k) mode). Captured
-// tables carry no row-id payloads, so the restored DB serves every
-// per-column selection but DB.SelectProject and SelectProjectSideways
-// fail with ErrSnapshotUnsupported.
-func openTableSnapshot(snap DBSnapshot, algorithm string, cfg config) (*DB, error) {
-	t, err := table.Restore(snap.Columns, algorithm, cfg.core)
-	if err != nil {
-		return nil, fmt.Errorf("crackdb: %w", err)
-	}
-	db := &DB{mode: cfg.conc, rows: t.Rows(), cols: t.Columns()}
-	if len(db.cols) == 1 {
-		db.defaultCol = db.cols[0]
-	}
-	switch cfg.conc.kind {
-	case concSingle:
-		db.tbl = t
-	case concShared:
-		db.stbl = table.NewShared(t)
-	case concSharded:
-		db.stbl = table.NewSharded(t, cfg.conc.shards)
-	}
-	if err := db.attachGroupCommit(cfg); err != nil {
-		return nil, err
-	}
-	return db, nil
+	return &DB{mode: cfg.conc, rows: snap.Rows(), col: exec.NewColumn(b, cfg.group)}, nil
 }
 
 // OpenSnapshotFile reads a snapshot file written by SaveSnapshot and

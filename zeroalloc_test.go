@@ -44,6 +44,20 @@ const (
 func convergedDB(t *testing.T, mode crackdb.Concurrency) *crackdb.DB {
 	t.Helper()
 	db, err := crackdb.Open(zeroAllocValues(zaN), crackdb.Crack, crackdb.WithConcurrency(mode))
+	return converge(t, db, err)
+}
+
+// convergedTable is convergedDB over a one-column table, queried through
+// unscoped predicates on its only column.
+func convergedTable(t *testing.T, mode crackdb.Concurrency) *crackdb.DB {
+	t.Helper()
+	db, err := crackdb.OpenTable(map[string][]int64{"v": zeroAllocValues(zaN)}, crackdb.Crack,
+		crackdb.WithConcurrency(mode))
+	return converge(t, db, err)
+}
+
+func converge(t *testing.T, db *crackdb.DB, err error) *crackdb.DB {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +156,7 @@ func TestMergingQueryZeroAllocsShared(t *testing.T) {
 
 // queryBatchZeroAllocs asserts a converged batch of single-range
 // predicates runs allocation-free through a warmed BatchBuffer.
-func queryBatchZeroAllocs(t *testing.T, mode crackdb.Concurrency) {
-	db := convergedDB(t, mode)
+func queryBatchZeroAllocs(t *testing.T, name string, db *crackdb.DB) {
 	ctx := context.Background()
 	ps := []crackdb.Predicate{
 		crackdb.Range(zaLo, zaLo+128),
@@ -160,7 +173,7 @@ func queryBatchZeroAllocs(t *testing.T, mode crackdb.Concurrency) {
 	if _, err := db.QueryBatchAppend(ctx, ps, &bb); err != nil {
 		t.Fatal(err)
 	}
-	assertZeroAllocs(t, mode.String()+" QueryBatchAppend", func() {
+	assertZeroAllocs(t, name+" QueryBatchAppend", func() {
 		out, err := db.QueryBatchAppend(ctx, ps, &bb)
 		if err != nil || len(out) != len(ps) {
 			t.Fatalf("len=%d err=%v", len(out), err)
@@ -172,11 +185,52 @@ func queryBatchZeroAllocs(t *testing.T, mode crackdb.Concurrency) {
 }
 
 func TestConvergedQueryBatchZeroAllocsSingle(t *testing.T) {
-	queryBatchZeroAllocs(t, crackdb.Single)
+	queryBatchZeroAllocs(t, "Single", convergedDB(t, crackdb.Single))
 }
 
 func TestConvergedQueryBatchZeroAllocsShared(t *testing.T) {
-	queryBatchZeroAllocs(t, crackdb.Shared)
+	queryBatchZeroAllocs(t, "Shared", convergedDB(t, crackdb.Shared))
+}
+
+// TestConvergedTableZeroAllocs: a table column is the same backend as a
+// single-column DB, so its converged Append forms and aggregates allocate
+// nothing either.
+func TestConvergedTableZeroAllocs(t *testing.T) {
+	ctx := context.Background()
+	p := crackdb.Range(zaLo, zaHi)
+	for _, mode := range []crackdb.Concurrency{crackdb.Single, crackdb.Shared} {
+		db := convergedTable(t, mode)
+		name := mode.String() + " table"
+		buf := make([]int64, 0, zaCount)
+		assertZeroAllocs(t, name+" QueryAppend", func() {
+			out, err := db.QueryAppend(ctx, p, buf[:0])
+			if err != nil || len(out) != zaCount {
+				t.Fatalf("len=%d err=%v", len(out), err)
+			}
+		})
+		assertZeroAllocs(t, name+" QueryAggregate", func() {
+			agg, err := db.QueryAggregate(ctx, p)
+			if err != nil || agg.Count != zaCount {
+				t.Fatalf("count=%d err=%v", agg.Count, err)
+			}
+		})
+		queryBatchZeroAllocs(t, name, db)
+	}
+}
+
+// TestConvergedShardedQueryAppendZeroAllocs: a range inside one shard is
+// that shard's executor query, so a converged one allocates nothing.
+func TestConvergedShardedQueryAppendZeroAllocs(t *testing.T) {
+	db := convergedDB(t, crackdb.Sharded(2))
+	ctx := context.Background()
+	p := crackdb.Range(zaLo, zaHi) // the lower quarter: inside shard 0
+	buf := make([]int64, 0, zaCount)
+	assertZeroAllocs(t, "Sharded(2) single-shard QueryAppend", func() {
+		out, err := db.QueryAppend(ctx, p, buf[:0])
+		if err != nil || len(out) != zaCount {
+			t.Fatalf("len=%d err=%v", len(out), err)
+		}
+	})
 }
 
 // TestQueryAppendMatchesQuery pins the Append forms to the canonical

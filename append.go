@@ -66,9 +66,10 @@ type BatchBuffer struct {
 // valid until bb's next use; callers retaining results longer copy them
 // out. Once bb has warmed to the workload's sizes, a batch of converged
 // single-range predicates on one column runs allocation-free in Single
-// and Shared modes, column or table. Batches containing multi-range (Or)
-// predicates or spanning columns, and Sharded databases, fall back to the
-// allocating batch path internally — same answers, fresh slices.
+// and Shared modes, column or table; a Sharded database answers into bb
+// too but allocates its per-shard sub-batches. Batches containing
+// multi-range (Or) predicates or spanning columns fall back to QueryBatch
+// internally — same answers, fresh slices.
 func (db *DB) QueryBatchAppend(ctx context.Context, ps []Predicate, bb *BatchBuffer) ([][]int64, error) {
 	if err := db.check(ctx); err != nil {
 		return nil, err

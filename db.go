@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -229,19 +230,11 @@ func (db *DB) Query(ctx context.Context, p Predicate) (Result, error) {
 		return c.View(ctx, lo, hi)
 	}
 	// Multi-range: one batch, concatenated in ascending range order.
-	parts, err := c.QueryBatchCtx(ctx, toExecRanges(p.rangeList()))
+	parts, err := c.QueryBatchInto(ctx, toExecRanges(p.rangeList()), new(exec.BatchBuffer))
 	if err != nil {
 		return Result{}, err
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]int64, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return NewResult(out), nil
+	return NewResult(slices.Concat(parts...)), nil
 }
 
 // QueryBatch answers many predicates, returning one Result per predicate
@@ -283,12 +276,14 @@ func (db *DB) QueryBatch(ctx context.Context, ps []Predicate) ([]Result, error) 
 		}
 	}
 	for _, g := range groups {
-		parts, err := g.c.QueryBatchCtx(ctx, g.ranges)
+		// A fresh arena per column: every answer is a capacity-capped
+		// subslice of it, owned by the caller like any Result.
+		parts, err := g.c.QueryBatchInto(ctx, g.ranges, new(exec.BatchBuffer))
 		if err != nil {
 			return nil, err
 		}
 		// Stitch flattened answers back per predicate. Single-range
-		// predicates (the common case) adopt their owned slice directly;
+		// predicates (the common case) adopt their arena slice directly;
 		// a multi-range predicate's ranges were flattened in ascending
 		// order, so appending in flat order reassembles them correctly.
 		var acc map[int][]int64

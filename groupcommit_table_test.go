@@ -130,3 +130,42 @@ func TestTableGroupCommit(t *testing.T) {
 		})
 	}
 }
+
+// TestGroupCommitStatsResolveDefaults: WithGroupCommit(0, 0) selects the
+// batcher defaults, and a freshly opened table DB reports them before any
+// column is built, exactly as a column DB opened with the same options.
+func TestGroupCommitStatsResolveDefaults(t *testing.T) {
+	for _, conc := range []crackdb.Concurrency{crackdb.Shared, crackdb.Sharded(2)} {
+		for _, gc := range []struct {
+			size int
+			wait time.Duration
+		}{{0, 0}, {32, 2 * time.Millisecond}} {
+			opts := []crackdb.Option{crackdb.WithConcurrency(conc), crackdb.WithGroupCommit(gc.size, gc.wait)}
+			col, err := crackdb.Open(crackdb.MakeData(100, 1), crackdb.DD1R, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := crackdb.OpenTable(map[string][]int64{
+				"a": crackdb.MakeData(100, 1),
+				"b": crackdb.MakeData(100, 2),
+			}, crackdb.DD1R, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, cok := col.GroupCommitStats()
+			ts, tok := tbl.GroupCommitStats()
+			if !cok || !tok {
+				t.Fatalf("%s %v: GroupCommitStats ok = %v (column), %v (table)", conc, gc, cok, tok)
+			}
+			if cs.BatchSize <= 0 || cs.MaxWait <= 0 {
+				t.Fatalf("%s %v: column reports unresolved tunables %d, %v", conc, gc, cs.BatchSize, cs.MaxWait)
+			}
+			if ts.BatchSize != cs.BatchSize || ts.MaxWait != cs.MaxWait {
+				t.Fatalf("%s %v: table reports %d, %v; column DB %d, %v",
+					conc, gc, ts.BatchSize, ts.MaxWait, cs.BatchSize, cs.MaxWait)
+			}
+			col.Close()
+			tbl.Close()
+		}
+	}
+}

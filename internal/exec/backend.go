@@ -22,14 +22,22 @@ import (
 // The paper cracks at the attribute level (§2), so a stand-alone column
 // and a table column are the same thing, built, queried, written,
 // captured and measured through this one surface.
+//
+// Reads have four methods and one rule: one single-range values path
+// (QueryAppendCtx, with View the same answer as a Result), one aggregate
+// path (QueryAggregateCtx) and one batch path (QueryBatchInto) per
+// backend. Every other read — an Or predicate, a facade batch — is built
+// on these, so a new read-side concern threads through them only.
 type Backend interface {
 	// View answers [a, b). Single returns the engine's zero-copy view,
 	// valid until the next query; the concurrent backends return owned
 	// results.
 	View(ctx context.Context, a, b int64) (core.Result, error)
+	// QueryAppendCtx appends [a, b)'s values to dst, append-style.
 	QueryAppendCtx(ctx context.Context, a, b int64, dst []int64) ([]int64, error)
+	// QueryAggregateCtx returns [a, b)'s count and sum without copying.
 	QueryAggregateCtx(ctx context.Context, a, b int64) (count int, sum int64, err error)
-	QueryBatchCtx(ctx context.Context, ranges []Range) ([][]int64, error)
+	// QueryBatchInto answers ranges in input order into bb's arena.
 	QueryBatchInto(ctx context.Context, ranges []Range, bb *BatchBuffer) ([][]int64, error)
 	Insert(v int64) error
 	Delete(v int64) error
@@ -321,20 +329,6 @@ func (s *Single) QueryAppendCtx(_ context.Context, a, b int64, dst []int64) ([]i
 func (s *Single) QueryAggregateCtx(_ context.Context, a, b int64) (count int, sum int64, err error) {
 	res := s.Query(a, b)
 	return res.Count(), res.Sum(), nil
-}
-
-// QueryBatchCtx answers the ranges in input order, each into its own
-// slice, re-checking ctx between ranges so long batches cancel cleanly.
-func (s *Single) QueryBatchCtx(ctx context.Context, ranges []Range) ([][]int64, error) {
-	out := make([][]int64, len(ranges))
-	for i, r := range ranges {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res := s.Query(r.Lo, r.Hi)
-		out[i] = res.Materialize(make([]int64, 0, res.Count()))
-	}
-	return out, nil
 }
 
 // QueryBatchInto answers the ranges in input order into bb's arena. Each

@@ -55,6 +55,21 @@ type BatcherOptions struct {
 	Queue int
 }
 
+// Resolved returns o with every zero field set to its default: the
+// tunables a Batcher built from o runs with.
+func (o BatcherOptions) Resolved() BatcherOptions {
+	if o.BatchSize <= 0 {
+		o.BatchSize = 128
+	}
+	if o.MaxWait <= 0 {
+		o.MaxWait = 200 * time.Microsecond
+	}
+	if o.Queue <= 0 {
+		o.Queue = 4 * o.BatchSize
+	}
+	return o
+}
+
 // BatcherStats is a Batcher's observable state, served by /v1/stats and
 // /debug/metrics.
 type BatcherStats struct {
@@ -115,15 +130,7 @@ type batchResp struct {
 // NewBatcher starts a group-commit collector in front of target and
 // returns its handle. Close it to stop the collector goroutine.
 func NewBatcher(target Applier, opt BatcherOptions) *Batcher {
-	if opt.BatchSize <= 0 {
-		opt.BatchSize = 128
-	}
-	if opt.MaxWait <= 0 {
-		opt.MaxWait = 200 * time.Microsecond
-	}
-	if opt.Queue <= 0 {
-		opt.Queue = 4 * opt.BatchSize
-	}
+	opt = opt.Resolved()
 	b := &Batcher{
 		target: target,
 		opt:    opt,

@@ -59,8 +59,8 @@ func TestApplyOpsMatchesSerialUpdates(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a := rng.Int63n(n + 5000)
 		b := a + 1 + rng.Int63n(2000)
-		gc, gs := batched.QueryAggregate(a, b)
-		wc, ws := serial.QueryAggregate(a, b)
+		gc, gs := aggregate(batched, a, b)
+		wc, ws := aggregate(serial, a, b)
 		if gc != wc || gs != ws {
 			t.Fatalf("query [%d,%d): batched (%d,%d) != serial (%d,%d)", a, b, gc, gs, wc, ws)
 		}
@@ -109,7 +109,7 @@ func TestBatcherNoLostNoDoubledAcks(t *testing.T) {
 				default:
 				}
 				a := rng.Int63n(n)
-				x.QueryAggregate(a, a+1+rng.Int63n(500))
+				aggregate(x, a, a+1+rng.Int63n(500))
 			}
 		}(uint64(100 + r))
 	}
@@ -127,7 +127,7 @@ func TestBatcherNoLostNoDoubledAcks(t *testing.T) {
 				acked.Add(1)
 				// An acknowledged insert must be visible to a query issued
 				// after the ack — count exactly 1.
-				if c, _ := x.QueryAggregate(v, v+1); c != 1 {
+				if c, _ := aggregate(x, v, v+1); c != 1 {
 					t.Errorf("acked value %d: count = %d, want 1", v, c)
 					return
 				}
@@ -154,7 +154,7 @@ func TestBatcherNoLostNoDoubledAcks(t *testing.T) {
 		return
 	}
 	// Global check: every acked value present exactly once, none doubled.
-	c, s := x.QueryAggregate(n, n+writers*perW)
+	c, s := aggregate(x, n, n+writers*perW)
 	wantC := writers * perW
 	var wantS int64
 	for v := int64(n); v < int64(n+writers*perW); v++ {
@@ -311,7 +311,7 @@ func TestBatcherCloseFlushesQueued(t *testing.T) {
 		}
 	}
 	// Every ack must be present in the index; no ErrBatcherClosed write may be.
-	c, _ := x.QueryAggregate(n, n+16)
+	c, _ := aggregate(x, n, n+16)
 	if c != okAcks {
 		t.Fatalf("index holds %d of the writes, %d were acked", c, okAcks)
 	}
@@ -332,7 +332,7 @@ func TestBatcherEnqueueHonorsContext(t *testing.T) {
 	if _, err := b.Enqueue(ctx, []Op{{Value: 5000}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if c, _ := x.QueryAggregate(5000, 5001); c != 0 {
+	if c, _ := aggregate(x, 5000, 5001); c != 0 {
 		t.Fatal("rejected write reached the index")
 	}
 }

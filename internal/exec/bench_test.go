@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -50,18 +51,20 @@ func converge(q func(a, b int64) []int64, ranges []Range) {
 
 // BenchmarkExecConvergedParallel measures the adaptive executor on a
 // converged workload: every query hits the shared read path and runs in
-// parallel. Compare with BenchmarkMutexConvergedParallel — the acceptance
-// bar for this layer is >2x throughput at GOMAXPROCS >= 4.
+// parallel, answering into a fresh slice like the mutex baseline. Compare
+// with BenchmarkMutexConvergedParallel — the acceptance bar for this layer
+// is >2x throughput at GOMAXPROCS >= 4.
 func BenchmarkExecConvergedParallel(b *testing.B) {
 	x := New(core.NewCrack(xrand.New(97).Perm(benchN), core.Options{Seed: 98}))
 	ranges := benchRangeSet()
-	converge(x.Query, ranges)
+	ctx := context.Background()
+	converge(func(lo, hi int64) []int64 { return values(x, lo, hi) }, ranges)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
 			r := ranges[i%benchRanges]
-			if got := x.Query(r.Lo, r.Hi); len(got) != benchWidth {
+			if got, err := x.QueryAppendCtx(ctx, r.Lo, r.Hi, nil); err != nil || len(got) != benchWidth {
 				b.Fatal("bad count")
 			}
 			i++
@@ -90,15 +93,17 @@ func BenchmarkMutexConvergedParallel(b *testing.B) {
 }
 
 // BenchmarkExecBatchConverged measures the batched API: one shared lock
-// acquisition answers the whole converged range set.
+// acquisition answers the whole converged range set into a fresh
+// BatchBuffer, the shape DB.QueryBatch uses.
 func BenchmarkExecBatchConverged(b *testing.B) {
 	x := New(core.NewCrack(xrand.New(97).Perm(benchN), core.Options{Seed: 98}))
 	ranges := benchRangeSet()
-	converge(x.Query, ranges)
+	ctx := context.Background()
+	converge(func(lo, hi int64) []int64 { return values(x, lo, hi) }, ranges)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := x.QueryBatch(ranges)
-		if len(out) != benchRanges {
+		out, err := x.QueryBatchInto(ctx, ranges, new(BatchBuffer))
+		if err != nil || len(out) != benchRanges {
 			b.Fatal("bad batch")
 		}
 	}
@@ -113,13 +118,14 @@ func BenchmarkShardedConvergedParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	ranges := benchRangeSet()
-	converge(s.Query, ranges)
+	ctx := context.Background()
+	converge(func(lo, hi int64) []int64 { return values(s, lo, hi) }, ranges)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
 			r := ranges[i%benchRanges]
-			if got := s.Query(r.Lo, r.Hi); len(got) != benchWidth {
+			if got, err := s.QueryCtx(ctx, r.Lo, r.Hi); err != nil || len(got) != benchWidth {
 				b.Fatal("bad count")
 			}
 			i++

@@ -17,18 +17,18 @@ func TestExecutorCanceledContext(t *testing.T) {
 	x := New(ix)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := x.QueryCtx(ctx, 0, 100); !errors.Is(err, context.Canceled) {
+	if _, err := x.QueryAppendCtx(ctx, 0, 100, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("query error = %v", err)
 	}
 	if _, _, err := x.QueryAggregateCtx(ctx, 0, 100); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aggregate error = %v", err)
 	}
-	if _, err := x.QueryBatchCtx(ctx, []Range{{0, 10}}); !errors.Is(err, context.Canceled) {
+	if _, err := x.QueryBatchInto(ctx, []Range{{0, 10}}, new(BatchBuffer)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch error = %v", err)
 	}
 	// A live context serves normally afterwards; the aborted calls left no
 	// partial state behind.
-	out, err := x.QueryCtx(context.Background(), 0, 100)
+	out, err := x.QueryAppendCtx(context.Background(), 0, 100, nil)
 	if err != nil || len(out) != 100 {
 		t.Fatalf("post-cancel query: len=%d err=%v", len(out), err)
 	}
@@ -47,7 +47,7 @@ func TestExecutorBatchCancelBetweenRanges(t *testing.T) {
 	hooked := &cancelAfterFirstQuery{Index: ix, cancel: cancel}
 	x := New(hooked)
 	ranges := []Range{{0, 10}, {100, 200}, {300, 400}, {500, 600}}
-	if _, err := x.QueryBatchCtx(ctx, ranges); !errors.Is(err, context.Canceled) {
+	if _, err := x.QueryBatchInto(ctx, ranges, new(BatchBuffer)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch error = %v", err)
 	}
 	if hooked.queries != 1 {
@@ -84,7 +84,7 @@ func TestShardedCanceledContext(t *testing.T) {
 	if _, _, err := s.QueryAggregateCtx(ctx, 0, 1000); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aggregate error = %v", err)
 	}
-	if _, err := s.QueryBatchCtx(ctx, []Range{{0, 10}, {20, 30}}); !errors.Is(err, context.Canceled) {
+	if _, err := s.QueryBatchInto(ctx, []Range{{0, 10}, {20, 30}}, new(BatchBuffer)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch error = %v", err)
 	}
 	out, err := s.QueryCtx(context.Background(), 0, 1000)

@@ -117,45 +117,10 @@ func New(inner Index) *Executor {
 	return x
 }
 
-// Query answers [a, b) and returns an owned slice of the qualifying
-// values. Converged queries run under the shared lock.
-func (x *Executor) Query(a, b int64) []int64 {
-	out, _ := x.QueryCtx(context.Background(), a, b)
-	return out
-}
-
-// QueryCtx is Query honoring cancellation: it returns ctx.Err() without
-// touching the index when the context is already done, and again after
-// winning a contended write lock, since the wait may have outlived the
-// caller.
-func (x *Executor) QueryCtx(ctx context.Context, a, b int64) ([]int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if x.p != nil {
-		s := x.mu.rlock()
-		out, ok := x.p.TryAnswerReadOnly(a, b, nil)
-		if ok {
-			s.reads.Add(1)
-		}
-		x.mu.runlock(s)
-		if ok {
-			return out, nil
-		}
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	x.writeQueries.Add(1)
-	res := x.inner.Query(a, b)
-	return res.Materialize(make([]int64, 0, res.Count())), nil
-}
-
-// View is QueryCtx as an owned Result.
+// View answers [a, b) as an owned Result: QueryAppendCtx into a fresh
+// slice.
 func (x *Executor) View(ctx context.Context, a, b int64) (core.Result, error) {
-	vals, err := x.QueryCtx(ctx, a, b)
+	vals, err := x.QueryAppendCtx(ctx, a, b, nil)
 	return core.NewOwnedResult(vals), err
 }
 
@@ -165,7 +130,10 @@ func (x *Executor) View(ctx context.Context, a, b int64) (core.Result, error) {
 // zero heap allocations end to end — the probe, the piece scans and the
 // append all run on caller- or engine-owned memory (see the AllocsPerRun
 // regression tests). Reorganizing queries take the write lock and
-// materialize into dst with one exact-size grow.
+// materialize into dst with one exact-size grow. It returns ctx.Err()
+// without touching the index when the context is already done, and again
+// after winning a contended write lock, since the wait may have outlived
+// the caller.
 func (x *Executor) QueryAppendCtx(ctx context.Context, a, b int64, dst []int64) ([]int64, error) {
 	if err := ctx.Err(); err != nil {
 		return dst, err
@@ -191,14 +159,9 @@ func (x *Executor) QueryAppendCtx(ctx context.Context, a, b int64, dst []int64) 
 	return res.Materialize(slices.Grow(dst, res.Count())), nil
 }
 
-// QueryAggregate answers [a, b) returning only (count, sum), skipping the
-// copy when the caller needs aggregates.
-func (x *Executor) QueryAggregate(a, b int64) (count int, sum int64) {
-	count, sum, _ = x.QueryAggregateCtx(context.Background(), a, b)
-	return count, sum
-}
-
-// QueryAggregateCtx is QueryAggregate honoring cancellation like QueryCtx.
+// QueryAggregateCtx answers [a, b) returning only (count, sum), skipping
+// the copy when the caller needs aggregates; cancellation as in
+// QueryAppendCtx.
 func (x *Executor) QueryAggregateCtx(ctx context.Context, a, b int64) (count int, sum int64, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
@@ -224,74 +187,10 @@ func (x *Executor) QueryAggregateCtx(ctx context.Context, a, b int64) (count int
 	return res.Count(), res.Sum(), nil
 }
 
-// QueryBatch answers many ranges with at most two lock acquisitions: one
-// shared pass answering every converged range, then — only if some ranges
-// still need reorganization — one exclusive pass answering the rest in
-// ascending range order (sorted bounds crack the column left to right,
-// which keeps piece lookups and memory access local). Results are owned
-// slices in the order of the input ranges.
-func (x *Executor) QueryBatch(ranges []Range) [][]int64 {
-	out, _ := x.QueryBatchCtx(context.Background(), ranges)
-	return out
-}
-
-// QueryBatchCtx is QueryBatch honoring cancellation. The context is
-// re-checked between the ranges of the exclusive pass — the expensive one,
-// where each range may crack the column — so a long batch aborts cleanly
-// mid-way; on cancellation the partial results are discarded and only the
-// error is returned.
-// Each result is its own exact-size allocation, so retaining one result
-// does not pin the rest of the batch; callers chasing zero allocations
-// use QueryBatchInto, whose results deliberately share one reusable
-// arena.
-func (x *Executor) QueryBatchCtx(ctx context.Context, ranges []Range) ([][]int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([][]int64, len(ranges))
-	if len(ranges) == 0 {
-		return out, nil
-	}
-	order := sortedOrder(ranges, make([]int, len(ranges)))
-	pending := order[:0] // reuses order's backing array; reads stay ahead
-	if x.p != nil {
-		reads := int64(0)
-		s := x.mu.rlock()
-		for _, i := range order {
-			r := ranges[i]
-			if res, ok := x.p.TryAnswerReadOnly(r.Lo, r.Hi, nil); ok {
-				out[i] = res
-				reads++
-			} else {
-				pending = append(pending, i)
-			}
-		}
-		s.reads.Add(reads)
-		x.mu.runlock(s)
-	} else {
-		pending = order
-	}
-	if len(pending) == 0 {
-		return out, nil
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	for _, i := range pending {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := ranges[i]
-		x.writeQueries.Add(1)
-		res := x.inner.Query(r.Lo, r.Hi)
-		out[i] = res.Materialize(make([]int64, 0, res.Count()))
-	}
-	return out, nil
-}
-
 // sortedOrder fills order with 0..len(ranges)-1 sorted ascending by
 // range: sorted bounds crack the column left to right, which keeps piece
 // lookups and memory access local during the exclusive pass.
-func sortedOrder(ranges []Range, order []int) []int {
+func sortedOrder(ranges []Range, order []int) {
 	for i := range order {
 		order[i] = i
 	}
@@ -302,7 +201,6 @@ func sortedOrder(ranges []Range, order []int) []int {
 		}
 		return cmp.Compare(ri.Hi, rj.Hi)
 	})
-	return order
 }
 
 // BatchBuffer holds the reusable state of QueryBatchInto: the result
@@ -337,15 +235,17 @@ func resetLen[T any](s []T, n int) []T {
 	return s
 }
 
-// QueryBatchInto is QueryBatchCtx materializing into bb instead of fresh
-// allocations: every result is a capacity-capped subslice of bb's value
-// arena, valid until bb's next use (callers retaining results longer copy
-// them out, or simply keep the buffer). The returned slice aliases bb.
-// Locking and ordering are identical to QueryBatchCtx: one shared pass
-// answers every converged range, then — only if some ranges still need
-// reorganization — one exclusive pass answers the rest in ascending range
-// order (sorted bounds crack the column left to right, which keeps piece
-// lookups and memory access local). Results are in input-range order.
+// QueryBatchInto answers many ranges with at most two lock acquisitions:
+// one shared pass answering every converged range, then — only if some
+// ranges still need reorganization — one exclusive pass answering the rest
+// in ascending range order (sorted bounds crack the column left to right,
+// which keeps piece lookups and memory access local). Every result is a
+// capacity-capped subslice of bb's value arena, in input-range order and
+// valid until bb's next use (callers retaining results longer copy them
+// out, or simply keep the buffer); the returned slice aliases bb. The
+// context is re-checked between the ranges of the exclusive pass — the
+// expensive one, where each range may crack the column — so a long batch
+// aborts cleanly mid-way; on cancellation only the error is returned.
 func (x *Executor) QueryBatchInto(ctx context.Context, ranges []Range, bb *BatchBuffer) ([][]int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

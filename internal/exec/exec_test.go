@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -19,6 +20,36 @@ func rangeSum(a, b int64) int64 {
 	return s
 }
 
+// values answers [lo, hi) as an owned slice through b's View: the
+// Executor's QueryAppendCtx, the Sharded QueryCtx fan-out. A background
+// context never fails, so an error panics.
+func values(b Backend, lo, hi int64) []int64 {
+	res, err := b.View(context.Background(), lo, hi)
+	if err != nil {
+		panic(err)
+	}
+	return res.Owned()
+}
+
+// aggregate answers [lo, hi) through b's QueryAggregateCtx, like values.
+func aggregate(b Backend, lo, hi int64) (count int, sum int64) {
+	count, sum, err := b.QueryAggregateCtx(context.Background(), lo, hi)
+	if err != nil {
+		panic(err)
+	}
+	return count, sum
+}
+
+// batch answers ranges through b's QueryBatchInto into a fresh buffer,
+// like values.
+func batch(b Backend, ranges []Range) [][]int64 {
+	out, err := b.QueryBatchInto(context.Background(), ranges, new(BatchBuffer))
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func TestExecutorMatchesOracle(t *testing.T) {
 	const n = 50000
 	for _, spec := range []string{"crack", "dd1r", "mdd1r", "pmdd1r-10", "scan"} {
@@ -31,7 +62,7 @@ func TestExecutorMatchesOracle(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			a := rng.Int63n(n - 200)
 			b := a + 1 + rng.Int63n(200)
-			got := x.Query(a, b)
+			got := values(x, a, b)
 			var sum int64
 			for _, v := range got {
 				sum += v
@@ -40,7 +71,7 @@ func TestExecutorMatchesOracle(t *testing.T) {
 				t.Fatalf("%s query [%d,%d): got (%d,%d), want (%d,%d)",
 					spec, a, b, len(got), sum, b-a, rangeSum(a, b))
 			}
-			c, s := x.QueryAggregate(a, b)
+			c, s := aggregate(x, a, b)
 			if int64(c) != b-a || s != rangeSum(a, b) {
 				t.Fatalf("%s aggregate [%d,%d): got (%d,%d)", spec, a, b, c, s)
 			}
@@ -54,17 +85,17 @@ func TestExecutorConvergedQueriesUseReadPath(t *testing.T) {
 	x := New(ix)
 
 	// First answer cracks on both bounds; the repeat finds exact cracks.
-	if got := x.Query(1000, 2000); len(got) != 1000 {
+	if got := values(x, 1000, 2000); len(got) != 1000 {
 		t.Fatalf("count = %d", len(got))
 	}
 	reads, writes := x.PathStats()
 	if reads != 0 || writes != 1 {
 		t.Fatalf("after cold query: reads=%d writes=%d", reads, writes)
 	}
-	if got := x.Query(1000, 2000); len(got) != 1000 {
+	if got := values(x, 1000, 2000); len(got) != 1000 {
 		t.Fatalf("count = %d", len(got))
 	}
-	if c, _ := x.QueryAggregate(1000, 2000); c != 1000 {
+	if c, _ := aggregate(x, 1000, 2000); c != 1000 {
 		t.Fatalf("aggregate count = %d", c)
 	}
 	reads, writes = x.PathStats()
@@ -85,7 +116,7 @@ func TestExecutorSmallPieceReadPath(t *testing.T) {
 	x := New(ix)
 	for i := 0; i < 20; i++ {
 		a := int64(i * 20)
-		if got := x.Query(a, a+10); len(got) != 10 {
+		if got := values(x, a, a+10); len(got) != 10 {
 			t.Fatalf("count = %d", len(got))
 		}
 	}
@@ -106,7 +137,7 @@ func TestExecutorQueryBatch(t *testing.T) {
 	ranges := []Range{
 		{30000, 30100}, {5, 25}, {100, 100}, {20000, 21000}, {5, 25}, {39990, 40200},
 	}
-	out := x.QueryBatch(ranges)
+	out := batch(x, ranges)
 	if len(out) != len(ranges) {
 		t.Fatalf("len(out) = %d", len(out))
 	}
@@ -134,7 +165,7 @@ func TestExecutorQueryBatch(t *testing.T) {
 	}
 	// A converged batch takes only the read path.
 	_, writesBefore := x.PathStats()
-	x.QueryBatch(ranges[:2])
+	batch(x, ranges[:2])
 	if _, writes := x.PathStats(); writes != writesBefore {
 		t.Fatalf("converged batch took the write lock")
 	}
@@ -158,23 +189,23 @@ func TestExecutorUpdatableInsert(t *testing.T) {
 		t.Fatal("crack not wrappable")
 	}
 	x := New(u)
-	x.Query(0, n) // converge the full range
+	values(x, 0, n) // converge the full range
 	if err := x.Insert(500); err != nil {
 		t.Fatal(err)
 	}
 	// The pending insert invalidates the read path for covering ranges...
-	got := x.Query(498, 503)
+	got := values(x, 498, 503)
 	if len(got) != 6 {
 		t.Fatalf("after insert: %d values, want 6 (duplicate 500)", len(got))
 	}
 	// ...and once merged, reads converge again.
-	if got := x.Query(498, 503); len(got) != 6 {
+	if got := values(x, 498, 503); len(got) != 6 {
 		t.Fatalf("re-query: %d values", len(got))
 	}
 	if err := x.Delete(500); err != nil {
 		t.Fatal(err)
 	}
-	if got := x.Query(498, 503); len(got) != 5 {
+	if got := values(x, 498, 503); len(got) != 5 {
 		t.Fatalf("after delete: %d values, want 5", len(got))
 	}
 }
@@ -202,13 +233,13 @@ func TestExecutorRaceStress(t *testing.T) {
 				switch i % 3 {
 				case 0:
 					a := rng.Int63n(n - 300)
-					if got := x.Query(a, a+100); len(got) != 100 {
+					if got := values(x, a, a+100); len(got) != 100 {
 						errs <- "bad query count"
 						return
 					}
 				case 1:
 					a := rng.Int63n(n - 300)
-					out := x.QueryBatch([]Range{{a, a + 50}, {a + 100, a + 150}})
+					out := batch(x, []Range{{a, a + 50}, {a + 100, a + 150}})
 					if len(out[0]) != 50 || len(out[1]) != 50 {
 						errs <- "bad batch counts"
 						return
@@ -252,12 +283,12 @@ func TestExecutorConcurrentQueriesRaceFree(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				a := rng.Int63n(n - 200)
 				b := a + 200
-				count, sum := x.QueryAggregate(a, b)
+				count, sum := aggregate(x, a, b)
 				if count != 200 || sum != rangeSum(a, b) {
 					errs <- "bad aggregate"
 					return
 				}
-				if vals := x.Query(a, b); len(vals) != 200 {
+				if vals := values(x, a, b); len(vals) != 200 {
 					errs <- "bad materialized length"
 					return
 				}

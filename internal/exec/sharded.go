@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -214,19 +215,13 @@ func (s *Sharded) fanOut(first, last int, work func(si int)) {
 	wg.Wait()
 }
 
-// Query answers [a, b) and returns the qualifying values as one owned
-// slice. A query intersecting a single shard runs inline on the calling
-// goroutine; wider queries offload the extra shards to the worker pool.
-// Sharded is safe for concurrent use.
-func (s *Sharded) Query(a, b int64) []int64 {
-	out, _ := s.QueryCtx(context.Background(), a, b)
-	return out
-}
-
-// QueryCtx is Query honoring cancellation: the context is propagated to
-// every intersected shard's executor, so a canceled context aborts the
-// remaining per-shard work (already-running shard queries finish their
-// current range, then stop).
+// QueryCtx answers [a, b) as one owned slice, every intersected shard
+// answering through its QueryAppendCtx. A query intersecting a single
+// shard runs inline on the calling goroutine; wider queries offload the
+// extra shards to the worker pool. The context is propagated to every
+// intersected shard's executor, so a canceled context aborts the remaining
+// per-shard work (already-running shard queries finish their current
+// range, then stop). Sharded is safe for concurrent use.
 func (s *Sharded) QueryCtx(ctx context.Context, a, b int64) ([]int64, error) {
 	s.q.Add(1)
 	if err := ctx.Err(); err != nil {
@@ -240,27 +235,19 @@ func (s *Sharded) QueryCtx(ctx context.Context, a, b int64) ([]int64, error) {
 		return nil, nil
 	}
 	if first == last {
-		return s.shards[first].ex.QueryCtx(ctx, a, b)
+		return s.shards[first].ex.QueryAppendCtx(ctx, a, b, nil)
 	}
 	parts := make([][]int64, last-first+1)
 	errs := make([]error, last-first+1)
 	s.fanOut(first, last, func(si int) {
-		parts[si-first], errs[si-first] = s.shards[si].ex.QueryCtx(ctx, a, b)
+		parts[si-first], errs[si-first] = s.shards[si].ex.QueryAppendCtx(ctx, a, b, nil)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]int64, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
+	return slices.Concat(parts...), nil
 }
 
 // View is QueryCtx as an owned Result.
@@ -317,101 +304,68 @@ func (s *Sharded) QueryAggregateCtx(ctx context.Context, a, b int64) (count int,
 	return count, sum, nil
 }
 
-// QueryBatch answers many ranges, returning one owned slice per range in
-// input order. Ranges are grouped by shard so each intersected shard
-// answers its whole sub-batch under a single executor batch (one or two
-// lock acquisitions per shard, regardless of batch size); shard
-// sub-batches run in parallel on the worker pool.
-func (s *Sharded) QueryBatch(ranges []Range) [][]int64 {
-	out, _ := s.QueryBatchCtx(context.Background(), ranges)
-	return out
-}
-
-// QueryBatchCtx is QueryBatch honoring cancellation mid-fan-out: the
-// context reaches every shard's executor batch, which re-checks it between
-// ranges, so canceling while sub-batches are in flight abandons the
-// remaining ranges on every shard. On cancellation the partial results are
-// discarded and only the error is returned.
-func (s *Sharded) QueryBatchCtx(ctx context.Context, ranges []Range) ([][]int64, error) {
+// QueryBatchInto answers many ranges into bb's arena, in input order,
+// each range's values in shard (= ascending value) order; results are
+// capacity-capped subslices valid until bb's next use. Ranges are grouped
+// by shard so each intersected shard answers its whole sub-batch through
+// its executor's QueryBatchInto (one or two lock acquisitions per shard,
+// regardless of batch size), the sub-batches fanning out like a wide
+// query. The context reaches every shard's batch, which re-checks it
+// between ranges, so canceling while sub-batches are in flight abandons
+// the remaining ranges on every shard; on cancellation only the error is
+// returned.
+func (s *Sharded) QueryBatchInto(ctx context.Context, ranges []Range, bb *BatchBuffer) ([][]int64, error) {
 	s.q.Add(int64(len(ranges)))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	out := make([][]int64, len(ranges))
-	if len(ranges) == 0 {
-		return out, nil
-	}
-	// Per shard: which input ranges intersect it.
-	idxs := make([][]int, len(s.shards))
-	for ri, r := range ranges {
-		if r.Lo >= r.Hi {
+	bb.reset(len(ranges))
+	// Per shard: the sub-batch of input ranges intersecting it.
+	subs := make([][]Range, len(s.shards))
+	first, last := len(s.shards), -1
+	for _, r := range ranges {
+		f, l, ok := s.intersect(r.Lo, r.Hi)
+		if !ok || r.Lo >= r.Hi {
 			continue
 		}
-		first, last, ok := s.intersect(r.Lo, r.Hi)
-		if !ok {
-			continue
+		for si := f; si <= l; si++ {
+			subs[si] = append(subs[si], r)
 		}
-		for si := first; si <= last; si++ {
-			idxs[si] = append(idxs[si], ri)
-		}
+		first, last = min(first, f), max(last, l)
 	}
-	parts := make([][][]int64, len(s.shards)) // parts[shard][pos in idxs[shard]]
+	if last < 0 {
+		return bb.stitch(), nil
+	}
+	parts := make([][][]int64, len(s.shards)) // parts[shard][pos in subs[shard]]
 	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	run := func(si int) {
-		sub := make([]Range, len(idxs[si]))
-		for j, ri := range idxs[si] {
-			sub[j] = ranges[ri]
+	s.fanOut(first, last, func(si int) {
+		if len(subs[si]) > 0 {
+			parts[si], errs[si] = s.shards[si].ex.QueryBatchInto(ctx, subs[si], new(BatchBuffer))
 		}
-		parts[si], errs[si] = s.shards[si].ex.QueryBatchCtx(ctx, sub)
-		wg.Done()
-	}
-	busy := -1 // run one busy shard inline, like Query
-	for si := range s.shards {
-		if len(idxs[si]) == 0 {
-			continue
-		}
-		if busy < 0 {
-			busy = si
-			continue
-		}
-		si := si
-		wg.Add(1)
-		task := func() { run(si) }
-		if !pool.Submit(task) {
-			task()
-		}
-	}
-	if busy >= 0 {
-		wg.Add(1)
-		run(busy)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	})
+	total := 0
+	for si, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-	}
-	// Stitch shard answers back per range, in shard (= ascending value) order.
-	pos := make([]int, len(s.shards))
-	for si := range s.shards {
-		for _, ri := range idxs[si] {
-			out[ri] = append(out[ri], parts[si][pos[si]]...)
-			pos[si]++
+		for _, p := range parts[si] {
+			total += len(p)
 		}
 	}
-	return out, nil
-}
-
-// QueryBatchInto answers like QueryBatchCtx, adopting its owned slices
-// as bb's result headers: the fan-out owns its allocations.
-func (s *Sharded) QueryBatchInto(ctx context.Context, ranges []Range, bb *BatchBuffer) ([][]int64, error) {
-	parts, err := s.QueryBatchCtx(ctx, ranges)
-	if err != nil {
-		return nil, err
+	// Stitch shard answers back per range, in shard order.
+	bb.vals = slices.Grow(bb.vals, total)
+	pos := make([]int, len(s.shards))
+	for i, r := range ranges {
+		start := len(bb.vals)
+		if f, l, ok := s.intersect(r.Lo, r.Hi); ok && r.Lo < r.Hi {
+			for si := f; si <= l; si++ {
+				bb.vals = append(bb.vals, parts[si][pos[si]]...)
+				pos[si]++
+			}
+		}
+		bb.offs[i] = [2]int{start, len(bb.vals)}
 	}
-	bb.out = append(bb.out[:0], parts...)
-	return bb.out, nil
+	return bb.stitch(), nil
 }
 
 // Insert queues value v for insertion on the shard whose value range owns

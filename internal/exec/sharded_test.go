@@ -20,7 +20,7 @@ func TestShardedMatchesOracle(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			a := rng.Int63n(n)
 			b := a + rng.Int63n(n/4) + 1
-			got := s.Query(a, b)
+			got := values(s, a, b)
 			wantCount := 0
 			var wantSum, gotSum int64
 			for _, v := range vals {
@@ -49,7 +49,7 @@ func TestShardedQueryBatch(t *testing.T) {
 	ranges := []Range{
 		{50000, 50500}, {10, 40}, {0, n}, {7, 7}, {25000, 26000}, {59990, 70000},
 	}
-	out := s.QueryBatch(ranges)
+	out := batch(s, ranges)
 	for i, r := range ranges {
 		lo, hi := r.Lo, r.Hi
 		if hi > n {
@@ -91,7 +91,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 			rng := xrand.New(uint64(200 + g))
 			for i := 0; i < 40; i++ {
 				a := rng.Int63n(n - 500)
-				got := s.Query(a, a+500)
+				got := values(s, a, a+500)
 				if len(got) != 500 {
 					errs <- "bad count"
 					return
@@ -167,11 +167,11 @@ func TestShardedNarrowQueriesTouchOneShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm every shard with one wide query.
-	s.Query(0, n)
+	values(s, 0, n)
 	before := s.Stats().Touched
 	// A narrow query intersects one shard; the work must be bounded by
 	// that shard's size, not the column's.
-	s.Query(100, 110)
+	values(s, 100, 110)
 	if d := s.Stats().Touched - before; d > int64(n)/4 {
 		t.Fatalf("narrow query touched %d tuples across shards", d)
 	}
@@ -182,17 +182,17 @@ func TestShardedDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Query(0, 100); len(got) != 0 {
+	if got := values(s, 0, 100); len(got) != 0 {
 		t.Fatal("empty sharded index returned rows")
 	}
 	s2, err := NewSharded([]int64{5, 5, 5, 5}, "dd1r", 8, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Query(0, 10); len(got) != 4 {
+	if got := values(s2, 0, 10); len(got) != 4 {
 		t.Fatalf("all-equal column: got %d rows", len(got))
 	}
-	if got := s2.Query(10, 0); len(got) != 0 {
+	if got := values(s2, 10, 0); len(got) != 0 {
 		t.Fatal("inverted range returned rows")
 	}
 	if _, err := NewSharded([]int64{1}, "bogus", 2, core.Options{}); err == nil {
@@ -213,7 +213,7 @@ func TestRestoreShardedResumesCracks(t *testing.T) {
 	rng := xrand.New(72)
 	for i := 0; i < 300; i++ {
 		a := rng.Int63n(n - 50)
-		src.Query(a, a+50)
+		values(src, a, a+50)
 	}
 	states := make([]core.SnapshotState, len(src.shards))
 	bounds := make([]int64, 0, len(src.shards)-1)
@@ -247,7 +247,7 @@ func TestRestoreShardedResumesCracks(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a := rng.Int63n(n)
 		b := a + rng.Int63n(n/3) + 1
-		got := restored.Query(a, b)
+		got := values(restored, a, b)
 		want := 0
 		for _, v := range vals {
 			if a <= v && v < b {
@@ -261,7 +261,7 @@ func TestRestoreShardedResumesCracks(t *testing.T) {
 	// The restored index carries the source's refinement: repeating one of
 	// the warmed queries touches far fewer tuples than a cold crack would.
 	before := restored.Stats().Touched
-	restored.Query(100, 150)
+	values(restored, 100, 150)
 	if d := restored.Stats().Touched - before; d > n/4 {
 		t.Fatalf("restored shard rescanned %d tuples; adaptation lost", d)
 	}

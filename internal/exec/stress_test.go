@@ -28,7 +28,7 @@ func TestParallelMaterializeRaceStress(t *testing.T) {
 		iters   = 12
 	)
 	x := New(core.NewCrack(xrand.New(3).Perm(n), core.Options{Seed: 4}))
-	if out := x.Query(wideLo, wideHi); len(out) != wideLen { // converge the wide bounds
+	if out := values(x, wideLo, wideHi); len(out) != wideLen { // converge the wide bounds
 		t.Fatalf("warmup got %d values, want %d", len(out), wideLen)
 	}
 	// The closed-form sum of [wideLo, wideHi) over a permutation of [0, n).

@@ -74,7 +74,7 @@ func TestSharedTableConcurrentColumns(t *testing.T) {
 		t.Fatal(e)
 	}
 
-	out, err := ca.QueryBatchCtx(ctx, []exec.Range{{Lo: 10, Hi: 20}, {Lo: 500, Hi: 600}})
+	out, err := ca.QueryBatchInto(ctx, []exec.Range{{Lo: 10, Hi: 20}, {Lo: 500, Hi: 600}}, new(exec.BatchBuffer))
 	if err != nil || len(out[0]) != 10 || len(out[1]) != 100 {
 		t.Fatalf("batch: err=%v sizes=(%d,%d)", err, len(out[0]), len(out[1]))
 	}

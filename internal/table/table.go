@@ -58,7 +58,7 @@ type Table struct {
 	algo  string
 	opt   core.Options
 	mode  exec.Mode            // Shards clamped to the row count
-	group *exec.BatcherOptions // nil without group commit
+	group *exec.BatcherOptions // nil without group commit; defaults resolved
 
 	// buildMu serializes lazy column builds; PieceSizes and Snapshot hold
 	// it throughout, so no column flips from cold to built mid-walk and a
@@ -69,16 +69,17 @@ type Table struct {
 	maps map[[2]string]*crackerMap // sideways maps keyed by (sel, proj)
 }
 
-// slot is one column: its base values, the snapshot state a restored
+// slot is one column: its base values, the snapshot parts a restored
 // column resumes from, and its lazily built backend. once gates the
 // O(rows) build so queries on built columns never wait for it; col is
 // atomic because Stats and Pending peek at slots without entering once.
 type slot struct {
-	base []int64
-	// seed is the captured state of a restored column (nil otherwise),
-	// never modified. Its cracked order no longer matches base order (row
-	// ids were dropped at capture), so the projection paths reject it.
-	seed *core.SnapshotState
+	base []int64 // nil for a restored column
+	// seed holds the captured parts of a restored column (nil otherwise),
+	// row ids stripped, never modified. Kept unmerged so a Sharded(k)
+	// restore keeps the captured shard bounds; without row ids the
+	// projection paths reject the column.
+	seed []snapshot.Part
 	once sync.Once
 	col  atomic.Pointer[exec.Column]
 	err  error // read only after once.Do returns
@@ -110,26 +111,27 @@ func New(cols map[string][]int64, algorithm string, mode exec.Mode, opt core.Opt
 }
 
 // Restore rebuilds a table from a table manifest's columns: each column
-// resumes from its captured state (cracks and pending queues included),
-// consumed lazily on the column's first use. Captured states carry no row
-// ids, so the restored table answers every per-column selection exactly
-// but rejects the projection paths with dberr.ErrSnapshotUnsupported.
+// resumes from its captured parts (cracks and pending queues included),
+// consumed lazily on the column's first use through exec.Restore, so a
+// Sharded(k) table restored with the captured k keeps its shard bounds.
+// Captured states carry no row ids, so the restored table answers every
+// per-column selection exactly but rejects the projection paths with
+// dberr.ErrSnapshotUnsupported.
 func Restore(cols []snapshot.TableColumn, algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
 	t := &Table{cols: make(map[string]*slot, len(cols))}
 	for _, c := range cols {
 		if _, dup := t.cols[c.Name]; dup {
 			return nil, fmt.Errorf("table: duplicate column %q", c.Name)
 		}
-		st, err := (snapshot.Manifest{Parts: c.Parts}).Merged()
-		if err != nil {
-			return nil, fmt.Errorf("table: column %q: %w", c.Name, err)
+		parts := slices.Clone(c.Parts)
+		for i := range parts {
+			parts[i].State.RowIDs = nil // capture drops them; tolerate hand-built manifests
 		}
-		st.RowIDs = nil // capture drops them; tolerate hand-built manifests
-		t.cols[c.Name] = &slot{base: st.Values, seed: &st}
+		t.cols[c.Name] = &slot{seed: parts}
 		// Columns may hold different counts once per-column updates merged;
 		// report the widest. Pending inserts stay out of the count until
 		// they merge — the same convention the single-column restore uses.
-		t.rows = max(t.rows, len(st.Values))
+		t.rows = max(t.rows, snapshot.Manifest{Parts: parts}.Rows())
 	}
 	return t.init(algorithm, mode, opt, group)
 }
@@ -147,6 +149,10 @@ func (t *Table) init(algorithm string, mode exec.Mode, opt core.Options, group *
 		if t.rows > 0 {
 			mode.Shards = min(mode.Shards, t.rows)
 		}
+	}
+	if group != nil {
+		resolved := group.Resolved()
+		group = &resolved
 	}
 	t.names = slices.Sorted(maps.Keys(t.cols))
 	t.algo, t.mode, t.opt, t.group = algorithm, mode, opt, group
@@ -215,8 +221,7 @@ func (t *Table) build(s *slot) (*exec.Column, error) {
 	var b exec.Backend
 	var err error
 	if s.seed != nil {
-		b, err = exec.Restore([]snapshot.Part{snapshot.ClampedPart(math.MinInt64, math.MaxInt64, *s.seed)},
-			t.algo, t.mode, t.opt)
+		b, err = exec.Restore(s.seed, t.algo, t.mode, t.opt)
 	} else {
 		opt := t.opt
 		opt.TrackRowIDs = t.mode.Kind == exec.ModeSingle
@@ -268,7 +273,7 @@ func (t *Table) Pending() int {
 		if c := s.col.Load(); c != nil {
 			n += c.Pending()
 		} else if s.seed != nil {
-			n += s.seed.Pending()
+			n += snapshot.Manifest{Parts: s.seed}.Pending()
 		}
 	}
 	return n
@@ -291,7 +296,7 @@ func (t *Table) GroupCommitStats() (agg exec.BatcherStats, ok bool) {
 	if t.group == nil {
 		return exec.BatcherStats{}, false
 	}
-	agg.BatchSize = t.group.BatchSize
+	agg.BatchSize = t.group.BatchSize // resolved in init, like each batcher's
 	agg.MaxWait = t.group.MaxWait
 	for _, c := range t.built() {
 		st := c.Batch.Stats()
@@ -302,8 +307,6 @@ func (t *Table) GroupCommitStats() (agg exec.BatcherStats, ok bool) {
 		agg.QueueNS += st.QueueNS
 		agg.FlushNS += st.FlushNS
 		agg.ApplyNS += st.ApplyNS
-		agg.BatchSize = st.BatchSize
-		agg.MaxWait = st.MaxWait
 	}
 	return agg, true
 }
@@ -337,7 +340,9 @@ func (t *Table) PieceSizes() ([]int, error) {
 			}
 			sizes = append(sizes, cs...)
 		case s.seed != nil:
-			sizes = append(sizes, sizesFromState(*s.seed)...)
+			for _, p := range s.seed {
+				sizes = append(sizes, sizesFromState(p.State)...)
+			}
 		default:
 			sizes = append(sizes, len(s.base))
 		}
@@ -382,12 +387,11 @@ func (t *Table) Snapshot() (snapshot.Manifest, error) {
 			for i := range parts {
 				parts[i].State.RowIDs = nil
 			}
+		} else if s.seed != nil {
+			parts = s.seed
 		} else {
-			st := core.SnapshotState{Values: slices.Clone(s.base)}
-			if s.seed != nil {
-				st = *s.seed
-			}
-			parts = []snapshot.Part{snapshot.ClampedPart(math.MinInt64, math.MaxInt64, st)}
+			parts = []snapshot.Part{snapshot.ClampedPart(math.MinInt64, math.MaxInt64,
+				core.SnapshotState{Values: slices.Clone(s.base)})}
 		}
 		cols = append(cols, snapshot.TableColumn{Name: name, Parts: parts})
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	crackdb "repro"
@@ -214,5 +215,81 @@ func TestFacadeColumnFiles(t *testing.T) {
 	}
 	if res, err := db.Query(context.Background(), crackdb.Range(0, 100)); err != nil || res.Count() != 100 {
 		t.Fatal("query over loaded column failed")
+	}
+}
+
+// TestShardedRestoreKeepsPartBounds: snapshot → restore into the same
+// Sharded(k) → snapshot keeps every column's part bounds, on a column DB
+// and on a table alike — whether the restored column was queried (rebuilt
+// from its parts) or not (re-emitted as captured).
+func TestShardedRestoreKeepsPartBounds(t *testing.T) {
+	ctx := context.Background()
+	const n = 30_000
+	opts := []crackdb.Option{crackdb.WithSeed(5), crackdb.WithConcurrency(crackdb.Sharded(3))}
+	col, err := crackdb.Open(crackdb.MakeData(n, 1), crackdb.DD1R, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := crackdb.OpenTable(map[string][]int64{
+		"a": crackdb.MakeData(n, 1),
+		"b": crackdb.MakeData(n, 2),
+	}, crackdb.DD1R, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// bounds lists each column's interior part bounds ("" for a column DB).
+	bounds := func(snap crackdb.DBSnapshot) map[string][]int64 {
+		cols := map[string][]crackdb.SnapshotPart{"": snap.Parts}
+		if snap.IsTable() {
+			cols = map[string][]crackdb.SnapshotPart{}
+			for _, c := range snap.Columns {
+				cols[c.Name] = c.Parts
+			}
+		}
+		out := map[string][]int64{}
+		for name, parts := range cols {
+			for _, p := range parts[1:] {
+				out[name] = append(out[name], p.Lo)
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		db *crackdb.DB
+		// cols are queried before the snapshot; only the first is queried
+		// again after the restore, so a table's second column stays cold.
+		cols []string
+	}{{col, []string{""}}, {tbl, []string{"a", "b"}}} {
+		for _, c := range tc.cols {
+			for i := int64(0); i < 40; i++ {
+				if _, err := tc.db.Query(ctx, crackdb.Range(i*700, i*700+300).On(c)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		snap, err := tc.db.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bounds(snap)
+		restored, err := crackdb.OpenSnapshot(snap, crackdb.DD1R, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := restored.Query(ctx, crackdb.Range(100, 200).On(tc.cols[0]))
+		if err != nil || res.Count() != 100 {
+			t.Fatalf("%s: restored query count = %d, err = %v", tc.db.Name(), res.Count(), err)
+		}
+		again, err := restored.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := bounds(again)
+		for _, name := range tc.cols {
+			if w := want[name]; len(w) != 2 || !slices.Equal(got[name], w) {
+				t.Fatalf("%s column %q: part bounds %v after restore, want %v (3 parts)",
+					tc.db.Name(), name, got[name], w)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package crackdb_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	crackdb "repro"
@@ -272,6 +273,98 @@ func TestQueryAppendMatchesQuery(t *testing.T) {
 			}
 			if sum != res.Sum() {
 				t.Fatalf("%s pred %d: append sum %d, query sum %d", mode, i, sum, res.Sum())
+			}
+		}
+	}
+}
+
+// TestQueryBatchAppendMatchesQueryBatch pins QueryBatchAppend's answers,
+// not only its allocations: the same predicate batches run through
+// QueryBatchAppend (one BatchBuffer reused across batches of decreasing
+// size) and QueryBatch, on column and table DBs in every mode, and every
+// answer must equal the closed form for a permutation of [0, n) — the
+// values the predicate matches, in any order.
+func TestQueryBatchAppendMatchesQueryBatch(t *testing.T) {
+	ctx := context.Background()
+	const n = 1 << 14
+	batches := func(col string) [][]crackdb.Predicate {
+		on := func(p crackdb.Predicate) crackdb.Predicate { return p.On(col) }
+		return [][]crackdb.Predicate{
+			{
+				on(crackdb.Range(10, 500)),
+				on(crackdb.Range(n/8, 7*n/8)), // crosses every shard bound
+				on(crackdb.Range(100, 200).Or(crackdb.Range(n/2, n/2+300))),
+				on(crackdb.Range(700, 700)), // empty
+				on(crackdb.GreaterEq(n - 50)),
+				on(crackdb.Range(10, 500)), // converged by now
+			},
+			{
+				on(crackdb.Range(n/3, 2*n/3)),
+				on(crackdb.Less(40).Or(crackdb.Range(n/4, n/4+10)).Or(crackdb.Greater(n - 5))),
+				on(crackdb.Eq(n / 2)),
+			},
+			{on(crackdb.Range(250, 260))},
+		}
+	}
+	// want is the closed form: the values of [0, n) p matches, sorted.
+	want := func(p crackdb.Predicate) []int64 {
+		var out []int64
+		for v := int64(0); v < n; v++ {
+			if p.Matches(v) {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	check := func(name string, i, j int, p crackdb.Predicate, got []int64) {
+		t.Helper()
+		got = slices.Sorted(slices.Values(got))
+		if w := want(p); !slices.Equal(got, w) {
+			t.Fatalf("%s batch %d predicate %d (%s): %d values, want %d (first diff %v)",
+				name, i, j, p, len(got), len(w), firstDiff(got, w))
+		}
+	}
+	for _, mode := range []crackdb.Concurrency{crackdb.Single, crackdb.Shared, crackdb.Sharded(3)} {
+		col, err := crackdb.Open(zeroAllocValues(n), crackdb.DD1R, crackdb.WithConcurrency(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := crackdb.OpenTable(map[string][]int64{
+			"a": zeroAllocValues(n),
+			"b": crackdb.MakeData(n, 3),
+		}, crackdb.DD1R, crackdb.WithConcurrency(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tblBatches := batches("a")
+		// A batch spanning both table columns takes the fallback path.
+		tblBatches = append(tblBatches, []crackdb.Predicate{
+			crackdb.Range(30, 90).On("b"), crackdb.Range(30, 90).On("a"),
+		})
+		for _, tc := range []struct {
+			name    string
+			db      *crackdb.DB
+			batches [][]crackdb.Predicate
+		}{
+			{"column/" + mode.String(), col, batches("")},
+			{"table/" + mode.String(), tbl, tblBatches},
+		} {
+			var bb crackdb.BatchBuffer
+			for i, ps := range tc.batches {
+				appended, err := tc.db.QueryBatchAppend(ctx, ps, &bb)
+				if err != nil || len(appended) != len(ps) {
+					t.Fatalf("%s batch %d: QueryBatchAppend len=%d err=%v", tc.name, i, len(appended), err)
+				}
+				for j, p := range ps {
+					check(tc.name+" QueryBatchAppend", i, j, p, appended[j])
+				}
+				results, err := tc.db.QueryBatch(ctx, ps)
+				if err != nil || len(results) != len(ps) {
+					t.Fatalf("%s batch %d: QueryBatch len=%d err=%v", tc.name, i, len(results), err)
+				}
+				for j, p := range ps {
+					check(tc.name+" QueryBatch", i, j, p, results[j].Owned())
+				}
 			}
 		}
 	}

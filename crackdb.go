@@ -154,19 +154,13 @@ func WithSwapBudget(pct int) Option {
 	return func(c *config) { c.core.SwapPct = pct }
 }
 
-// WithRowIDs attaches a row-identifier payload permuted alongside values.
-func WithRowIDs() Option {
-	return func(c *config) { c.core.TrackRowIDs = true }
-}
-
 // WithParallelCrack routes crack operations on pieces of at least
 // core.DefaultParallelCrackMin tuples through the chunked parallel
 // partition kernel, which partitions on all cores via the process-wide
-// worker pool. It applies to values-only columns (WithRowIDs columns keep
-// the serial tandem kernels) and preserves every crack's split position
-// and per-side multiset exactly; only the physical order of values within
-// a side may differ from the serial kernel's. Use
-// WithParallelCrackMin to tune the threshold.
+// worker pool. It preserves every crack's split position and per-side
+// multiset exactly; only the physical order of values within a side may
+// differ from the serial kernel's. Use WithParallelCrackMin to tune the
+// threshold.
 func WithParallelCrack() Option {
 	return func(c *config) { c.core.ParallelCrackMin = core.DefaultParallelCrackMin }
 }

@@ -71,32 +71,23 @@ type Aggregate struct {
 type DB struct {
 	mode   Concurrency
 	closed atomic.Bool
-	rows   int
-
-	// Exactly one is set. Every column, stand-alone or in a table, is one
-	// exec.Backend (behind its optional group-commit batcher).
-	col *exec.Column // single-column DB
-	tbl *table.Table // table DB
+	// A single-column DB is a one-column table whose column is unnamed;
+	// every column is one exec.Backend behind its optional group-commit
+	// batcher.
+	tbl *table.Table
 }
 
 // Open builds a DB over a single integer column using the named algorithm
-// (see Algorithms). The slice is owned by the DB afterwards and will be
-// reorganized in place. The zero Option set gives a Single-mode DB with
-// the paper's default tuning.
+// (see Algorithms): a one-column table whose column is unnamed, so
+// predicates and writes need no column name. Like OpenTable, the DB owns
+// the slice afterwards and reorganizes it in place. The zero Option set
+// gives a Single-mode DB with the paper's default tuning.
 func Open(values []int64, algorithm string, opts ...Option) (*DB, error) {
-	cfg, err := configure(opts)
-	if err != nil {
-		return nil, err
-	}
-	b, err := exec.Build(values, algorithm, cfg.conc.m, cfg.core, cfg.partitions)
-	if err != nil {
-		return nil, fmt.Errorf("crackdb: %w", err)
-	}
-	return &DB{mode: cfg.conc, rows: len(values), col: exec.NewColumn(b, cfg.group)}, nil
+	return OpenTable(map[string][]int64{"": values}, algorithm, opts...)
 }
 
 // configure applies opts and rejects group commit in Single mode, which
-// has no concurrent write path to batch — column or table.
+// has no concurrent write path to batch.
 func configure(opts []Option) (config, error) {
 	cfg := applyOptions(opts)
 	if cfg.group != nil && cfg.conc.m.Kind == exec.ModeSingle {
@@ -107,22 +98,27 @@ func configure(opts []Option) (config, error) {
 
 // OpenTable builds a DB over named, equal-length columns; selections
 // crack only the column the predicate names (scope predicates with
-// Predicate.On). Single mode serves queries unsynchronized; Shared gives
-// every selection column its own adaptive executor, so queries on
-// different columns run fully in parallel; Sharded(k) gives every column
-// k range-partitioned executors, so disjoint-range queries on the same
-// column proceed in parallel too. With WithGroupCommit every column gets
-// its own batcher (writes to different columns are independent).
+// Predicate.On). The DB owns the slices afterwards and reorganizes them
+// in place — give each DB its own. Single mode serves queries
+// unsynchronized; Shared gives every column its own adaptive executor, so
+// queries on different columns run fully in parallel; Sharded(k) gives
+// every column k range-partitioned executors, so disjoint-range queries
+// on the same column proceed in parallel too. With WithGroupCommit every
+// column gets its own batcher (writes to different columns are
+// independent). Every algorithm Open takes works here, the partition/merge
+// hybrids included, except in a Single table of two or more columns: that
+// is the one shape that projects (SelectProject), which needs an
+// engine-backed algorithm.
 func OpenTable(cols map[string][]int64, algorithm string, opts ...Option) (*DB, error) {
 	cfg, err := configure(opts)
 	if err != nil {
 		return nil, err
 	}
-	t, err := table.New(cols, algorithm, cfg.conc.m, cfg.core, cfg.group)
+	t, err := table.New(cols, algorithm, cfg.conc.m, cfg.core, cfg.partitions, cfg.group)
 	if err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
-	return &DB{mode: cfg.conc, rows: t.Rows(), tbl: t}, nil
+	return &DB{mode: cfg.conc, tbl: t}, nil
 }
 
 // Close marks the handle closed; subsequent queries, updates and
@@ -133,11 +129,7 @@ func OpenTable(cols map[string][]int64, algorithm string, opts ...Option) (*DB, 
 // already admitted.
 func (db *DB) Close() error {
 	db.closed.Store(true)
-	if db.tbl != nil {
-		db.tbl.Close()
-	} else if db.col.Batch != nil {
-		db.col.Batch.Close()
-	}
+	db.tbl.Close()
 	return nil // idempotent, io.Closer-style: repeat closes are not errors
 }
 
@@ -145,25 +137,15 @@ func (db *DB) Close() error {
 func (db *DB) Mode() Concurrency { return db.mode }
 
 // Rows returns the number of rows (tuples) the DB was opened with.
-func (db *DB) Rows() int { return db.rows }
+func (db *DB) Rows() int { return db.tbl.Rows() }
 
 // Columns returns the table's column names in deterministic order, or nil
 // for a single-column DB.
-func (db *DB) Columns() []string {
-	if db.tbl == nil {
-		return nil
-	}
-	return db.tbl.Columns()
-}
+func (db *DB) Columns() []string { return db.tbl.Columns() }
 
 // Name identifies the backing configuration (e.g. "dd1r",
 // "exec(updatable(dd1r))", "sharded-8(dd1r)", "table").
-func (db *DB) Name() string {
-	if db.tbl != nil {
-		return db.tbl.Name()
-	}
-	return db.col.Name()
-}
+func (db *DB) Name() string { return db.tbl.Name() }
 
 // check validates the handle and the context before any operation.
 func (db *DB) check(ctx context.Context) error {
@@ -173,20 +155,14 @@ func (db *DB) check(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// column resolves a column name to its backend. A single-column DB has
-// one unnamed column; a table takes "" only when it has exactly one.
+// column resolves a column name to its backend; "" names the only column
+// of a one-column table, which a single-column DB is.
 func (db *DB) column(name string) (*exec.Column, error) {
-	if db.tbl != nil {
-		c, err := db.tbl.Column(name)
-		if err != nil {
-			return nil, fmt.Errorf("crackdb: %w", err)
-		}
-		return c, nil
+	c, err := db.tbl.Column(name)
+	if err != nil {
+		return nil, fmt.Errorf("crackdb: %w", err)
 	}
-	if name != "" {
-		return nil, fmt.Errorf("crackdb: single-column database has no column %q: %w", name, ErrUnknownColumn)
-	}
-	return db.col, nil
+	return c, nil
 }
 
 // resolve maps a predicate to the backend of the column it queries.
@@ -370,9 +346,6 @@ func (db *DB) project(ctx context.Context, p Predicate, proj string,
 	if err := db.check(ctx); err != nil {
 		return nil, err
 	}
-	if db.tbl == nil {
-		return nil, fmt.Errorf("crackdb: no column %q to project: %w", proj, ErrUnknownColumn)
-	}
 	sel, err := scope(p)
 	if err != nil {
 		return nil, err
@@ -503,33 +476,17 @@ func (db *DB) ApplyBatchOn(ctx context.Context, col string, inserts, deletes []i
 // across the per-column batchers on a table database; ok is false when
 // the DB was opened without WithGroupCommit.
 func (db *DB) GroupCommitStats() (st exec.BatcherStats, ok bool) {
-	if db.tbl != nil {
-		return db.tbl.GroupCommitStats()
-	}
-	if db.col.Batch == nil {
-		return exec.BatcherStats{}, false
-	}
-	return db.col.Batch.Stats(), true
+	return db.tbl.GroupCommitStats()
 }
 
 // PendingUpdates returns the number of queued, not-yet-merged updates
 // across the whole DB (all shards in Sharded mode, all columns on a
 // table database).
-func (db *DB) PendingUpdates() int {
-	if db.tbl != nil {
-		return db.tbl.Pending()
-	}
-	return db.col.Pending()
-}
+func (db *DB) PendingUpdates() int { return db.tbl.Pending() }
 
 // Stats returns cumulative physical-cost counters, aggregated across
 // shards and columns where applicable.
-func (db *DB) Stats() Stats {
-	if db.tbl != nil {
-		return db.tbl.Stats()
-	}
-	return db.col.Stats()
-}
+func (db *DB) Stats() Stats { return db.tbl.Stats() }
 
 // PathStats reports how many queries the adaptive execution layer
 // answered under the shared read lock versus the exclusive write lock —
@@ -543,11 +500,7 @@ func (db *DB) PathStats() (reads, writes int64, ok bool) {
 	if db.mode.m.Kind == exec.ModeSingle {
 		return 0, 0, false
 	}
-	if db.tbl != nil {
-		reads, writes = db.tbl.PathStats()
-	} else {
-		reads, writes = db.col.PathStats()
-	}
+	reads, writes = db.tbl.PathStats()
 	return reads, writes, true
 }
 
@@ -562,13 +515,7 @@ func (db *DB) PieceSizes() ([]int, error) {
 	if db.closed.Load() {
 		return nil, fmt.Errorf("crackdb: %w", ErrClosed)
 	}
-	var sizes []int
-	var err error
-	if db.tbl != nil {
-		sizes, err = db.tbl.PieceSizes()
-	} else {
-		sizes, err = exec.PieceSizes(db.col)
-	}
+	sizes, err := db.tbl.PieceSizes()
 	if err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
@@ -577,33 +524,29 @@ func (db *DB) PieceSizes() ([]int, error) {
 
 // Snapshot captures the DB's physical state as a multi-part manifest so
 // a later OpenSnapshot resumes with all adaptation earned so far. Every
-// single-column mode snapshots: Single directly, Shared under the
-// executor's exclusive lock (draining in-flight queries first), and
-// Sharded with every shard drained at once (exec.Sharded.ExclusiveAll)
-// so the manifest is one atomic cut of the whole index — one part per
-// shard, shard boundaries included, so the restore can rebuild or re-cut
-// the same partitioning.
+// mode snapshots: Single directly, Shared under the executor's exclusive
+// lock (draining in-flight queries first), and Sharded with every shard
+// drained at once (exec.Sharded.ExclusiveAll) so each column's parts are
+// one atomic cut — one part per shard, shard boundaries included, so the
+// restore can rebuild or re-cut the same partitioning.
 // Queued, not-yet-merged updates are captured with the snapshot (the
 // manifest carries the pending queues; OpenSnapshot re-queues them), so a
 // capture never has to refuse because updates are in flight — use
 // SnapshotStrict when a caller explicitly wants that refusal.
 //
-// Table databases produce a table manifest: one entry per column, each
-// holding that column's cracked state and pending queues (row-id
-// payloads are dropped — see snapshot.TableColumn). Restore it with
-// OpenTableSnapshot, into any table concurrency mode.
+// A single-column DB fills the manifest's Parts. Table databases produce
+// a table manifest: one entry per column, each holding that column's
+// cracked state and pending queues (row-id payloads are dropped — see
+// snapshot.TableColumn). OpenSnapshot restores either form.
 func (db *DB) Snapshot() (DBSnapshot, error) {
 	if db.closed.Load() {
 		return DBSnapshot{}, fmt.Errorf("crackdb: %w", ErrClosed)
 	}
-	if db.tbl != nil {
-		return db.tbl.Snapshot()
-	}
-	parts, err := exec.CaptureParts(db.col)
+	snap, err := db.tbl.Snapshot()
 	if err != nil {
 		return DBSnapshot{}, fmt.Errorf("crackdb: %w", err)
 	}
-	return DBSnapshot{Parts: parts}, nil
+	return snap, nil
 }
 
 // SnapshotStrict is Snapshot refusing to capture while updates are

@@ -3,6 +3,8 @@ package crackdb_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -242,6 +244,20 @@ func TestDBSentinelErrors(t *testing.T) {
 		crackdb.WithConcurrency(crackdb.Sharded(2))); !errors.Is(err, errors.ErrUnsupported) || errors.Is(err, crackdb.ErrUnknownAlgorithm) {
 		t.Fatalf("hybrid sharded error = %v", err)
 	}
+	// Tables take the hybrids too, except the one shape that projects — a
+	// Single table of two or more columns — which needs an engine.
+	hybrid, err := crackdb.OpenTable(map[string][]int64{"a": crackdb.MakeData(100, 36)}, crackdb.AICS,
+		crackdb.WithConcurrency(crackdb.Shared))
+	if err != nil {
+		t.Fatalf("hybrid shared table error = %v", err)
+	}
+	if agg, err := hybrid.QueryAggregate(context.Background(), crackdb.Range(10, 20)); err != nil || agg.Count != 10 {
+		t.Fatalf("hybrid shared table: count=%d err=%v", agg.Count, err)
+	}
+	if _, err := crackdb.OpenTable(map[string][]int64{"a": crackdb.MakeData(100, 36), "b": crackdb.MakeData(100, 37)},
+		crackdb.AICS); !errors.Is(err, crackdb.ErrUnknownAlgorithm) {
+		t.Fatalf("hybrid projecting table error = %v", err)
+	}
 
 	db, err := crackdb.Open(crackdb.MakeData(100, 36), crackdb.Crack)
 	if err != nil {
@@ -275,7 +291,8 @@ func TestDBTableModes(t *testing.T) {
 		b[i] = v * 2
 	}
 	for _, mode := range []crackdb.Concurrency{crackdb.Single, crackdb.Shared, crackdb.Sharded(4)} {
-		db, err := crackdb.OpenTable(map[string][]int64{"a": a, "b": b}, crackdb.DD1R,
+		// Each DB owns its slices: give each its own copy.
+		db, err := crackdb.OpenTable(map[string][]int64{"a": slices.Clone(a), "b": slices.Clone(b)}, crackdb.DD1R,
 			crackdb.WithSeed(38), crackdb.WithConcurrency(mode))
 		if err != nil {
 			t.Fatal(err)
@@ -347,7 +364,7 @@ func TestDBTableModes(t *testing.T) {
 		}
 	}
 	// A one-column table serves unscoped predicates on its only column.
-	db, err := crackdb.OpenTable(map[string][]int64{"only": a}, crackdb.Crack)
+	db, err := crackdb.OpenTable(map[string][]int64{"only": slices.Clone(a)}, crackdb.Crack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +372,7 @@ func TestDBTableModes(t *testing.T) {
 		t.Fatalf("default column: count=%d err=%v", res.Count(), err)
 	}
 	// Sharded tables: every column behind k range-partitioned executors.
-	sdb, err := crackdb.OpenTable(map[string][]int64{"a": a}, crackdb.Crack,
+	sdb, err := crackdb.OpenTable(map[string][]int64{"a": slices.Clone(a)}, crackdb.Crack,
 		crackdb.WithConcurrency(crackdb.Sharded(4)))
 	if err != nil {
 		t.Fatalf("sharded table error = %v", err)
@@ -404,32 +421,119 @@ func TestRestoredTablePendingUpdates(t *testing.T) {
 	}
 }
 
-// TestSharedTableMatchesColumnDB: a Shared one-column table and a Shared
-// single-column DB run the same backend over the same data, so the same
-// queries cost the same physical work.
+// TestSharedTableMatchesColumnDB: a one-column table and a single-column
+// DB are the same object, so in every mode the same queries cost the same
+// physical work. It also pins the facade contracts of an Open DB: its
+// backend's name, no column names, a parts manifest and no projection.
 func TestSharedTableMatchesColumnDB(t *testing.T) {
 	const n = 50_000
 	ctx := context.Background()
-	opts := []crackdb.Option{crackdb.WithSeed(9), crackdb.WithConcurrency(crackdb.Shared)}
-	col, err := crackdb.Open(crackdb.MakeData(n, 8), crackdb.DD1R, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := crackdb.OpenTable(map[string][]int64{"v": crackdb.MakeData(n, 8)}, crackdb.DD1R, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lo := int64(0); lo < n; lo += 97 {
-		for _, db := range []*crackdb.DB{col, tbl} {
-			if agg, err := db.QueryAggregate(ctx, crackdb.Range(lo, lo+10)); err != nil || agg.Count != int(min(10, n-lo)) {
-				t.Fatalf("%s [%d,%d): count=%d err=%v", db.Name(), lo, lo+10, agg.Count, err)
+	for _, tc := range []struct {
+		mode crackdb.Concurrency
+		name string
+	}{
+		{crackdb.Single, "dd1r"},
+		{crackdb.Shared, "exec(updatable(dd1r))"},
+		{crackdb.Sharded(3), "sharded-3(dd1r)"},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			opts := []crackdb.Option{crackdb.WithSeed(9), crackdb.WithConcurrency(tc.mode)}
+			col, err := crackdb.Open(crackdb.MakeData(n, 8), crackdb.DD1R, opts...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			tbl, err := crackdb.OpenTable(map[string][]int64{"v": crackdb.MakeData(n, 8)}, crackdb.DD1R, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lo := int64(0); lo < n; lo += 97 {
+				for _, db := range []*crackdb.DB{col, tbl} {
+					if agg, err := db.QueryAggregate(ctx, crackdb.Range(lo, lo+10)); err != nil || agg.Count != int(min(10, n-lo)) {
+						t.Fatalf("%s [%d,%d): count=%d err=%v", db.Name(), lo, lo+10, agg.Count, err)
+					}
+				}
+			}
+			a, b := col.Stats(), tbl.Stats()
+			if a.Touched != b.Touched || a.Swaps != b.Swaps || a.Cracks != b.Cracks {
+				t.Fatalf("column DB touched/swaps/cracks %d/%d/%d, table %d/%d/%d",
+					a.Touched, a.Swaps, a.Cracks, b.Touched, b.Swaps, b.Cracks)
+			}
+
+			if got := col.Name(); got != tc.name {
+				t.Fatalf("Name() = %q, want %q", got, tc.name)
+			}
+			if cols := col.Columns(); cols != nil {
+				t.Fatalf("Columns() = %q, want nil", cols)
+			}
+			snap, err := col.Snapshot()
+			if err != nil || len(snap.Parts) == 0 || snap.Columns != nil {
+				t.Fatalf("Snapshot() has %d parts and %d columns (err %v), want parts only",
+					len(snap.Parts), len(snap.Columns), err)
+			}
+			for _, proj := range []string{"", "v"} {
+				if _, err := col.SelectProject(ctx, crackdb.Range(0, 10), proj); !errors.Is(err, crackdb.ErrUnknownColumn) {
+					t.Fatalf("SelectProject(%q) err = %v, want ErrUnknownColumn", proj, err)
+				}
+			}
+		})
 	}
-	a, b := col.Stats(), tbl.Stats()
-	if a.Touched != b.Touched || a.Swaps != b.Swaps || a.Cracks != b.Cracks {
-		t.Fatalf("column DB touched/swaps/cracks %d/%d/%d, table %d/%d/%d",
-			a.Touched, a.Swaps, a.Cracks, b.Touched, b.Swaps, b.Cracks)
+}
+
+// TestConstructorsDoNotCopy measures what a constructor plus one narrow
+// query allocates per row of each column on 1 Mi rows: the DB adopts the
+// caller's slices, a Sharded build copies the column once into its
+// buckets, and a projecting Single table makes one cracker copy with row
+// ids (8 + 4 bytes) per selected column.
+func TestConstructorsDoNotCopy(t *testing.T) {
+	const n = 1 << 20
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		cols  int // columns opened, each queried once
+		table bool
+		mode  crackdb.Concurrency
+		max   float64 // bytes per row and column
+	}{
+		{"open/single", 1, false, crackdb.Single, 1},
+		{"open/shared", 1, false, crackdb.Shared, 1},
+		{"table-1/single", 1, true, crackdb.Single, 1},
+		{"table-1/shared", 1, true, crackdb.Shared, 1},
+		{"table-2/shared", 2, true, crackdb.Shared, 1},
+		{"open/sharded-2", 1, false, crackdb.Sharded(2), 9},
+		{"table-1/sharded-2", 1, true, crackdb.Sharded(2), 9},
+		{"table-2/single", 2, true, crackdb.Single, 12.1}, // 12 plus fixed-size state
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			names := []string{"a", "b"}[:tc.cols]
+			cols := make(map[string][]int64, tc.cols)
+			for i, name := range names {
+				cols[name] = crackdb.MakeData(n, uint64(70+i))
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var db *crackdb.DB
+			var err error
+			if tc.table {
+				db, err = crackdb.OpenTable(cols, crackdb.DD1R, crackdb.WithConcurrency(tc.mode))
+			} else {
+				names = []string{""}
+				db, err = crackdb.Open(cols["a"], crackdb.DD1R, crackdb.WithConcurrency(tc.mode))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				if agg, err := db.QueryAggregate(ctx, crackdb.Range(1_000, 1_010).On(name)); err != nil || agg.Count != 10 {
+					t.Fatalf("column %q: count=%d err=%v", name, agg.Count, err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(n*tc.cols)
+			if perRow > tc.max {
+				t.Fatalf("allocated %.2f B per row and column, want <= %g", perRow, tc.max)
+			}
+			runtime.KeepAlive(db)
+		})
 	}
 }
 

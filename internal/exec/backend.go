@@ -235,7 +235,8 @@ func PieceSizes(b Backend) ([]int, error) {
 }
 
 // Column is a Backend behind its optional group-commit batcher: the one
-// write path the facade and the table share. Reads go to the backend.
+// write path of every table column, a single-column DB's included. Reads
+// go to the backend.
 type Column struct {
 	Backend
 	Batch *Batcher // nil without group commit

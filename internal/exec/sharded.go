@@ -53,9 +53,19 @@ func NewSharded(values []int64, spec string, k int, opt core.Options) (*Sharded,
 		k = len(values)
 	}
 	bounds := shardBounds(values, k, opt.Seed)
-	buckets := make([][]int64, len(bounds)+1)
+	// Count first, so each bucket is allocated once at its exact size: the
+	// build copies the column once.
+	sizes := make([]int, len(bounds)+1)
 	for _, v := range values {
-		buckets[bucketOf(bounds, v)] = append(buckets[bucketOf(bounds, v)], v)
+		sizes[bucketOf(bounds, v)]++
+	}
+	buckets := make([][]int64, len(sizes))
+	for i, n := range sizes {
+		buckets[i] = make([]int64, 0, n)
+	}
+	for _, v := range values {
+		i := bucketOf(bounds, v)
+		buckets[i] = append(buckets[i], v)
 	}
 	s := &Sharded{spec: spec}
 	lo := int64(math.MinInt64)

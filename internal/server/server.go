@@ -934,7 +934,7 @@ func (s *Server) captureRange(w http.ResponseWriter, lo, hi int64) (crackdb.DBSn
 	}
 	st, err := snap.Extract(lo, hi)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		writeMappedError(w, err) // a table manifest: 422 snapshot_unsupported
 		return crackdb.DBSnapshot{}, false
 	}
 	return crackdb.DBSnapshot{Parts: []crackdb.SnapshotPart{{Lo: math.MinInt64, Hi: math.MaxInt64, State: st}}}, true

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -106,6 +107,35 @@ func TestRestoreChecksRangeBeforeRebuilding(t *testing.T) {
 	}
 	if n := reopens.Load(); n != 1 || resp.Rows != 5000 || resp.ShardLo != 0 || resp.ShardHi != 5000 {
 		t.Fatalf("good restore: %d rebuilds, response %+v; want 1 rebuild of 5000 rows owning [0, 5000)", n, resp)
+	}
+}
+
+// TestRangeCaptureOnTableIsUnsupported: a table DB has no single value
+// domain to cut, so range capture and retain answer 422
+// snapshot_unsupported, not a client error.
+func TestRangeCaptureOnTableIsUnsupported(t *testing.T) {
+	db, err := crackdb.OpenTable(map[string][]int64{
+		"a": crackdb.MakeData(1_000, 1),
+		"b": crackdb.MakeData(1_000, 2),
+	}, crackdb.DD1R, crackdb.WithConcurrency(crackdb.Shared))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	s := New(db, Config{
+		Info: Info{Rows: 1_000, Algorithm: crackdb.DD1R},
+		Reopen: func(snap crackdb.DBSnapshot) (*crackdb.DB, error) {
+			return crackdb.OpenSnapshot(snap, crackdb.DD1R, crackdb.WithConcurrency(crackdb.Shared))
+		},
+	})
+	for name, rec := range map[string]*httptest.ResponseRecorder{
+		"range capture": get(t, s, "/v1/snapshot/range?lo=0&hi=100"),
+		"retain":        post(t, s, "/v1/retain", `{"lo":0,"hi":100}`),
+	} {
+		var er ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusUnprocessableEntity || er.Code != "snapshot_unsupported" {
+			t.Fatalf("%s: status %d body %s (err %v), want 422 snapshot_unsupported", name, rec.Code, rec.Body, err)
+		}
 	}
 }
 

@@ -19,23 +19,30 @@
 //     cracker column ("pieces of cracker columns are dynamically
 //     created ... based on storage restrictions", §2).
 //
-// Selection uses any core cracking algorithm. Every selection attribute
-// gets its own exec.Backend, built lazily on first use in the table's
-// mode: unsynchronized in Single mode, one executor in Shared mode, k
-// range-partitioned executors in Sharded(k) mode. Columns share no
-// physical state, so queries on different columns of a concurrent table
-// run fully in parallel. Projection is single-threaded: only Single
-// tables serve it, and only their columns track row ids.
+// Selection uses any core cracking algorithm. Every column is one
+// exec.Backend in the table's mode — unsynchronized in Single mode, one
+// executor in Shared mode, k range-partitioned executors in Sharded(k)
+// mode — built at open over the slice the caller handed in, which the
+// table then owns. Columns share no physical state, so queries on
+// different columns of a concurrent table run fully in parallel.
+//
+// Projection is single-threaded and needs an immutable row-order base, so
+// only a Single table with at least two columns projects: it keeps each
+// adopted slice as that base and makes the column's cracker copy, with
+// row ids, on the column's first selection or write (original cracking's
+// "cracker column on first query"). No other column tracks row ids.
+//
+// A single-column database is a one-column table whose column is unnamed.
 package table
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"iter"
 	"maps"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cindex"
 	"repro/internal/column"
@@ -50,39 +57,26 @@ import (
 // Sharded modes; the projection paths, which only Single tables serve, are
 // not.
 type Table struct {
-	names []string
-	// cols holds one slot per column, made at construction: the map is
-	// read-only afterwards, so a query's slot lookup takes no lock.
-	cols  map[string]*slot
+	names []string // sorted
+	// cols[i] is column names[i], made at construction: a query finds its
+	// column without a lock.
+	cols  []slot
 	rows  int
 	algo  string
 	opt   core.Options
 	mode  exec.Mode            // Shards clamped to the row count
-	group *exec.BatcherOptions // nil without group commit; defaults resolved
-
-	// buildMu serializes lazy column builds; PieceSizes and Snapshot hold
-	// it throughout, so no column flips from cold to built mid-walk and a
-	// write racing the capture of a cold column cannot be acknowledged and
-	// then missed.
-	buildMu sync.Mutex
+	group *exec.BatcherOptions // nil without group commit
 
 	maps map[[2]string]*crackerMap // sideways maps keyed by (sel, proj)
 }
 
-// slot is one column: its base values, the snapshot parts a restored
-// column resumes from, and its lazily built backend. once gates the
-// O(rows) build so queries on built columns never wait for it; col is
-// atomic because Stats and Pending peek at slots without entering once.
+// slot is one column. In a projection table (see New) base is the
+// adopted row-order slice and col stays nil until the column's first use;
+// every other column is built at open and has no base. Concurrent tables
+// never change a slot after construction.
 type slot struct {
-	base []int64 // nil for a restored column
-	// seed holds the captured parts of a restored column (nil otherwise),
-	// row ids stripped, never modified. Kept unmerged so a Sharded(k)
-	// restore keeps the captured shard bounds; without row ids the
-	// projection paths reject the column.
-	seed []snapshot.Part
-	once sync.Once
-	col  atomic.Pointer[exec.Column]
-	err  error // read only after once.Do returns
+	base []int64
+	col  *exec.Column
 }
 
 // crackerMap is a sideways map: a copy of the selection attribute cracked
@@ -93,162 +87,185 @@ type crackerMap struct {
 }
 
 // New creates a table from named columns, all of equal length, served in
-// mode. algorithm selects the cracking flavor for selection indexes (any
-// core spec, e.g. "crack", "dd1r", "pmdd1r-10"); a non-nil group attaches
-// a group-commit batcher to every column backend.
-func New(cols map[string][]int64, algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
-	t := &Table{cols: make(map[string]*slot, len(cols)), rows: -1}
-	for _, name := range slices.Sorted(maps.Keys(cols)) {
-		vals := cols[name]
-		if t.rows == -1 {
-			t.rows = len(vals)
-		} else if len(vals) != t.rows {
-			return nil, fmt.Errorf("table: column %q has %d rows, want %d", name, len(vals), t.rows)
+// mode; the table owns the slices afterwards. algorithm selects the
+// cracking flavor for selection indexes (any core spec, e.g. "crack",
+// "dd1r", "pmdd1r-10", or a partition/merge hybrid with partitions source
+// partitions outside projection tables); a non-nil group attaches a
+// group-commit batcher to every column backend.
+func New(cols map[string][]int64, algorithm string, mode exec.Mode, opt core.Options, partitions int, group *exec.BatcherOptions) (*Table, error) {
+	names := slices.Sorted(maps.Keys(cols))
+	rows := 0
+	for i, name := range names {
+		if i == 0 {
+			rows = len(cols[name])
+		} else if len(cols[name]) != rows {
+			return nil, fmt.Errorf("table: column %q has %d rows, want %d", name, len(cols[name]), rows)
 		}
-		t.cols[name] = &slot{base: vals}
 	}
-	return t.init(algorithm, mode, opt, group)
+	t, err := newTable(names, rows, algorithm, mode, opt, group)
+	if err != nil {
+		return nil, err
+	}
+	if mode.Kind == exec.ModeSingle && len(names) > 1 { // a projection table
+		if _, err := core.Build(nil, algorithm, opt); err != nil {
+			return nil, err // projection needs an engine-backed algorithm
+		}
+		for i, name := range names {
+			t.cols[i].base = cols[name]
+		}
+		return t, nil
+	}
+	for i, name := range names {
+		b, err := exec.Build(cols[name], algorithm, t.mode, opt, partitions)
+		if err != nil {
+			return nil, err
+		}
+		t.cols[i].col = exec.NewColumn(b, t.group)
+	}
+	return t, nil
 }
 
-// Restore rebuilds a table from a table manifest's columns: each column
-// resumes from its captured parts (cracks and pending queues included),
-// consumed lazily on the column's first use through exec.Restore, so a
-// Sharded(k) table restored with the captured k keeps its shard bounds.
-// Captured states carry no row ids, so the restored table answers every
-// per-column selection exactly but rejects the projection paths with
-// dberr.ErrSnapshotUnsupported.
-func Restore(cols []snapshot.TableColumn, algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
-	t := &Table{cols: make(map[string]*slot, len(cols))}
-	for _, c := range cols {
-		if _, dup := t.cols[c.Name]; dup {
+// Restore rebuilds a table from a manifest: a table manifest's named
+// columns, or a parts manifest as a single-column database. Each column
+// resumes from its captured parts (cracks and pending queues included)
+// through exec.Restore, so a Sharded(k) table restored with the captured k
+// keeps its shard bounds. Restored columns have no row-order base, so a
+// restored table answers every per-column selection exactly but rejects
+// the projection paths with dberr.ErrSnapshotUnsupported.
+func Restore(m snapshot.Manifest, algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
+	cols := []snapshot.TableColumn{{Parts: m.Parts}} // the unnamed column
+	if m.IsTable() {
+		cols = slices.SortedFunc(slices.Values(m.Columns), func(a, b snapshot.TableColumn) int { return cmp.Compare(a.Name, b.Name) })
+	}
+	names := make([]string, len(cols))
+	rows := 0
+	for i, c := range cols {
+		if i > 0 && c.Name == names[i-1] {
 			return nil, fmt.Errorf("table: duplicate column %q", c.Name)
 		}
-		parts := slices.Clone(c.Parts)
-		for i := range parts {
-			parts[i].State.RowIDs = nil // capture drops them; tolerate hand-built manifests
-		}
-		t.cols[c.Name] = &slot{seed: parts}
+		names[i] = c.Name
 		// Columns may hold different counts once per-column updates merged;
 		// report the widest. Pending inserts stay out of the count until
-		// they merge — the same convention the single-column restore uses.
-		t.rows = max(t.rows, snapshot.Manifest{Parts: parts}.Rows())
+		// they merge.
+		rows = max(rows, snapshot.Manifest{Parts: c.Parts}.Rows())
 	}
-	return t.init(algorithm, mode, opt, group)
+	t, err := newTable(names, rows, algorithm, mode, opt, group)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cols {
+		b, err := exec.Restore(c.Parts, algorithm, t.mode, opt)
+		if err != nil {
+			return nil, err
+		}
+		t.cols[i].col = exec.NewColumn(b, t.group)
+	}
+	return t, nil
 }
 
-// init completes a table whose slots are filled.
-func (t *Table) init(algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
-	if len(t.cols) == 0 {
+// newTable makes a table with one empty slot per name (sorted).
+func newTable(names []string, rows int, algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
+	if len(names) == 0 {
 		return nil, fmt.Errorf("table: no columns")
-	}
-	if _, err := core.Build(nil, algorithm, opt); err != nil {
-		return nil, err // validate the algorithm spec eagerly
 	}
 	if mode.Kind == exec.ModeSharded {
 		mode.Shards = max(mode.Shards, 1)
-		if t.rows > 0 {
-			mode.Shards = min(mode.Shards, t.rows)
+		if rows > 0 {
+			mode.Shards = min(mode.Shards, rows)
 		}
 	}
-	if group != nil {
-		resolved := group.Resolved()
-		group = &resolved
-	}
-	t.names = slices.Sorted(maps.Keys(t.cols))
-	t.algo, t.mode, t.opt, t.group = algorithm, mode, opt, group
-	t.maps = make(map[[2]string]*crackerMap)
-	return t, nil
+	return &Table{names: names, cols: make([]slot, len(names)), rows: rows,
+		algo: algorithm, opt: opt, mode: mode, group: group, maps: make(map[[2]string]*crackerMap)}, nil
 }
+
+// unnamed reports whether t is a single-column database: one column,
+// named "".
+func (t *Table) unnamed() bool { return len(t.names) == 1 && t.names[0] == "" }
 
 // Rows returns the number of rows.
 func (t *Table) Rows() int { return t.rows }
 
-// Columns returns the column names in deterministic (sorted) order.
-func (t *Table) Columns() []string { return append([]string(nil), t.names...) }
+// Columns returns the column names in deterministic (sorted) order, or nil
+// for a single-column database.
+func (t *Table) Columns() []string {
+	if t.unnamed() {
+		return nil
+	}
+	return slices.Clone(t.names)
+}
 
-// Name identifies the configuration: "table", or "table(sharded-k)".
+// Name identifies the configuration: "table", "table(sharded-k)", or a
+// single-column database's backend name (e.g. "exec(updatable(dd1r))").
 func (t *Table) Name() string {
-	if t.mode.Kind == exec.ModeSharded {
+	switch {
+	case t.unnamed():
+		return t.cols[0].col.Name()
+	case t.mode.Kind == exec.ModeSharded:
 		return "table(" + t.mode.String() + ")"
 	}
 	return "table"
 }
 
-// slot resolves a column name to its slot, returning the name too: ""
+// slot resolves a column name to its index in names and cols: ""
 // names a one-column table's only column.
-func (t *Table) slot(name string) (string, *slot, error) {
+func (t *Table) slot(name string) (int, error) {
+	if name == "" && len(t.names) == 1 {
+		return 0, nil // every query of a single-column database
+	}
+	if i, ok := slices.BinarySearch(t.names, name); ok {
+		return i, nil
+	}
 	if name == "" {
-		if len(t.names) != 1 {
-			return "", nil, fmt.Errorf("table: no column named (scope predicates with Predicate.On, writes with ApplyBatchOn): %w",
-				dberr.ErrUnknownColumn)
-		}
-		name = t.names[0]
+		return 0, fmt.Errorf("table: no column named (scope predicates with Predicate.On, writes with ApplyBatchOn): %w",
+			dberr.ErrUnknownColumn)
 	}
-	s, ok := t.cols[name]
-	if !ok {
-		return "", nil, fmt.Errorf("table: %w %q", dberr.ErrUnknownColumn, name)
-	}
-	return name, s, nil
+	return 0, fmt.Errorf("table: %w %q", dberr.ErrUnknownColumn, name)
 }
 
-// Column returns column name's backend, building it on first use ("" names
-// a one-column table's only column). The build runs under buildMu, so
-// builds of different columns serialize with each other but never stall
-// queries on columns that are already built.
+// Column returns column name's backend ("" names a one-column table's
+// only column).
 func (t *Table) Column(name string) (*exec.Column, error) {
-	_, s, err := t.slot(name)
+	i, err := t.slot(name)
 	if err != nil {
 		return nil, err
 	}
-	s.once.Do(func() {
-		t.buildMu.Lock()
-		defer t.buildMu.Unlock()
-		c, err := t.build(s)
-		if err != nil {
-			s.err = err
-			return
-		}
-		s.col.Store(c)
-	})
-	return s.col.Load(), s.err
+	return t.column(i)
 }
 
-// build constructs one column's backend in the table's mode: from its
-// restore seed when the table came from a snapshot, else from a copy of
-// its base values. Only Single tables track row ids: projection needs
-// them, and the concurrent modes refuse projection.
-func (t *Table) build(s *slot) (*exec.Column, error) {
-	var b exec.Backend
-	var err error
-	if s.seed != nil {
-		b, err = exec.Restore(s.seed, t.algo, t.mode, t.opt)
-	} else {
+// column returns column i's backend. A projection table's column is made
+// here on first use: a cracker copy of its base, with row ids. Projection
+// tables are Single, so nothing races the build.
+func (t *Table) column(i int) (*exec.Column, error) {
+	s := &t.cols[i]
+	if s.col == nil {
 		opt := t.opt
-		opt.TrackRowIDs = t.mode.Kind == exec.ModeSingle
-		b, err = exec.Build(slices.Clone(s.base), t.algo, t.mode, opt, 0)
+		opt.TrackRowIDs = true
+		b, err := exec.Build(slices.Clone(s.base), t.algo, t.mode, opt, 0)
+		if err != nil {
+			return nil, err
+		}
+		s.col = exec.NewColumn(b, t.group)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return exec.NewColumn(b, t.group), nil
+	return s.col, nil
 }
 
-// built returns the built column backends (order unspecified).
-func (t *Table) built() []*exec.Column {
-	out := make([]*exec.Column, 0, len(t.cols))
-	for _, s := range t.cols {
-		if c := s.col.Load(); c != nil {
-			out = append(out, c)
+// built yields the built column backends in column order, without
+// allocating: Pending and Stats sit on converged query paths.
+func (t *Table) built() iter.Seq[*exec.Column] {
+	return func(yield func(*exec.Column) bool) {
+		for i := range t.cols {
+			if c := t.cols[i].col; c != nil && !yield(c) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // Stats aggregates physical-cost counters over the built columns and the
-// sideways maps. Columns never queried cost, and report, nothing.
+// sideways maps; a projection table's unqueried columns report nothing.
 func (t *Table) Stats() core.Stats {
 	var agg core.Stats
-	for _, c := range t.built() {
+	for c := range t.built() {
 		st := c.Stats()
 		agg.Queries += st.Queries
 		agg.Touched += st.Touched
@@ -265,16 +282,11 @@ func (t *Table) Stats() core.Stats {
 	return agg
 }
 
-// Pending reports queued, not-yet-merged updates across all columns,
-// including the queues a restored column has not consumed yet.
+// Pending reports queued, not-yet-merged updates across all columns.
 func (t *Table) Pending() int {
 	n := 0
-	for _, s := range t.cols {
-		if c := s.col.Load(); c != nil {
-			n += c.Pending()
-		} else if s.seed != nil {
-			n += snapshot.Manifest{Parts: s.seed}.Pending()
-		}
+	for c := range t.built() {
+		n += c.Pending()
 	}
 	return n
 }
@@ -282,7 +294,7 @@ func (t *Table) Pending() int {
 // PathStats sums the read-path and write-path query counts across the
 // built columns.
 func (t *Table) PathStats() (reads, writes int64) {
-	for _, c := range t.built() {
+	for c := range t.built() {
 		r, w := c.PathStats()
 		reads += r
 		writes += w
@@ -290,16 +302,15 @@ func (t *Table) PathStats() (reads, writes int64) {
 	return reads, writes
 }
 
-// GroupCommitStats aggregates batcher counters across the built columns;
-// ok reports whether group commit is enabled at all.
+// GroupCommitStats aggregates batcher counters across the columns; ok
+// reports whether group commit is enabled at all.
 func (t *Table) GroupCommitStats() (agg exec.BatcherStats, ok bool) {
 	if t.group == nil {
 		return exec.BatcherStats{}, false
 	}
-	agg.BatchSize = t.group.BatchSize // resolved in init, like each batcher's
-	agg.MaxWait = t.group.MaxWait
-	for _, c := range t.built() {
+	for c := range t.built() {
 		st := c.Batch.Stats()
+		agg.BatchSize, agg.MaxWait = st.BatchSize, st.MaxWait // resolved, alike in every batcher
 		agg.Enqueued += st.Enqueued
 		agg.Ops += st.Ops
 		agg.Flushes += st.Flushes
@@ -315,7 +326,7 @@ func (t *Table) GroupCommitStats() (agg exec.BatcherStats, ok bool) {
 // group commit). In-flight enqueues drain first; later writes fail with
 // exec.ErrBatcherClosed.
 func (t *Table) Close() {
-	for _, c := range t.built() {
+	for c := range t.built() {
 		if c.Batch != nil {
 			c.Batch.Close()
 		}
@@ -324,76 +335,52 @@ func (t *Table) Close() {
 
 // PieceSizes reports current piece sizes column by column, in column-name
 // order: built columns from their live cracker indexes (drained, so the
-// sizes are consistent), restored columns from their seed's cracks, cold
-// columns as one unbroken piece.
+// sizes are consistent), a projection table's unqueried columns as one
+// unbroken piece.
 func (t *Table) PieceSizes() ([]int, error) {
-	t.buildMu.Lock()
-	defer t.buildMu.Unlock()
 	var sizes []int
-	for _, name := range t.names {
-		s := t.cols[name]
-		switch c := s.col.Load(); {
-		case c != nil:
-			cs, err := exec.PieceSizes(c)
-			if err != nil {
-				return nil, err
-			}
-			sizes = append(sizes, cs...)
-		case s.seed != nil:
-			for _, p := range s.seed {
-				sizes = append(sizes, sizesFromState(p.State)...)
-			}
-		default:
+	for i := range t.cols {
+		s := &t.cols[i]
+		if s.col == nil {
 			sizes = append(sizes, len(s.base))
+			continue
 		}
+		cs, err := exec.PieceSizes(s.col)
+		if err != nil {
+			return nil, err
+		}
+		sizes = append(sizes, cs...)
 	}
 	return sizes, nil
 }
 
-// sizesFromState derives piece sizes from a snapshot state's crack set —
-// the piece profile the column will report once rebuilt from it.
-func sizesFromState(st core.SnapshotState) []int {
-	sizes := make([]int, 0, len(st.Cracks)+1)
-	prev := 0
-	for _, c := range st.Cracks {
-		if c.Pos > prev {
-			sizes = append(sizes, c.Pos-prev)
-			prev = c.Pos
-		}
-	}
-	return append(sizes, len(st.Values)-prev)
-}
-
-// Snapshot captures the whole table as a table manifest: one entry per
-// column holding its cracked state and pending queues — one part per
-// shard in Sharded mode — with row ids dropped (see snapshot.TableColumn).
-// Built columns drain while they are captured; never-queried columns
-// capture their base values with no cracks, and restored-but-untouched
-// columns re-emit their seed, so a save/load cycle never loses
-// adaptation. Each column's capture is atomic; the cut is per column,
-// matching the independence of per-column updates.
+// Snapshot captures the whole table as a table manifest — a single-column
+// database as a plain parts manifest: one entry per column holding its
+// cracked state and pending queues, one part per shard in Sharded mode,
+// with row ids dropped (see snapshot.TableColumn). Built columns drain
+// while they are captured; a projection table's unqueried columns capture
+// their base values with no cracks. Each column's capture is atomic; the
+// cut is per column, matching the independence of per-column updates.
 func (t *Table) Snapshot() (snapshot.Manifest, error) {
-	t.buildMu.Lock()
-	defer t.buildMu.Unlock()
 	cols := make([]snapshot.TableColumn, 0, len(t.names))
-	for _, name := range t.names {
-		s := t.cols[name]
-		var parts []snapshot.Part
-		if c := s.col.Load(); c != nil {
-			var err error
-			if parts, err = exec.CaptureParts(c); err != nil {
-				return snapshot.Manifest{}, err
-			}
-			for i := range parts {
-				parts[i].State.RowIDs = nil
-			}
-		} else if s.seed != nil {
-			parts = s.seed
-		} else {
-			parts = []snapshot.Part{snapshot.ClampedPart(math.MinInt64, math.MaxInt64,
-				core.SnapshotState{Values: slices.Clone(s.base)})}
+	for i, name := range t.names {
+		s := &t.cols[i]
+		if s.col == nil {
+			cols = append(cols, snapshot.TableColumn{Name: name, Parts: []snapshot.Part{snapshot.ClampedPart(
+				math.MinInt64, math.MaxInt64, core.SnapshotState{Values: slices.Clone(s.base)})}})
+			continue
+		}
+		parts, err := exec.CaptureParts(s.col)
+		if err != nil {
+			return snapshot.Manifest{}, err
+		}
+		for p := range parts {
+			parts[p].State.RowIDs = nil
 		}
 		cols = append(cols, snapshot.TableColumn{Name: name, Parts: parts})
+	}
+	if t.unnamed() {
+		return snapshot.Manifest{Parts: cols[0].Parts}, nil
 	}
 	m := snapshot.Table(cols)
 	if err := m.Validate(); err != nil {
@@ -407,14 +394,15 @@ func (t *Table) Snapshot() (snapshot.Manifest, error) {
 // side effect, and proj is fetched from its base column through the
 // row-id payload.
 func (t *Table) SelectProject(sel, proj string, lo, hi int64) ([]int64, error) {
-	sel, base, err := t.projectable(sel, proj)
+	i, j, err := t.projectable(sel, proj)
 	if err != nil {
 		return nil, err
 	}
-	c, err := t.Column(sel)
+	c, err := t.column(i)
 	if err != nil {
 		return nil, err
 	}
+	base := t.cols[j].base
 	si := c.Backend.(*exec.Single) // projectable checked the mode
 	res := si.Query(lo, hi)
 	e := si.Engine()
@@ -448,15 +436,15 @@ func (t *Table) SelectProject(sel, proj string, lo, hi int64) ([]int64, error) {
 // The map is built lazily for each (sel, proj) pair and cracked
 // query-driven.
 func (t *Table) SelectProjectSideways(sel, proj string, lo, hi int64) ([]int64, error) {
-	sel, projBase, err := t.projectable(sel, proj)
+	i, j, err := t.projectable(sel, proj)
 	if err != nil {
 		return nil, err
 	}
-	key := [2]string{sel, proj}
+	key := [2]string{t.names[i], t.names[j]}
 	m, ok := t.maps[key]
 	if !ok {
 		m = &crackerMap{
-			col: column.NewWithPayload(slices.Clone(t.cols[sel].base), slices.Clone(projBase)),
+			col: column.NewWithPayload(slices.Clone(t.cols[i].base), slices.Clone(t.cols[j].base)),
 			idx: &cindex.Tree{},
 		}
 		t.maps[key] = m
@@ -473,34 +461,31 @@ func (t *Table) SelectProjectSideways(sel, proj string, lo, hi int64) ([]int64, 
 func (t *Table) Maps() int { return len(t.maps) }
 
 // projectable reports whether the projection paths can serve (sel, proj),
-// returning sel's resolved name and proj's base column. Both
-// reconstruction strategies are single-threaded and assume base columns
-// aligned row-for-row with the selection index, which restored columns
-// (row ids dropped at capture) and written-to columns (updates never
-// touch base) no longer guarantee.
-func (t *Table) projectable(sel, proj string) (string, []int64, error) {
+// returning the two columns' indexes. Both reconstruction strategies are
+// single-threaded and read base columns aligned row-for-row with the
+// selection index, which restored columns (they have no base) and
+// written-to columns (updates never touch base) do not offer.
+func (t *Table) projectable(sel, proj string) (i, j int, err error) {
+	if j, err = t.slot(proj); err != nil || len(t.names) < 2 {
+		return 0, 0, fmt.Errorf("table: no column %q to project: %w", proj, dberr.ErrUnknownColumn)
+	}
 	if t.mode.Kind != exec.ModeSingle {
-		return "", nil, fmt.Errorf("table: projection on a %s table: %w", t.mode, errors.ErrUnsupported)
+		return 0, 0, fmt.Errorf("table: projection on a %s table: %w", t.mode, errors.ErrUnsupported)
 	}
-	ps, ok := t.cols[proj]
-	if !ok {
-		return "", nil, fmt.Errorf("table: no column %q to project: %w", proj, dberr.ErrUnknownColumn)
+	if i, err = t.slot(sel); err != nil {
+		return 0, 0, err
 	}
-	sel, ss, err := t.slot(sel)
-	if err != nil {
-		return "", nil, err
-	}
-	for _, s := range [2]*slot{ss, ps} {
-		if s.seed != nil {
-			return "", nil, fmt.Errorf("table: a column was restored from a snapshot, projections need row alignment: %w",
+	for _, s := range [2]*slot{&t.cols[i], &t.cols[j]} {
+		if s.base == nil {
+			return 0, 0, fmt.Errorf("table: a column was restored from a snapshot, projections need row alignment: %w",
 				dberr.ErrSnapshotUnsupported)
 		}
-		if c := s.col.Load(); c != nil && (c.Pending() > 0 || c.Backend.(*exec.Single).Merged() > 0) {
-			return "", nil, fmt.Errorf("table: a column has updates, projections read the immutable base: %w",
+		if c := s.col; c != nil && (c.Pending() > 0 || c.Backend.(*exec.Single).Merged() > 0) {
+			return 0, 0, fmt.Errorf("table: a column has updates, projections read the immutable base: %w",
 				dberr.ErrUpdatesUnsupported)
 		}
 	}
-	return sel, ps.base, nil
+	return i, j, nil
 }
 
 // crackBound cracks the map on v (query-driven), keeping the projected

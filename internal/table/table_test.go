@@ -2,6 +2,7 @@ package table
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"testing"
 
@@ -21,7 +22,7 @@ func makeTable(t *testing.T, n int, algo string) (*Table, []int64) {
 		b[i] = v * 2
 		c[i] = -v
 	}
-	tbl, err := New(map[string][]int64{"a": a, "b": b, "c": c}, algo, exec.Mode{}, core.Options{Seed: 5}, nil)
+	tbl, err := New(map[string][]int64{"a": a, "b": b, "c": c}, algo, exec.Mode{}, core.Options{Seed: 5}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,13 @@ func selectVals(tbl *Table, sel string, lo, hi int64) ([]int64, error) {
 }
 
 // builtColumns counts the columns whose backend has been built.
-func builtColumns(tbl *Table) int { return len(tbl.built()) }
+func builtColumns(tbl *Table) int {
+	n := 0
+	for range tbl.built() {
+		n++
+	}
+	return n
+}
 
 func sortedCopy(v []int64) []int64 {
 	out := append([]int64(nil), v...)
@@ -58,13 +65,13 @@ func TestTableBasics(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, "crack", exec.Mode{}, core.Options{}, nil); err == nil {
+	if _, err := New(nil, "crack", exec.Mode{}, core.Options{}, 0, nil); err == nil {
 		t.Fatal("empty table accepted")
 	}
-	if _, err := New(map[string][]int64{"a": {1, 2}, "b": {1}}, "crack", exec.Mode{}, core.Options{}, nil); err == nil {
+	if _, err := New(map[string][]int64{"a": {1, 2}, "b": {1}}, "crack", exec.Mode{}, core.Options{}, 0, nil); err == nil {
 		t.Fatal("ragged columns accepted")
 	}
-	if _, err := New(map[string][]int64{"a": {1}}, "bogus", exec.Mode{}, core.Options{}, nil); err == nil {
+	if _, err := New(map[string][]int64{"a": {1}}, "bogus", exec.Mode{}, core.Options{}, 0, nil); err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}
 }
@@ -185,7 +192,8 @@ func TestSidewaysMapConvergence(t *testing.T) {
 
 func TestSelectionIndexesIndependentPerAttribute(t *testing.T) {
 	// Cracking on a must not touch b's index or base column (attribute-
-	// level adaptation, §2).
+	// level adaptation, §2). A Single projection table makes a column's
+	// cracker copy on the column's first selection.
 	tbl, _ := makeTable(t, 2000, "crack")
 	if _, err := selectVals(tbl, "a", 100, 200); err != nil {
 		t.Fatal(err)
@@ -200,9 +208,33 @@ func TestSelectionIndexesIndependentPerAttribute(t *testing.T) {
 		t.Fatalf("indexes = %d, want 2", builtColumns(tbl))
 	}
 	// Base columns remain untouched (cracking copies).
-	for i, v := range tbl.cols["a"].base {
-		if tbl.cols["b"].base[i] != v*2 {
+	for i, v := range tbl.cols[0].base { // columns a, b, c
+		if tbl.cols[1].base[i] != v*2 {
 			t.Fatal("base columns were mutated by cracking")
+		}
+	}
+
+	// Every other table builds its columns at open: querying a leaves b
+	// one unbroken piece (one per shard in Sharded mode).
+	for _, tc := range []struct {
+		mode   exec.Mode
+		pieces int
+	}{{exec.Mode{Kind: exec.ModeShared}, 1}, {exec.Mode{Kind: exec.ModeSharded, Shards: 2}, 2}} {
+		a := xrand.New(1).Perm(2000)
+		tbl, err := New(map[string][]int64{"a": a, "b": slices.Clone(a)}, "crack", tc.mode, core.Options{Seed: 5}, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := selectVals(tbl, "a", 100, 200); err != nil {
+			t.Fatal(err)
+		}
+		cb, err := tbl.Column("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes, err := exec.PieceSizes(cb)
+		if err != nil || len(sizes) != tc.pieces || cb.Stats().Touched != 0 {
+			t.Fatalf("%v: b has pieces %v (err %v) and touched %d after querying a", tc.mode, sizes, err, cb.Stats().Touched)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/colload"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/snapshot"
 	"repro/internal/table"
 )
@@ -18,10 +17,10 @@ type SnapshotState = core.SnapshotState
 // DBSnapshot is the serializable physical state of a whole DB: a
 // versioned multi-part manifest with one part per shard (a single part
 // for Single/Shared databases), each carrying its value range and engine
-// state. DB.Snapshot produces it in every single-column mode and
-// OpenSnapshot restores it into any of them — including a different
-// shard count, in which case the engine state is split or merged along
-// the shard bounds without losing cracks.
+// state. DB.Snapshot produces it in every mode and OpenSnapshot restores
+// it into any of them — including a different shard count, in which case
+// the engine state is split or merged along the shard bounds without
+// losing cracks.
 type DBSnapshot = snapshot.Manifest
 
 // SnapshotPart is one part of a DBSnapshot: the engine state of one
@@ -29,9 +28,8 @@ type DBSnapshot = snapshot.Manifest
 type SnapshotPart = snapshot.Part
 
 // SaveSnapshot writes the DB's state to path (atomic temp-file write +
-// rename, CRC32 protected) in every single-column concurrency mode; see
-// DB.Snapshot. A crash mid-save leaves the previous snapshot file
-// intact.
+// rename, CRC32 protected) in every concurrency mode; see DB.Snapshot. A
+// crash mid-save leaves the previous snapshot file intact.
 func (db *DB) SaveSnapshot(path string) error {
 	snap, err := db.Snapshot()
 	if err != nil {
@@ -49,23 +47,21 @@ func SaveSnapshotFile(path string, snap DBSnapshot) error {
 }
 
 // OpenSnapshot restores a DB from a snapshot manifest, resuming with all
-// adaptation earned so far, in any single-column concurrency mode. The
-// target layout need not match the source: restoring a sharded snapshot
-// into Single or Shared merges the shards into one contiguous state
-// (old shard boundaries become cracks), and restoring into Sharded(k)
-// re-cuts the manifest along k-1 bounds — the snapshot's own bounds when
-// k matches, otherwise bounds chosen from the snapshot's piece structure
+// adaptation earned so far, in any concurrency mode. The target layout
+// need not match the source: restoring a sharded snapshot into Single or
+// Shared merges the shards into one contiguous state (old shard
+// boundaries become cracks), and restoring into Sharded(k) re-cuts the
+// manifest along k-1 bounds — the snapshot's own bounds when k matches,
+// otherwise bounds chosen from the snapshot's piece structure
 // (SplitBounds) — splitting or merging engine state without losing
-// cracks. The one restriction: a multi-part snapshot carrying row-id
-// payloads only restores into its own shard layout (row ids are
-// shard-local), else ErrSnapshotUnsupported.
+// cracks.
 //
-// A table manifest restores a table DB, in any table concurrency mode:
-// every column resumes from its captured cracked state and pending
-// queues, consumed lazily on the column's first selection. Captured
-// tables carry no row-id payloads, so the restored DB serves every
-// per-column selection but SelectProject and SelectProjectSideways fail
-// with ErrSnapshotUnsupported.
+// Both manifest forms restore the same way, as a table: a parts manifest
+// as the unnamed column of a single-column DB, a table manifest as its
+// named columns. Every column is rebuilt here from its captured cracked
+// state and pending queues. Restored columns have no row-order base, so a
+// restored table serves every per-column selection but SelectProject and
+// SelectProjectSideways fail with ErrSnapshotUnsupported.
 func OpenSnapshot(snap DBSnapshot, algorithm string, opts ...Option) (*DB, error) {
 	cfg, err := configure(opts)
 	if err != nil {
@@ -74,23 +70,16 @@ func OpenSnapshot(snap DBSnapshot, algorithm string, opts ...Option) (*DB, error
 	if err := snap.Validate(); err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
-	if snap.IsTable() {
-		t, err := table.Restore(snap.Columns, algorithm, cfg.conc.m, cfg.core, cfg.group)
-		if err != nil {
-			return nil, fmt.Errorf("crackdb: %w", err)
-		}
-		return &DB{mode: cfg.conc, rows: t.Rows(), tbl: t}, nil
-	}
-	b, err := exec.Restore(snap.Parts, algorithm, cfg.conc.m, cfg.core)
+	t, err := table.Restore(snap, algorithm, cfg.conc.m, cfg.core, cfg.group)
 	if err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
-	return &DB{mode: cfg.conc, rows: snap.Rows(), col: exec.NewColumn(b, cfg.group)}, nil
+	return &DB{mode: cfg.conc, tbl: t}, nil
 }
 
 // OpenSnapshotFile reads a snapshot file written by SaveSnapshot and
-// restores a DB from it, in any single-column concurrency mode (see
-// OpenSnapshot). Corrupted, truncated or version-bumped files fail with
+// restores a DB from it, in any concurrency mode (see OpenSnapshot).
+// Corrupted, truncated or version-bumped files fail with
 // ErrSnapshotCorrupt, never a partial load.
 func OpenSnapshotFile(path, algorithm string, opts ...Option) (*DB, error) {
 	m, err := snapshot.LoadManifestFile(path)

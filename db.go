@@ -522,7 +522,7 @@ func (db *DB) PieceSizes() ([]int, error) {
 	return sizes, nil
 }
 
-// Snapshot captures the DB's physical state as a multi-part manifest so
+// Snapshot captures the DB's physical state as a manifest so
 // a later OpenSnapshot resumes with all adaptation earned so far. Every
 // mode snapshots: Single directly, Shared under the executor's exclusive
 // lock (draining in-flight queries first), and Sharded with every shard
@@ -534,10 +534,9 @@ func (db *DB) PieceSizes() ([]int, error) {
 // capture never has to refuse because updates are in flight — use
 // SnapshotStrict when a caller explicitly wants that refusal.
 //
-// A single-column DB fills the manifest's Parts. Table databases produce
-// a table manifest: one entry per column, each holding that column's
-// cracked state and pending queues (row-id payloads are dropped — see
-// snapshot.TableColumn). OpenSnapshot restores either form.
+// The manifest holds one entry per column, the unnamed one for a
+// single-column DB, each with that column's cracked state and pending
+// queues. Row ids never enter a snapshot (see snapshot.TableColumn).
 func (db *DB) Snapshot() (DBSnapshot, error) {
 	if db.closed.Load() {
 		return DBSnapshot{}, fmt.Errorf("crackdb: %w", ErrClosed)

@@ -345,8 +345,8 @@ func TestDBTableModes(t *testing.T) {
 		}
 		// Table snapshots capture per-column state and restore into any
 		// table mode (round-trip coverage lives in TestRestoreEquivalence).
-		if snap, err := db.Snapshot(); err != nil || !snap.IsTable() {
-			t.Fatalf("%v: table snapshot table=%v err=%v", mode, snap.IsTable(), err)
+		if snap, err := db.Snapshot(); err != nil || len(snap.Columns) != 2 {
+			t.Fatalf("%v: table snapshot has %d columns, err=%v", mode, len(snap.Columns), err)
 		}
 		if sizes, err := db.PieceSizes(); err != nil || len(sizes) == 0 {
 			t.Fatalf("%v: table piece sizes %v err=%v", mode, sizes, err)
@@ -424,7 +424,8 @@ func TestRestoredTablePendingUpdates(t *testing.T) {
 // TestSharedTableMatchesColumnDB: a one-column table and a single-column
 // DB are the same object, so in every mode the same queries cost the same
 // physical work. It also pins the facade contracts of an Open DB: its
-// backend's name, no column names, a parts manifest and no projection.
+// backend's name, no column names, a manifest of the one unnamed column
+// and no projection.
 func TestSharedTableMatchesColumnDB(t *testing.T) {
 	const n = 50_000
 	ctx := context.Background()
@@ -466,9 +467,8 @@ func TestSharedTableMatchesColumnDB(t *testing.T) {
 				t.Fatalf("Columns() = %q, want nil", cols)
 			}
 			snap, err := col.Snapshot()
-			if err != nil || len(snap.Parts) == 0 || snap.Columns != nil {
-				t.Fatalf("Snapshot() has %d parts and %d columns (err %v), want parts only",
-					len(snap.Parts), len(snap.Columns), err)
+			if err != nil || len(snap.Columns) != 1 || snap.Columns[0].Name != "" {
+				t.Fatalf("Snapshot() has %d columns (err %v), want the one unnamed column", len(snap.Columns), err)
 			}
 			for _, proj := range []string{"", "v"} {
 				if _, err := col.SelectProject(ctx, crackdb.Range(0, 10), proj); !errors.Is(err, crackdb.ErrUnknownColumn) {

@@ -431,8 +431,8 @@ func TestRestoreEquivalenceTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !snap.IsTable() {
-				t.Fatalf("table DB snapshot IsTable() = false")
+			if len(snap.Columns) != len(db.Columns()) {
+				t.Fatalf("table DB snapshot has %d columns, want %d", len(snap.Columns), len(db.Columns()))
 			}
 			if snap.Pending() == 0 {
 				t.Fatal("manifest lost the pending writes")
@@ -469,9 +469,9 @@ func TestRestoreEquivalenceTable(t *testing.T) {
 				// manifest round-trips through a second generation.
 				if resnap, err := restored.Snapshot(); err != nil {
 					t.Fatalf("->%s: re-snapshot: %v", tgt.name, err)
-				} else if !resnap.IsTable() || resnap.Rows() != snap.Rows() {
-					t.Fatalf("->%s: re-snapshot rows=%d table=%v, want rows=%d table",
-						tgt.name, resnap.Rows(), resnap.IsTable(), snap.Rows())
+				} else if len(resnap.Columns) != len(snap.Columns) || resnap.Rows() != snap.Rows() {
+					t.Fatalf("->%s: re-snapshot rows=%d columns=%d, want %d/%d",
+						tgt.name, resnap.Rows(), len(resnap.Columns), snap.Rows(), len(snap.Columns))
 				}
 			}
 		})

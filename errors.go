@@ -17,9 +17,9 @@ var (
 	ErrUpdatesUnsupported = dberr.ErrUpdatesUnsupported
 
 	// ErrSnapshotUnsupported: Snapshot against an index kind that cannot
-	// serialize its physical state (the hybrids), a restore that cannot
-	// honor the snapshot's contents (merging sharded row-id payloads into
-	// a different layout), or a projection over a restored table column.
+	// serialize its physical state (the hybrids), a range capture of a
+	// table (it has no single value domain to cut), or a projection over
+	// a restored table column.
 	ErrSnapshotUnsupported = dberr.ErrSnapshotUnsupported
 
 	// ErrSnapshotCorrupt: snapshot bytes failed structural decoding or

@@ -1106,15 +1106,15 @@ func (c *Coordinator) transfer(ctx context.Context, dst *node, copies []rangeCop
 // strictly within its actual range, and disjoint sorted ranges nest in
 // the widened bounds; the restore request carries the actual range.
 func mergeStreams(copies []rangeCopy, streams [][]byte) ([]byte, error) {
-	var m snapshot.Manifest
+	parts := make(snapshot.Parts, 0, len(copies))
 	for i, rc := range copies {
 		pm, err := snapshot.ReadManifest(bytes.NewReader(streams[i]))
 		if err != nil {
 			return nil, fmt.Errorf("decoding captured [%d, %d): %w", rc.lo, rc.hi, err)
 		}
-		st, err := pm.Merged()
-		if err != nil {
-			return nil, fmt.Errorf("merging captured [%d, %d): %w", rc.lo, rc.hi, err)
+		cp, ok := pm.Column("")
+		if !ok {
+			return nil, fmt.Errorf("captured [%d, %d) is not a single-column stream", rc.lo, rc.hi)
 		}
 		wlo, whi := minInt64, maxInt64
 		if i > 0 {
@@ -1123,10 +1123,10 @@ func mergeStreams(copies []rangeCopy, streams [][]byte) ([]byte, error) {
 		if i < len(copies)-1 {
 			whi = copies[i+1].lo
 		}
-		m.Parts = append(m.Parts, snapshot.ClampedPart(wlo, whi, st))
+		parts = append(parts, snapshot.ClampedPart(wlo, whi, cp.Merged()))
 	}
 	var buf bytes.Buffer
-	if err := snapshot.WriteManifest(&buf, m); err != nil {
+	if err := snapshot.WriteManifest(&buf, snapshot.Manifest{Columns: []snapshot.TableColumn{{Parts: parts}}}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

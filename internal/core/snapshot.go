@@ -14,10 +14,10 @@ type CrackEntry struct {
 // snapshot package serializes; restoring it yields an index that resumes
 // with all adaptation earned so far (the paper's §6 "disk-based
 // processing" direction needs exactly this ability to persist cracker
-// state).
+// state). A column's row-id payload is not part of it: row ids serve
+// projection from a live row-order base, which a snapshot never carries.
 type SnapshotState struct {
 	Values []int64
-	RowIDs []uint32 // nil when row ids were not tracked
 	Cracks []CrackEntry
 
 	// PendingInserts and PendingDeletes are the not-yet-merged update
@@ -43,14 +43,8 @@ func (st SnapshotState) Pending() int {
 func (e *Engine) Snapshot() SnapshotState {
 	n := e.col.Len()
 	st := SnapshotState{Values: make([]int64, 0, n-e.idx.Holes())}
-	if e.col.RowIDs != nil {
-		st.RowIDs = make([]uint32, 0, n-e.idx.Holes())
-	}
 	e.idx.Live(0, e.idx.End(n), func(lo, hi int) {
 		st.Values = append(st.Values, e.col.Values[lo:hi]...)
-		if st.RowIDs != nil {
-			st.RowIDs = append(st.RowIDs, e.col.RowIDs[lo:hi]...)
-		}
 	})
 	gone := 0
 	e.idx.Ascend(func(key int64, pos, holes int) bool {
@@ -66,9 +60,6 @@ func (e *Engine) Snapshot() SnapshotState {
 // invariant holding over the values (one O(n + k) pass).
 func (st SnapshotState) Validate() error {
 	n := len(st.Values)
-	if st.RowIDs != nil && len(st.RowIDs) != n {
-		return fmt.Errorf("core: snapshot has %d row ids for %d values", len(st.RowIDs), n)
-	}
 	prevKey := int64(0)
 	prevPos := 0
 	for i, c := range st.Cracks {
@@ -126,9 +117,6 @@ func Restore(st SnapshotState, spec string, opt Options) (Index, error) {
 		return nil, fmt.Errorf("core: %q cannot restore snapshots (no engine)", spec)
 	}
 	e := acc.Engine()
-	if st.RowIDs != nil {
-		e.col.RowIDs = append([]uint32(nil), st.RowIDs...)
-	}
 	for _, c := range st.Cracks {
 		e.idx.Insert(c.Key, c.Pos)
 	}

@@ -120,32 +120,27 @@ func Build(values []int64, spec string, mode Mode, opt core.Options, partitions 
 // Sharded(k) re-cuts them along k-1 bounds — the parts' own when k
 // matches, else SplitBounds — without losing cracks. spec selects who
 // continues the cracking: crack state is algorithm-agnostic.
-func Restore(parts []snapshot.Part, spec string, mode Mode, opt core.Options) (Backend, error) {
-	m := snapshot.Manifest{Parts: parts}
+func Restore(parts snapshot.Parts, spec string, mode Mode, opt core.Options) (Backend, error) {
 	if mode.Kind != ModeSharded {
-		st, err := m.Merged()
-		if err != nil {
-			return nil, err
-		}
-		ix, u, err := restore(st, spec, opt)
+		ix, u, err := restore(parts.Merged(), spec, opt)
 		if err != nil {
 			return nil, err
 		}
 		return serve(ix, u, mode), nil
 	}
 	k := max(mode.Shards, 1)
-	if rows := m.Rows(); k > rows && rows > 0 {
+	if rows := parts.Rows(); k > rows && rows > 0 {
 		k = rows
 	}
-	if k != len(m.Parts) {
+	if k != len(parts) {
 		var err error
-		if m, err = m.Reshard(m.SplitBounds(k, opt.Seed)); err != nil {
+		if parts, err = parts.Reshard(parts.SplitBounds(k, opt.Seed)); err != nil {
 			return nil, err
 		}
 	}
-	states := make([]core.SnapshotState, len(m.Parts))
-	bounds := make([]int64, 0, len(m.Parts)-1)
-	for i, p := range m.Parts {
+	states := make([]core.SnapshotState, len(parts))
+	bounds := make([]int64, 0, len(parts)-1)
+	for i, p := range parts {
 		states[i] = p.State
 		if i > 0 {
 			bounds = append(bounds, p.Lo)
@@ -201,8 +196,8 @@ func shared(ix core.Index, u *updates.Index) *Executor {
 // Capture visits, with pending updates carried in each state's queues (a
 // restore re-queues them; nothing is merged). Only engine-backed
 // algorithms serialize; the hybrids fail with dberr.ErrSnapshotUnsupported.
-func CaptureParts(b Backend) ([]snapshot.Part, error) {
-	var parts []snapshot.Part
+func CaptureParts(b Backend) (snapshot.Parts, error) {
+	var parts snapshot.Parts
 	err := b.Capture(func(lo, hi int64, inner Index) error {
 		acc, ok := inner.(engineAccessor)
 		if !ok {

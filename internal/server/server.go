@@ -78,6 +78,7 @@ import (
 
 	crackdb "repro"
 	"repro/internal/pool"
+	"repro/internal/snapshot"
 	"repro/internal/stats"
 )
 
@@ -762,7 +763,7 @@ type SnapshotRequest struct {
 type SnapshotResponse struct {
 	Path      string `json:"path"`
 	Rows      int    `json:"rows"`
-	Parts     int    `json:"parts"`   // shards in the manifest (1 unsharded)
+	Parts     int    `json:"parts"`   // parts summed over columns: one per shard per column
 	Pieces    int    `json:"pieces"`  // column pieces captured — the earned refinement
 	Pending   int    `json:"pending"` // pending updates carried in the capture
 	Bytes     int64  `json:"bytes"`
@@ -860,12 +861,8 @@ func (s *Server) saveSnapshot(strict bool) (SnapshotResponse, error) {
 	}, nil
 }
 
-// snapParts counts a manifest's parts across both forms: shard parts for
-// a single-column manifest, summed per-column parts for a table one.
+// snapParts counts a manifest's parts summed over its columns.
 func snapParts(snap crackdb.DBSnapshot) int {
-	if !snap.IsTable() {
-		return len(snap.Parts)
-	}
 	n := 0
 	for _, c := range snap.Columns {
 		n += len(c.Parts)
@@ -932,12 +929,18 @@ func (s *Server) captureRange(w http.ResponseWriter, lo, hi int64) (crackdb.DBSn
 		writeMappedError(w, err)
 		return crackdb.DBSnapshot{}, false
 	}
-	st, err := snap.Extract(lo, hi)
-	if err != nil {
-		writeMappedError(w, err) // a table manifest: 422 snapshot_unsupported
+	parts, ok := snap.Column("")
+	if !ok {
+		writeMappedError(w, fmt.Errorf("server: a table has no single value domain to cut: %w",
+			crackdb.ErrSnapshotUnsupported))
 		return crackdb.DBSnapshot{}, false
 	}
-	return crackdb.DBSnapshot{Parts: []crackdb.SnapshotPart{{Lo: math.MinInt64, Hi: math.MaxInt64, State: st}}}, true
+	st, err := parts.Extract(lo, hi)
+	if err != nil {
+		writeMappedError(w, err)
+		return crackdb.DBSnapshot{}, false
+	}
+	return snapshot.Single(st), true
 }
 
 // RestoreResponse is the body of a successful POST /v1/restore or
@@ -957,7 +960,7 @@ type RestoreResponse struct {
 // migration. The new state starts warm: every crack (and pending update)
 // the stream carries survives. Optional lo/hi query params declare the
 // value range the node now owns (reported on /healthz); they default to
-// the manifest's bounds — the whole domain for a migration stream.
+// the whole domain.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if s.reopen == nil {
 		writeError(w, http.StatusUnprocessableEntity, "restore_unconfigured",
@@ -967,9 +970,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	// Check the declared range before the stream is decoded and the DB
 	// rebuilt: a bad request must cost nothing.
 	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-	q := r.URL.Query()
-	declared := q.Get("lo") != "" || q.Get("hi") != ""
-	if declared {
+	if q := r.URL.Query(); q.Get("lo") != "" || q.Get("hi") != "" {
 		var ok bool
 		if lo, hi, ok = rangeParams(w, r); !ok {
 			return
@@ -986,13 +987,6 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decoding snapshot stream: "+err.Error())
 		return
-	}
-	if len(snap.Parts) == 0 && !snap.IsTable() {
-		writeError(w, http.StatusBadRequest, "bad_request", "empty snapshot manifest")
-		return
-	}
-	if !declared && !snap.IsTable() {
-		lo, hi = snap.Parts[0].Lo, snap.Parts[len(snap.Parts)-1].Hi
 	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()

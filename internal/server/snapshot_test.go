@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -107,6 +109,63 @@ func TestRestoreChecksRangeBeforeRebuilding(t *testing.T) {
 	}
 	if n := reopens.Load(); n != 1 || resp.Rows != 5000 || resp.ShardLo != 0 || resp.ShardHi != 5000 {
 		t.Fatalf("good restore: %d rebuilds, response %+v; want 1 rebuild of 5000 rows owning [0, 5000)", n, resp)
+	}
+}
+
+// TestRestoreBothShapesWithoutRange: POST /v1/restore with no ?lo=&hi=
+// owns the whole domain, and reports a table stream's shape: its rows,
+// its parts summed over columns and its pieces.
+func TestRestoreBothShapesWithoutRange(t *testing.T) {
+	s := newTestServer(t, crackdb.Shared, Config{
+		Reopen: func(snap crackdb.DBSnapshot) (*crackdb.DB, error) {
+			return crackdb.OpenSnapshot(snap, crackdb.DD1R, crackdb.WithConcurrency(crackdb.Shared))
+		},
+	})
+	restore := func(stream string) RestoreResponse {
+		t.Helper()
+		rec := post(t, s, "/v1/restore", stream)
+		var resp RestoreResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+			t.Fatalf("restore status %d: %s", rec.Code, rec.Body)
+		}
+		return resp
+	}
+
+	capture := get(t, s, "/v1/snapshot/range?lo=0&hi=5000")
+	if capture.Code != http.StatusOK {
+		t.Fatalf("capture status %d: %s", capture.Code, capture.Body)
+	}
+	if resp := restore(capture.Body.String()); resp.Rows != 5000 || resp.Parts != 1 ||
+		resp.ShardLo != math.MinInt64 || resp.ShardHi != math.MaxInt64 {
+		t.Fatalf("column restore %+v; want 5000 rows in 1 part owning the whole domain", resp)
+	}
+
+	tbl, err := crackdb.OpenTable(map[string][]int64{
+		"a": crackdb.MakeData(1_000, 1),
+		"b": crackdb.MakeData(1_000, 2),
+	}, crackdb.DD1R, crackdb.WithConcurrency(crackdb.Sharded(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	for _, col := range []string{"a", "b"} {
+		if _, err := tbl.Query(context.Background(), crackdb.Range(100, 200).On(col)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := tbl.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := crackdb.WriteSnapshot(&stream, snap); err != nil {
+		t.Fatal(err)
+	}
+	resp := restore(stream.String())
+	if resp.Rows != 1_000 || resp.Parts != 4 || resp.Pieces != snap.Pieces() || resp.Pieces <= resp.Parts ||
+		resp.ShardLo != math.MinInt64 || resp.ShardHi != math.MaxInt64 {
+		t.Fatalf("table restore %+v; want 1000 rows, 4 parts (2 columns x 2 shards), %d pieces, the whole domain",
+			resp, snap.Pieces())
 	}
 }
 

@@ -61,7 +61,7 @@ func TestAtomicSaveSurvivesMidWriteFailure(t *testing.T) {
 	restoreHooks(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.crks")
-	old := shardedManifest(t, 1000, 2, false)
+	old := unnamed(shardedParts(t, 1000, 2))
 	if err := SaveManifestFile(path, old); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestAtomicSaveSurvivesMidWriteFailure(t *testing.T) {
 		}
 		return &truncatingWriter{f: f, limit: 100}, nil
 	}
-	bigger := shardedManifest(t, 3000, 3, false)
+	bigger := unnamed(shardedParts(t, 3000, 3))
 	if err := SaveManifestFile(path, bigger); err == nil {
 		t.Fatal("truncated save reported success")
 	}
@@ -92,7 +92,7 @@ func TestAtomicSaveSurvivesRenameFailure(t *testing.T) {
 	restoreHooks(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.crks")
-	old := shardedManifest(t, 1000, 2, false)
+	old := unnamed(shardedParts(t, 1000, 2))
 	if err := SaveManifestFile(path, old); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAtomicSaveSurvivesRenameFailure(t *testing.T) {
 	renameFile = func(oldpath, newpath string) error {
 		return errors.New("injected: crash before rename")
 	}
-	if err := SaveManifestFile(path, shardedManifest(t, 3000, 3, false)); err == nil {
+	if err := SaveManifestFile(path, unnamed(shardedParts(t, 3000, 3))); err == nil {
 		t.Fatal("failed rename reported success")
 	}
 	if got := loadRows(t, path); got != 1000 {
@@ -115,7 +115,7 @@ func TestAtomicSaveSurvivesRenameFailure(t *testing.T) {
 func TestCrashLeftoverTmpDoesNotShadow(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.crks")
-	old := shardedManifest(t, 1000, 2, false)
+	old := unnamed(shardedParts(t, 1000, 2))
 	if err := SaveManifestFile(path, old); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCrashLeftoverTmpDoesNotShadow(t *testing.T) {
 		t.Fatalf("snapshot has %d rows, want 1000", got)
 	}
 	// A later save must shrug off the leftover and promote cleanly.
-	next := shardedManifest(t, 3000, 3, false)
+	next := unnamed(shardedParts(t, 3000, 3))
 	if err := SaveManifestFile(path, next); err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +134,7 @@ func TestCrashLeftoverTmpDoesNotShadow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rows() != 3000 || len(m.Parts) != 3 {
-		t.Fatalf("promoted snapshot rows=%d parts=%d", m.Rows(), len(m.Parts))
-	}
-	if !slices.Equal(m.Parts[0].State.Values, next.Parts[0].State.Values) {
+	if !sameManifest(m, next) {
 		t.Fatal("promoted snapshot content wrong")
 	}
 }
@@ -176,7 +173,7 @@ func TestSaveSyncsBeforeRename(t *testing.T) {
 		return os.Rename(oldpath, newpath)
 	}
 	path := filepath.Join(t.TempDir(), "db.crks")
-	if err := SaveManifestFile(path, shardedManifest(t, 1000, 2, false)); err != nil {
+	if err := SaveManifestFile(path, unnamed(shardedParts(t, 1000, 2))); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(log, []string{"sync", "close", "rename"}) {

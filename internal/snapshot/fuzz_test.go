@@ -12,10 +12,11 @@ import (
 // panic, never hang, never balloon memory (lengths are read in chunks),
 // and never yield state that silently re-encodes differently.
 func FuzzSnapshotDecode(f *testing.F) {
-	// Seed corpus from real saved snapshots: single-part (with and without
-	// row ids) and multi-part single-column manifests and table manifests,
-	// then the legacy v1–v3 goldens, each plus truncated and
-	// version-bumped variants, and plain garbage.
+	// Seed corpus from real saved snapshots: single-part and multi-part
+	// single-column manifests (one with pending queues) and table
+	// manifests, then the goldens
+	// (legacy v1–v3, and the row-id streams no writer emits any more),
+	// each plus truncated and version-bumped variants, and plain garbage.
 	encode := func(m Manifest) []byte {
 		var buf bytes.Buffer
 		if err := WriteManifest(&buf, m); err != nil {
@@ -23,10 +24,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	single := encode(shardedManifest(f, 300, 1, false))
-	singleR := encode(shardedManifest(f, 300, 1, true))
-	parts := encode(shardedManifest(f, 500, 3, false))
-	partsR := encode(shardedManifest(f, 500, 4, true))
+	single := encode(unnamed(shardedParts(f, 300, 1)))
+	parts := encode(unnamed(shardedParts(f, 500, 3)))
+	pending := encode(unnamed(pendingParts(f)))
 	// Table manifests: single-part and sharded per-column part lists.
 	table := encode(tableManifest(f, 300, 1))
 	tableS := encode(tableManifest(f, 500, 3))
@@ -38,7 +38,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		bumped[7]++
 		f.Add(bumped)
 	}
-	for _, seed := range [][]byte{single, singleR, parts, partsR, table, tableS} {
+	for _, seed := range [][]byte{single, parts, pending, table, tableS} {
 		addVariants(seed)
 	}
 	f.Add([]byte{})
@@ -69,23 +69,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if len(m2.Parts) != len(m.Parts) {
-			t.Fatalf("round trip changed part count %d -> %d", len(m.Parts), len(m2.Parts))
-		}
-		for i := range m.Parts {
-			if len(m2.Parts[i].State.Values) != len(m.Parts[i].State.Values) ||
-				len(m2.Parts[i].State.Cracks) != len(m.Parts[i].State.Cracks) {
-				t.Fatalf("round trip changed part %d shape", i)
-			}
-		}
-		if len(m2.Columns) != len(m.Columns) {
-			t.Fatalf("round trip changed column count %d -> %d", len(m.Columns), len(m2.Columns))
-		}
-		for i := range m.Columns {
-			if m2.Columns[i].Name != m.Columns[i].Name ||
-				len(m2.Columns[i].Parts) != len(m.Columns[i].Parts) {
-				t.Fatalf("round trip changed column %d shape", i)
-			}
+		if !sameManifest(m, m2) {
+			t.Fatal("round trip changed the manifest")
 		}
 	})
 }

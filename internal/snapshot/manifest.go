@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/dberr"
 )
 
 // Part is one contiguous piece of a database snapshot: the engine state
@@ -19,31 +18,54 @@ type Part struct {
 	State  core.SnapshotState
 }
 
-// Manifest is the multi-part physical state of a whole database: parts in
-// ascending value order whose ranges tile the domain. It is the unit
-// DB.Snapshot produces and OpenSnapshot consumes, and it can be re-cut
-// along new shard bounds (Reshard) without losing cracks — splitting a
-// shard splits its engine state at the bound, merging shards turns the
-// old boundaries into cracks.
-//
-// A manifest takes exactly one of two forms. A single-column manifest
-// fills Parts; a table manifest fills Columns, one named part list per
-// selection column (see TableColumn), and leaves Parts empty. The
-// aggregate accessors (Rows, Pieces, Pending) and Validate handle both;
-// the range surgery (Merged, Extract, Reshard) is single-column only —
-// callers re-cut a table one column at a time through Column.
+// Parts is one column's multi-part physical state: parts in ascending
+// value order whose ranges tile the domain. It can be re-cut along new
+// shard bounds (Reshard) without losing cracks — splitting a shard splits
+// its engine state at the bound, merging shards turns the old boundaries
+// into cracks. The range surgery lives on Parts because it is only ever
+// meaningful within one column.
+type Parts []Part
+
+// Manifest is the physical state of a whole database: its columns sorted
+// by name, each one a named part list (see TableColumn). It is the unit
+// DB.Snapshot produces and OpenSnapshot consumes. A single-column
+// database is the one column named "".
 type Manifest struct {
-	Parts   []Part
 	Columns []TableColumn
 }
 
-// Single wraps one engine state as a whole-domain manifest. Cracks at the
-// very edges of the domain (keys MinInt64/MaxInt64, produced by unbounded
-// predicates) are dropped — their positions are necessarily 0 or len, so
-// they carry no refinement, and dropping them keeps every manifest key
-// strictly inside its part's range.
+// TableColumn is one named column of a manifest: the column's own
+// multi-part physical state. Cracking is per attribute (paper §2) — each
+// column adapts, snapshots and restores independently — so a manifest is
+// a set of named part lists, nothing more.
+//
+// Neither row alignment across columns nor row ids are captured: the DB
+// facade exposes only per-column value selections. A restored table
+// answers every selection byte-identically but cannot serve cross-column
+// projections (those paths report ErrSnapshotUnsupported).
+type TableColumn struct {
+	Name  string
+	Parts Parts
+}
+
+// Column returns the named column's part list — the form every
+// single-column restore path consumes — and whether the column exists.
+func (m Manifest) Column(name string) (Parts, bool) {
+	for _, c := range m.Columns {
+		if c.Name == name {
+			return c.Parts, true
+		}
+	}
+	return nil, false
+}
+
+// Single wraps one engine state as a whole-domain manifest of the unnamed
+// column. Cracks at the very edges of the domain (keys MinInt64/MaxInt64,
+// produced by unbounded predicates) are dropped — their positions are
+// necessarily 0 or len, so they carry no refinement, and dropping them
+// keeps every manifest key strictly inside its part's range.
 func Single(st core.SnapshotState) Manifest {
-	return Manifest{Parts: []Part{ClampedPart(math.MinInt64, math.MaxInt64, st)}}
+	return Manifest{Columns: []TableColumn{{Parts: Parts{ClampedPart(math.MinInt64, math.MaxInt64, st)}}}}
 }
 
 // ClampedPart builds a part for a shard owning [lo, hi), dropping cracks
@@ -86,56 +108,59 @@ func clampSorted(q []int64, lo, hi int64) []int64 {
 	return append([]int64(nil), q[a:b]...)
 }
 
-// Rows returns the total tuple count across parts. For a table manifest
-// it returns the largest column's count — columns legitimately diverge
-// under per-column updates, and "rows" as a scalar means the table's
-// serving width, not a sum over attributes.
-func (m Manifest) Rows() int {
-	if m.IsTable() {
-		rows := 0
-		for _, c := range m.Columns {
-			rows = max(rows, (Manifest{Parts: c.Parts}).Rows())
-		}
-		return rows
-	}
+// Rows returns the total tuple count across parts.
+func (ps Parts) Rows() int {
 	total := 0
-	for _, p := range m.Parts {
+	for _, p := range ps {
 		total += len(p.State.Values)
 	}
 	return total
 }
 
 // Pieces returns the total piece count across parts (cracks + 1 per
-// part) — the refinement a restore resumes with. Table manifests sum
-// over columns.
-func (m Manifest) Pieces() int {
-	if m.IsTable() {
-		total := 0
-		for _, c := range m.Columns {
-			total += (Manifest{Parts: c.Parts}).Pieces()
-		}
-		return total
-	}
+// part) — the refinement a restore resumes with.
+func (ps Parts) Pieces() int {
 	total := 0
-	for _, p := range m.Parts {
+	for _, p := range ps {
 		total += len(p.State.Cracks) + 1
 	}
 	return total
 }
 
-// Pending returns the total captured pending-update count across parts
-// (and, for table manifests, across columns).
-func (m Manifest) Pending() int {
-	if m.IsTable() {
-		total := 0
-		for _, c := range m.Columns {
-			total += (Manifest{Parts: c.Parts}).Pending()
-		}
-		return total
-	}
+// Pending returns the total captured pending-update count across parts.
+func (ps Parts) Pending() int {
 	total := 0
-	for _, p := range m.Parts {
+	for _, p := range ps {
 		total += p.State.Pending()
+	}
+	return total
+}
+
+// Rows returns the largest column's tuple count — columns legitimately
+// diverge under per-column updates, and "rows" as a scalar means the
+// table's serving width, not a sum over attributes.
+func (m Manifest) Rows() int {
+	rows := 0
+	for _, c := range m.Columns {
+		rows = max(rows, c.Parts.Rows())
+	}
+	return rows
+}
+
+// Pieces returns the piece count summed over columns.
+func (m Manifest) Pieces() int {
+	total := 0
+	for _, c := range m.Columns {
+		total += c.Parts.Pieces()
+	}
+	return total
+}
+
+// Pending returns the captured pending-update count summed over columns.
+func (m Manifest) Pending() int {
+	total := 0
+	for _, c := range m.Columns {
+		total += c.Parts.Pending()
 	}
 	return total
 }
@@ -147,29 +172,26 @@ func covers(lo, hi, v int64) bool {
 	return v >= lo && (v < hi || hi == math.MaxInt64)
 }
 
-// Validate checks manifest-level consistency: at least one part, ranges
+// Validate checks one column's consistency: at least one part, ranges
 // tiling the domain in ascending order, every part's state internally
 // valid with crack keys inside the part's range, and every value owned by
 // its part. The per-part checks delegate to core.SnapshotState.Validate;
 // the range checks are what make merging sound (a value outside its
 // shard's range would silently break the boundary cracks Merged and
 // Reshard introduce).
-func (m Manifest) Validate() error {
-	if m.IsTable() {
-		return m.validateTable()
+func (ps Parts) Validate() error {
+	if len(ps) == 0 {
+		return fmt.Errorf("snapshot: column has no parts: %w", ErrCorrupt)
 	}
-	if len(m.Parts) == 0 {
-		return fmt.Errorf("snapshot: empty manifest: %w", ErrCorrupt)
+	if ps[0].Lo != math.MinInt64 {
+		return fmt.Errorf("snapshot: first part starts at %d, not the domain floor: %w", ps[0].Lo, ErrCorrupt)
 	}
-	if m.Parts[0].Lo != math.MinInt64 {
-		return fmt.Errorf("snapshot: first part starts at %d, not the domain floor: %w", m.Parts[0].Lo, ErrCorrupt)
+	if ps[len(ps)-1].Hi != math.MaxInt64 {
+		return fmt.Errorf("snapshot: last part ends at %d, not the domain ceiling: %w", ps[len(ps)-1].Hi, ErrCorrupt)
 	}
-	if m.Parts[len(m.Parts)-1].Hi != math.MaxInt64 {
-		return fmt.Errorf("snapshot: last part ends at %d, not the domain ceiling: %w", m.Parts[len(m.Parts)-1].Hi, ErrCorrupt)
-	}
-	for i, p := range m.Parts {
-		if i > 0 && p.Lo != m.Parts[i-1].Hi {
-			return fmt.Errorf("snapshot: part %d starts at %d, previous ended at %d: %w", i, p.Lo, m.Parts[i-1].Hi, ErrCorrupt)
+	for i, p := range ps {
+		if i > 0 && p.Lo != ps[i-1].Hi {
+			return fmt.Errorf("snapshot: part %d starts at %d, previous ended at %d: %w", i, p.Lo, ps[i-1].Hi, ErrCorrupt)
 		}
 		if p.Lo >= p.Hi {
 			return fmt.Errorf("snapshot: part %d has empty range [%d, %d): %w", i, p.Lo, p.Hi, ErrCorrupt)
@@ -198,65 +220,68 @@ func (m Manifest) Validate() error {
 	return nil
 }
 
-// Merged flattens the manifest into one contiguous engine state: parts
+// Validate checks manifest-level consistency: at least one column, names
+// strictly ascending, the unnamed column only as the sole one, and every
+// column's part list valid. Columns may hold different row counts —
+// per-column updates legitimately diverge them — so no cross-column
+// length check applies.
+func (m Manifest) Validate() error {
+	if len(m.Columns) == 0 {
+		return fmt.Errorf("snapshot: empty manifest: %w", ErrCorrupt)
+	}
+	for i, c := range m.Columns {
+		if c.Name == "" && len(m.Columns) > 1 {
+			return fmt.Errorf("snapshot: column %d has an empty name beside others: %w", i, ErrCorrupt)
+		}
+		if i > 0 && c.Name <= m.Columns[i-1].Name {
+			return fmt.Errorf("snapshot: column names not strictly ascending at %d (%q after %q): %w",
+				i, c.Name, m.Columns[i-1].Name, ErrCorrupt)
+		}
+		if err := c.Parts.Validate(); err != nil {
+			return fmt.Errorf("snapshot: column %q: %w", c.Name, err)
+		}
+	}
+	return nil
+}
+
+// Merged flattens the parts into one contiguous engine state: parts
 // concatenate in ascending order and each interior shard boundary becomes
 // a crack (all values left of it are smaller — the boundary was a
-// partition of the value domain), so no refinement is lost. It fails with
-// dberr.ErrSnapshotUnsupported when several parts carry row ids (row ids
-// are shard-local; concatenating them would alias rows).
-func (m Manifest) Merged() (core.SnapshotState, error) {
-	if m.IsTable() {
-		return core.SnapshotState{}, fmt.Errorf(
-			"snapshot: table manifest has no single merged state (pick a column first): %w",
-			dberr.ErrSnapshotUnsupported)
-	}
-	return m.slice(math.MinInt64, math.MaxInt64)
+// partition of the value domain), so no refinement is lost.
+func (ps Parts) Merged() core.SnapshotState {
+	return ps.slice(math.MinInt64, math.MaxInt64)
 }
 
 // Extract returns the engine state covering the value range [lo, hi)
 // across parts, cracks and pending updates included — the donor side of a
 // live shard migration: the extracted state restores into a warm index on
-// a joining node, while the rest of the manifest is untouched.
-func (m Manifest) Extract(lo, hi int64) (core.SnapshotState, error) {
-	if m.IsTable() {
-		return core.SnapshotState{}, fmt.Errorf(
-			"snapshot: extracting a range from a table manifest (pick a column first): %w",
-			dberr.ErrSnapshotUnsupported)
-	}
+// a joining node, while the rest of the column is untouched.
+func (ps Parts) Extract(lo, hi int64) (core.SnapshotState, error) {
 	if lo >= hi {
 		return core.SnapshotState{}, fmt.Errorf("snapshot: extract range [%d, %d) is empty", lo, hi)
 	}
-	return m.slice(lo, hi)
+	return ps.slice(lo, hi), nil
 }
 
-// Reshard re-cuts the manifest along the given interior bounds (strictly
+// Reshard re-cuts the parts along the given interior bounds (strictly
 // ascending; k-1 bounds yield k parts). Cracks survive the re-cut: a
 // bound splitting a shard splits its state at the bound (filtering the one
 // piece the bound lands in), and shards merging into one part keep their
 // old boundaries as cracks.
-func (m Manifest) Reshard(bounds []int64) (Manifest, error) {
-	if m.IsTable() {
-		return Manifest{}, fmt.Errorf(
-			"snapshot: resharding a table manifest (re-cut one column at a time): %w",
-			dberr.ErrSnapshotUnsupported)
-	}
+func (ps Parts) Reshard(bounds []int64) (Parts, error) {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
-			return Manifest{}, fmt.Errorf("snapshot: reshard bounds not ascending at %d (%d after %d)", i, bounds[i], bounds[i-1])
+			return nil, fmt.Errorf("snapshot: reshard bounds not ascending at %d (%d after %d)", i, bounds[i], bounds[i-1])
 		}
 	}
-	out := Manifest{Parts: make([]Part, 0, len(bounds)+1)}
+	out := make(Parts, 0, len(bounds)+1)
 	lo := int64(math.MinInt64)
 	for i := 0; i <= len(bounds); i++ {
 		hi := int64(math.MaxInt64)
 		if i < len(bounds) {
 			hi = bounds[i]
 		}
-		st, err := m.slice(lo, hi)
-		if err != nil {
-			return Manifest{}, err
-		}
-		out.Parts = append(out.Parts, Part{Lo: lo, Hi: hi, State: st})
+		out = append(out, Part{Lo: lo, Hi: hi, State: ps.slice(lo, hi)})
 		lo = hi
 	}
 	return out, nil
@@ -266,10 +291,10 @@ func (m Manifest) Reshard(bounds []int64) (Manifest, error) {
 // across parts: per-part extraction preserving every crack strictly
 // inside the range, with source part boundaries becoming cracks when the
 // range spans several parts.
-func (m Manifest) slice(lo, hi int64) (core.SnapshotState, error) {
+func (ps Parts) slice(lo, hi int64) core.SnapshotState {
 	var states []core.SnapshotState
 	var boundaries []int64 // the source bound preceding states[i], i > 0
-	for _, p := range m.Parts {
+	for _, p := range ps {
 		if p.Hi <= lo && p.Hi != math.MaxInt64 || p.Lo >= hi {
 			continue
 		}
@@ -279,19 +304,14 @@ func (m Manifest) slice(lo, hi int64) (core.SnapshotState, error) {
 		states = append(states, extractPart(p, lo, hi))
 	}
 	if len(states) == 0 {
-		return core.SnapshotState{}, nil
+		return core.SnapshotState{}
 	}
 	if len(states) == 1 {
-		return states[0], nil
+		return states[0]
 	}
 	total := 0
 	cracks := len(boundaries)
 	for _, st := range states {
-		if st.RowIDs != nil {
-			return core.SnapshotState{}, fmt.Errorf(
-				"snapshot: merging %d shards with row-id payloads (row ids are shard-local): %w",
-				len(states), dberr.ErrSnapshotUnsupported)
-		}
 		total += len(st.Values)
 		cracks += len(st.Cracks)
 	}
@@ -313,7 +333,7 @@ func (m Manifest) slice(lo, hi int64) (core.SnapshotState, error) {
 		out.PendingInserts = append(out.PendingInserts, st.PendingInserts...)
 		out.PendingDeletes = append(out.PendingDeletes, st.PendingDeletes...)
 	}
-	return out, nil
+	return out
 }
 
 // extractPart returns the sub-state of part p covering [lo, hi),
@@ -354,14 +374,8 @@ func extractPart(p Part, lo, hi int64) core.SnapshotState {
 		for i := from; i < to; i++ {
 			if covers(lo, hi, st.Values[i]) {
 				out.Values = append(out.Values, st.Values[i])
-				if st.RowIDs != nil {
-					out.RowIDs = append(out.RowIDs, st.RowIDs[i])
-				}
 			}
 		}
-	}
-	if st.RowIDs != nil {
-		out.RowIDs = make([]uint32, 0, posB-posA)
 	}
 	out.Values = make([]int64, 0, posB-posA)
 	if a >= b {
@@ -375,9 +389,6 @@ func extractPart(p Part, lo, hi int64) core.SnapshotState {
 	// every interior crack keeps its offset from cracks[a].Pos.
 	off := len(out.Values) - cracks[a].Pos
 	out.Values = append(out.Values, st.Values[cracks[a].Pos:cracks[b-1].Pos]...)
-	if st.RowIDs != nil {
-		out.RowIDs = append(out.RowIDs, st.RowIDs[cracks[a].Pos:cracks[b-1].Pos]...)
-	}
 	for i := a; i < b; i++ {
 		out.Cracks = append(out.Cracks, core.CrackEntry{Key: cracks[i].Key, Pos: off + cracks[i].Pos})
 	}
@@ -389,11 +400,11 @@ func extractPart(p Part, lo, hi int64) core.SnapshotState {
 // SplitBounds picks k-1 interior bounds for resharding into k parts,
 // aiming at even tuple counts. It prefers existing piece boundaries
 // (crack keys and old shard bounds): cutting along them costs nothing and
-// preserves the piece profile exactly. When the manifest has too few
+// preserves the piece profile exactly. When the parts have too few
 // cracks for that — or the crack-aligned cut is badly unbalanced — it
 // falls back to sampling values, like a cold sharded build.
-func (m Manifest) SplitBounds(k int, seed uint64) []int64 {
-	total := m.Rows()
+func (ps Parts) SplitBounds(k int, seed uint64) []int64 {
+	total := ps.Rows()
 	if k <= 1 || total == 0 {
 		return nil
 	}
@@ -403,7 +414,7 @@ func (m Manifest) SplitBounds(k int, seed uint64) []int64 {
 	}
 	var cuts []cut
 	off := 0
-	for i, p := range m.Parts {
+	for i, p := range ps {
 		if i > 0 {
 			cuts = append(cuts, cut{key: p.Lo, pos: off})
 		}
@@ -446,7 +457,7 @@ func (m Manifest) SplitBounds(k int, seed uint64) []int64 {
 	// A converged snapshot has cracks everywhere and the aligned cut is
 	// near-even; a young one does not — fall back to sampled bounds then.
 	if len(bounds) < k-1 || maxShard > 3*total/k {
-		return m.sampledBounds(k, seed)
+		return ps.sampledBounds(k, seed)
 	}
 	return bounds
 }
@@ -460,8 +471,8 @@ func abs(x int) int {
 
 // sampledBounds picks k-1 bounds by strided value sampling across parts,
 // mirroring the cold sharded build's strategy (exec.shardBounds).
-func (m Manifest) sampledBounds(k int, seed uint64) []int64 {
-	total := m.Rows()
+func (ps Parts) sampledBounds(k int, seed uint64) []int64 {
+	total := ps.Rows()
 	if k <= 1 || total == 0 {
 		return nil
 	}
@@ -471,7 +482,7 @@ func (m Manifest) sampledBounds(k int, seed uint64) []int64 {
 	sample := make([]int64, 0, sampleSize)
 	next := int(seed % uint64(stride))
 	off := 0
-	for _, p := range m.Parts {
+	for _, p := range ps {
 		for next < off+len(p.State.Values) && len(sample) < sampleSize {
 			sample = append(sample, p.State.Values[next-off])
 			next += stride

@@ -8,14 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dberr"
 	"repro/internal/xrand"
 )
 
-// shardedManifest builds a realistic multi-part manifest: a permutation
-// of [0, n) value-range partitioned into k parts, each cracked by a batch
-// of queries (some crossing part bounds, so clamping is exercised).
-func shardedManifest(t testing.TB, n int64, k int, rowIDs bool) Manifest {
+// shardedParts builds a realistic multi-part column: a permutation of
+// [0, n) value-range partitioned into k parts, each cracked by a batch of
+// queries (some crossing part bounds, so clamping is exercised).
+func shardedParts(t testing.TB, n int64, k int) Parts {
 	t.Helper()
 	vals := xrand.New(1).Perm(int(n))
 	bounds := make([]int64, 0, k-1)
@@ -30,7 +29,7 @@ func shardedManifest(t testing.TB, n int64, k int, rowIDs bool) Manifest {
 		}
 		buckets[b] = append(buckets[b], v)
 	}
-	m := Manifest{}
+	var m Parts
 	lo := int64(math.MinInt64)
 	rng := xrand.New(3)
 	for i, b := range buckets {
@@ -38,20 +37,25 @@ func shardedManifest(t testing.TB, n int64, k int, rowIDs bool) Manifest {
 		if i < len(bounds) {
 			hi = bounds[i]
 		}
-		ix := core.NewCrack(b, core.Options{Seed: 2, TrackRowIDs: rowIDs})
+		ix := core.NewCrack(b, core.Options{Seed: 2})
 		for q := 0; q < 30; q++ {
 			// Query bounds over the whole domain: many land outside this
 			// part's range, leaving the edge cracks ClampedPart must drop.
 			a := rng.Int63n(n - 10)
 			ix.Query(a, a+10)
 		}
-		m.Parts = append(m.Parts, ClampedPart(lo, hi, ix.Engine().Snapshot()))
+		m = append(m, ClampedPart(lo, hi, ix.Engine().Snapshot()))
 		lo = hi
 	}
 	if err := m.Validate(); err != nil {
-		t.Fatalf("built manifest invalid: %v", err)
+		t.Fatalf("built parts invalid: %v", err)
 	}
 	return m
+}
+
+// unnamed wraps one part list as a single-column manifest.
+func unnamed(ps Parts) Manifest {
+	return Manifest{Columns: []TableColumn{{Parts: ps}}}
 }
 
 // countInRange is the closed-form oracle for permutation data: how many
@@ -67,44 +71,20 @@ func countInRange(st core.SnapshotState, lo, hi int64) int {
 }
 
 func TestManifestRoundTrip(t *testing.T) {
-	for _, rowIDs := range []bool{false, true} {
-		m := shardedManifest(t, 6000, 4, rowIDs)
-		var buf bytes.Buffer
-		if err := WriteManifest(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadManifest(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Parts) != len(m.Parts) {
-			t.Fatalf("round trip %d parts, want %d", len(got.Parts), len(m.Parts))
-		}
-		for i := range m.Parts {
-			w, g := m.Parts[i], got.Parts[i]
-			if g.Lo != w.Lo || g.Hi != w.Hi {
-				t.Fatalf("part %d bounds [%d,%d), want [%d,%d)", i, g.Lo, g.Hi, w.Lo, w.Hi)
-			}
-			if !slices.Equal(g.State.Values, w.State.Values) || !slices.Equal(g.State.Cracks, w.State.Cracks) {
-				t.Fatalf("part %d state mismatch", i)
-			}
-			if rowIDs && !slices.Equal(g.State.RowIDs, w.State.RowIDs) {
-				t.Fatalf("part %d row ids mismatch", i)
-			}
-		}
-		if err := got.Validate(); err != nil {
-			t.Fatalf("round-tripped manifest invalid: %v", err)
-		}
+	m := shardedParts(t, 6000, 4)
+	got := roundTrip(t, unnamed(m))
+	if len(got.Columns) != 1 || got.Columns[0].Name != "" || !sameParts(got.Columns[0].Parts, m) {
+		t.Fatalf("round trip changed the manifest: %d columns", len(got.Columns))
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("round-tripped manifest invalid: %v", err)
 	}
 }
 
 func TestMergedTurnsBoundsIntoCracks(t *testing.T) {
 	const n = 6000
-	m := shardedManifest(t, n, 4, false)
-	st, err := m.Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := shardedParts(t, n, 4)
+	st := m.Merged()
 	if err := st.Validate(); err != nil {
 		t.Fatalf("merged state invalid: %v", err)
 	}
@@ -112,8 +92,8 @@ func TestMergedTurnsBoundsIntoCracks(t *testing.T) {
 		t.Fatalf("merged %d values, want %d", len(st.Values), n)
 	}
 	// Every part crack survives, plus one crack per interior boundary.
-	want := len(m.Parts) - 1
-	for _, p := range m.Parts {
+	want := len(m) - 1
+	for _, p := range m {
 		want += len(p.State.Cracks)
 	}
 	if len(st.Cracks) != want {
@@ -124,7 +104,7 @@ func TestMergedTurnsBoundsIntoCracks(t *testing.T) {
 	for _, c := range st.Cracks {
 		keys[c.Key] = true
 	}
-	for _, p := range m.Parts[1:] {
+	for _, p := range m[1:] {
 		if !keys[p.Lo] {
 			t.Fatalf("shard bound %d did not become a crack", p.Lo)
 		}
@@ -141,7 +121,7 @@ func TestMergedTurnsBoundsIntoCracks(t *testing.T) {
 
 func TestReshardPreservesStateAcrossCuts(t *testing.T) {
 	const n = 6000
-	src := shardedManifest(t, n, 3, false)
+	src := shardedParts(t, n, 3)
 	srcPieces := src.Pieces()
 	for _, k := range []int{1, 2, 3, 5, 8} {
 		out, err := src.Reshard(src.SplitBounds(k, 7))
@@ -157,13 +137,13 @@ func TestReshardPreservesStateAcrossCuts(t *testing.T) {
 		// Refinement is never lost: boundary cuts only split pieces (or
 		// reuse existing cracks), so the piece count cannot shrink below
 		// the source's (modulo the zero-size edge pieces clamping drops).
-		if out.Pieces() < srcPieces-2*len(src.Parts) {
+		if out.Pieces() < srcPieces-2*len(src) {
 			t.Fatalf("k=%d: pieces %d < source %d; refinement lost", k, out.Pieces(), srcPieces)
 		}
 		// The value multiset per range is intact (spot-check ranges).
 		for _, r := range [][2]int64{{0, 100}, {1990, 2010}, {n - 100, n}} {
 			got := 0
-			for _, p := range out.Parts {
+			for _, p := range out {
 				got += countInRange(p.State, r[0], r[1])
 			}
 			if got != int(r[1]-r[0]) {
@@ -174,72 +154,56 @@ func TestReshardPreservesStateAcrossCuts(t *testing.T) {
 }
 
 func TestReshardAtExistingBoundsKeepsParts(t *testing.T) {
-	src := shardedManifest(t, 4000, 4, true) // row ids survive same-bound cuts
+	src := shardedParts(t, 4000, 4)
 	bounds := make([]int64, 0, 3)
-	for _, p := range src.Parts[1:] {
+	for _, p := range src[1:] {
 		bounds = append(bounds, p.Lo)
 	}
 	out, err := src.Reshard(bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range src.Parts {
-		w, g := src.Parts[i], out.Parts[i]
-		if !slices.Equal(g.State.Values, w.State.Values) ||
-			!slices.Equal(g.State.Cracks, w.State.Cracks) ||
-			!slices.Equal(g.State.RowIDs, w.State.RowIDs) {
-			t.Fatalf("part %d changed under an identity re-cut", i)
-		}
-	}
-}
-
-func TestMergeRefusesShardLocalRowIDs(t *testing.T) {
-	src := shardedManifest(t, 2000, 2, true)
-	if _, err := src.Merged(); !errors.Is(err, dberr.ErrSnapshotUnsupported) {
-		t.Fatalf("merging row-id shards: err = %v", err)
-	}
-	if _, err := src.Reshard([]int64{123}); !errors.Is(err, dberr.ErrSnapshotUnsupported) {
-		t.Fatalf("resharding row-id shards across bounds: err = %v", err)
+	if !sameParts(out, src) {
+		t.Fatal("parts changed under an identity re-cut")
 	}
 }
 
 func TestManifestValidateRejects(t *testing.T) {
-	good := shardedManifest(t, 2000, 2, false)
-	check := func(name string, mutate func(m *Manifest)) {
+	good := shardedParts(t, 2000, 2)
+	check := func(name string, mutate func(m Parts) Parts) {
 		t.Helper()
-		m := Manifest{Parts: make([]Part, len(good.Parts))}
-		copy(m.Parts, good.Parts)
-		mutate(&m)
+		m := unnamed(mutate(slices.Clone(good)))
 		if err := m.Validate(); err == nil {
 			t.Fatalf("%s: accepted", name)
-		} else if !errors.Is(err, ErrCorrupt) && !errors.Is(err, dberr.ErrSnapshotCorrupt) {
+		} else if !errors.Is(err, ErrCorrupt) {
 			// Per-part state errors come from core and are acceptable too;
 			// manifest-level ones must carry the sentinel.
 			t.Logf("%s: non-sentinel error %v", name, err)
 		}
 	}
-	check("empty", func(m *Manifest) { m.Parts = nil })
-	check("gap between parts", func(m *Manifest) { m.Parts[1].Lo++ })
-	check("floor not MinInt64", func(m *Manifest) { m.Parts[0].Lo = 0 })
-	check("ceiling not MaxInt64", func(m *Manifest) { m.Parts[1].Hi = 5000 })
-	check("value outside part range", func(m *Manifest) {
-		st := m.Parts[0].State
+	check("empty", func(Parts) Parts { return nil })
+	check("gap between parts", func(m Parts) Parts { m[1].Lo++; return m })
+	check("floor not MinInt64", func(m Parts) Parts { m[0].Lo = 0; return m })
+	check("ceiling not MaxInt64", func(m Parts) Parts { m[1].Hi = 5000; return m })
+	check("value outside part range", func(m Parts) Parts {
+		st := m[0].State
 		st.Values = append([]int64(nil), st.Values...)
-		st.Values[0] = m.Parts[0].Hi + 10
-		m.Parts[0] = Part{Lo: m.Parts[0].Lo, Hi: m.Parts[0].Hi, State: st}
+		st.Values[0] = m[0].Hi + 10
+		m[0].State = st
+		return m
 	})
-	check("crack key outside part range", func(m *Manifest) {
-		st := m.Parts[0].State
+	check("crack key outside part range", func(m Parts) Parts {
+		st := m[0].State
 		st.Cracks = append([]core.CrackEntry(nil), st.Cracks...)
-		st.Cracks[len(st.Cracks)-1] = core.CrackEntry{Key: m.Parts[0].Hi + 1, Pos: len(st.Values)}
-		m.Parts[0] = Part{Lo: m.Parts[0].Lo, Hi: m.Parts[0].Hi, State: st}
+		st.Cracks[len(st.Cracks)-1] = core.CrackEntry{Key: m[0].Hi + 1, Pos: len(st.Values)}
+		m[0].State = st
+		return m
 	})
 }
 
 func TestManifestStreamCorruption(t *testing.T) {
-	m := shardedManifest(t, 1500, 3, false)
 	var buf bytes.Buffer
-	if err := WriteManifest(&buf, m); err != nil {
+	if err := WriteManifest(&buf, unnamed(shardedParts(t, 1500, 3))); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -273,7 +237,7 @@ func TestManifestStreamCorruption(t *testing.T) {
 }
 
 func TestSplitBoundsBalancesAndOrders(t *testing.T) {
-	m := shardedManifest(t, 8000, 2, false)
+	m := shardedParts(t, 8000, 2)
 	for _, k := range []int{2, 4, 9} {
 		bounds := m.SplitBounds(k, 11)
 		for i := 1; i < len(bounds); i++ {
@@ -287,7 +251,7 @@ func TestSplitBoundsBalancesAndOrders(t *testing.T) {
 		}
 		// Bounds must cut into reasonably even shards (the fallback
 		// sampler guarantees this even with no cracks to align to).
-		for i, p := range out.Parts {
+		for i, p := range out {
 			if len(p.State.Values) > 3*8000/k+1 {
 				t.Fatalf("k=%d: shard %d holds %d of 8000 tuples", k, i, len(p.State.Values))
 			}

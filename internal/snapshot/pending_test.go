@@ -9,9 +9,9 @@ import (
 	"repro/internal/core"
 )
 
-// pendingManifest builds a two-part manifest whose states carry pending
+// pendingParts builds a two-part column whose states carry pending
 // update queues, for the pending-queue stream tests.
-func pendingManifest(t *testing.T) Manifest {
+func pendingParts(t testing.TB) Parts {
 	t.Helper()
 	lowState := crackedState(t, 2000, false)
 	for i := range lowState.Values {
@@ -24,10 +24,10 @@ func pendingManifest(t *testing.T) Manifest {
 		Values:         []int64{1500, 1200, 1900},
 		PendingInserts: []int64{1000, 1999},
 	}
-	m := Manifest{Parts: []Part{
+	m := Parts{
 		{Lo: math.MinInt64, Hi: 1000, State: lowState},
 		{Lo: 1000, Hi: math.MaxInt64, State: highState},
-	}}
+	}
 	if err := m.Validate(); err != nil {
 		t.Fatalf("fixture manifest invalid: %v", err)
 	}
@@ -35,25 +35,18 @@ func pendingManifest(t *testing.T) Manifest {
 }
 
 func TestManifestPendingRoundTrip(t *testing.T) {
-	m := pendingManifest(t)
+	m := pendingParts(t)
 	if m.Pending() != 6 {
 		t.Fatalf("fixture pending=%d, want 6", m.Pending())
 	}
-	var buf bytes.Buffer
-	if err := WriteManifest(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadManifest(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(t, unnamed(m))
 	if got.Pending() != m.Pending() {
 		t.Fatalf("round trip pending=%d, want %d", got.Pending(), m.Pending())
 	}
-	for i := range m.Parts {
-		if !slices.Equal(got.Parts[i].State.PendingInserts, m.Parts[i].State.PendingInserts) ||
-			!slices.Equal(got.Parts[i].State.PendingDeletes, m.Parts[i].State.PendingDeletes) {
-			t.Fatalf("part %d pending queues mismatch: %+v", i, got.Parts[i].State)
+	for i, p := range got.Columns[0].Parts {
+		if !slices.Equal(p.State.PendingInserts, m[i].State.PendingInserts) ||
+			!slices.Equal(p.State.PendingDeletes, m[i].State.PendingDeletes) {
+			t.Fatalf("part %d pending queues mismatch: %+v", i, p.State)
 		}
 	}
 	if err := got.Validate(); err != nil {
@@ -62,10 +55,10 @@ func TestManifestPendingRoundTrip(t *testing.T) {
 }
 
 func TestReadManifestRejectsUnsortedPending(t *testing.T) {
-	m := pendingManifest(t)
-	m.Parts[1].State.PendingInserts = []int64{1999, 1000}
+	m := pendingParts(t)
+	m[1].State.PendingInserts = []int64{1999, 1000}
 	var buf bytes.Buffer
-	if err := WriteManifest(&buf, m); err != nil {
+	if err := WriteManifest(&buf, unnamed(m)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadManifest(bytes.NewReader(buf.Bytes())); err == nil {
@@ -74,7 +67,7 @@ func TestReadManifestRejectsUnsortedPending(t *testing.T) {
 }
 
 func TestExtractClampsPending(t *testing.T) {
-	m := pendingManifest(t)
+	m := pendingParts(t)
 	// A range crossing both parts: picks up the in-range slice of each
 	// part's queues, concatenated in part order (still sorted — parts
 	// ascend in disjoint ranges).

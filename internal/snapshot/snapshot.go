@@ -13,10 +13,11 @@
 // record per part in ascending value order: its bounds (lo, hi), its
 // engine state (column length, row-id flag, values, optional row ids,
 // crack count, (key, pos) pairs) and its two sorted pending-update
-// queues. A table manifest names every column; a single-column manifest
-// is written as exactly one column with an empty name. Cracking is per
-// attribute, so a table snapshot is a set of named single-column
-// snapshots.
+// queues. A table names every column; a single-column database is
+// exactly one column with an empty name. Cracking is per attribute, so a
+// table snapshot is a set of named single-column snapshots. Row ids never
+// enter a snapshot: the flag is written 0, and row ids a legacy writer
+// stored (flag 1) are read past and dropped.
 //
 // Versions 1–3 are read, never written, through the same part reader:
 //
@@ -61,7 +62,7 @@ var (
 var ErrCorrupt = dberr.ErrSnapshotCorrupt
 
 // Limits on counts read from the wire before allocating. Reads are
-// chunked (see readSlice), so a corrupt length costs bounded memory
+// chunked (see readInts), so a corrupt length costs bounded memory
 // before the truncation or checksum error surfaces, but the hard caps
 // keep even a maliciously long stream from ballooning.
 const (
@@ -78,20 +79,18 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("snapshot: %s: %w", fmt.Sprintf(format, args...), ErrCorrupt)
 }
 
-// WriteManifest serializes m to w in the v4 format. A single-column
-// manifest becomes one unnamed column; a table manifest keeps its names.
-// An empty manifest (no parts, no columns) is refused: no reader accepts
-// one.
+// WriteManifest serializes m to w in the v4 format. It refuses what no
+// reader accepts: no columns, a column with no parts, a name over
+// maxNameLen bytes, or the unnamed column beside others.
 func WriteManifest(w io.Writer, m Manifest) error {
-	cols := m.Columns
-	if !m.IsTable() {
-		if len(m.Parts) == 0 {
-			return errors.New("snapshot: refusing to write an empty manifest")
-		}
-		cols = []TableColumn{{Parts: m.Parts}}
+	if len(m.Columns) == 0 {
+		return errors.New("snapshot: refusing to write an empty manifest")
 	}
-	for _, c := range cols {
-		if m.IsTable() && c.Name == "" || len(c.Name) > maxNameLen {
+	for _, c := range m.Columns {
+		if len(c.Parts) == 0 {
+			return fmt.Errorf("snapshot: refusing to write column %q with no parts", c.Name)
+		}
+		if c.Name == "" && len(m.Columns) > 1 || len(c.Name) > maxNameLen {
 			return fmt.Errorf("snapshot: column name %q out of range (1..%d bytes)", c.Name, maxNameLen)
 		}
 	}
@@ -101,8 +100,8 @@ func WriteManifest(w io.Writer, m Manifest) error {
 	// one check at Flush covers the whole body.
 	put := func(v any) { _ = binary.Write(bw, binary.LittleEndian, v) }
 	put(magicV4)
-	put(uint64(len(cols)))
-	for _, c := range cols {
+	put(uint64(len(m.Columns)))
+	for _, c := range m.Columns {
 		put(uint64(len(c.Name)))
 		put([]byte(c.Name))
 		writeParts(put, c.Parts)
@@ -117,18 +116,15 @@ func WriteManifest(w io.Writer, m Manifest) error {
 
 // writeParts emits one part list: the count, then per part its bounds,
 // engine state and pending queues.
-func writeParts(put func(any), parts []Part) {
+func writeParts(put func(any), parts Parts) {
 	put(uint64(len(parts)))
 	for _, p := range parts {
 		st := p.State
 		put(p.Lo)
 		put(p.Hi)
 		put(uint64(len(st.Values)))
-		put(st.RowIDs != nil)
+		put(uint8(0)) // row-id flag: row ids never enter a snapshot
 		put(st.Values)
-		if st.RowIDs != nil {
-			put(st.RowIDs)
-		}
 		put(uint64(len(st.Cracks)))
 		for _, c := range st.Cracks {
 			put(c.Key)
@@ -151,10 +147,10 @@ type partFormat struct {
 }
 
 // ReadManifest deserializes a snapshot of any wire version from r,
-// verifying structure and checksum. A v1 stream, and a v4 stream whose
-// only column is unnamed, yield a single-column manifest. Decoding
-// failures wrap ErrCorrupt. The result carries no semantic guarantees
-// until Manifest.Validate (run by the restore paths) accepts it.
+// verifying structure and checksum. A v1–v3 stream decodes into the one
+// unnamed column. Decoding failures wrap ErrCorrupt. The result carries
+// no semantic guarantees until Manifest.Validate (run by the restore
+// paths) accepts it.
 //
 // The body is read with exact-size reads through a TeeReader feeding the
 // CRC — deliberately unbuffered, so no lookahead can pull trailer bytes
@@ -170,12 +166,10 @@ func ReadManifest(r io.Reader) (Manifest, error) {
 	var man Manifest
 	var err error
 	switch m {
-	case magicV1:
-		man.Parts, err = readParts(tr, partFormat{})
-	case magicV2:
-		man.Parts, err = readParts(tr, partFormat{list: true})
-	case magicV3:
-		man.Parts, err = readParts(tr, partFormat{list: true, pending: true})
+	case magicV1, magicV2, magicV3:
+		var parts Parts
+		parts, err = readParts(tr, partFormat{list: m != magicV1, pending: m == magicV3})
+		man = Manifest{Columns: []TableColumn{{Parts: parts}}}
 	case magicV4:
 		man, err = readColumns(tr)
 	default:
@@ -199,8 +193,9 @@ func ReadManifest(r io.Reader) (Manifest, error) {
 }
 
 // readColumns reads a v4 body: the column count, then per column a
-// length-prefixed name and a part list. A lone unnamed column is a
-// single-column manifest; an empty name anywhere else is corruption.
+// length-prefixed name and a part list. An empty name is the unnamed
+// column of a single-column database, so it is corruption anywhere but
+// alone.
 func readColumns(tr io.Reader) (Manifest, error) {
 	var cols uint64
 	if err := binary.Read(tr, binary.LittleEndian, &cols); err != nil {
@@ -226,9 +221,6 @@ func readColumns(tr io.Reader) (Manifest, error) {
 		if err != nil {
 			return Manifest{}, fmt.Errorf("column %q: %w", name, err)
 		}
-		if nameLen == 0 {
-			return Manifest{Parts: parts}, nil
-		}
 		man.Columns = append(man.Columns, TableColumn{Name: string(name), Parts: parts})
 	}
 	return man, nil
@@ -239,7 +231,7 @@ func readColumns(tr io.Reader) (Manifest, error) {
 // range, but legitimate v1 streams carry domain-edge cracks from
 // unbounded predicates, and normalizing every version alike keeps
 // encode/decode idempotent.
-func readParts(tr io.Reader, f partFormat) ([]Part, error) {
+func readParts(tr io.Reader, f partFormat) (Parts, error) {
 	n := uint64(1)
 	if f.list {
 		if err := binary.Read(tr, binary.LittleEndian, &n); err != nil {
@@ -249,7 +241,7 @@ func readParts(tr io.Reader, f partFormat) ([]Part, error) {
 			return nil, corruptf("claims %d parts", n)
 		}
 	}
-	parts := make([]Part, 0, n)
+	parts := make(Parts, 0, n)
 	for i := uint64(0); i < n; i++ {
 		bounds := [2]int64{math.MinInt64, math.MaxInt64}
 		if f.list {
@@ -271,7 +263,8 @@ func readParts(tr io.Reader, f partFormat) ([]Part, error) {
 	return parts, nil
 }
 
-// readState reads one engine state body (no magic, no checksum).
+// readState reads one engine state body (no magic, no checksum). Row ids
+// that legacy writers stored are skipped: nothing restores them.
 func readState(tr io.Reader) (core.SnapshotState, error) {
 	var st core.SnapshotState
 	var n uint64
@@ -289,11 +282,11 @@ func readState(tr io.Reader) (core.SnapshotState, error) {
 		return st, corruptf("bad row-id flag %d", hasRowIDs)
 	}
 	var err error
-	if st.Values, err = readSlice[int64](tr, n); err != nil {
+	if st.Values, err = readInts(tr, n); err != nil {
 		return st, corruptf("reading values: %v", err)
 	}
 	if hasRowIDs == 1 {
-		if st.RowIDs, err = readSlice[uint32](tr, n); err != nil {
+		if _, err = io.CopyN(io.Discard, tr, 4*int64(n)); err != nil {
 			return st, corruptf("reading row ids: %v", err)
 		}
 	}
@@ -340,7 +333,7 @@ func readPendingQueue(tr io.Reader) ([]int64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	q, err := readSlice[int64](tr, n)
+	q, err := readInts(tr, n)
 	if err != nil {
 		return nil, corruptf("reading pending values: %v", err)
 	}
@@ -352,11 +345,11 @@ func readPendingQueue(tr io.Reader) ([]int64, error) {
 	return q, nil
 }
 
-// readSlice reads n little-endian elements, growing the destination in
+// readInts reads n little-endian int64s, growing the destination in
 // chunks so a lying length field costs bounded memory before the stream
 // runs dry.
-func readSlice[T int64 | uint32](r io.Reader, n uint64) ([]T, error) {
-	out := make([]T, 0, min(n, readChunk))
+func readInts(r io.Reader, n uint64) ([]int64, error) {
+	out := make([]int64, 0, min(n, readChunk))
 	for uint64(len(out)) < n {
 		c := int(min(n-uint64(len(out)), readChunk))
 		start := len(out)

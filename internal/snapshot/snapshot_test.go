@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -10,8 +11,9 @@ import (
 )
 
 // crackedState builds a realistic snapshot: a cracked index after a batch
-// of queries.
-func crackedState(t *testing.T, n int, rowIDs bool) core.SnapshotState {
+// of queries. With rowIDs the index cracks through the tandem row-id
+// kernels; the captured state never carries the row ids.
+func crackedState(t testing.TB, n int, rowIDs bool) core.SnapshotState {
 	t.Helper()
 	ix := core.NewCrack(xrand.New(1).Perm(n), core.Options{Seed: 2, TrackRowIDs: rowIDs})
 	rng := xrand.New(3)
@@ -36,39 +38,31 @@ func roundTrip(t *testing.T, m Manifest) Manifest {
 	return got
 }
 
+// TestSnapshotRoundTrip: a captured state round-trips exactly, also when
+// the index tracked row ids — those never reach the stream (flag 0).
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, rowIDs := range []bool{false, true} {
 		st := crackedState(t, 5000, rowIDs)
-		m := roundTrip(t, Single(st))
-		if m.IsTable() || len(m.Parts) != 1 {
-			t.Fatalf("single state decoded as table=%v with %d parts", m.IsTable(), len(m.Parts))
+		var buf bytes.Buffer
+		if err := WriteManifest(&buf, Single(st)); err != nil {
+			t.Fatal(err)
 		}
-		got := m.Parts[0].State
-		if len(got.Values) != len(st.Values) || len(got.Cracks) != len(st.Cracks) {
-			t.Fatalf("round trip sizes: %d/%d values, %d/%d cracks",
+		// Layout: magic, column count, name length, part count, bounds,
+		// length, then the row-id flag.
+		if flag := buf.Bytes()[56]; flag != 0 {
+			t.Fatalf("rowIDs=%v: row-id flag %d written, want 0", rowIDs, flag)
+		}
+		m, err := ReadManifest(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Columns) != 1 || m.Columns[0].Name != "" || len(m.Columns[0].Parts) != 1 {
+			t.Fatalf("single state decoded to %d columns", len(m.Columns))
+		}
+		got := m.Columns[0].Parts[0].State
+		if !slices.Equal(got.Values, st.Values) || !slices.Equal(got.Cracks, st.Cracks) {
+			t.Fatalf("round trip changed the state: %d/%d values, %d/%d cracks",
 				len(got.Values), len(st.Values), len(got.Cracks), len(st.Cracks))
-		}
-		for i := range st.Values {
-			if got.Values[i] != st.Values[i] {
-				t.Fatalf("value %d mismatch", i)
-			}
-		}
-		for i := range st.Cracks {
-			if got.Cracks[i] != st.Cracks[i] {
-				t.Fatalf("crack %d mismatch", i)
-			}
-		}
-		if rowIDs {
-			if got.RowIDs == nil {
-				t.Fatal("row ids lost")
-			}
-			for i := range st.RowIDs {
-				if got.RowIDs[i] != st.RowIDs[i] {
-					t.Fatalf("row id %d mismatch", i)
-				}
-			}
-		} else if got.RowIDs != nil {
-			t.Fatal("row ids materialized from nothing")
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatalf("round-tripped snapshot invalid: %v", err)
@@ -123,7 +117,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 
 func TestReadRejectsCorruptStream(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteManifest(&buf, Single(crackedState(t, 500, true))); err != nil {
+	if err := WriteManifest(&buf, Single(crackedState(t, 500, false))); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -151,7 +145,7 @@ func TestReadRejectsCorruptStream(t *testing.T) {
 
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	st := crackedState(t, 2000, true)
+	st := crackedState(t, 2000, false)
 	path := filepath.Join(dir, "index.crks")
 	if err := SaveManifestFile(path, Single(st)); err != nil {
 		t.Fatal(err)
@@ -160,7 +154,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rows() != 2000 || len(got.Parts[0].State.Cracks) != len(st.Cracks) {
+	if got.Rows() != 2000 || got.Pieces() != len(st.Cracks)+1 {
 		t.Fatal("file round trip lost data")
 	}
 	if _, err := LoadManifestFile(filepath.Join(dir, "missing.crks")); err == nil {
@@ -170,11 +164,11 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 
 func TestEmptySnapshot(t *testing.T) {
 	m := roundTrip(t, Single(core.SnapshotState{}))
-	if len(m.Parts) != 1 {
-		t.Fatalf("empty state decoded to %d parts", len(m.Parts))
+	if len(m.Columns) != 1 || len(m.Columns[0].Parts) != 1 {
+		t.Fatalf("empty state decoded to %d columns", len(m.Columns))
 	}
-	got := m.Parts[0].State
-	if len(got.Values) != 0 || len(got.Cracks) != 0 || got.RowIDs != nil {
+	got := m.Columns[0].Parts[0].State
+	if len(got.Values) != 0 || len(got.Cracks) != 0 {
 		t.Fatal("empty snapshot round trip wrong")
 	}
 }

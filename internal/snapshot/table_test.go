@@ -12,10 +12,10 @@ import (
 // sharded table.
 func tableManifest(t testing.TB, n int64, k int) Manifest {
 	t.Helper()
-	m := Table([]TableColumn{
-		{Name: "a", Parts: shardedManifest(t, n, k, false).Parts},
-		{Name: "b", Parts: shardedManifest(t, n, 1, false).Parts},
-	})
+	m := Manifest{Columns: []TableColumn{
+		{Name: "a", Parts: shardedParts(t, n, k)},
+		{Name: "b", Parts: shardedParts(t, n, 1)},
+	}}
 	if err := m.Validate(); err != nil {
 		t.Fatalf("built table manifest invalid: %v", err)
 	}
@@ -24,9 +24,6 @@ func tableManifest(t testing.TB, n int64, k int) Manifest {
 
 func TestTableManifestRoundTrip(t *testing.T) {
 	m := tableManifest(t, 500, 3)
-	if !m.IsTable() {
-		t.Fatal("IsTable() = false")
-	}
 	var buf bytes.Buffer
 	if err := WriteManifest(&buf, m); err != nil {
 		t.Fatal(err)
@@ -38,8 +35,8 @@ func TestTableManifestRoundTrip(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !got.IsTable() || len(got.Columns) != len(m.Columns) {
-		t.Fatalf("decoded %d columns (table=%v), want %d", len(got.Columns), got.IsTable(), len(m.Columns))
+	if len(got.Columns) != len(m.Columns) {
+		t.Fatalf("decoded %d columns, want %d", len(got.Columns), len(m.Columns))
 	}
 	for i, c := range m.Columns {
 		d := got.Columns[i]
@@ -61,7 +58,7 @@ func TestTableManifestRoundTrip(t *testing.T) {
 	// come back addressable.
 	for _, name := range []string{"a", "b"} {
 		col, ok := got.Column(name)
-		if !ok || len(col.Parts) == 0 {
+		if !ok || len(col) == 0 {
 			t.Fatalf("column %q missing after round trip", name)
 		}
 	}
@@ -85,16 +82,19 @@ func TestTableManifestCorrupt(t *testing.T) {
 			t.Fatalf("truncation to %d/%d: error does not wrap ErrCorrupt: %v", cut, 16, err)
 		}
 	}
-	// A decoded-then-mangled manifest must fail semantic validation: out
-	// of order column names and a stray single-column part alongside
-	// columns are both structural corruption.
+	// A decoded-then-mangled manifest must fail semantic validation: no
+	// columns, out-of-order or duplicate column names, and the unnamed
+	// column beside a named one are all structural corruption.
 	m := tableManifest(t, 100, 1)
-	swapped := Manifest{Columns: []TableColumn{m.Columns[1], m.Columns[0]}}
-	if err := swapped.Validate(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("out-of-order columns: %v does not wrap ErrCorrupt", err)
-	}
-	mixed := Manifest{Columns: m.Columns, Parts: shardedManifest(t, 50, 1, false).Parts}
-	if err := mixed.Validate(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("columns+parts mix: %v does not wrap ErrCorrupt", err)
+	a, b := m.Columns[0], m.Columns[1]
+	for name, bad := range map[string]Manifest{
+		"no columns":           {},
+		"out of order":         {Columns: []TableColumn{b, a}},
+		"duplicate":            {Columns: []TableColumn{a, a}},
+		"unnamed beside named": {Columns: []TableColumn{{Parts: a.Parts}, b}},
+	} {
+		if err := bad.Validate(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: %v does not wrap ErrCorrupt", name, err)
+		}
 	}
 }

@@ -36,7 +36,6 @@
 package table
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"iter"
@@ -125,35 +124,27 @@ func New(cols map[string][]int64, algorithm string, mode exec.Mode, opt core.Opt
 	return t, nil
 }
 
-// Restore rebuilds a table from a manifest: a table manifest's named
-// columns, or a parts manifest as a single-column database. Each column
-// resumes from its captured parts (cracks and pending queues included)
-// through exec.Restore, so a Sharded(k) table restored with the captured k
-// keeps its shard bounds. Restored columns have no row-order base, so a
+// Restore rebuilds a table from a valid manifest (see
+// snapshot.Manifest.Validate): one column per manifest column, the
+// unnamed one making a single-column database. Each column resumes from
+// its captured parts (cracks and pending queues included) through
+// exec.Restore, so a Sharded(k) table restored with the captured k keeps
+// its shard bounds. Restored columns have no row-order base, so a
 // restored table answers every per-column selection exactly but rejects
 // the projection paths with dberr.ErrSnapshotUnsupported.
 func Restore(m snapshot.Manifest, algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
-	cols := []snapshot.TableColumn{{Parts: m.Parts}} // the unnamed column
-	if m.IsTable() {
-		cols = slices.SortedFunc(slices.Values(m.Columns), func(a, b snapshot.TableColumn) int { return cmp.Compare(a.Name, b.Name) })
-	}
-	names := make([]string, len(cols))
-	rows := 0
-	for i, c := range cols {
-		if i > 0 && c.Name == names[i-1] {
-			return nil, fmt.Errorf("table: duplicate column %q", c.Name)
-		}
+	names := make([]string, len(m.Columns))
+	for i, c := range m.Columns {
 		names[i] = c.Name
-		// Columns may hold different counts once per-column updates merged;
-		// report the widest. Pending inserts stay out of the count until
-		// they merge.
-		rows = max(rows, snapshot.Manifest{Parts: c.Parts}.Rows())
 	}
-	t, err := newTable(names, rows, algorithm, mode, opt, group)
+	// Columns may hold different counts once per-column updates merged;
+	// Rows reports the widest. Pending inserts stay out of the count
+	// until they merge.
+	t, err := newTable(names, m.Rows(), algorithm, mode, opt, group)
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cols {
+	for i, c := range m.Columns {
 		b, err := exec.Restore(c.Parts, algorithm, t.mode, opt)
 		if err != nil {
 			return nil, err
@@ -354,39 +345,30 @@ func (t *Table) PieceSizes() ([]int, error) {
 	return sizes, nil
 }
 
-// Snapshot captures the whole table as a table manifest — a single-column
-// database as a plain parts manifest: one entry per column holding its
-// cracked state and pending queues, one part per shard in Sharded mode,
-// with row ids dropped (see snapshot.TableColumn). Built columns drain
-// while they are captured; a projection table's unqueried columns capture
-// their base values with no cracks. Each column's capture is atomic; the
-// cut is per column, matching the independence of per-column updates.
+// Snapshot captures the whole table as a manifest: one entry per column
+// (the unnamed one for a single-column database) holding its cracked
+// state and pending queues, one part per shard in Sharded mode. Built
+// columns drain while they are captured; a projection table's unqueried
+// columns capture their base values with no cracks. Each column's
+// capture is atomic; the cut is per column, matching the independence of
+// per-column updates.
 func (t *Table) Snapshot() (snapshot.Manifest, error) {
-	cols := make([]snapshot.TableColumn, 0, len(t.names))
+	cols := make([]snapshot.TableColumn, len(t.names))
 	for i, name := range t.names {
+		cols[i].Name = name
 		s := &t.cols[i]
 		if s.col == nil {
-			cols = append(cols, snapshot.TableColumn{Name: name, Parts: []snapshot.Part{snapshot.ClampedPart(
-				math.MinInt64, math.MaxInt64, core.SnapshotState{Values: slices.Clone(s.base)})}})
+			cols[i].Parts = snapshot.Parts{{Lo: math.MinInt64, Hi: math.MaxInt64,
+				State: core.SnapshotState{Values: slices.Clone(s.base)}}}
 			continue
 		}
 		parts, err := exec.CaptureParts(s.col)
 		if err != nil {
 			return snapshot.Manifest{}, err
 		}
-		for p := range parts {
-			parts[p].State.RowIDs = nil
-		}
-		cols = append(cols, snapshot.TableColumn{Name: name, Parts: parts})
+		cols[i].Parts = parts
 	}
-	if t.unnamed() {
-		return snapshot.Manifest{Parts: cols[0].Parts}, nil
-	}
-	m := snapshot.Table(cols)
-	if err := m.Validate(); err != nil {
-		return snapshot.Manifest{}, err
-	}
-	return m, nil
+	return snapshot.Manifest{Columns: cols}, nil
 }
 
 // SelectProject answers SELECT proj FROM t WHERE lo <= sel AND sel < hi

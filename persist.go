@@ -15,16 +15,17 @@ import (
 type SnapshotState = core.SnapshotState
 
 // DBSnapshot is the serializable physical state of a whole DB: a
-// versioned multi-part manifest with one part per shard (a single part
-// for Single/Shared databases), each carrying its value range and engine
+// manifest of columns sorted by name — a single-column DB is the one
+// column named "" — each a list of parts, one per shard (a single part
+// for Single/Shared databases), carrying its value range and engine
 // state. DB.Snapshot produces it in every mode and OpenSnapshot restores
 // it into any of them — including a different shard count, in which case
-// the engine state is split or merged along the shard bounds without
-// losing cracks.
+// each column's engine state is split or merged along the shard bounds
+// without losing cracks.
 type DBSnapshot = snapshot.Manifest
 
-// SnapshotPart is one part of a DBSnapshot: the engine state of one
-// shard plus the half-open value range [Lo, Hi) it owns.
+// SnapshotPart is one part of a DBSnapshot column: the engine state of
+// one shard plus the half-open value range [Lo, Hi) it owns.
 type SnapshotPart = snapshot.Part
 
 // SaveSnapshot writes the DB's state to path (atomic temp-file write +
@@ -56,12 +57,12 @@ func SaveSnapshotFile(path string, snap DBSnapshot) error {
 // (SplitBounds) — splitting or merging engine state without losing
 // cracks.
 //
-// Both manifest forms restore the same way, as a table: a parts manifest
-// as the unnamed column of a single-column DB, a table manifest as its
-// named columns. Every column is rebuilt here from its captured cracked
-// state and pending queues. Restored columns have no row-order base, so a
-// restored table serves every per-column selection but SelectProject and
-// SelectProjectSideways fail with ErrSnapshotUnsupported.
+// The manifest restores as a table: the unnamed column as a
+// single-column DB, named columns as a table. Every column is rebuilt
+// here from its captured cracked state and pending queues. Restored
+// columns have no row-order base, so a restored table serves every
+// per-column selection but SelectProject and SelectProjectSideways fail
+// with ErrSnapshotUnsupported.
 func OpenSnapshot(snap DBSnapshot, algorithm string, opts ...Option) (*DB, error) {
 	cfg, err := configure(opts)
 	if err != nil {
@@ -132,9 +133,8 @@ func SaveSnapshotTo(store SnapshotStore, key string, snap DBSnapshot) error {
 }
 
 // OpenSnapshotFrom loads the manifest under key from the store and
-// restores a DB from it, in any concurrency mode — single-column or
-// table manifests alike (see OpenSnapshot). A never-saved key fails with
-// an error matching fs.ErrNotExist.
+// restores a DB from it, in any concurrency mode (see OpenSnapshot). A
+// never-saved key fails with an error matching fs.ErrNotExist.
 func OpenSnapshotFrom(store SnapshotStore, key, algorithm string, opts ...Option) (*DB, error) {
 	m, err := store.Load(key)
 	if err != nil {

@@ -1,14 +1,19 @@
 package crackdb_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	crackdb "repro"
+	"repro/internal/snapshot"
 )
 
 func TestFacadeSnapshotRoundTrip(t *testing.T) {
@@ -239,17 +244,10 @@ func TestShardedRestoreKeepsPartBounds(t *testing.T) {
 	}
 	// bounds lists each column's interior part bounds ("" for a column DB).
 	bounds := func(snap crackdb.DBSnapshot) map[string][]int64 {
-		cols := map[string][]crackdb.SnapshotPart{"": snap.Parts}
-		if snap.IsTable() {
-			cols = map[string][]crackdb.SnapshotPart{}
-			for _, c := range snap.Columns {
-				cols[c.Name] = c.Parts
-			}
-		}
 		out := map[string][]int64{}
-		for name, parts := range cols {
-			for _, p := range parts[1:] {
-				out[name] = append(out[name], p.Lo)
+		for _, c := range snap.Columns {
+			for _, p := range c.Parts[1:] {
+				out[c.Name] = append(out[c.Name], p.Lo)
 			}
 		}
 		return out
@@ -291,5 +289,147 @@ func TestShardedRestoreKeepsPartBounds(t *testing.T) {
 					tc.db.Name(), name, got[name], w)
 			}
 		}
+	}
+}
+
+// permutationOracle checks the DB's answers over [0, n) against the
+// closed form of a permutation of [0, n): count hi-lo, sum of lo..hi-1.
+func permutationOracle(t *testing.T, db *crackdb.DB, n int64) {
+	t.Helper()
+	ctx := context.Background()
+	for lo := int64(-7); lo < n+7; lo += 37 {
+		hi := lo + 1 + (lo+7)%53
+		agg, err := db.QueryAggregate(ctx, crackdb.Range(lo, hi))
+		a, b := max(lo, 0), min(hi, n)
+		if err != nil || int64(agg.Count) != max(b-a, 0) || agg.Sum != sumRange(a, b) {
+			t.Fatalf("[%d, %d): count %d sum %d err %v, want %d/%d", lo, hi, agg.Count, agg.Sum, err, max(b-a, 0), sumRange(a, b))
+		}
+	}
+}
+
+// rowIDGolden is a two-part v4 stream whose parts carry row ids, written
+// before row ids left the snapshot: a permutation of [0, 2000).
+var rowIDGolden = filepath.Join("internal", "snapshot", "testdata", "v4-rowids.crks")
+
+// TestRowIDGoldenRestoresInEveryMode: a snapshot whose shards carry row
+// ids restores in every mode, re-cuts included — the row ids are dropped
+// on decode, so nothing shard-local is left to refuse a merge over.
+func TestRowIDGoldenRestoresInEveryMode(t *testing.T) {
+	for _, mode := range []crackdb.Concurrency{crackdb.Single, crackdb.Shared, crackdb.Sharded(2), crackdb.Sharded(3)} {
+		t.Run(mode.String(), func(t *testing.T) {
+			db, err := crackdb.OpenSnapshotFile(rowIDGolden, crackdb.DD1R, crackdb.WithConcurrency(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if db.Rows() != 2000 || db.Stats().Cracks == 0 {
+				t.Fatalf("restored %d rows with %d cracks, want 2000 rows, warm", db.Rows(), db.Stats().Cracks)
+			}
+			permutationOracle(t, db, 2000)
+		})
+	}
+}
+
+// TestLegacyRowIDSnapshotCracksLikePlainColumn: a legacy stream with row
+// ids restores to the same column as the stream without them, so the
+// same queries do the same physical work — no API reads a restored
+// column's row ids, so none may cost anything.
+func TestLegacyRowIDSnapshotCracksLikePlainColumn(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("internal", "snapshot", "testdata", "v1-rowids.crks"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// v1 layout: magic, length n, row-id flag, n values, n row ids,
+	// cracks, CRC32. The stripped twin drops the row ids on the wire.
+	n := int(binary.LittleEndian.Uint64(raw[8:16]))
+	if n != 2000 || raw[16] != 1 {
+		t.Fatalf("v1-rowids.crks: length %d, row-id flag %d; want 2000 with row ids", n, raw[16])
+	}
+	body := append(append(slices.Clone(raw[:16]), 0), raw[17:17+8*n]...)
+	body = append(body, raw[17+12*n:len(raw)-4]...)
+	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	withIDs, err := crackdb.ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped, err := crackdb.ReadSnapshot(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []crackdb.Concurrency{crackdb.Single, crackdb.Shared, crackdb.Sharded(2)} {
+		t.Run(mode.String(), func(t *testing.T) {
+			var stats [2]crackdb.Stats
+			for i, snap := range []crackdb.DBSnapshot{withIDs, stripped} {
+				db, err := crackdb.OpenSnapshot(snap, crackdb.DD1R, crackdb.WithSeed(5), crackdb.WithConcurrency(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(7))
+				for q := 0; q < 300; q++ {
+					lo := rng.Int63n(2000 - 3)
+					res, err := db.Query(context.Background(), crackdb.Range(lo, lo+3))
+					if err != nil || res.Count() != 3 {
+						t.Fatalf("[%d, %d): count %d err %v", lo, lo+3, res.Count(), err)
+					}
+				}
+				stats[i] = db.Stats()
+				db.Close()
+			}
+			a, b := stats[0], stats[1]
+			if a.Touched != b.Touched || a.Swaps != b.Swaps || a.Cracks != b.Cracks {
+				t.Fatalf("row-id stream touched/swaps/cracks %d/%d/%d, stripped %d/%d/%d",
+					a.Touched, a.Swaps, a.Cracks, b.Touched, b.Swaps, b.Cracks)
+			}
+		})
+	}
+}
+
+// TestColumnDBSnapshotIsUnnamedColumn: a column DB's manifest is one
+// column named "", and a manifest built that way by hand writes,
+// validates and restores like a captured one.
+func TestColumnDBSnapshotIsUnnamedColumn(t *testing.T) {
+	const n = 5_000
+	for _, tc := range []struct {
+		mode  crackdb.Concurrency
+		parts int
+	}{{crackdb.Single, 1}, {crackdb.Shared, 1}, {crackdb.Sharded(2), 2}} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			opts := []crackdb.Option{crackdb.WithSeed(4), crackdb.WithConcurrency(tc.mode)}
+			db, err := crackdb.Open(crackdb.MakeData(n, 3), crackdb.DD1R, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			permutationOracle(t, db, n)
+			snap, err := db.Snapshot()
+			if err != nil || len(snap.Columns) != 1 || snap.Columns[0].Name != "" || len(snap.Columns[0].Parts) != tc.parts {
+				t.Fatalf("Snapshot() = %d columns (err %v), want one unnamed column of %d parts", len(snap.Columns), err, tc.parts)
+			}
+			hand := crackdb.DBSnapshot{Columns: []snapshot.TableColumn{{Name: "", Parts: snap.Columns[0].Parts}}}
+			if err := hand.Validate(); err != nil {
+				t.Fatalf("hand-built manifest invalid: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := crackdb.WriteSnapshot(&buf, hand); err != nil {
+				t.Fatalf("hand-built manifest not written: %v", err)
+			}
+			decoded, err := crackdb.ReadSnapshot(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []crackdb.DBSnapshot{hand, decoded} {
+				restored, err := crackdb.OpenSnapshot(m, crackdb.DD1R, opts...)
+				if err != nil {
+					t.Fatalf("hand-built manifest not restored: %v", err)
+				}
+				resnap, err := restored.Snapshot()
+				if err != nil || restored.Columns() != nil || resnap.Pieces() != snap.Pieces() {
+					t.Fatalf("restored columns %q, %d pieces (err %v); want a column DB with %d",
+						restored.Columns(), resnap.Pieces(), err, snap.Pieces())
+				}
+				permutationOracle(t, restored, n)
+				restored.Close()
+			}
+		})
 	}
 }

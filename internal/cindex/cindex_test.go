@@ -1,6 +1,8 @@
 package cindex
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -52,34 +54,132 @@ func (r *refIndex) rangeShift(afterKey int64, delta int) {
 	}
 }
 
-// checkAVL verifies BST ordering, AVL balance, and height bookkeeping.
-func checkAVL(t *testing.T, tr *Tree) {
+// checkTree fails t on the first B+-tree invariant tr breaks.
+func checkTree(t testing.TB, tr *Tree) {
 	t.Helper()
-	var walk func(n *node, lo, hi int64) int
-	walk = func(n *node, lo, hi int64) int {
-		if n == nil {
-			return 0
-		}
-		if n.key <= lo || n.key >= hi {
-			t.Fatalf("BST order violated at key %d (bounds %d..%d)", n.key, lo, hi)
-		}
-		hl := walk(n.left, lo, n.key)
-		hr := walk(n.right, n.key, hi)
-		h := hl
-		if hr > h {
-			h = hr
-		}
-		h++
-		if n.height != h {
-			t.Fatalf("stale height at key %d: %d want %d", n.key, n.height, h)
-		}
-		if b := hl - hr; b < -1 || b > 1 {
-			t.Fatalf("AVL balance violated at key %d: %d", n.key, b)
-		}
-		return h
+	if err := treeErr(tr); err != nil {
+		t.Fatal(err)
 	}
-	const inf = int64(1) << 62
-	walk(tr.root, -inf, inf)
+}
+
+// treeErr checks the B+-tree invariants: keys strictly ascending in order;
+// every leaf at one depth; every non-root node at least half full (a root
+// inner node has two children); each separator the smallest key under its
+// child, every key of a child within its separators, and the unused key
+// slots math.MaxInt64; each child's first position that of its first
+// crack; the size and hole bookkeeping; and a depth of at most
+// ⌈log_{B/2} k⌉ + 1.
+func treeErr(tr *Tree) error {
+	const half = fanout / 2
+	var (
+		k, holes  int
+		leafDepth = -1
+		prev      int64
+	)
+	var walkLeaf func(l *leaf, d, acc int, root bool) (int64, int, error)
+	walkLeaf = func(l *leaf, d, acc int, root bool) (int64, int, error) {
+		if l.n < 1 || l.n > len(l.keys) || !root && l.n < half {
+			return 0, 0, fmt.Errorf("leaf at depth %d holds %d cracks", d, l.n)
+		}
+		if leafDepth >= 0 && d != leafDepth {
+			return 0, 0, fmt.Errorf("leaves at depths %d and %d", leafDepth, d)
+		}
+		leafDepth = d
+		for c, key := range l.keys {
+			switch {
+			case c >= l.n && key != math.MaxInt64:
+				return 0, 0, fmt.Errorf("unused leaf slot %d holds key %d", c, key)
+			case c < l.n && k > 0 && key <= prev:
+				return 0, 0, fmt.Errorf("key %d after %d", key, prev)
+			case c < l.n:
+				prev = key
+				k++
+				holes += l.slots[c].holes
+			}
+		}
+		return l.keys[0], l.slots[0].pos + acc, nil
+	}
+	var walk func(in *inner, d, acc int, root bool) (int64, int, error)
+	walk = func(in *inner, d, acc int, root bool) (int64, int, error) {
+		if in.n > fanout || in.n < 2 || !root && in.n < half {
+			return 0, 0, fmt.Errorf("inner node at depth %d holds %d children", d, in.n)
+		}
+		var lo int64
+		var loPos int
+		for i := 0; i < in.n; i++ {
+			e := in.edges[i]
+			var (
+				least int64
+				first int
+				err   error
+			)
+			switch {
+			case in.h == 1 && e.lf != nil && e.in == nil:
+				least, first, err = walkLeaf(e.lf, d+1, acc+e.delta, false)
+			case in.h > 1 && e.in != nil && e.lf == nil && e.in.h == in.h-1:
+				least, first, err = walk(e.in, d+1, acc+e.delta, false)
+			default:
+				return 0, 0, fmt.Errorf("child %d of a height-%d node is malformed", i, in.h)
+			}
+			if err != nil {
+				return 0, 0, err
+			}
+			if i == 0 {
+				lo, loPos = least, first
+				continue
+			}
+			if in.keys[i-1] != least {
+				return 0, 0, fmt.Errorf("separator %d is %d, child's smallest key %d", i-1, in.keys[i-1], least)
+			}
+			if got := acc + e.delta + e.first; got != first {
+				return 0, 0, fmt.Errorf("child %d records first position %d, its first crack sits at %d", i, got, first)
+			}
+		}
+		for i := in.n - 1; i < len(in.keys); i++ {
+			if in.keys[i] != math.MaxInt64 {
+				return 0, 0, fmt.Errorf("unused separator slot %d holds %d", i, in.keys[i])
+			}
+		}
+		return lo, loPos, nil
+	}
+	// Keys ascend across the whole walk, and each child's smallest key is
+	// its separator, so every key lies within its separators.
+	var err error
+	switch {
+	case tr.levels > 0 && (tr.root == nil || tr.top != nil || tr.root.h != tr.levels):
+		return fmt.Errorf("root fields inconsistent with %d levels", tr.levels)
+	case tr.levels > 0:
+		_, _, err = walk(tr.root, 1, 0, true)
+	case tr.top != nil:
+		_, _, err = walkLeaf(tr.top, 1, 0, true)
+	}
+	if err != nil {
+		return err
+	}
+	if k != tr.Len() {
+		return fmt.Errorf("walk finds %d cracks, Len reports %d", k, tr.Len())
+	}
+	if holes+tr.tail != tr.Holes() {
+		return fmt.Errorf("cracks hold %d holes and the tail %d, Holes reports %d", holes, tr.tail, tr.Holes())
+	}
+	bound, reach := 1, 1
+	for reach < k {
+		reach *= half
+		bound++
+	}
+	if d := depth(tr); k > 0 && d > bound {
+		return fmt.Errorf("depth %d over %d cracks exceeds %d", d, k, bound)
+	}
+	return nil
+}
+
+// depth returns the number of levels in tr: 0 when it is empty, 1 for a
+// lone leaf.
+func depth(tr *Tree) int {
+	if tr.levels == 0 && tr.top == nil {
+		return 0
+	}
+	return tr.levels + 1
 }
 
 func TestEmptyTree(t *testing.T) {
@@ -88,7 +188,7 @@ func TestEmptyTree(t *testing.T) {
 	if lo != 0 || hi != 100 || exact {
 		t.Fatalf("empty tree piece = [%d,%d) exact=%v, want [0,100) false", lo, hi, exact)
 	}
-	if tr.Len() != 0 || tr.Height() != 0 {
+	if tr.Len() != 0 || depth(&tr) != 0 {
 		t.Fatal("empty tree has nonzero size or height")
 	}
 	if got := tr.Pieces(100); len(got) != 2 || got[0] != 0 || got[1] != 100 {
@@ -126,7 +226,7 @@ func TestInsertAndPieceFor(t *testing.T) {
 			t.Errorf("PieceFor(%d) = [%d,%d) %v, want [%d,%d) %v", c.v, lo, hi, exact, c.lo, c.hi, c.exact)
 		}
 	}
-	checkAVL(t, &tr)
+	checkTree(t, &tr)
 }
 
 func TestInsertDuplicateKey(t *testing.T) {
@@ -211,17 +311,24 @@ func TestAscendEarlyStop(t *testing.T) {
 }
 
 func TestBalancedHeightUnderSequentialInserts(t *testing.T) {
-	// Sequential key insertion is the classic AVL stress: a plain BST would
-	// degenerate to a list. 2^12 keys must stay within AVL height bounds
-	// (~1.44 log2 n ≈ 18).
-	var tr Tree
-	for i := 0; i < 4096; i++ {
-		tr.Insert(int64(i), i)
+	// Sequential key insertion is the classic balance stress: a plain BST
+	// would degenerate to a list. 2^12 keys in either order must stay
+	// within the B+-tree depth bound ⌈log_{B/2} k⌉ + 1, which checkTree
+	// enforces.
+	for _, step := range []int{1, -1} {
+		var tr Tree
+		for i := 0; i < 4096; i++ {
+			k := i
+			if step < 0 {
+				k = 4095 - i
+			}
+			tr.Insert(int64(k), k)
+		}
+		if d := depth(&tr); d < 2 {
+			t.Fatalf("depth %d for 4096 cracks", d)
+		}
+		checkTree(t, &tr)
 	}
-	if h := tr.Height(); h > 18 {
-		t.Fatalf("height %d too large for 4096 sequential inserts", h)
-	}
-	checkAVL(t, &tr)
 }
 
 func TestAgainstReferenceModel(t *testing.T) {
@@ -238,7 +345,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 			t.Fatalf("insert(%d) = %v, ref %v", k, got, want)
 		}
 	}
-	checkAVL(t, &tr)
+	checkTree(t, &tr)
 	for i := 0; i < 2000; i++ {
 		v := r.Int63n(n)
 		lo, hi, exact := tr.PieceFor(v, n)
@@ -267,7 +374,7 @@ func TestRangeShiftAgainstReference(t *testing.T) {
 		}
 		tr.RangeShift(after, delta)
 		ref.rangeShift(after, delta)
-		// Interleave inserts to exercise pushDown during rebalancing.
+		// Interleave inserts to exercise splits under pending deltas.
 		if i%3 == 0 {
 			k := r.Int63n(n)
 			// Positions must stay consistent with the reference; insert at
@@ -280,7 +387,7 @@ func TestRangeShiftAgainstReference(t *testing.T) {
 			}
 		}
 	}
-	checkAVL(t, &tr)
+	checkTree(t, &tr)
 	for i := 0; i < 3000; i++ {
 		v := r.Int63n(n)
 		lo, hi, exact := tr.PieceFor(v, n<<1)
@@ -388,7 +495,7 @@ func TestCrackPositionsMonotone(t *testing.T) {
 	if !sort.IntsAreSorted(pieces) {
 		t.Fatal("piece positions not monotone in key order")
 	}
-	checkAVL(t, &tr)
+	checkTree(t, &tr)
 }
 
 // TestHolesAgainstReference checks the hole-aware reads — PieceFor's live
@@ -515,6 +622,51 @@ func BenchmarkRangeShift(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.RangeShift(r.Int63n(1<<40), 1)
+	}
+}
+
+// BenchmarkBoundsConverged times Bounds as a converged point query meets
+// it: k = 23 207 random cracks (the count a traced hot_converged run ends
+// with) over n = 10 M positions of a sorted column, each lookup on a
+// replayed range whose bounds are two neighbouring cracks, followed by a
+// 10-value read at a random place in an 80 MB column, so the index
+// competes with the answers for cache as it does in a query.
+func BenchmarkBoundsConverged(b *testing.B) {
+	const k, n, probes = 23_207, 10_000_000, 1 << 16
+	r := xrand.New(1)
+	var tr Tree
+	keys := make([]int64, 0, k)
+	for len(keys) < k {
+		if key := r.Int63n(n); tr.Insert(key, int(key)) {
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys)
+	col := make([]int64, n)
+	for i := range col {
+		col[i] = int64(i)
+	}
+	type probe struct {
+		a, b int64
+		at   int
+	}
+	ps := make([]probe, probes)
+	for i := range ps {
+		j := r.Intn(k - 1)
+		ps[i] = probe{keys[j], keys[j+1], r.Intn(n - 10)}
+	}
+	var sink int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &ps[i&(probes-1)]
+		loA, _, _, _, hiB, _ := tr.Bounds(p.a, p.b, n)
+		for _, v := range col[p.at : p.at+10] {
+			sink += v
+		}
+		sink += int64(loA + hiB)
+	}
+	if sink == 0 {
+		b.Fatal("no work")
 	}
 }
 

@@ -116,9 +116,9 @@ func Restore(st SnapshotState, spec string, opt Options) (Index, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: %q cannot restore snapshots (no engine)", spec)
 	}
-	e := acc.Engine()
-	for _, c := range st.Cracks {
-		e.idx.Insert(c.Key, c.Pos)
-	}
+	// Validate checked the cracks ascend in key and position: pack them.
+	acc.Engine().idx.Load(len(st.Cracks), func(i int) (int64, int) {
+		return st.Cracks[i].Key, st.Cracks[i].Pos
+	})
 	return ix, nil
 }

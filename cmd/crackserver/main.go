@@ -47,6 +47,13 @@
 //
 //	crackserver -tables users:100000,orders:50000 -snapshot-store /var/lib/crackdb
 //
+// -snapshot FILE is the one-key form of the same store, for a
+// single-table server: a file store rooted at FILE's directory, keyed by
+// FILE's base name. It conflicts with -snapshot-store and with -tables
+// (boot errors). Either way every table — the one DB of a single-table
+// server or each catalog table — boots the same way: warm from its store
+// key when the store holds it, cold from its data otherwise.
+//
 // -tls-cert/-tls-key serve HTTPS; -auth-token requires a bearer token on
 // every request but GET /healthz (all modes).
 //
@@ -68,6 +75,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -90,7 +98,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "seed for the data permutation and the stochastic algorithms")
 		inflight = flag.Int("inflight", 0, "max in-flight data-plane requests before 429 (0: 8x worker pool; <0: unlimited)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-drain budget on SIGTERM before in-flight requests are canceled")
-		snapPath = flag.String("snapshot", "", "snapshot file: warm-start from it when it exists (resuming all adaptation earned before the restart), and the save target for POST /v1/snapshot and -snapshot-interval")
+		snapPath = flag.String("snapshot", "", "snapshot file: warm-start from it when it exists (resuming all adaptation earned before the restart), and the save target for POST /v1/snapshot and -snapshot-interval (a one-key file store; not with -snapshot-store or -tables)")
 		snapIntv = flag.Duration("snapshot-interval", 0, "periodically save a snapshot to -snapshot or -snapshot-store (0 disables)")
 		parCrack = flag.Bool("parallel-crack", false, "crack large pieces with the chunked parallel kernel (values-only columns)")
 		coarse   = flag.Int("coarse-init", 0, "coarse-granular initialization: pre-cut a cold build into this many pieces (0 disables; ignored on warm start)")
@@ -108,7 +116,7 @@ func main() {
 		shardHi = flag.Int64("shard-hi", 0, "owned value range end, exclusive (with -shard-of)")
 
 		tables        = flag.String("tables", "", "multi-tenant catalog mode: comma-separated name:rows specs, each served as its own DB under /v1/tables/<name>/ (overrides -n)")
-		snapStore     = flag.String("snapshot-store", "", "snapshot store directory: warm-start from it and save snapshots into it (key db.crks, or tables/<name>.crks with -tables); wins over -snapshot for saves")
+		snapStore     = flag.String("snapshot-store", "", "snapshot store directory: warm-start from it and save snapshots into it (key db.crks, or tables/<name>.crks with -tables)")
 		tableInflight = flag.Int("table-inflight", 0, "catalog mode: per-table max in-flight requests before 429 (0: 8x worker pool; <0: unlimited)")
 
 		coordinator = flag.Bool("coordinator", false, "run as a cluster coordinator over -backends instead of serving data")
@@ -131,18 +139,26 @@ func main() {
 	if err != nil {
 		log.Fatalf("crackserver: %v", err)
 	}
+	if *snapPath != "" && *snapStore != "" {
+		log.Fatalf("crackserver: -snapshot and -snapshot-store conflict: give one snapshot destination")
+	}
+	if *snapPath != "" && *tables != "" {
+		log.Fatalf("crackserver: -snapshot and -tables conflict: a catalog saves every table into -snapshot-store")
+	}
 	if *snapIntv > 0 && *snapPath == "" && *snapStore == "" {
 		log.Fatalf("crackserver: -snapshot-interval needs -snapshot or -snapshot-store")
 	}
 	if *shardOf > 0 && !(0 <= *shardLo && *shardLo <= *shardHi && *shardHi <= *shardOf) {
 		log.Fatalf("crackserver: need 0 <= -shard-lo <= -shard-hi <= -shard-of")
 	}
+	if *tables != "" && *shardOf > 0 {
+		log.Fatalf("crackserver: -tables cannot combine with -shard-of")
+	}
 
-	// mkOpts builds the DB construction options for one dataset seed —
-	// shared between the single-table boot, every catalog table (each
-	// with its own derived seed), and Config.Reopen, so a live
-	// restore/retain swap keeps tuning (group commit, parallel crack)
-	// across the replacement DB.
+	// mkOpts builds the DB construction options for one table's seed (a
+	// catalog derives each table's seed from its name). A live
+	// restore/retain swap keeps them — group commit, parallel crack —
+	// because the server rebuilds through DB.Reopen.
 	mkOpts := func(seed uint64) []crackdb.Option {
 		opts := []crackdb.Option{crackdb.WithSeed(seed), crackdb.WithConcurrency(conc)}
 		if *parCrack {
@@ -159,133 +175,113 @@ func main() {
 		return opts
 	}
 
+	// The one snapshot destination: -snapshot FILE is a file store rooted
+	// at FILE's directory holding the one key FILE's base name.
 	var store crackdb.SnapshotStore
-	if *snapStore != "" {
-		fileStore, err := crackdb.NewFileSnapshotStore(*snapStore)
+	storeDir, singleKey := *snapStore, "db.crks"
+	if *snapPath != "" {
+		storeDir, singleKey = filepath.Dir(*snapPath), filepath.Base(*snapPath)
+	}
+	if storeDir != "" {
+		fileStore, err := crackdb.NewFileSnapshotStore(storeDir)
 		if err != nil {
-			log.Fatalf("crackserver: -snapshot-store: %v", err)
+			log.Fatalf("crackserver: snapshot store %s: %v", storeDir, err)
 		}
 		store = fileStore
 	}
 
+	var tbls []table
 	if *tables != "" {
-		if *shardOf > 0 {
-			log.Fatalf("crackserver: -tables cannot combine with -shard-of")
+		specs, err := parseTables(*tables)
+		if err != nil {
+			log.Fatalf("crackserver: %v", err)
 		}
-		runTables(tablesConfig{
-			specs: *tables, algo: *algo, seed: *seed, mkOpts: mkOpts,
-			store: store, inflight: *tableInflight, admWait: *admWait,
-			snapIntv: *snapIntv, authToken: *authToken,
-			addr: *addr, addrFile: *addrFile, tlsCert: *tlsCert, tlsKey: *tlsKey,
-			drain: *drain,
-		})
-		return
-	}
-
-	opts := mkOpts(*seed)
-
-	// Warm start when the snapshot store holds the db.crks key (or the
-	// snapshot file exists); cold permutation build otherwise. A warm
-	// start restores into whatever -mode says — the snapshot re-cuts
-	// itself along new shard bounds if the count changed.
-	const storeKey = "db.crks"
-	var db *crackdb.DB
-	restored := false
-	if store != nil {
-		db, err = crackdb.OpenSnapshotFrom(store, storeKey, *algo, opts...)
-		switch {
-		case err == nil:
-			restored = true
-			if *shardOf == 0 && int64(db.Rows()) != *n {
-				log.Printf("snapshot holds %d rows; overriding -n %d", db.Rows(), *n)
-				*n = int64(db.Rows())
+		for _, spec := range specs {
+			// Each table is its own seeded permutation of [0, rows), the
+			// seed derived from its name: every table stays oracle-checkable
+			// and adding a table never reshuffles its neighbors.
+			tseed := *seed ^ nameSeed(spec.name)
+			tbls = append(tbls, table{
+				name: spec.name, key: "tables/" + spec.name + ".crks", seed: tseed,
+				data: func() []int64 {
+					log.Printf("table %s: building %d-row permutation (seed %d)...", spec.name, spec.rows, tseed)
+					return crackdb.MakeData(spec.rows, tseed)
+				},
+			})
+		}
+	} else {
+		tbls = []table{{key: singleKey, seed: *seed, data: func() []int64 {
+			if *shardOf == 0 {
+				log.Printf("building %d-row permutation (seed %d)...", *n, *seed)
+				return crackdb.MakeData(*n, *seed)
 			}
-			log.Printf("warm start from store key %s: %d rows, %d pieces restored (%s)",
-				storeKey, db.Rows(), db.Stats().Pieces, db.Mode())
-		case errors.Is(err, fs.ErrNotExist):
-			// Cold start; the first save will create the key.
-			db = nil
-		default:
-			log.Fatalf("crackserver: warm start from store key %s: %v", storeKey, err)
-		}
-	} else if *snapPath != "" {
-		// Only a confirmed not-exist falls through to a cold start: any
-		// other stat failure is fatal, because proceeding cold would let
-		// the next save overwrite a real snapshot with an unrefined index.
-		_, statErr := os.Stat(*snapPath)
-		if statErr != nil && !errors.Is(statErr, os.ErrNotExist) {
-			log.Fatalf("crackserver: checking -snapshot %s: %v", *snapPath, statErr)
-		}
-		if statErr == nil {
-			db, err = crackdb.OpenSnapshotFile(*snapPath, *algo, opts...)
-			if err != nil {
-				log.Fatalf("crackserver: warm start from %s: %v", *snapPath, err)
-			}
-			restored = true
-			if *shardOf == 0 && int64(db.Rows()) != *n {
-				log.Printf("snapshot holds %d rows; overriding -n %d", db.Rows(), *n)
-				*n = int64(db.Rows())
-			}
-			log.Printf("warm start from %s: %d rows, %d pieces restored (%s)",
-				*snapPath, db.Rows(), db.Stats().Pieces, db.Mode())
-		}
-	}
-	if db == nil {
-		var data []int64
-		if *shardOf > 0 {
 			log.Printf("building [%d, %d) slice of a %d-row permutation (seed %d)...",
 				*shardLo, *shardHi, *shardOf, *seed)
+			var data []int64
 			for _, v := range crackdb.MakeData(*shardOf, *seed) {
 				if v >= *shardLo && v < *shardHi {
 					data = append(data, v)
 				}
 			}
-		} else {
-			log.Printf("building %d-row permutation (seed %d)...", *n, *seed)
-			data = crackdb.MakeData(*n, *seed)
-		}
-		db, err = crackdb.Open(data, *algo, opts...)
-		if err != nil {
-			log.Fatalf("crackserver: %v", err)
-		}
+			return data
+		}}}
 	}
-	defer db.Close()
 
-	info := server.Info{
-		Rows: *n, Algorithm: *algo, Seed: *seed, Permutation: true,
-		ParallelCrack: *parCrack, CoarseInitPieces: *coarse,
+	// Boot every table the same way: warm start or cold build, then its
+	// server. A catalog holds the auth token and per-table admission
+	// limits; a single-table server holds both itself.
+	servers := make([]*server.Server, len(tbls))
+	for i, t := range tbls {
+		db, restored := openTable(store, t, *algo, mkOpts(t.seed))
+		defer db.Close()
+		cfg := server.Config{
+			MaxInFlight:   *inflight,
+			AdmissionWait: *admWait,
+			Info: server.Info{
+				Rows: int64(db.Rows()), Algorithm: *algo, Seed: t.seed,
+				// A slice is not the full permutation; the coordinator
+				// re-derives the cluster-wide flag from how the slices tile.
+				Permutation:   *shardOf == 0,
+				ParallelCrack: *parCrack, CoarseInitPieces: *coarse,
+			},
+			Restored: restored,
+		}
+		if store != nil {
+			cfg.SnapshotStore, cfg.SnapshotKey = store, t.key
+		}
+		if *tables != "" {
+			cfg.MaxInFlight = *tableInflight
+		} else {
+			cfg.AuthToken, cfg.ShardLo, cfg.ShardHi = *authToken, *shardLo, *shardHi
+		}
+		servers[i] = server.New(db, cfg)
 	}
-	if *shardOf > 0 {
-		// A slice is not the full permutation; the coordinator re-derives
-		// the cluster-wide flag from how the slices tile.
-		info.Rows = int64(db.Rows())
-		info.Permutation = false
+
+	handler := servers[0].Handler()
+	first := servers[0].Describe()
+	banner := fmt.Sprintf("serving %s (%s)", first.Layout, first.Mode)
+	switch {
+	case *tables != "":
+		cat := catalog.New(catalog.Config{AuthToken: *authToken})
+		names := make([]string, len(tbls))
+		for i, t := range tbls {
+			if err := cat.Add(t.name, servers[i]); err != nil {
+				log.Fatalf("crackserver: %v", err)
+			}
+			names[i] = t.name
+		}
+		handler = cat.Handler()
+		banner = fmt.Sprintf("serving catalog of %d tables (%s)", len(tbls), strings.Join(names, ", "))
+	case *shardOf > 0:
+		banner = fmt.Sprintf("serving shard [%d, %d) of %d: %s (%s)",
+			*shardLo, *shardHi, *shardOf, first.Layout, first.Mode)
 	}
-	srvCfg := server.Config{
-		MaxInFlight:   *inflight,
-		AdmissionWait: *admWait,
-		SnapshotPath:  *snapPath,
-		Info:          info,
-		AuthToken:     *authToken,
-		ShardLo:       *shardLo,
-		ShardHi:       *shardHi,
-		Restored:      restored,
-		Reopen: func(snap crackdb.DBSnapshot) (*crackdb.DB, error) {
-			return crackdb.OpenSnapshot(snap, *algo, opts...)
-		},
-	}
-	if store != nil {
-		srvCfg.SnapshotStore, srvCfg.SnapshotKey = store, storeKey
-	}
-	srv := server.New(db, srvCfg)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Periodic background saver: every tick captures the adapted state via
-	// the same drain path as POST /v1/snapshot. A tick that races pending
-	// updates just logs and retries next interval — lazily merged updates
-	// drain with query traffic.
+	// Periodic background saver: every tick captures each table through
+	// the same drain path as POST /v1/snapshot.
 	if *snapIntv > 0 {
 		go func() {
 			tick := time.NewTicker(*snapIntv)
@@ -295,177 +291,81 @@ func main() {
 				case <-ctx.Done():
 					return
 				case <-tick.C:
-					if info, err := srv.SaveSnapshot(); err != nil {
-						log.Printf("periodic snapshot: %v", err)
-					} else {
-						log.Printf("periodic snapshot: %d pieces -> %s (%d bytes, %dms)",
-							info.Pieces, info.Path, info.Bytes, info.ElapsedMS)
-					}
+					saveAll("periodic snapshot", tbls, servers)
 				}
 			}
 		}()
 	}
 
-	banner := fmt.Sprintf("serving %s (%s)", db.Name(), db.Mode())
-	if *shardOf > 0 {
-		banner = fmt.Sprintf("serving shard [%d, %d) of %d: %s (%s)",
-			*shardLo, *shardHi, *shardOf, db.Name(), db.Mode())
-	}
-	serve(ctx, *addr, *addrFile, *tlsCert, *tlsKey, *drain, srv.Handler(), banner)
-	if *snapPath != "" || store != nil {
-		saveAfterDrain("", srv)
+	serve(ctx, *addr, *addrFile, *tlsCert, *tlsKey, *drain, handler, banner)
+	// Saving once serve has drained every request means a graceful restart
+	// resumes with every write acknowledged before it. A crash or SIGKILL
+	// still loses the writes made since the last save.
+	if store != nil {
+		saveAll("snapshot on exit", tbls, servers)
 	}
 }
 
-// tablesConfig carries everything the catalog boot needs out of main's
-// parsed flags.
-type tablesConfig struct {
-	specs     string
-	algo      string
-	seed      uint64
-	mkOpts    func(seed uint64) []crackdb.Option
-	store     crackdb.SnapshotStore
-	inflight  int
-	admWait   time.Duration
-	snapIntv  time.Duration
-	authToken string
+// table is one DB crackserver serves: a catalog table, or the one DB of a
+// single-table server (name "").
+type table struct {
+	name string
+	key  string // snapshot store key
+	seed uint64
+	data func() []int64 // the cold build
+}
 
-	addr, addrFile, tlsCert, tlsKey string
-	drain                           time.Duration
+// label prefixes a table's log lines ("" for a single-table server).
+func (t table) label() string {
+	if t.name == "" {
+		return ""
+	}
+	return "table " + t.name + ": "
+}
+
+// openTable warm-starts t from its store key when the store holds it, and
+// cold-builds it from t.data otherwise. A warm start restores into
+// whatever -mode says: the snapshot re-cuts itself along new shard bounds
+// if the count changed. Only a missing key falls through to a cold build;
+// any other load error is fatal, because proceeding cold would let the
+// next save overwrite a real snapshot with an unrefined index.
+func openTable(store crackdb.SnapshotStore, t table, algo string, opts []crackdb.Option) (db *crackdb.DB, restored bool) {
+	if store != nil {
+		db, err := crackdb.OpenSnapshotFrom(store, t.key, algo, opts...)
+		switch {
+		case err == nil:
+			log.Printf("%swarm start from store key %s: %d rows, %d pieces restored (%s)",
+				t.label(), t.key, db.Rows(), db.Stats().Pieces, db.Mode())
+			return db, true
+		case !errors.Is(err, fs.ErrNotExist):
+			log.Fatalf("crackserver: %swarm start from store key %s: %v", t.label(), t.key, err)
+		}
+		// Cold start; the first save will create the key.
+	}
+	db, err := crackdb.Open(t.data(), algo, opts...)
+	if err != nil {
+		log.Fatalf("crackserver: %s%v", t.label(), err)
+	}
+	return db, false
+}
+
+// saveAll captures every table into its store key. A table whose save
+// fails logs and leaves the other tables' saves alone.
+func saveAll(what string, tbls []table, servers []*server.Server) {
+	for i, srv := range servers {
+		if info, err := srv.SaveSnapshot(); err != nil {
+			log.Printf("%s%s: %v", tbls[i].label(), what, err)
+		} else {
+			log.Printf("%s%s: %d pieces -> %s (%d bytes, %dms)",
+				tbls[i].label(), what, info.Pieces, info.Path, info.Bytes, info.ElapsedMS)
+		}
+	}
 }
 
 // tableSpec is one parsed -tables entry.
 type tableSpec struct {
 	name string
 	rows int64
-}
-
-// runTables boots multi-tenant catalog mode: one DB and one
-// server.Server per -tables entry, all behind internal/catalog's
-// /v1/tables surface. Each table's data is its own seeded permutation of
-// [0, rows) — the seed derived from the table name, so every table stays
-// oracle-checkable and adding a table never reshuffles its neighbors.
-func runTables(cfg tablesConfig) {
-	specs, err := parseTables(cfg.specs)
-	if err != nil {
-		log.Fatalf("crackserver: %v", err)
-	}
-	if cfg.snapIntv > 0 && cfg.store == nil {
-		log.Fatalf("crackserver: -snapshot-interval with -tables needs -snapshot-store")
-	}
-
-	cat := catalog.New(catalog.Config{AuthToken: cfg.authToken})
-	type tableSrv struct {
-		name string
-		srv  *server.Server
-	}
-	var servers []tableSrv
-	for _, spec := range specs {
-		key := "tables/" + spec.name + ".crks"
-		tseed := cfg.seed ^ nameSeed(spec.name)
-		opts := cfg.mkOpts(tseed)
-
-		var db *crackdb.DB
-		restored := false
-		if cfg.store != nil {
-			db, err = crackdb.OpenSnapshotFrom(cfg.store, key, cfg.algo, opts...)
-			switch {
-			case err == nil:
-				restored = true
-				if int64(db.Rows()) != spec.rows {
-					log.Printf("table %s: snapshot holds %d rows; overriding spec's %d",
-						spec.name, db.Rows(), spec.rows)
-					spec.rows = int64(db.Rows())
-				}
-				log.Printf("table %s: warm start from store key %s: %d rows, %d pieces restored (%s)",
-					spec.name, key, db.Rows(), db.Stats().Pieces, db.Mode())
-			case errors.Is(err, fs.ErrNotExist):
-				// Cold start; the first save will create the key.
-				db = nil
-			default:
-				log.Fatalf("crackserver: table %s: warm start from store key %s: %v", spec.name, key, err)
-			}
-		}
-		if db == nil {
-			log.Printf("table %s: building %d-row permutation (seed %d)...", spec.name, spec.rows, tseed)
-			db, err = crackdb.Open(crackdb.MakeData(spec.rows, tseed), cfg.algo, opts...)
-			if err != nil {
-				log.Fatalf("crackserver: table %s: %v", spec.name, err)
-			}
-		}
-		defer db.Close()
-
-		srvCfg := server.Config{
-			MaxInFlight:   cfg.inflight,
-			AdmissionWait: cfg.admWait,
-			Info: server.Info{
-				Rows: spec.rows, Algorithm: cfg.algo, Seed: tseed, Permutation: true,
-			},
-			Restored: restored,
-			Reopen: func(snap crackdb.DBSnapshot) (*crackdb.DB, error) {
-				return crackdb.OpenSnapshot(snap, cfg.algo, opts...)
-			},
-		}
-		if cfg.store != nil {
-			srvCfg.SnapshotStore, srvCfg.SnapshotKey = cfg.store, key
-		}
-		srv := server.New(db, srvCfg)
-		if err := cat.Add(spec.name, srv); err != nil {
-			log.Fatalf("crackserver: %v", err)
-		}
-		servers = append(servers, tableSrv{spec.name, srv})
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// Periodic background saver, per table: same capture path as POST
-	// /v1/tables/{name}/snapshot. A tick that fails for one table logs
-	// and keeps going — the other tables' saves are independent.
-	if cfg.snapIntv > 0 {
-		go func() {
-			tick := time.NewTicker(cfg.snapIntv)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					for _, ts := range servers {
-						if info, err := ts.srv.SaveSnapshot(); err != nil {
-							log.Printf("periodic snapshot: table %s: %v", ts.name, err)
-						} else {
-							log.Printf("periodic snapshot: table %s: %d pieces -> %s (%dms)",
-								ts.name, info.Pieces, info.Path, info.ElapsedMS)
-						}
-					}
-				}
-			}
-		}()
-	}
-
-	names := make([]string, len(servers))
-	for i, ts := range servers {
-		names[i] = ts.name
-	}
-	banner := fmt.Sprintf("serving catalog of %d tables (%s)", len(servers), strings.Join(names, ", "))
-	serve(ctx, cfg.addr, cfg.addrFile, cfg.tlsCert, cfg.tlsKey, cfg.drain, cat.Handler(), banner)
-	if cfg.store != nil {
-		for _, ts := range servers {
-			saveAfterDrain("table "+ts.name+": ", ts.srv)
-		}
-	}
-}
-
-// saveAfterDrain saves srv's state once serve has drained every request,
-// so a graceful restart resumes with every write acknowledged before it.
-// A crash or SIGKILL still loses the writes made since the last save.
-func saveAfterDrain(prefix string, srv *server.Server) {
-	if info, err := srv.SaveSnapshot(); err != nil {
-		log.Printf("%ssnapshot on exit: %v", prefix, err)
-	} else {
-		log.Printf("%ssnapshot on exit: %d pieces -> %s (%dms)", prefix, info.Pieces, info.Path, info.ElapsedMS)
-	}
 }
 
 // parseTables parses the -tables spec list ("users:100000,orders:50000").

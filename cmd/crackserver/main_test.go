@@ -110,3 +110,36 @@ func TestAckedWritesSurviveGracefulRestart(t *testing.T) {
 		})
 	}
 }
+
+// TestSnapshotFlagConflicts: -snapshot names the one snapshot destination
+// of a single-table server, so combining it with -snapshot-store or with
+// -tables is a boot error naming both flags, not a silently ignored flag.
+func TestSnapshotFlagConflicts(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "x.crks")
+	for _, tc := range []struct {
+		args  []string
+		flags []string
+	}{
+		{[]string{"-tables", "t:1000", "-snapshot", file}, []string{"-snapshot", "-tables"}},
+		{[]string{"-snapshot", file, "-snapshot-store", filepath.Join(dir, "store")}, []string{"-snapshot", "-snapshot-store"}},
+	} {
+		// A server that boots instead of refusing is killed at the deadline.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], append(tc.args, "-addr", "127.0.0.1:0")...)
+		cmd.Env = append(os.Environ(), "CRACKSERVER_CHILD=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		if err == nil {
+			t.Fatalf("%v: exited 0, want a boot error:\n%s", tc.args, out)
+		}
+		for _, f := range tc.flags {
+			if !strings.Contains(string(out), f+" ") {
+				t.Fatalf("%v: error does not name %s:\n%s", tc.args, f, out)
+			}
+		}
+		if _, err := os.Stat(file); !os.IsNotExist(err) {
+			t.Fatalf("%v: a refused boot touched the snapshot file (stat: %v)", tc.args, err)
+		}
+	}
+}

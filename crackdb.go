@@ -117,10 +117,9 @@ type Options = core.Options
 type Option func(*config)
 
 type config struct {
-	core       core.Options
-	partitions int
-	conc       Concurrency
-	group      *exec.BatcherOptions // nil without WithGroupCommit
+	core  core.Options
+	conc  Concurrency
+	group *exec.BatcherOptions // nil without WithGroupCommit
 }
 
 func applyOptions(opts []Option) config {
@@ -196,12 +195,6 @@ func WithGroupCommit(batchSize int, maxWait time.Duration) Option {
 	return func(c *config) {
 		c.group = &exec.BatcherOptions{BatchSize: batchSize, MaxWait: maxWait}
 	}
-}
-
-// WithPartitions sets the number of source partitions for the hybrid
-// algorithms (ignored by the others).
-func WithPartitions(k int) Option {
-	return func(c *config) { c.partitions = k }
 }
 
 // Algorithms returns every algorithm spec Open accepts (with

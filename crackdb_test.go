@@ -64,13 +64,12 @@ func TestFacadeOptions(t *testing.T) {
 	if res, err := db.Query(ctx, crackdb.Range(10, 20)); err != nil || res.Count() != 10 {
 		t.Fatalf("count = %d (err %v)", res.Count(), err)
 	}
-	h, err := crackdb.Open(crackdb.MakeData(10_000, 4), crackdb.AICC1R,
-		crackdb.WithPartitions(5))
+	h, err := crackdb.Open(crackdb.MakeData(10_000, 4), crackdb.AICC1R)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res, err := h.Query(ctx, crackdb.Range(0, 100)); err != nil || res.Count() != 100 {
-		t.Fatal("hybrid with custom partitions failed")
+		t.Fatal("hybrid failed")
 	}
 }
 

@@ -69,12 +69,14 @@ type Aggregate struct {
 // the read-only accessors (Stats, PendingUpdates, Rows, Columns, Name,
 // Mode) stay readable so shutdown paths can still report final counters.
 type DB struct {
-	mode   Concurrency
 	closed atomic.Bool
 	// A single-column DB is a one-column table whose column is unnamed;
 	// every column is one exec.Backend behind its optional group-commit
 	// batcher.
 	tbl *table.Table
+	// algo and cfg are what the DB was opened with; Reopen reuses them.
+	algo string
+	cfg  config
 }
 
 // Open builds a DB over a single integer column using the named algorithm
@@ -114,11 +116,11 @@ func OpenTable(cols map[string][]int64, algorithm string, opts ...Option) (*DB, 
 	if err != nil {
 		return nil, err
 	}
-	t, err := table.New(cols, algorithm, cfg.conc.m, cfg.core, cfg.partitions, cfg.group)
+	t, err := table.New(cols, algorithm, cfg.conc.m, cfg.core, cfg.group)
 	if err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
-	return &DB{mode: cfg.conc, tbl: t}, nil
+	return &DB{algo: algorithm, cfg: cfg, tbl: t}, nil
 }
 
 // Close marks the handle closed; subsequent queries, updates and
@@ -134,7 +136,7 @@ func (db *DB) Close() error {
 }
 
 // Mode returns the DB's concurrency mode.
-func (db *DB) Mode() Concurrency { return db.mode }
+func (db *DB) Mode() Concurrency { return db.cfg.conc }
 
 // Rows returns the number of rows (tuples) the DB was opened with.
 func (db *DB) Rows() int { return db.tbl.Rows() }
@@ -497,7 +499,7 @@ func (db *DB) Stats() Stats { return db.tbl.Stats() }
 // it touched: the counters measure executor lock traffic. Concurrent
 // table databases sum the counters across their column executors.
 func (db *DB) PathStats() (reads, writes int64, ok bool) {
-	if db.mode.m.Kind == exec.ModeSingle {
+	if db.cfg.conc.m.Kind == exec.ModeSingle {
 		return 0, 0, false
 	}
 	reads, writes = db.tbl.PathStats()

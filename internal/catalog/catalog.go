@@ -20,15 +20,14 @@
 // slots. The catalog adds no locks on the data plane — dispatch is a map
 // lookup and a path rewrite.
 //
-// When Config.AuthToken is set the catalog enforces bearer auth for
-// everything except GET /healthz, mirroring server semantics. Per-table
-// servers should then be constructed without their own AuthToken — auth
-// is a property of the shared listener, not of each tenant.
+// When Config.AuthToken is set the catalog guards everything except GET
+// /healthz with server.BearerAuth, the same check a single server and the
+// coordinator use. Per-table servers should then be constructed without
+// their own AuthToken — auth is a property of the shared listener, not of
+// each tenant.
 package catalog
 
 import (
-	"crypto/subtle"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -50,21 +49,18 @@ type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*server.Server
 
-	mux       *http.ServeMux
-	authToken string
+	handler http.Handler // the mux behind server.BearerAuth
 }
 
 // New builds an empty catalog; register tables with Add before serving.
 func New(cfg Config) *Catalog {
-	c := &Catalog{
-		tables:    make(map[string]*server.Server),
-		mux:       http.NewServeMux(),
-		authToken: cfg.AuthToken,
-	}
-	c.mux.HandleFunc("GET /v1/tables", c.handleList)
-	c.mux.HandleFunc("GET /v1/tables/{name}", c.handleDescribe)
-	c.mux.HandleFunc("/v1/tables/{name}/{rest...}", c.handleDispatch)
-	c.mux.HandleFunc("GET /healthz", c.handleHealth)
+	c := &Catalog{tables: make(map[string]*server.Server)}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/tables", c.handleList)
+	mux.HandleFunc("GET /v1/tables/{name}", c.handleDescribe)
+	mux.HandleFunc("/v1/tables/{name}/{rest...}", c.handleDispatch)
+	mux.HandleFunc("GET /healthz", c.handleHealth)
+	c.handler = server.BearerAuth(cfg.AuthToken, mux)
 	return c
 }
 
@@ -126,31 +122,9 @@ func (c *Catalog) Names() []string {
 	return names
 }
 
-// Handler returns the catalog's HTTP handler, wrapped with bearer-token
-// enforcement when Config.AuthToken is set (GET /healthz stays open for
-// unauthenticated probes).
-func (c *Catalog) Handler() http.Handler {
-	if c.authToken == "" {
-		return c.mux
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && r.URL.Path == "/healthz" {
-			c.mux.ServeHTTP(w, r)
-			return
-		}
-		const prefix = "Bearer "
-		auth := r.Header.Get("Authorization")
-		if len(auth) <= len(prefix) || !strings.EqualFold(auth[:len(prefix)], prefix) ||
-			subtle.ConstantTimeCompare([]byte(auth[len(prefix):]), []byte(c.authToken)) != 1 {
-			writeJSON(w, http.StatusUnauthorized, server.ErrorResponse{
-				Code:  "unauthorized",
-				Error: "missing or invalid bearer token (Authorization: Bearer ...)",
-			})
-			return
-		}
-		c.mux.ServeHTTP(w, r)
-	})
-}
+// Handler returns the catalog's HTTP handler: its mux behind
+// server.BearerAuth with Config.AuthToken.
+func (c *Catalog) Handler() http.Handler { return c.handler }
 
 // ListResponse is the body of GET /v1/tables.
 type ListResponse struct {
@@ -159,7 +133,7 @@ type ListResponse struct {
 
 func (c *Catalog) handleList(w http.ResponseWriter, r *http.Request) {
 	infos := c.describeAll()
-	writeJSON(w, http.StatusOK, ListResponse{Tables: infos})
+	server.WriteJSON(w, http.StatusOK, ListResponse{Tables: infos})
 }
 
 func (c *Catalog) describeAll() []server.TableInfo {
@@ -186,7 +160,7 @@ func (c *Catalog) handleDescribe(w http.ResponseWriter, r *http.Request) {
 	}
 	info := srv.Describe()
 	info.Name = name
-	writeJSON(w, http.StatusOK, info)
+	server.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleDispatch forwards /v1/tables/{name}/{rest...} into the named
@@ -224,18 +198,10 @@ type HealthResponse struct {
 }
 
 func (c *Catalog) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Tables: c.describeAll()})
+	server.WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok", Tables: c.describeAll()})
 }
 
 func writeUnknownTable(w http.ResponseWriter, name string) {
-	writeJSON(w, http.StatusNotFound, server.ErrorResponse{
-		Code:  "unknown_table",
-		Error: fmt.Sprintf("unknown table %q (GET /v1/tables lists the catalog)", name),
-	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	server.WriteError(w, http.StatusNotFound, "unknown_table",
+		fmt.Sprintf("unknown table %q (GET /v1/tables lists the catalog)", name))
 }

@@ -52,7 +52,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -84,7 +83,8 @@ type Config struct {
 	Replicas int
 	// AuthToken, when non-empty, requires the coordinator's own clients
 	// to present "Authorization: Bearer <token>" (GET /healthz stays
-	// open), mirroring the single-server behavior.
+	// open): the coordinator guards its listener with server.BearerAuth,
+	// the same check a single server and the catalog use.
 	AuthToken string
 }
 
@@ -203,7 +203,7 @@ type Coordinator struct {
 	permutation bool
 	algorithm   string
 
-	mux          *http.ServeMux
+	handler      http.Handler // the mux behind server.BearerAuth
 	queries      atomic.Int64
 	migrations   atomic.Int64
 	replications atomic.Int64
@@ -315,17 +315,18 @@ func New(ctx context.Context, urls []string, cfg Config) (*Coordinator, error) {
 	c.loopDone = make(chan struct{})
 	go c.healthLoop(loopCtx)
 
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/query", c.handleQuery)
-	c.mux.HandleFunc("POST /v1/insert", func(w http.ResponseWriter, r *http.Request) { c.handleUpdate(w, r, true) })
-	c.mux.HandleFunc("POST /v1/delete", func(w http.ResponseWriter, r *http.Request) { c.handleUpdate(w, r, false) })
-	c.mux.HandleFunc("POST /v1/migrate", c.handleMigrate)
-	c.mux.HandleFunc("POST /v1/replicate", c.handleReplicate)
-	c.mux.HandleFunc("POST /v1/drain", c.handleDrain)
-	c.mux.HandleFunc("POST /v1/recover", c.handleRecover)
-	c.mux.HandleFunc("GET /v1/stats", c.handleStats)
-	c.mux.HandleFunc("GET /healthz", c.handleHealth)
-	c.mux.HandleFunc("GET /debug/metrics", c.handleMetrics)
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/query", c.handleQuery)
+	mux.HandleFunc("POST /v1/insert", func(w http.ResponseWriter, r *http.Request) { c.handleUpdate(w, r, true) })
+	mux.HandleFunc("POST /v1/delete", func(w http.ResponseWriter, r *http.Request) { c.handleUpdate(w, r, false) })
+	mux.HandleFunc("POST /v1/migrate", c.handleMigrate)
+	mux.HandleFunc("POST /v1/replicate", c.handleReplicate)
+	mux.HandleFunc("POST /v1/drain", c.handleDrain)
+	mux.HandleFunc("POST /v1/recover", c.handleRecover)
+	mux.HandleFunc("GET /v1/stats", c.handleStats)
+	mux.HandleFunc("GET /healthz", c.handleHealth)
+	mux.HandleFunc("GET /debug/metrics", c.handleMetrics)
+	c.handler = server.BearerAuth(cfg.AuthToken, mux)
 	return c, nil
 }
 
@@ -412,26 +413,9 @@ func (c *Coordinator) Close() {
 	<-c.loopDone
 }
 
-// Handler returns the coordinator's HTTP handler, with bearer-token
-// enforcement when configured (GET /healthz stays open).
-func (c *Coordinator) Handler() http.Handler {
-	if c.cfg.AuthToken == "" {
-		return c.mux
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && r.URL.Path == "/healthz" {
-			c.mux.ServeHTTP(w, r)
-			return
-		}
-		auth := r.Header.Get("Authorization")
-		if auth != "Bearer "+c.cfg.AuthToken {
-			writeError(w, http.StatusUnauthorized, "unauthorized",
-				"missing or invalid bearer token (Authorization: Bearer ...)")
-			return
-		}
-		c.mux.ServeHTTP(w, r)
-	})
-}
+// Handler returns the coordinator's HTTP handler: its mux behind
+// server.BearerAuth with Config.AuthToken.
+func (c *Coordinator) Handler() http.Handler { return c.handler }
 
 // Rows returns the cluster-wide row count.
 func (c *Coordinator) Rows() int64 { return c.rows }
@@ -626,27 +610,19 @@ func gather(parts []server.QueryResult) server.QueryResult {
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req server.QueryRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
-	inline := req.Lo != 0 || req.Hi != 0 || len(req.Or) > 0 || req.Col != ""
-	items := req.Queries
-	if items == nil {
-		items = []server.QueryItem{req.QueryItem}
-	} else if inline {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			"give either an inline query or \"queries\", not both")
-		return
-	}
-	if len(items) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "empty \"queries\"")
+	items, err := req.Items()
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	resp := server.QueryResponse{Results: make([]server.QueryResult, 0, len(items))}
 	for _, it := range items {
 		rs, err := itemRanges(it)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+			server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
 		parts := make([]server.QueryResult, len(rs))
@@ -673,15 +649,12 @@ func routeIndexFor(routes []route, v int64) int {
 
 func (c *Coordinator) handleUpdate(w http.ResponseWriter, r *http.Request, insert bool) {
 	var req server.UpdateRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
-	values := req.Values
-	if req.Value != nil {
-		values = append(values, *req.Value)
-	}
-	if len(values) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "no values")
+	values, err := req.List()
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	// Updates hold the read side for their whole span so a migration's
@@ -704,7 +677,7 @@ func (c *Coordinator) handleUpdate(w http.ResponseWriter, r *http.Request, inser
 		}
 		pending += p
 	}
-	writeJSON(w, http.StatusOK, server.UpdateResponse{Pending: pending, Accepted: len(values)})
+	server.WriteJSON(w, http.StatusOK, server.UpdateResponse{Pending: pending, Accepted: len(values)})
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -770,7 +743,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			Skew: float64(maxPiece) / float64(c.rows),
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // ClusterHealth is the coordinator's /healthz body: overall status
@@ -856,7 +829,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 			resp.Status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -1197,11 +1170,11 @@ func (c *Coordinator) findNode(url string) *node {
 
 func (c *Coordinator) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req MigrateRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.To == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "need \"to\": the joining node's URL")
+		server.WriteError(w, http.StatusBadRequest, "bad_request", "need \"to\": the joining node's URL")
 		return
 	}
 	resp, err := c.Migrate(r.Context(), req.To, req.Lo, req.Hi)
@@ -1210,25 +1183,10 @@ func (c *Coordinator) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "migrate:") {
 			status, code = http.StatusBadRequest, "bad_request"
 		}
-		writeError(w, status, code, err.Error())
+		server.WriteError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// --- small wire helpers (the coordinator is not a server.Server, so it
-// carries its own copies of the JSON plumbing) ---
-
-const maxBodyBytes = 8 << 20
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
-		return false
-	}
-	return true
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // rangeUnavailableError reports that a value range currently has no
@@ -1257,23 +1215,13 @@ func writeBackendError(w http.ResponseWriter, err error) {
 	var unavail *rangeUnavailableError
 	if errors.As(err, &unavail) {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "unavailable_range", err.Error())
+		server.WriteError(w, http.StatusServiceUnavailable, "unavailable_range", err.Error())
 		return
 	}
 	var apiErr *server.APIError
 	if errors.As(err, &apiErr) && apiErr.Status < 500 {
-		writeError(w, apiErr.Status, apiErr.Code, err.Error())
+		server.WriteError(w, apiErr.Status, apiErr.Code, err.Error())
 		return
 	}
-	writeError(w, http.StatusBadGateway, "backend_unavailable", err.Error())
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, server.ErrorResponse{Error: msg, Code: code})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	server.WriteError(w, http.StatusBadGateway, "backend_unavailable", err.Error())
 }

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"repro/internal/server"
 )
 
 // DrainMove is one range's journey out of a drained node.
@@ -203,8 +205,8 @@ func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 		if d := c.findNode(backend); d == nil {
 			status, code = http.StatusBadRequest, "bad_request"
 		}
-		writeError(w, status, code, err.Error())
+		server.WriteError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }

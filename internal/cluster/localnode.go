@@ -74,9 +74,6 @@ func StartLocalNode(cfg LocalNodeConfig) (*LocalNode, error) {
 		AuthToken: cfg.AuthToken,
 		ShardLo:   cfg.Lo,
 		ShardHi:   cfg.Hi,
-		Reopen: func(snap crackdb.DBSnapshot) (*crackdb.DB, error) {
-			return crackdb.OpenSnapshot(snap, cfg.Algorithm, opts...)
-		},
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

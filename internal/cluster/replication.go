@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/cluster/client"
+	"repro/internal/server"
 )
 
 // journalOp is one acked update a replica provably missed.
@@ -337,11 +338,11 @@ func (c *Coordinator) AddReplica(ctx context.Context, toURL string, lo, hi int64
 
 func (c *Coordinator) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var req ReplicateRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.To == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "need \"to\": the joining node's URL")
+		server.WriteError(w, http.StatusBadRequest, "bad_request", "need \"to\": the joining node's URL")
 		return
 	}
 	resp, err := c.AddReplica(r.Context(), req.To, req.Lo, req.Hi)
@@ -350,10 +351,10 @@ func (c *Coordinator) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "replicate:") {
 			status, code = http.StatusBadRequest, "bad_request"
 		}
-		writeError(w, status, code, err.Error())
+		server.WriteError(w, status, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleRecover(w http.ResponseWriter, r *http.Request) {
@@ -362,10 +363,10 @@ func (c *Coordinator) handleRecover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.Recover(r.Context(), backend); err != nil {
-		writeError(w, http.StatusBadGateway, "recovery_failed", err.Error())
+		server.WriteError(w, http.StatusBadGateway, "recovery_failed", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	server.WriteJSON(w, http.StatusOK, struct {
 		Backend string `json:"backend"`
 		Status  string `json:"status"`
 	}{Backend: backend, Status: "ok"})
@@ -380,11 +381,11 @@ func backendParam(w http.ResponseWriter, r *http.Request) (string, bool) {
 	var req struct {
 		Backend string `json:"backend"`
 	}
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return "", false
 	}
 	if req.Backend == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "need ?backend= or {\"backend\": ...}")
+		server.WriteError(w, http.StatusBadRequest, "bad_request", "need ?backend= or {\"backend\": ...}")
 		return "", false
 	}
 	return req.Backend, true

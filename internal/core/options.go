@@ -57,7 +57,7 @@ type Options struct {
 	SwapPct int
 
 	// NoCrackSize is the piece-size threshold (in tuples) at or below which
-	// CanAnswerWithoutCracking treats a query bound as converged: the piece
+	// TryAnswerReadOnly treats a query bound as converged: the piece
 	// is scanned read-only instead of being cracked. Defaults to
 	// DefaultNoCrackSize; set it negative to require exact cracks.
 	NoCrackSize int

@@ -10,33 +10,20 @@ package core
 // counters, no shared buffers), so the executor can serve converged
 // queries under a shared lock in parallel.
 
-// CanAnswerWithoutCracking reports whether the range query [a, b) can be
-// answered without any physical reorganization or other engine mutation:
-// each bound either lies exactly on an existing crack or falls in a piece
-// of at most Options.NoCrackSize tuples. It never mutates the engine and
-// is safe to call under a shared lock.
-func (e *Engine) CanAnswerWithoutCracking(a, b int64) bool {
-	n := e.col.Len()
-	if a >= b || n == 0 {
-		return true
-	}
-	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
-	return e.converged(loA, hiA, exactA) && e.converged(loB, hiB, exactB)
-}
-
 // converged reports whether a query bound in the piece [lo, hi) needs no
-// crack: it lies exactly on one, or the piece is small enough that
-// scanning it beats splitting it.
+// crack: it lies exactly on one, or the piece holds at most
+// Options.NoCrackSize tuples, so scanning it beats splitting it.
 func (e *Engine) converged(lo, hi int, exact bool) bool {
 	return exact || hi-lo <= e.opt.NoCrackSize
 }
 
-// TryAnswerReadOnly answers [a, b) without mutating the engine when the
-// query is converged (see CanAnswerWithoutCracking), appending the
-// qualifying values to dst. ok is false — with dst returned unchanged —
-// when answering would require reorganization. Probe and answer share one
-// cracker-index descent (Tree.Bounds), which keeps the executor's read path
-// as cheap as a write-path lookup.
+// TryAnswerReadOnly answers [a, b) without mutating the engine — no
+// cracks, no counters, no shared buffers, so it is safe under a shared
+// lock — when the query is converged: both bounds are converged (see
+// converged). It appends the qualifying values to dst. ok is false — with
+// dst returned unchanged — when answering would require reorganization.
+// Probe and answer share one cracker-index descent (Tree.Bounds), which
+// keeps the executor's read path as cheap as a write-path lookup.
 func (e *Engine) TryAnswerReadOnly(a, b int64, dst []int64) (_ []int64, ok bool) {
 	n := e.col.Len()
 	if a >= b || n == 0 {
@@ -62,32 +49,6 @@ func (e *Engine) TryAnswerReadOnlyAggregate(a, b int64) (count int, sum int64, o
 	}
 	count, sum = e.aggregatePieces(a, b, loA, hiA, exactA, loB, hiB, exactB)
 	return count, sum, true
-}
-
-// AnswerReadOnly appends the qualifying values of [a, b) to dst and
-// returns it, without mutating the engine: no cracks are inserted, no cost
-// counters advance, no shared materialization buffers are touched. It is
-// always correct, but on unconverged bounds it degrades to scanning whole
-// pieces; gate hot paths behind CanAnswerWithoutCracking or use
-// TryAnswerReadOnly, which fuses the probe into the answer.
-func (e *Engine) AnswerReadOnly(a, b int64, dst []int64) []int64 {
-	n := e.col.Len()
-	if a >= b || n == 0 {
-		return dst
-	}
-	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
-	return e.answerPieces(dst, a, b, loA, hiA, exactA, loB, hiB, exactB)
-}
-
-// AnswerReadOnlyAggregate returns the count and sum of the qualifying
-// values of [a, b) under the same no-mutation contract as AnswerReadOnly.
-func (e *Engine) AnswerReadOnlyAggregate(a, b int64) (count int, sum int64) {
-	n := e.col.Len()
-	if a >= b || n == 0 {
-		return 0, 0
-	}
-	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
-	return e.aggregatePieces(a, b, loA, hiA, exactA, loB, hiB, exactB)
 }
 
 // answerPieces assembles the answer from the bound pieces: filtered scans

@@ -81,10 +81,10 @@ func (m Mode) String() string {
 
 // Build builds the named algorithm over values, which the backend owns and
 // reorganizes in place, and serves it in mode. Specs core does not know
-// fall back to the partition/merge hybrids (partitions sets their source
+// fall back to the partition/merge hybrids (with their default source
 // partition count); Sharded mode cannot run those and fails with
 // errors.ErrUnsupported.
-func Build(values []int64, spec string, mode Mode, opt core.Options, partitions int) (Backend, error) {
+func Build(values []int64, spec string, mode Mode, opt core.Options) (Backend, error) {
 	if mode.Kind == ModeSharded {
 		s, err := NewSharded(values, spec, mode.Shards, opt)
 		if errors.Is(err, dberr.ErrUnknownAlgorithm) && slices.Contains(hybrids.Specs(), spec) {
@@ -98,9 +98,8 @@ func Build(values []int64, spec string, mode Mode, opt core.Options, partitions 
 	ix, err := core.Build(values, spec, opt)
 	if errors.Is(err, dberr.ErrUnknownAlgorithm) {
 		h, herr := hybrids.Build(values, spec, hybrids.Options{
-			Seed:          opt.Seed,
-			CrackSize:     opt.CrackSize,
-			NumPartitions: partitions,
+			Seed:      opt.Seed,
+			CrackSize: opt.CrackSize,
 		})
 		if herr != nil {
 			return nil, herr

@@ -14,11 +14,12 @@
 // splitting, and those queries reorganize nothing. Alvarez et al.
 // (arXiv:1404.2034) show that exploiting exactly this is where the payoff
 // of parallel adaptive indexing comes from. The Executor therefore probes
-// each query with the index's non-mutating CanAnswerWithoutCracking: a
-// converged query is answered read-only under a shared lock, in parallel
-// with other converged queries, while a reorganizing query takes the write
-// lock. On a converged workload throughput scales with GOMAXPROCS instead
-// of being serialized behind one mutex.
+// each query with the index's non-mutating TryAnswerReadOnly, which fuses
+// the convergence probe into the answer: a converged query is answered
+// read-only under a shared lock, in parallel with other converged queries,
+// while a reorganizing query takes the write lock. On a converged
+// workload throughput scales with GOMAXPROCS instead of being serialized
+// behind one mutex.
 //
 // The shared lock is striped per P (stripes.go): a converged read locks,
 // counts itself on and unlocks only its own P's stripe, so parallel reads
@@ -57,9 +58,8 @@ type Index interface {
 
 // prober is the optional fast-path surface: fused convergence probe plus
 // read-only answer, sharing one cracker-index descent (see
-// core.Engine.CanAnswerWithoutCracking for the probe alone). core.Engine
-// implements it directly; updates.Index implements it with a
-// pending-update check layered on top.
+// core.Engine.TryAnswerReadOnly). core.Engine implements it directly;
+// updates.Index implements it with a pending-update check layered on top.
 type prober interface {
 	TryAnswerReadOnly(a, b int64, dst []int64) (_ []int64, ok bool)
 	TryAnswerReadOnlyAggregate(a, b int64) (count int, sum int64, ok bool)

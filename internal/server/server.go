@@ -10,17 +10,17 @@
 //	                     (count, sum) aggregates
 //	POST /v1/insert    — queue values for lazy ripple-merge insertion
 //	POST /v1/delete    — queue value removals
-//	POST /v1/snapshot  — capture the live adapted state to the configured
-//	                     snapshot file (admission-gated; atomic temp-file
-//	                     write + rename), for warm restarts. Pending updates
+//	POST /v1/snapshot  — capture the live adapted state into the configured
+//	                     snapshot store key (admission-gated; atomic
+//	                     replace), for warm restarts. Pending updates
 //	                     are captured with the state; {"strict": true}
 //	                     refuses with 409 instead (explicit clean-cut
 //	                     captures)
 //	GET  /v1/snapshot/range?lo=&hi= — capture and stream the manifest of
 //	                     one value range (the shard-migration donor side)
 //	POST /v1/restore   — replace the serving state with the streamed
-//	                     manifest (the migration joiner side; needs
-//	                     Config.Reopen)
+//	                     manifest (the migration joiner side), rebuilt
+//	                     with the served DB's own options (DB.Reopen)
 //	POST /v1/retain    — shrink the serving state to one value range of a
 //	                     fresh capture (the migration donor's final step)
 //	GET  /v1/stats     — index counters, piece-size distribution and
@@ -33,7 +33,11 @@
 // When Config.AuthToken is set, every endpoint except GET /healthz
 // requires "Authorization: Bearer <token>" (401 otherwise); health stays
 // open so load balancers and the cluster coordinator can probe without
-// credentials.
+// credentials. BearerAuth is that check, and the catalog and the cluster
+// coordinator guard their listeners with it too, just as they decode
+// requests and write responses through this package's wire helpers
+// (DecodeBody, WriteJSON, WriteError, QueryRequest.Items,
+// UpdateRequest.List): the three serving shapes share one edge.
 //
 // The handlers stay on the DB's allocation-free forms: a single-range
 // query runs through DB.QueryAppend and a batch through
@@ -114,23 +118,20 @@ type Config struct {
 	// fail-fast behavior (immediate 429). Every 429 carries a Retry-After
 	// header either way.
 	AdmissionWait time.Duration
-	// SnapshotPath is the file POST /v1/snapshot (and the periodic saver,
-	// Server.SaveSnapshot) writes the DB's adapted state to, atomically.
-	// Empty disables the endpoint (422) unless SnapshotStore is set. The
-	// path is fixed at construction — clients trigger the capture but
-	// never choose where it lands.
-	SnapshotPath string
-	// SnapshotStore, when non-nil, receives snapshot captures under
-	// SnapshotKey instead of the SnapshotPath file — the pluggable store
-	// every fleet-shared save/load path uses (crackdb.SnapshotStore;
-	// file-backed today, object-store-shaped by design). When both are
-	// set the store wins.
+	// SnapshotStore receives the captures of POST /v1/snapshot and of the
+	// periodic saver (Server.SaveSnapshot) under SnapshotKey, atomically
+	// (crackdb.SnapshotStore; file-backed today, object-store-shaped by
+	// design; a single snapshot file is a file store holding one key).
+	// Nil disables the endpoint (422). The destination is fixed at
+	// construction — clients trigger the capture but never choose where
+	// it lands.
 	SnapshotStore crackdb.SnapshotStore
-	// SnapshotKey is the store key captures land under (e.g.
+	// SnapshotKey is the store key captures land under (e.g. "db.crks",
 	// "tables/users.crks"). Required when SnapshotStore is set.
 	SnapshotKey string
 	// AuthToken, when non-empty, requires every request except GET
-	// /healthz to carry "Authorization: Bearer <token>" (401 otherwise).
+	// /healthz to carry "Authorization: Bearer <token>" (401 otherwise;
+	// see BearerAuth).
 	AuthToken string
 	// ShardLo/ShardHi is the half-open value range this server owns when
 	// it serves one slice of a cluster dataset. Both zero means the whole
@@ -140,15 +141,12 @@ type Config struct {
 	// Restored marks the initial DB as warm-started from a snapshot, for
 	// the /healthz restored-vs-cold field.
 	Restored bool
-	// Reopen rebuilds a DB from a snapshot manifest with the server's
-	// construction options (algorithm, concurrency mode, tuning) — the
-	// hook POST /v1/restore and /v1/retain use to build the replacement
-	// state. Nil disables both endpoints (422).
-	Reopen func(snap crackdb.DBSnapshot) (*crackdb.DB, error)
 }
 
 // dbState is the swappable serving state: the DB plus what describes it.
-// Restore and retain build a new state and swap the pointer atomically;
+// Restore and retain build a new state (DB.Reopen on the current DB, so
+// the replacement keeps its algorithm, mode and tuning) and swap the
+// pointer atomically;
 // requests in flight finish against the state they loaded. The replaced
 // DB is not closed — late responses drain from it, then the GC takes it.
 type dbState struct {
@@ -165,8 +163,8 @@ type Server struct {
 	// that snapshot throughout (restore/retain swap the pointer live).
 	st atomic.Pointer[dbState]
 
-	authToken string
-	reopen    func(snap crackdb.DBSnapshot) (*crackdb.DB, error)
+	// handler is the mux behind BearerAuth.
+	handler http.Handler
 	// swapMu serializes state swaps (restore, retain), so two concurrent
 	// migrations cannot interleave capture-then-swap sequences.
 	swapMu sync.Mutex
@@ -191,11 +189,10 @@ type Server struct {
 	conv   stats.Convergence
 
 	// snapMu serializes snapshot captures (endpoint and periodic saver):
-	// concurrent captures would race on the temp file, and back-to-back
+	// concurrent captures would race on the store key, and back-to-back
 	// drains of the executor buy nothing. It is never held while waiting
 	// for an admission slot, so it cannot deadlock against the limit.
 	snapMu        sync.Mutex
-	snapshotPath  string
 	snapshotStore crackdb.SnapshotStore
 	snapshotKey   string
 	snapshots     atomic.Int64
@@ -213,7 +210,7 @@ type Server struct {
 // New builds a Server over db. The Server does not own the DB: callers
 // close it after the HTTP server has drained.
 func New(db *crackdb.DB, cfg Config) *Server {
-	s := &Server{authToken: cfg.AuthToken, reopen: cfg.Reopen}
+	s := &Server{}
 	lo, hi := cfg.ShardLo, cfg.ShardHi
 	if lo == 0 && hi == 0 {
 		lo, hi = math.MinInt64, math.MaxInt64
@@ -232,7 +229,6 @@ func New(db *crackdb.DB, cfg Config) *Server {
 		s.sem = make(chan struct{}, s.maxInFlight)
 	}
 	s.admissionWait = cfg.AdmissionWait
-	s.snapshotPath = cfg.SnapshotPath
 	s.snapshotStore = cfg.SnapshotStore
 	s.snapshotKey = cfg.SnapshotKey
 	s.met.init()
@@ -248,6 +244,7 @@ func New(db *crackdb.DB, cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.instrument(epHealth, s.handleHealth))
 	s.mux.HandleFunc("POST /v1/drain", s.instrument(epHealth, s.handleDrain))
 	s.mux.HandleFunc("GET /debug/metrics", s.handleMetrics)
+	s.handler = BearerAuth(cfg.AuthToken, s.mux)
 	return s
 }
 
@@ -284,27 +281,35 @@ func (s *Server) Describe() TableInfo {
 	}
 }
 
-// Handler returns the Server's HTTP handler: the API mux, wrapped with
-// bearer-token enforcement when Config.AuthToken is set (GET /healthz
-// stays open for unauthenticated probes).
-func (s *Server) Handler() http.Handler {
-	if s.authToken == "" {
-		return s.mux
+// Handler returns the Server's HTTP handler: the API mux behind
+// BearerAuth with Config.AuthToken.
+func (s *Server) Handler() http.Handler { return s.handler }
+
+// BearerAuth is the one bearer check of every serving shape (server,
+// catalog, coordinator): it wraps h so every request except GET /healthz
+// must carry "Authorization: Bearer <token>", answering 401 otherwise.
+// The scheme matches case-insensitively and the token in constant time.
+// With an empty token it returns h itself. Health stays open so load
+// balancers and the coordinator can probe without credentials.
+func BearerAuth(token string, h http.Handler) http.Handler {
+	if token == "" {
+		return h
 	}
+	want := []byte(token)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && r.URL.Path == "/healthz" {
-			s.mux.ServeHTTP(w, r)
+			h.ServeHTTP(w, r)
 			return
 		}
 		const prefix = "Bearer "
 		auth := r.Header.Get("Authorization")
 		if len(auth) <= len(prefix) || !strings.EqualFold(auth[:len(prefix)], prefix) ||
-			subtle.ConstantTimeCompare([]byte(auth[len(prefix):]), []byte(s.authToken)) != 1 {
-			writeError(w, http.StatusUnauthorized, "unauthorized",
+			subtle.ConstantTimeCompare([]byte(auth[len(prefix):]), want) != 1 {
+			WriteError(w, http.StatusUnauthorized, "unauthorized",
 				"missing or invalid bearer token (Authorization: Bearer ...)")
 			return
 		}
-		s.mux.ServeHTTP(w, r)
+		h.ServeHTTP(w, r)
 	})
 }
 
@@ -360,6 +365,27 @@ type QueryRequest struct {
 	Aggregate bool        `json:"aggregate,omitempty"`
 }
 
+var (
+	errInlineAndBatch = errors.New("give either an inline query or \"queries\", not both")
+	errEmptyBatch     = errors.New("empty \"queries\"")
+	errNoValues       = errors.New("no values")
+)
+
+// Items returns the request's queries — the inline one alone when there
+// is no "queries" batch — or the error that makes the request a 400.
+func (q *QueryRequest) Items() ([]QueryItem, error) {
+	if q.Queries == nil {
+		return []QueryItem{q.QueryItem}, nil
+	}
+	if q.Lo != 0 || q.Hi != 0 || len(q.Or) > 0 || q.Col != "" {
+		return nil, errInlineAndBatch
+	}
+	if len(q.Queries) == 0 {
+		return nil, errEmptyBatch
+	}
+	return q.Queries, nil
+}
+
 // QueryResult is one query's answer. Values is omitted for aggregate
 // requests; Count and Sum are always filled.
 type QueryResult struct {
@@ -382,6 +408,19 @@ type UpdateRequest struct {
 	Value  *int64  `json:"value,omitempty"`
 	Values []int64 `json:"values,omitempty"`
 	Col    string  `json:"col,omitempty"`
+}
+
+// List returns the request's values — "values" then "value" — or the
+// error that makes the request a 400.
+func (u *UpdateRequest) List() ([]int64, error) {
+	values := u.Values
+	if u.Value != nil {
+		values = append(values, *u.Value)
+	}
+	if len(values) == 0 {
+		return nil, errNoValues
+	}
+	return values, nil
 }
 
 // UpdateResponse reports the queue depth after the update: updates merge
@@ -578,7 +617,7 @@ func (s *Server) rejectOverCapacity(w http.ResponseWriter) {
 		}
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeError(w, http.StatusTooManyRequests, "over_capacity",
+	WriteError(w, http.StatusTooManyRequests, "over_capacity",
 		fmt.Sprintf("server at its in-flight limit (%d); retry", s.maxInFlight))
 }
 
@@ -605,24 +644,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req QueryRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
-	inline := req.Lo != 0 || req.Hi != 0 || len(req.Or) > 0 || req.Col != ""
-	items := req.Queries
-	single := false
-	if items == nil {
-		items = []QueryItem{req.QueryItem}
-		single = true
-	} else if inline {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			"give either an inline query or \"queries\", not both")
+	items, err := req.Items()
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	if len(items) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "empty \"queries\"")
-		return
-	}
+	single := req.Queries == nil
 
 	qb := bufPool.Get().(*queryBuffers)
 	defer bufPool.Put(qb)
@@ -630,7 +660,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	for _, it := range items {
 		p, err := it.Predicate()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+			WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
 		qb.preds = append(qb.preds, p)
@@ -640,7 +670,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	db := s.state().db
 	unlock := s.lockSerial()
-	err := func() error {
+	err = func() error {
 		switch {
 		case req.Aggregate:
 			for _, p := range qb.preds {
@@ -708,15 +738,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, del bool) 
 	db := s.state().db
 
 	var req UpdateRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
-	values := req.Values
-	if req.Value != nil {
-		values = append(values, *req.Value)
-	}
-	if len(values) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", "no values")
+	values, err := req.List()
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	// The whole value list rides one batch through one exclusive section
@@ -740,7 +767,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, del bool) 
 		return
 	}
 	s.met.observeUpdate(tm)
-	writeJSON(w, http.StatusOK, UpdateResponse{
+	WriteJSON(w, http.StatusOK, UpdateResponse{
 		Pending:  pending,
 		Accepted: len(values),
 		Grouped:  tm.Grouped,
@@ -771,9 +798,9 @@ type SnapshotResponse struct {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.snapshotPath == "" && s.snapshotStore == nil {
-		writeError(w, http.StatusUnprocessableEntity, "snapshot_unconfigured",
-			"server started without a snapshot path (-snapshot) or store (-snapshot-store)")
+	if s.snapshotStore == nil {
+		WriteError(w, http.StatusUnprocessableEntity, "snapshot_unconfigured",
+			"server started without a snapshot destination (-snapshot or -snapshot-store)")
 		return
 	}
 	var req SnapshotRequest
@@ -798,16 +825,16 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeMappedError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-// SaveSnapshot captures the DB's live adapted state and writes it to the
-// configured snapshot store key (or path; atomic either way). The
-// capture happens under the DB's own drain (exclusive per executor); the
-// store write happens after, outside every DB lock. Both the endpoint
-// and the periodic saver (cmd/crackserver -snapshot-interval) funnel
-// through here, serialized by snapMu. Pending updates are captured with
-// the state, never refused.
+// SaveSnapshot captures the DB's live adapted state and writes it to
+// Config.SnapshotStore under Config.SnapshotKey, atomically; the server
+// must have a store. The capture happens under the DB's own drain
+// (exclusive per executor); the store write happens after, outside every
+// DB lock. Both the endpoint and the periodic saver (cmd/crackserver
+// -snapshot-interval) funnel through here, serialized by snapMu. Pending
+// updates are captured with the state, never refused.
 func (s *Server) SaveSnapshot() (SnapshotResponse, error) { return s.saveSnapshot(false) }
 
 func (s *Server) saveSnapshot(strict bool) (SnapshotResponse, error) {
@@ -827,31 +854,20 @@ func (s *Server) saveSnapshot(strict bool) (SnapshotResponse, error) {
 	if err != nil {
 		return SnapshotResponse{}, err
 	}
-	// Where the capture lands: the store under its key when one is
-	// configured, the snapshot file otherwise. diskPath is the file to
-	// stat for the response's size (a file-backed store exposes the key's
-	// stable file mapping; a purely remote store reports zero bytes).
-	dest, diskPath := s.snapshotPath, s.snapshotPath
-	if s.snapshotStore != nil {
-		dest, diskPath = s.snapshotKey, ""
-		if err := s.snapshotStore.Save(s.snapshotKey, snap); err != nil {
-			return SnapshotResponse{}, err
-		}
-		if fs, ok := s.snapshotStore.(interface{ Path(string) string }); ok {
-			diskPath = fs.Path(s.snapshotKey)
-		}
-	} else if err := crackdb.SaveSnapshotFile(s.snapshotPath, snap); err != nil {
+	if err := s.snapshotStore.Save(s.snapshotKey, snap); err != nil {
 		return SnapshotResponse{}, err
 	}
+	// A file-backed store exposes the key's stable file mapping, whose
+	// size the response reports; a purely remote store reports zero bytes.
 	var size int64
-	if diskPath != "" {
-		if fi, err := os.Stat(diskPath); err == nil {
+	if fs, ok := s.snapshotStore.(interface{ Path(string) string }); ok {
+		if fi, err := os.Stat(fs.Path(s.snapshotKey)); err == nil {
 			size = fi.Size()
 		}
 	}
 	s.snapshots.Add(1)
 	return SnapshotResponse{
-		Path:      dest,
+		Path:      s.snapshotKey,
 		Rows:      snap.Rows(),
 		Parts:     snapParts(snap),
 		Pieces:    snap.Pieces(),
@@ -910,7 +926,7 @@ func rangeParams(w http.ResponseWriter, r *http.Request) (lo, hi int64, ok bool)
 	lo, err1 := strconv.ParseInt(r.URL.Query().Get("lo"), 10, 64)
 	hi, err2 := strconv.ParseInt(r.URL.Query().Get("hi"), 10, 64)
 	if err1 != nil || err2 != nil || lo >= hi {
-		writeError(w, http.StatusBadRequest, "bad_request", "need integer query params lo < hi")
+		WriteError(w, http.StatusBadRequest, "bad_request", "need integer query params lo < hi")
 		return 0, 0, false
 	}
 	return lo, hi, true
@@ -962,11 +978,6 @@ type RestoreResponse struct {
 // value range the node now owns (reported on /healthz); they default to
 // the whole domain.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	if s.reopen == nil {
-		writeError(w, http.StatusUnprocessableEntity, "restore_unconfigured",
-			"server started without a restore hook")
-		return
-	}
 	// Check the declared range before the stream is decoded and the DB
 	// rebuilt: a bad request must cost nothing.
 	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
@@ -985,18 +996,18 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	snap, err := crackdb.ReadSnapshot(http.MaxBytesReader(w, r.Body, maxRestoreBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding snapshot stream: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", "decoding snapshot stream: "+err.Error())
 		return
 	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	db, err := s.reopen(snap)
+	db, err := s.state().db.Reopen(snap)
 	if err != nil {
 		writeMappedError(w, err)
 		return
 	}
 	s.swapState(db, lo, hi)
-	writeJSON(w, http.StatusOK, RestoreResponse{
+	WriteJSON(w, http.StatusOK, RestoreResponse{
 		Rows: snap.Rows(), Parts: snapParts(snap), Pieces: snap.Pieces(),
 		Pending: snap.Pending(), ShardLo: lo, ShardHi: hi,
 		ElapsedMS: time.Since(start).Milliseconds(),
@@ -1014,17 +1025,12 @@ type RetainRequest struct {
 // range was handed to the joiner and the routing table swapped. Cracks
 // and pending updates inside the kept range survive.
 func (s *Server) handleRetain(w http.ResponseWriter, r *http.Request) {
-	if s.reopen == nil {
-		writeError(w, http.StatusUnprocessableEntity, "restore_unconfigured",
-			"server started without a restore hook")
-		return
-	}
 	var req RetainRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Lo >= req.Hi {
-		writeError(w, http.StatusBadRequest, "bad_request", "need lo < hi")
+		WriteError(w, http.StatusBadRequest, "bad_request", "need lo < hi")
 		return
 	}
 	release, ok := s.admit(r.Context())
@@ -1040,13 +1046,13 @@ func (s *Server) handleRetain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	db, err := s.reopen(part)
+	db, err := s.state().db.Reopen(part)
 	if err != nil {
 		writeMappedError(w, err)
 		return
 	}
 	s.swapState(db, req.Lo, req.Hi)
-	writeJSON(w, http.StatusOK, RestoreResponse{
+	WriteJSON(w, http.StatusOK, RestoreResponse{
 		Rows: part.Rows(), Parts: 1, Pieces: part.Pieces(),
 		Pending: part.Pending(), ShardLo: req.Lo, ShardHi: req.Hi,
 		ElapsedMS: time.Since(start).Milliseconds(),
@@ -1121,7 +1127,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		s.convMu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -1135,7 +1141,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status: status, Name: cur.db.Name(), Mode: cur.db.Mode().String(),
 		Rows: int64(cur.db.Rows()), ShardLo: cur.lo, ShardHi: cur.hi,
 		Pieces: pieces, Restored: cur.restored, PendingUpdates: pending,
@@ -1150,7 +1156,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.draining.Store(true)
 	cur := s.state()
-	writeJSON(w, http.StatusOK, DrainResponse{Draining: true, Rows: int64(cur.db.Rows())})
+	WriteJSON(w, http.StatusOK, DrainResponse{Draining: true, Rows: int64(cur.db.Rows())})
 }
 
 // instrument wraps a handler with request counting and, for the query
@@ -1194,13 +1200,13 @@ const maxBodyBytes = 8 << 20
 // series is echoed back whole, response sizes) for the process lifetime.
 const maxConvergenceSamples = 512
 
-// decodeBody strictly decodes the JSON request body into v, writing the
+// DecodeBody strictly decodes the JSON request body into v, writing the
 // 400 itself on failure.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
 		return false
 	}
 	return true
@@ -1211,13 +1217,13 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // network are still off the table.
 const maxRestoreBytes = 1 << 30
 
-// decodeOptionalBody is decodeBody for endpoints whose body may be
+// decodeOptionalBody is DecodeBody for endpoints whose body may be
 // legitimately empty (POST /v1/snapshot predates its request type); an
 // empty or whitespace body leaves v at its zero value.
 func decodeOptionalBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
 		return false
 	}
 	if len(bytes.TrimSpace(body)) == 0 {
@@ -1226,7 +1232,7 @@ func decodeOptionalBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
 		return false
 	}
 	return true
@@ -1262,14 +1268,17 @@ func statusFor(err error) (int, string) {
 
 func writeMappedError(w http.ResponseWriter, err error) {
 	status, code := statusFor(err)
-	writeError(w, status, code, err.Error())
+	WriteError(w, status, code, err.Error())
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg, Code: code})
+// WriteError writes the flat {"error","code"} body of every non-2xx
+// response.
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
+	WriteJSON(w, status, ErrorResponse{Error: msg, Code: code})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON response body with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	// An encode failure after WriteHeader cannot change the status; the

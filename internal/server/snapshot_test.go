@@ -25,11 +25,22 @@ func decodeSnapshot(t *testing.T, body []byte) SnapshotResponse {
 	return resp
 }
 
+// fileDest returns a Config whose captures land in the file at path: a
+// file store rooted at its directory, keyed by its base name.
+func fileDest(t *testing.T, path string) Config {
+	t.Helper()
+	store, err := crackdb.NewFileSnapshotStore(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{SnapshotStore: store, SnapshotKey: filepath.Base(path)}
+}
+
 func TestSnapshotEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "live.crks")
 	for _, mode := range []crackdb.Concurrency{crackdb.Single, crackdb.Shared, crackdb.Sharded(4)} {
-		s := newTestServer(t, mode, Config{SnapshotPath: path})
+		s := newTestServer(t, mode, fileDest(t, path))
 		// Warm the index so the capture carries real refinement.
 		for i := 0; i < 30; i++ {
 			lo := int64(i * 300)
@@ -43,7 +54,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 			t.Fatalf("%v: snapshot status %d: %s", mode, rec.Code, rec.Body)
 		}
 		resp := decodeSnapshot(t, rec.Body.Bytes())
-		if resp.Path != path || resp.Rows != testRows || resp.Bytes == 0 {
+		if resp.Path != "live.crks" || resp.Rows != testRows || resp.Bytes == 0 {
 			t.Fatalf("%v: snapshot response %+v", mode, resp)
 		}
 		wantParts := 1
@@ -76,16 +87,18 @@ func TestSnapshotEndpoint(t *testing.T) {
 }
 
 // TestRestoreChecksRangeBeforeRebuilding: POST /v1/restore refuses a bad
-// ?lo=&hi= before it decodes the stream or rebuilds the DB, and a good
-// restore rebuilds exactly once.
+// ?lo=&hi= with a 400 and leaves the serving state alone — /healthz keeps
+// the original range and restored: false until the good restore.
 func TestRestoreChecksRangeBeforeRebuilding(t *testing.T) {
-	var reopens atomic.Int64
-	s := newTestServer(t, crackdb.Shared, Config{
-		Reopen: func(snap crackdb.DBSnapshot) (*crackdb.DB, error) {
-			reopens.Add(1)
-			return crackdb.OpenSnapshot(snap, crackdb.DD1R, crackdb.WithConcurrency(crackdb.Shared))
-		},
-	})
+	s := newTestServer(t, crackdb.Shared, Config{})
+	health := func() HealthResponse {
+		t.Helper()
+		var h HealthResponse
+		if rec := get(t, s, "/healthz"); rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &h) != nil {
+			t.Fatalf("healthz status %d: %s", rec.Code, rec.Body)
+		}
+		return h
+	}
 	capture := get(t, s, "/v1/snapshot/range?lo=0&hi=5000")
 	if capture.Code != http.StatusOK {
 		t.Fatalf("capture status %d: %s", capture.Code, capture.Body)
@@ -95,9 +108,9 @@ func TestRestoreChecksRangeBeforeRebuilding(t *testing.T) {
 		if rec := post(t, s, "/v1/restore?"+bad, stream); rec.Code != http.StatusBadRequest {
 			t.Fatalf("restore ?%s: status %d, want 400", bad, rec.Code)
 		}
-	}
-	if n := reopens.Load(); n != 0 {
-		t.Fatalf("bad-range restores rebuilt the DB %d times, want 0", n)
+		if h := health(); h.ShardLo != math.MinInt64 || h.ShardHi != math.MaxInt64 || h.Restored || h.Rows != testRows {
+			t.Fatalf("after restore ?%s: healthz %+v; want the original whole-domain cold state", bad, h)
+		}
 	}
 	rec := post(t, s, "/v1/restore?lo=0&hi=5000", stream)
 	if rec.Code != http.StatusOK {
@@ -107,8 +120,11 @@ func TestRestoreChecksRangeBeforeRebuilding(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if n := reopens.Load(); n != 1 || resp.Rows != 5000 || resp.ShardLo != 0 || resp.ShardHi != 5000 {
-		t.Fatalf("good restore: %d rebuilds, response %+v; want 1 rebuild of 5000 rows owning [0, 5000)", n, resp)
+	if resp.Rows != 5000 || resp.ShardLo != 0 || resp.ShardHi != 5000 {
+		t.Fatalf("good restore: response %+v; want 5000 rows owning [0, 5000)", resp)
+	}
+	if h := health(); h.ShardLo != 0 || h.ShardHi != 5000 || !h.Restored || h.Rows != 5000 {
+		t.Fatalf("after the good restore: healthz %+v; want 5000 restored rows owning [0, 5000)", h)
 	}
 }
 
@@ -116,11 +132,7 @@ func TestRestoreChecksRangeBeforeRebuilding(t *testing.T) {
 // owns the whole domain, and reports a table stream's shape: its rows,
 // its parts summed over columns and its pieces.
 func TestRestoreBothShapesWithoutRange(t *testing.T) {
-	s := newTestServer(t, crackdb.Shared, Config{
-		Reopen: func(snap crackdb.DBSnapshot) (*crackdb.DB, error) {
-			return crackdb.OpenSnapshot(snap, crackdb.DD1R, crackdb.WithConcurrency(crackdb.Shared))
-		},
-	})
+	s := newTestServer(t, crackdb.Shared, Config{})
 	restore := func(stream string) RestoreResponse {
 		t.Helper()
 		rec := post(t, s, "/v1/restore", stream)
@@ -181,12 +193,7 @@ func TestRangeCaptureOnTableIsUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	s := New(db, Config{
-		Info: Info{Rows: 1_000, Algorithm: crackdb.DD1R},
-		Reopen: func(snap crackdb.DBSnapshot) (*crackdb.DB, error) {
-			return crackdb.OpenSnapshot(snap, crackdb.DD1R, crackdb.WithConcurrency(crackdb.Shared))
-		},
-	})
+	s := New(db, Config{Info: Info{Rows: 1_000, Algorithm: crackdb.DD1R}})
 	for name, rec := range map[string]*httptest.ResponseRecorder{
 		"range capture": get(t, s, "/v1/snapshot/range?lo=0&hi=100"),
 		"retain":        post(t, s, "/v1/retain", `{"lo":0,"hi":100}`),
@@ -212,7 +219,7 @@ func TestSnapshotUnconfigured(t *testing.T) {
 
 func TestSnapshotPendingUpdatesConflict(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "live.crks")
-	s := newTestServer(t, crackdb.Shared, Config{SnapshotPath: path})
+	s := newTestServer(t, crackdb.Shared, fileDest(t, path))
 	if rec := post(t, s, "/v1/insert", `{"value": 42}`); rec.Code != http.StatusOK {
 		t.Fatalf("insert status %d", rec.Code)
 	}
@@ -259,7 +266,9 @@ func TestSnapshotPendingUpdatesConflict(t *testing.T) {
 func TestSnapshotUnderLoad(t *testing.T) {
 	for _, mode := range []crackdb.Concurrency{crackdb.Shared, crackdb.Sharded(4)} {
 		path := filepath.Join(t.TempDir(), "under-load.crks")
-		s := newTestServer(t, mode, Config{SnapshotPath: path, MaxInFlight: 4})
+		cfg := fileDest(t, path)
+		cfg.MaxInFlight = 4
+		s := newTestServer(t, mode, cfg)
 
 		const clients = 6
 		var wg sync.WaitGroup

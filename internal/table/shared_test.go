@@ -19,7 +19,7 @@ func TestSharedTableConcurrentColumns(t *testing.T) {
 	for i, v := range a {
 		b[i] = v * 2
 	}
-	tbl, err := New(map[string][]int64{"a": a, "b": b}, "dd1r", exec.Mode{Kind: exec.ModeShared}, core.Options{Seed: 32}, 0, nil)
+	tbl, err := New(map[string][]int64{"a": a, "b": b}, "dd1r", exec.Mode{Kind: exec.ModeShared}, core.Options{Seed: 32}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSharedTableConcurrentColumns(t *testing.T) {
 }
 
 func TestSharedTableErrors(t *testing.T) {
-	tbl, err := New(map[string][]int64{"a": {1, 2, 3}}, "crack", exec.Mode{Kind: exec.ModeShared}, core.Options{}, 0, nil)
+	tbl, err := New(map[string][]int64{"a": {1, 2, 3}}, "crack", exec.Mode{Kind: exec.ModeShared}, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

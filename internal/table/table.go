@@ -88,10 +88,10 @@ type crackerMap struct {
 // New creates a table from named columns, all of equal length, served in
 // mode; the table owns the slices afterwards. algorithm selects the
 // cracking flavor for selection indexes (any core spec, e.g. "crack",
-// "dd1r", "pmdd1r-10", or a partition/merge hybrid with partitions source
-// partitions outside projection tables); a non-nil group attaches a
-// group-commit batcher to every column backend.
-func New(cols map[string][]int64, algorithm string, mode exec.Mode, opt core.Options, partitions int, group *exec.BatcherOptions) (*Table, error) {
+// "dd1r", "pmdd1r-10", or a partition/merge hybrid outside projection
+// tables); a non-nil group attaches a group-commit batcher to every
+// column backend.
+func New(cols map[string][]int64, algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
 	names := slices.Sorted(maps.Keys(cols))
 	rows := 0
 	for i, name := range names {
@@ -115,7 +115,7 @@ func New(cols map[string][]int64, algorithm string, mode exec.Mode, opt core.Opt
 		return t, nil
 	}
 	for i, name := range names {
-		b, err := exec.Build(cols[name], algorithm, t.mode, opt, partitions)
+		b, err := exec.Build(cols[name], algorithm, t.mode, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +231,7 @@ func (t *Table) column(i int) (*exec.Column, error) {
 	if s.col == nil {
 		opt := t.opt
 		opt.TrackRowIDs = true
-		b, err := exec.Build(slices.Clone(s.base), t.algo, t.mode, opt, 0)
+		b, err := exec.Build(slices.Clone(s.base), t.algo, t.mode, opt)
 		if err != nil {
 			return nil, err
 		}

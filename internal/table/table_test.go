@@ -22,7 +22,7 @@ func makeTable(t *testing.T, n int, algo string) (*Table, []int64) {
 		b[i] = v * 2
 		c[i] = -v
 	}
-	tbl, err := New(map[string][]int64{"a": a, "b": b, "c": c}, algo, exec.Mode{}, core.Options{Seed: 5}, 0, nil)
+	tbl, err := New(map[string][]int64{"a": a, "b": b, "c": c}, algo, exec.Mode{}, core.Options{Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +65,13 @@ func TestTableBasics(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, "crack", exec.Mode{}, core.Options{}, 0, nil); err == nil {
+	if _, err := New(nil, "crack", exec.Mode{}, core.Options{}, nil); err == nil {
 		t.Fatal("empty table accepted")
 	}
-	if _, err := New(map[string][]int64{"a": {1, 2}, "b": {1}}, "crack", exec.Mode{}, core.Options{}, 0, nil); err == nil {
+	if _, err := New(map[string][]int64{"a": {1, 2}, "b": {1}}, "crack", exec.Mode{}, core.Options{}, nil); err == nil {
 		t.Fatal("ragged columns accepted")
 	}
-	if _, err := New(map[string][]int64{"a": {1}}, "bogus", exec.Mode{}, core.Options{}, 0, nil); err == nil {
+	if _, err := New(map[string][]int64{"a": {1}}, "bogus", exec.Mode{}, core.Options{}, nil); err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}
 }
@@ -221,7 +221,7 @@ func TestSelectionIndexesIndependentPerAttribute(t *testing.T) {
 		pieces int
 	}{{exec.Mode{Kind: exec.ModeShared}, 1}, {exec.Mode{Kind: exec.ModeSharded, Shards: 2}, 2}} {
 		a := xrand.New(1).Perm(2000)
-		tbl, err := New(map[string][]int64{"a": a, "b": slices.Clone(a)}, "crack", tc.mode, core.Options{Seed: 5}, 0, nil)
+		tbl, err := New(map[string][]int64{"a": a, "b": slices.Clone(a)}, "crack", tc.mode, core.Options{Seed: 5}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -444,18 +444,10 @@ func (u *Index) Query(a, b int64) core.Result {
 	return u.inner.Query(a, b)
 }
 
-// CanAnswerWithoutCracking reports whether [a, b) can be answered without
-// mutating the index: no pending update falls in the range and both query
-// bounds are converged in the underlying engine. It is the probe the
-// adaptive executor (internal/exec) uses to route queries to its shared
-// read path, and never mutates any state.
-func (u *Index) CanAnswerWithoutCracking(a, b int64) bool {
-	return !u.pending.PendingInRange(a, b) && u.engine.CanAnswerWithoutCracking(a, b)
-}
-
 // TryAnswerReadOnly answers [a, b) without mutating the index when no
 // pending update falls in the range and both bounds are converged,
-// appending to dst; ok is false otherwise.
+// appending to dst; ok is false otherwise. It is the probe-and-answer the
+// adaptive executor (internal/exec) routes its shared read path through.
 func (u *Index) TryAnswerReadOnly(a, b int64, dst []int64) (_ []int64, ok bool) {
 	if u.pending.PendingInRange(a, b) {
 		return dst, false

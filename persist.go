@@ -68,6 +68,18 @@ func OpenSnapshot(snap DBSnapshot, algorithm string, opts ...Option) (*DB, error
 	if err != nil {
 		return nil, err
 	}
+	return openSnapshot(snap, algorithm, cfg)
+}
+
+// Reopen restores a new DB from snap with the algorithm and options db
+// was opened with: OpenSnapshot without restating them. The serving layer
+// rebuilds its state through it on a live restore or retain, so the
+// replacement keeps the mode and tuning (group commit, parallel crack).
+func (db *DB) Reopen(snap DBSnapshot) (*DB, error) {
+	return openSnapshot(snap, db.algo, db.cfg)
+}
+
+func openSnapshot(snap DBSnapshot, algorithm string, cfg config) (*DB, error) {
 	if err := snap.Validate(); err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
@@ -75,7 +87,7 @@ func OpenSnapshot(snap DBSnapshot, algorithm string, opts ...Option) (*DB, error
 	if err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
-	return &DB{mode: cfg.conc, tbl: t}, nil
+	return &DB{algo: algorithm, cfg: cfg, tbl: t}, nil
 }
 
 // OpenSnapshotFile reads a snapshot file written by SaveSnapshot and

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	crackdb "repro"
 	"repro/internal/snapshot"
@@ -431,5 +432,49 @@ func TestColumnDBSnapshotIsUnnamedColumn(t *testing.T) {
 				restored.Close()
 			}
 		})
+	}
+}
+
+// TestReopenKeepsOpenOptions: DB.Reopen restores a snapshot with the
+// algorithm, mode and tuning the DB was opened with — the rebuild the
+// serving layer does on a live restore or retain.
+func TestReopenKeepsOpenOptions(t *testing.T) {
+	ctx := context.Background()
+	db, err := crackdb.Open(crackdb.MakeData(20_000, 3), crackdb.DD1R, crackdb.WithSeed(4),
+		crackdb.WithConcurrency(crackdb.Sharded(3)), crackdb.WithGroupCommit(16, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for lo := int64(0); lo < 20_000; lo += 1_000 {
+		if _, err := db.Query(ctx, crackdb.Range(lo, lo+300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Insert(30_000); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := db.Reopen(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Mode() != db.Mode() || re.Name() != db.Name() || re.Rows() != db.Rows() {
+		t.Fatalf("reopened %s %q %d rows, want %s %q %d rows",
+			re.Mode(), re.Name(), re.Rows(), db.Mode(), db.Name(), db.Rows())
+	}
+	if _, ok := re.GroupCommitStats(); !ok {
+		t.Fatal("reopened DB lost group commit")
+	}
+	if got, want := re.Stats().Pieces, snap.Pieces(); got < want {
+		t.Fatalf("reopened DB has %d pieces, the snapshot %d", got, want)
+	}
+	agg, err := re.QueryAggregate(ctx, crackdb.Range(100, 30_001))
+	if err != nil || agg.Count != 19_900+1 || agg.Sum != (100+19_999)*19_900/2+30_000 {
+		t.Fatalf("reopened aggregate %+v (err %v)", agg, err)
 	}
 }

@@ -17,7 +17,7 @@ func TestSynchronizedHybridFallback(t *testing.T) {
 	const n = 30_000
 	ctx := context.Background()
 	for _, spec := range []string{crackdb.AICS, crackdb.AICC1R} {
-		db, err := crackdb.Open(crackdb.MakeData(n, 17), spec, crackdb.WithSeed(18), crackdb.WithPartitions(4),
+		db, err := crackdb.Open(crackdb.MakeData(n, 17), spec, crackdb.WithSeed(18),
 			crackdb.WithConcurrency(crackdb.Shared))
 		if err != nil {
 			t.Fatal(err)

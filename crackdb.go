@@ -39,8 +39,8 @@
 //
 // Every read honors context cancellation — long batches and shard
 // fan-outs abort between ranges — and failures wrap sentinel errors
-// (ErrUnknownAlgorithm, ErrUpdatesUnsupported, ErrUnknownColumn, ...)
-// for errors.Is classification.
+// (ErrUnknownAlgorithm, ErrUnknownColumn, ErrClosed, ...) for errors.Is
+// classification.
 //
 // Latency-sensitive callers use the allocation-free forms: QueryAppend
 // appends into a caller-owned buffer and QueryBatchAppend materializes a
@@ -49,13 +49,16 @@
 //
 // # Algorithms
 //
-// The paper's full algorithm family is available: original cracking
-// (Crack), the Scan and Sort baselines, data-driven stochastic cracking
-// (DDC, DDR, DD1C, DD1R), stochastic cracking with materialization
-// (MDD1R), progressive stochastic cracking (PMDD1R / "P10%"), the
-// selective variants (FiftyFifty, FlipCoin, EveryX, ScrackMon,
-// SizeSelective), naive random-query injection (RXcrack), and the
-// partition/merge hybrids (AICC, AICS, AICC1R, AICS1R).
+// Every algorithm served here is one cracking engine: original cracking
+// (Crack), the Scan baseline, data-driven stochastic cracking (DDC, DDR,
+// DD1C, DD1R), stochastic cracking with materialization (MDD1R),
+// progressive stochastic cracking (PMDD1R / "P10%"), the selective
+// variants (FiftyFifty, FlipCoin, EveryX, ScrackMon, SizeSelective) and
+// naive random-query injection (RXcrack). Each takes updates, snapshots
+// and runs in every concurrency mode. The paper's other reference curves,
+// Sort (Fig. 2) and the partition/merge indexes AICC, AICS, AICC1R and
+// AICS1R (Fig. 14), are drawn by the figure harness (cmd/crackbench) and
+// are not served.
 //
 // Use DD1R for the best total cost, PMDD1R for the lowest per-query
 // overhead while adapting, and Crack to reproduce the original behavior.
@@ -66,7 +69,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/hybrids"
 )
 
 // Algorithm names accepted by Open. The parameterized families
@@ -74,7 +76,6 @@ import (
 // and "r4crack".
 const (
 	Scan          = "scan"
-	Sort          = "sort"
 	Crack         = "crack"
 	DDC           = "ddc"
 	DDR           = "ddr"
@@ -86,10 +87,6 @@ const (
 	FlipCoin      = "flipcoin"
 	SizeSelective = "sizeselective"
 	AutoTune      = "autotune" // extension: dynamic algorithm choice (paper §6)
-	AICC          = "aicc"
-	AICS          = "aics"
-	AICC1R        = "aicc1r"
-	AICS1R        = "aics1r"
 )
 
 // Result is the outcome of a range query. Single-mode queries return a
@@ -199,6 +196,4 @@ func WithGroupCommit(batchSize int, maxWait time.Duration) Option {
 
 // Algorithms returns every algorithm spec Open accepts (with
 // representative parameters for the parameterized families).
-func Algorithms() []string {
-	return append(core.Algorithms(), hybrids.Specs()...)
-}
+func Algorithms() []string { return core.Algorithms() }

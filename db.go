@@ -107,10 +107,8 @@ func configure(opts []Option) (config, error) {
 // every column k range-partitioned executors, so disjoint-range queries
 // on the same column proceed in parallel too. With WithGroupCommit every
 // column gets its own batcher (writes to different columns are
-// independent). Every algorithm Open takes works here, the partition/merge
-// hybrids included, except in a Single table of two or more columns: that
-// is the one shape that projects (SelectProject), which needs an
-// engine-backed algorithm.
+// independent). Every algorithm Open takes works here, in every shape,
+// the projecting one (a Single table of two or more columns) included.
 func OpenTable(cols map[string][]int64, algorithm string, opts ...Option) (*DB, error) {
 	cfg, err := configure(opts)
 	if err != nil {
@@ -376,8 +374,7 @@ func (db *DB) project(ctx context.Context, p Predicate, proj string,
 // the value rides a collector flush and Insert returns after the flush
 // applied it. On a table database the value goes to the default column
 // (the only column of a one-column table; use InsertOn for wider
-// tables). It fails with ErrUpdatesUnsupported for algorithms that
-// cannot take updates.
+// tables).
 func (db *DB) Insert(v int64) error {
 	c, err := db.writeColumn("")
 	if err != nil {
@@ -511,17 +508,13 @@ func (db *DB) PathStats() (reads, writes int64, ok bool) {
 // reasons about. Concurrent DBs read them with the executors drained; a
 // sharded DB concatenates its shards' pieces in shard order; a table
 // database concatenates its columns' pieces in column-name order
-// (never-queried columns report one unbroken piece). Non-engine-backed
-// algorithms are unsupported.
+// (never-queried columns report one unbroken piece). It fails only on a
+// closed DB.
 func (db *DB) PieceSizes() ([]int, error) {
 	if db.closed.Load() {
 		return nil, fmt.Errorf("crackdb: %w", ErrClosed)
 	}
-	sizes, err := db.tbl.PieceSizes()
-	if err != nil {
-		return nil, fmt.Errorf("crackdb: %w", err)
-	}
-	return sizes, nil
+	return db.tbl.PieceSizes(), nil
 }
 
 // Snapshot captures the DB's physical state as a manifest so
@@ -543,11 +536,7 @@ func (db *DB) Snapshot() (DBSnapshot, error) {
 	if db.closed.Load() {
 		return DBSnapshot{}, fmt.Errorf("crackdb: %w", ErrClosed)
 	}
-	snap, err := db.tbl.Snapshot()
-	if err != nil {
-		return DBSnapshot{}, fmt.Errorf("crackdb: %w", err)
-	}
-	return snap, nil
+	return db.tbl.Snapshot(), nil
 }
 
 // SnapshotStrict is Snapshot refusing to capture while updates are

@@ -161,15 +161,6 @@ func TestDBUpdatesAllModes(t *testing.T) {
 			t.Fatalf("%s: updates not merged", name)
 		}
 	}
-	// The sorted baseline cannot take updates, in any mode.
-	db, err := crackdb.Open(crackdb.MakeData(1000, 35), crackdb.Sort,
-		crackdb.WithConcurrency(crackdb.Shared))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Insert(1); !errors.Is(err, crackdb.ErrUpdatesUnsupported) {
-		t.Fatalf("sort insert error = %v", err)
-	}
 }
 
 func TestDBSnapshotModes(t *testing.T) {
@@ -236,27 +227,6 @@ func TestDBSentinelErrors(t *testing.T) {
 	}
 	if _, err := crackdb.OpenTable(map[string][]int64{"a": {1}}, "bogus"); !errors.Is(err, crackdb.ErrUnknownAlgorithm) {
 		t.Fatalf("table unknown algorithm error = %v", err)
-	}
-
-	// A known algorithm in a mode that cannot run it is "unsupported",
-	// not "unknown".
-	if _, err := crackdb.Open(crackdb.MakeData(100, 36), crackdb.AICC,
-		crackdb.WithConcurrency(crackdb.Sharded(2))); !errors.Is(err, errors.ErrUnsupported) || errors.Is(err, crackdb.ErrUnknownAlgorithm) {
-		t.Fatalf("hybrid sharded error = %v", err)
-	}
-	// Tables take the hybrids too, except the one shape that projects — a
-	// Single table of two or more columns — which needs an engine.
-	hybrid, err := crackdb.OpenTable(map[string][]int64{"a": crackdb.MakeData(100, 36)}, crackdb.AICS,
-		crackdb.WithConcurrency(crackdb.Shared))
-	if err != nil {
-		t.Fatalf("hybrid shared table error = %v", err)
-	}
-	if agg, err := hybrid.QueryAggregate(context.Background(), crackdb.Range(10, 20)); err != nil || agg.Count != 10 {
-		t.Fatalf("hybrid shared table: count=%d err=%v", agg.Count, err)
-	}
-	if _, err := crackdb.OpenTable(map[string][]int64{"a": crackdb.MakeData(100, 36), "b": crackdb.MakeData(100, 37)},
-		crackdb.AICS); !errors.Is(err, crackdb.ErrUnknownAlgorithm) {
-		t.Fatalf("hybrid projecting table error = %v", err)
 	}
 
 	db, err := crackdb.Open(crackdb.MakeData(100, 36), crackdb.Crack)
@@ -534,6 +504,46 @@ func TestConstructorsDoNotCopy(t *testing.T) {
 			}
 			runtime.KeepAlive(db)
 		})
+	}
+}
+
+// TestSelectProjectEverySpec: every spec OpenTable accepts answers both
+// projection strategies on a Single table, and the sorted baseline — whose
+// index has no engine to project from — is refused when the table opens.
+func TestSelectProjectEverySpec(t *testing.T) {
+	const n = 2000
+	ctx := context.Background()
+	cols := func() map[string][]int64 {
+		a := crackdb.MakeData(n, 45)
+		b := make([]int64, n)
+		for i, v := range a {
+			b[i] = 3 * v
+		}
+		return map[string][]int64{"a": a, "b": b}
+	}
+	if _, err := crackdb.OpenTable(cols(), "sort"); !errors.Is(err, crackdb.ErrUnknownAlgorithm) {
+		t.Fatalf("OpenTable(sort): err = %v, want ErrUnknownAlgorithm", err)
+	}
+	for _, spec := range crackdb.Algorithms() {
+		db, err := crackdb.OpenTable(cols(), spec, crackdb.WithSeed(46))
+		if err != nil {
+			t.Fatalf("OpenTable(%s): %v", spec, err)
+		}
+		for _, project := range []func(*crackdb.DB, context.Context, crackdb.Predicate, string) ([]int64, error){
+			(*crackdb.DB).SelectProject, (*crackdb.DB).SelectProjectSideways,
+		} {
+			for _, r := range [][2]int64{{1, 3}, {100, 400}, {-5, n + 5}} {
+				got, err := project(db, ctx, crackdb.Range(r[0], r[1]).On("a"), "b")
+				lo, hi := max(r[0], 0), min(r[1], n)
+				var sum int64
+				for _, v := range got {
+					sum += v
+				}
+				if err != nil || int64(len(got)) != hi-lo || sum != 3*sumRange(lo, hi) {
+					t.Fatalf("%s %v: %d rows, sum %d (err %v), want %d rows, sum %d", spec, r, len(got), sum, err, hi-lo, 3*sumRange(lo, hi))
+				}
+			}
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	crackdb "repro"
+	"repro/internal/bench"
 )
 
 // docFiles returns README.md plus every markdown file under docs/.
@@ -48,16 +48,17 @@ func TestDocLinks(t *testing.T) {
 }
 
 // TestPaperMapCoversAlgorithms pins the acceptance criterion of
-// docs/PAPER_MAP.md: every algorithm spec the library accepts appears in
-// the map (inside a table row, which always carries a code reference in
-// its Code column).
+// docs/PAPER_MAP.md: every algorithm spec the figure harness draws — the
+// served engine family plus the sorted baseline and the hybrids — appears
+// in the map (inside a table row, which always carries a code reference
+// in its Code column).
 func TestPaperMapCoversAlgorithms(t *testing.T) {
 	body, err := os.ReadFile(filepath.Join("docs", "PAPER_MAP.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := string(body)
-	for _, spec := range crackdb.Algorithms() {
+	for _, spec := range bench.Algorithms() {
 		if !strings.Contains(text, "`"+spec+"`") {
 			t.Errorf("docs/PAPER_MAP.md does not mention algorithm spec %q", spec)
 		}

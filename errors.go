@@ -6,20 +6,18 @@ import "repro/internal/dberr"
 // errors.Is; the error strings carry context (algorithm spec, column
 // name, pending-update counts) and are not part of the API.
 var (
-	// ErrUnknownAlgorithm: the algorithm spec is not recognized by any
-	// builder (see Algorithms for the accepted specs).
+	// ErrUnknownAlgorithm: the algorithm spec is not one Algorithms
+	// lists (the paper's Sort and partition/merge hybrid baselines are
+	// figure-harness only, so they are refused too).
 	ErrUnknownAlgorithm = dberr.ErrUnknownAlgorithm
 
-	// ErrUpdatesUnsupported: Insert/Delete against an index kind that
-	// cannot take updates (the sorted baseline, the partition/merge
-	// hybrids), or a projection over a table column written to since it
-	// was opened.
+	// ErrUpdatesUnsupported: a projection over a table column written to
+	// since it was opened.
 	ErrUpdatesUnsupported = dberr.ErrUpdatesUnsupported
 
-	// ErrSnapshotUnsupported: Snapshot against an index kind that cannot
-	// serialize its physical state (the hybrids), a range capture of a
-	// table (it has no single value domain to cut), or a projection over
-	// a restored table column.
+	// ErrSnapshotUnsupported: a range capture of a table (it has no
+	// single value domain to cut), or a projection over a restored table
+	// column.
 	ErrSnapshotUnsupported = dberr.ErrSnapshotUnsupported
 
 	// ErrSnapshotCorrupt: snapshot bytes failed structural decoding or

@@ -23,12 +23,14 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dberr"
 	"repro/internal/hybrids"
 	"repro/internal/updates"
 	"repro/internal/workload"
@@ -73,16 +75,25 @@ func MakeData(n int64, seed uint64) []int64 {
 	return xrand.New(seed).Perm(int(n))
 }
 
-// BuildIndex constructs any known algorithm — core or hybrid — over its
-// own copy of data.
-func BuildIndex(data []int64, spec string, cfg Config) (Index, error) {
+// Algorithms lists every spec the figure harness draws: the engine family
+// the product serves, plus the paper's reference curves the product does
+// not serve, the sorted baseline and the partition/merge hybrids.
+func Algorithms() []string {
+	return slices.Concat(core.Algorithms(), []string{"sort"}, hybrids.Specs())
+}
+
+// BuildIndex constructs any algorithm the harness draws — core or hybrid —
+// over its own copy of data. crackSize overrides the CrackSize threshold
+// (the threshold sweeps); 0 keeps the default.
+func BuildIndex(data []int64, spec string, cfg Config, crackSize int) (Index, error) {
 	values := append([]int64(nil), data...)
-	if ix, err := core.Build(values, spec, core.Options{Seed: cfg.Seed}); err == nil {
-		return ix, nil
+	ix, err := core.Build(values, spec, core.Options{Seed: cfg.Seed, CrackSize: crackSize})
+	if !errors.Is(err, dberr.ErrUnknownAlgorithm) {
+		return ix, err
 	}
-	h, err := hybrids.Build(values, spec, hybrids.Options{Seed: cfg.Seed})
+	h, err := hybrids.Build(values, spec, hybrids.Options{Seed: cfg.Seed, CrackSize: crackSize})
 	if err != nil {
-		return nil, fmt.Errorf("bench: unknown algorithm %q", spec)
+		return nil, fmt.Errorf("bench: %w %q", dberr.ErrUnknownAlgorithm, spec)
 	}
 	return h, nil
 }
@@ -132,7 +143,7 @@ func Run(cfg Config, spec, workloadName string) (*Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := BuildIndex(data, spec, cfg)
+	ix, err := BuildIndex(data, spec, cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -197,8 +208,8 @@ func insertSorted(vs []int64, v int64) []int64 {
 
 // RunWithUpdates executes one cell with interleaved updates (Fig. 15),
 // validating each answer (cfg.Validate) against the closed form plus the
-// stream's net updates. The algorithm must be engine-backed (everything
-// except sort/scan hybrids).
+// stream's net updates. The algorithm must be engine-backed (one of
+// core.Algorithms).
 func RunWithUpdates(cfg Config, spec, workloadName string, stream UpdateStream) (*Series, error) {
 	cfg = cfg.WithDefaults()
 	data := MakeData(cfg.N, cfg.Seed)
@@ -206,15 +217,11 @@ func RunWithUpdates(cfg Config, spec, workloadName string, stream UpdateStream) 
 	if err != nil {
 		return nil, err
 	}
-	inner, err := BuildIndex(data, spec, cfg)
+	ix, err := core.Build(data, spec, core.Options{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
-	coreIx, ok := inner.(core.Index)
-	if !ok {
-		return nil, fmt.Errorf("bench: %q cannot take updates", spec)
-	}
-	u, ok := updates.Wrap(coreIx)
+	u, ok := updates.Wrap(ix)
 	if !ok {
 		return nil, fmt.Errorf("bench: %q is not engine-backed; cannot take updates", spec)
 	}
@@ -300,20 +307,6 @@ func Seconds(ns int64) string {
 	default:
 		return fmt.Sprintf("%.3f", sec)
 	}
-}
-
-// BuildIndexOptions is BuildIndex with an explicit CrackSize override,
-// used by threshold-sweep experiments.
-func BuildIndexOptions(data []int64, spec string, cfg Config, crackSize int) (Index, error) {
-	values := append([]int64(nil), data...)
-	if ix, err := core.Build(values, spec, core.Options{Seed: cfg.Seed, CrackSize: crackSize}); err == nil {
-		return ix, nil
-	}
-	h, err := hybrids.Build(values, spec, hybrids.Options{Seed: cfg.Seed, CrackSize: crackSize})
-	if err != nil {
-		return nil, fmt.Errorf("bench: unknown algorithm %q", spec)
-	}
-	return h, nil
 }
 
 // newWorkload builds a workload generator from a config.

@@ -3,12 +3,14 @@ package bench
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dberr"
 	"repro/internal/exec"
 	"repro/internal/updates"
 )
@@ -50,6 +52,24 @@ func TestMakeDataIsPermutation(t *testing.T) {
 	for i := range d {
 		if d[i] != d2[i] {
 			t.Fatal("MakeData not deterministic")
+		}
+	}
+}
+
+// TestBuildIndexReportsSpecErrors: a malformed core spec reports core's
+// own error; only a spec neither builder knows is an unknown algorithm.
+func TestBuildIndexReportsSpecErrors(t *testing.T) {
+	data := MakeData(100, 1)
+	_, err := BuildIndex(data, "pmdd1r-0", Config{}, 0)
+	if err == nil || errors.Is(err, dberr.ErrUnknownAlgorithm) || !strings.Contains(err.Error(), "swap percentage out of range") {
+		t.Fatalf("pmdd1r-0: err = %v, want the swap-percentage range error", err)
+	}
+	if _, err := BuildIndex(data, "bogus", Config{}, 0); !errors.Is(err, dberr.ErrUnknownAlgorithm) {
+		t.Fatalf("bogus: err = %v, want ErrUnknownAlgorithm", err)
+	}
+	for _, spec := range Algorithms() {
+		if _, err := BuildIndex(data, spec, Config{}, 8); err != nil {
+			t.Errorf("%s: %v", spec, err)
 		}
 	}
 }

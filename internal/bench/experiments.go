@@ -204,7 +204,7 @@ func runFig11(cfg Config, w io.Writer) error {
 				if sel.rand {
 					gen = &randSelGenerator{base: base, n: c.N, rng: xrand.New(c.Seed + 7), seed: c.Seed + 7}
 				}
-				ix, err := BuildIndex(MakeData(c.N, c.Seed), spec, c)
+				ix, err := BuildIndex(MakeData(c.N, c.Seed), spec, c, 0)
 				if err != nil {
 					return err
 				}

@@ -258,7 +258,7 @@ func minf(v []float64) float64 {
 // runDDCThreshold is fig8's cell: DDC with a custom threshold.
 func runDDCThreshold(cfg Config, crackSize int) (*Series, error) {
 	cfg = cfg.WithDefaults()
-	ix, err := BuildIndexOptions(MakeData(cfg.N, cfg.Seed), "ddc", cfg, crackSize)
+	ix, err := BuildIndex(MakeData(cfg.N, cfg.Seed), "ddc", cfg, crackSize)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func TestAnswerReadOnlyMatchesQuery(t *testing.T) {
 		}
 		acc, ok := ix.(interface{ Engine() *Engine })
 		if !ok {
-			continue // sort: deliberately not engine-backed (updates.Wrap)
+			t.Fatalf("%s: Algorithms lists it, but it has no engine", spec)
 		}
 		e := acc.Engine()
 		rng := xrand.New(22)

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/dberr"
+)
 
 // CrackEntry is one crack of a snapshot: all values before Pos are < Key,
 // all values from Pos on are >= Key.
@@ -114,7 +118,7 @@ func Restore(st SnapshotState, spec string, opt Options) (Index, error) {
 	}
 	acc, ok := ix.(interface{ Engine() *Engine })
 	if !ok {
-		return nil, fmt.Errorf("core: %q cannot restore snapshots (no engine)", spec)
+		return nil, fmt.Errorf("core: %w %q: no engine to restore into", dberr.ErrUnknownAlgorithm, spec)
 	}
 	// Validate checked the cracks ascend in key and position: pack them.
 	acc.Engine().idx.Load(len(st.Cracks), func(i int) (int64, int) {

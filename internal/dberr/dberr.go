@@ -9,15 +9,16 @@ package dberr
 import "errors"
 
 var (
-	// ErrUnknownAlgorithm reports an algorithm spec no builder recognizes.
+	// ErrUnknownAlgorithm reports an algorithm spec no builder recognizes,
+	// or, where a column is served, a spec whose index has no engine.
 	ErrUnknownAlgorithm = errors.New("unknown algorithm")
 
-	// ErrUpdatesUnsupported reports an Insert/Delete against an index kind
-	// that cannot take updates (the sorted baseline, the hybrids).
+	// ErrUpdatesUnsupported reports a projection over a table column
+	// written to since it was opened.
 	ErrUpdatesUnsupported = errors.New("updates unsupported")
 
-	// ErrSnapshotUnsupported reports a Snapshot against an index kind or
-	// concurrency mode that cannot serialize its physical state.
+	// ErrSnapshotUnsupported reports a range capture of a table, or a
+	// projection over a column restored from a snapshot.
 	ErrSnapshotUnsupported = errors.New("snapshots unsupported")
 
 	// ErrSnapshotCorrupt reports snapshot bytes that failed structural

@@ -2,15 +2,12 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dberr"
-	"repro/internal/hybrids"
 	"repro/internal/snapshot"
 	"repro/internal/stats"
 	"repro/internal/updates"
@@ -48,8 +45,8 @@ type Backend interface {
 	Name() string
 	// Capture calls fn on every part [lo, hi) of the value domain with the
 	// part's inner index, all parts drained at once so fn sees one cut.
-	// fn must not retain inner; the first error stops the walk.
-	Capture(fn func(lo, hi int64, inner Index) error) error
+	// fn must not retain inner.
+	Capture(fn func(lo, hi int64, inner Index))
 }
 
 // ModeKind names a Backend's execution strategy.
@@ -80,37 +77,31 @@ func (m Mode) String() string {
 }
 
 // Build builds the named algorithm over values, which the backend owns and
-// reorganizes in place, and serves it in mode. Specs core does not know
-// fall back to the partition/merge hybrids (with their default source
-// partition count); Sharded mode cannot run those and fails with
-// errors.ErrUnsupported.
+// reorganizes in place, and serves it in mode.
 func Build(values []int64, spec string, mode Mode, opt core.Options) (Backend, error) {
 	if mode.Kind == ModeSharded {
-		s, err := NewSharded(values, spec, mode.Shards, opt)
-		if errors.Is(err, dberr.ErrUnknownAlgorithm) && slices.Contains(hybrids.Specs(), spec) {
-			return nil, fmt.Errorf("exec: algorithm %q in sharded mode: %w", spec, errors.ErrUnsupported)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
+		return NewSharded(values, spec, mode.Shards, opt)
 	}
-	ix, err := core.Build(values, spec, opt)
-	if errors.Is(err, dberr.ErrUnknownAlgorithm) {
-		h, herr := hybrids.Build(values, spec, hybrids.Options{
-			Seed:      opt.Seed,
-			CrackSize: opt.CrackSize,
-		})
-		if herr != nil {
-			return nil, herr
-		}
-		ix, err = h, nil
-	}
+	u, err := wrap(core.Build(values, spec, opt))
 	if err != nil {
 		return nil, err
 	}
-	u, _ := updates.Wrap(ix)
-	return serve(ix, u, mode), nil
+	return serve(u, mode), nil
+}
+
+// wrap is every backend's one build step: the index core.Build or
+// core.Restore returned (err their error) behind its update wrapper.
+// Specs whose index has no engine (the figure harness's sorted baseline)
+// fail with dberr.ErrUnknownAlgorithm.
+func wrap(ix core.Index, err error) (*updates.Index, error) {
+	if err != nil {
+		return nil, err
+	}
+	u, ok := updates.Wrap(ix)
+	if !ok {
+		return nil, fmt.Errorf("exec: %w %q: no engine", dberr.ErrUnknownAlgorithm, ix.Name())
+	}
+	return u, nil
 }
 
 // Restore rebuilds a backend in mode from manifest parts, validating every
@@ -121,11 +112,11 @@ func Build(values []int64, spec string, mode Mode, opt core.Options) (Backend, e
 // continues the cracking: crack state is algorithm-agnostic.
 func Restore(parts snapshot.Parts, spec string, mode Mode, opt core.Options) (Backend, error) {
 	if mode.Kind != ModeSharded {
-		ix, u, err := restore(parts.Merged(), spec, opt)
+		u, err := restore(parts.Merged(), spec, opt)
 		if err != nil {
 			return nil, err
 		}
-		return serve(ix, u, mode), nil
+		return serve(u, mode), nil
 	}
 	k := max(mode.Shards, 1)
 	if rows := parts.Rows(); k > rows && rows > 0 {
@@ -145,87 +136,50 @@ func Restore(parts snapshot.Parts, spec string, mode Mode, opt core.Options) (Ba
 			bounds = append(bounds, p.Lo)
 		}
 	}
-	s, err := RestoreSharded(states, bounds, spec, opt)
+	return RestoreSharded(states, bounds, spec, opt)
+}
+
+// restore rebuilds one index from st, re-queuing the state's pending
+// updates.
+func restore(st core.SnapshotState, spec string, opt core.Options) (*updates.Index, error) {
+	u, err := wrap(core.Restore(st, spec, opt))
 	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	u.SeedPending(st.PendingInserts, st.PendingDeletes)
+	return u, nil
 }
 
-// restore rebuilds one engine from st and wraps it for updates, re-queuing
-// the state's pending updates; u is nil when the algorithm takes no
-// updates, and then st must carry none.
-func restore(st core.SnapshotState, spec string, opt core.Options) (core.Index, *updates.Index, error) {
-	ix, err := core.Restore(st, spec, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	u, _ := updates.Wrap(ix)
-	if st.Pending() > 0 {
-		if u == nil {
-			return nil, nil, fmt.Errorf("exec: %s: snapshot carries %d pending updates: %w",
-				spec, st.Pending(), dberr.ErrUpdatesUnsupported)
-		}
-		u.SeedPending(st.PendingInserts, st.PendingDeletes)
-	}
-	return ix, u, nil
-}
-
-// serve puts one index (u its update wrapper, nil when it takes no
-// updates) behind mode's single-index backend.
-func serve(ix core.Index, u *updates.Index, mode Mode) Backend {
+// serve puts one index behind mode's single-index backend.
+func serve(u *updates.Index, mode Mode) Backend {
 	if mode.Kind == ModeSingle {
-		return &Single{inner: ix, upd: u}
+		return &Single{ix: u}
 	}
-	return shared(ix, u)
-}
-
-// shared wraps an index in an Executor, through its update wrapper when it
-// has one.
-func shared(ix core.Index, u *updates.Index) *Executor {
-	if u != nil {
-		return New(u)
-	}
-	// Hybrids (and the sorted baseline) expose no convergence probe; the
-	// executor serves them entirely under the exclusive lock.
-	return New(ix)
+	return New(u)
 }
 
 // CaptureParts captures b's physical state as manifest parts, one per part
 // Capture visits, with pending updates carried in each state's queues (a
-// restore re-queues them; nothing is merged). Only engine-backed
-// algorithms serialize; the hybrids fail with dberr.ErrSnapshotUnsupported.
-func CaptureParts(b Backend) (snapshot.Parts, error) {
+// restore re-queues them; nothing is merged).
+func CaptureParts(b Backend) snapshot.Parts {
 	var parts snapshot.Parts
-	err := b.Capture(func(lo, hi int64, inner Index) error {
-		acc, ok := inner.(engineAccessor)
-		if !ok {
-			return fmt.Errorf("exec: %s: %w", inner.Name(), dberr.ErrSnapshotUnsupported)
-		}
-		st := acc.Engine().Snapshot()
-		if u, ok := inner.(*updates.Index); ok {
-			st.PendingInserts, st.PendingDeletes = u.PendingSnapshot()
-		}
+	b.Capture(func(lo, hi int64, inner Index) {
+		st := inner.Engine().Snapshot()
+		st.PendingInserts, st.PendingDeletes = inner.PendingSnapshot()
 		parts = append(parts, snapshot.ClampedPart(lo, hi, st))
-		return nil
 	})
-	return parts, err
+	return parts
 }
 
 // PieceSizes returns b's piece sizes in tuples, in value order across its
-// parts. Algorithms without an engine fail with errors.ErrUnsupported.
-func PieceSizes(b Backend) ([]int, error) {
+// parts.
+func PieceSizes(b Backend) []int {
 	var sizes []int
-	err := b.Capture(func(_, _ int64, inner Index) error {
-		acc, ok := inner.(engineAccessor)
-		if !ok {
-			return fmt.Errorf("exec: %s: piece sizes: %w", inner.Name(), errors.ErrUnsupported)
-		}
-		e := acc.Engine()
+	b.Capture(func(_, _ int64, inner Index) {
+		e := inner.Engine()
 		sizes = append(sizes, stats.SizesFromBounds(e.CrackerIndex().Pieces(e.Column().Len()))...)
-		return nil
 	})
-	return sizes, err
+	return sizes
 }
 
 // Column is a Backend behind its optional group-commit batcher: the one
@@ -281,34 +235,17 @@ func (c *Column) Apply(ctx context.Context, ops []Op) (t Timings, grouped bool, 
 // caller's goroutine with no locking, so View returns the engine's
 // zero-copy view. Not safe for concurrent use.
 type Single struct {
-	inner core.Index     // the algorithm itself
-	upd   *updates.Index // nil when the algorithm cannot take updates
+	ix *updates.Index
 }
 
 // Query answers [a, b), merging the pending updates it covers first.
-func (s *Single) Query(a, b int64) core.Result {
-	if s.upd != nil {
-		return s.upd.Query(a, b)
-	}
-	return s.inner.Query(a, b)
-}
+func (s *Single) Query(a, b int64) core.Result { return s.ix.Query(a, b) }
 
-// Engine exposes the index's engine (nil for the hybrids); table
-// projection reads its row ids.
-func (s *Single) Engine() *core.Engine {
-	if acc, ok := s.inner.(engineAccessor); ok {
-		return acc.Engine()
-	}
-	return nil
-}
+// Engine exposes the index's engine; table projection reads its row ids.
+func (s *Single) Engine() *core.Engine { return s.ix.Engine() }
 
 // Merged returns the number of updates merged into the column so far.
-func (s *Single) Merged() int64 {
-	if s.upd == nil {
-		return 0
-	}
-	return s.upd.Merged()
-}
+func (s *Single) Merged() int64 { return s.ix.Merged() }
 
 // View answers [a, b) as the engine's zero-copy view.
 func (s *Single) View(_ context.Context, a, b int64) (core.Result, error) {
@@ -345,63 +282,40 @@ func (s *Single) QueryBatchInto(ctx context.Context, ranges []Range, bb *BatchBu
 }
 
 // Insert queues v, merged by the first query whose range covers it
-// (Ripple merge, [17]); sorted and hybrid stores fail with
-// dberr.ErrUpdatesUnsupported.
+// (Ripple merge, [17]).
 func (s *Single) Insert(v int64) error {
-	if s.upd == nil {
-		return s.unsupported()
-	}
-	s.upd.Insert(v)
+	s.ix.Insert(v)
 	return nil
 }
 
 // Delete queues the removal of one occurrence of v, like Insert.
 func (s *Single) Delete(v int64) error {
-	if s.upd == nil {
-		return s.unsupported()
-	}
-	s.upd.Delete(v)
+	s.ix.Delete(v)
 	return nil
 }
 
 // ApplyOps queues a write batch in order; with no lock to wait for, only
 // apply is measured.
 func (s *Single) ApplyOps(ops []Op) (lockWait, apply time.Duration, err error) {
-	if s.upd == nil {
-		return 0, 0, s.unsupported()
-	}
 	start := time.Now()
-	applyRuns(s.upd, ops)
+	applyRuns(s.ix, ops)
 	return 0, time.Since(start), nil
 }
 
-func (s *Single) unsupported() error {
-	return fmt.Errorf("exec: %s: %w", s.inner.Name(), dberr.ErrUpdatesUnsupported)
-}
-
 // Pending returns the number of queued, not-yet-merged updates.
-func (s *Single) Pending() int {
-	if s.upd == nil {
-		return 0
-	}
-	return s.upd.Pending()
-}
+func (s *Single) Pending() int { return s.ix.Pending() }
 
 // Stats reports the index's counters.
-func (s *Single) Stats() core.Stats { return s.inner.Stats() }
+func (s *Single) Stats() core.Stats { return s.ix.Stats() }
 
 // PathStats is zero: Single mode has no read/write paths.
 func (s *Single) PathStats() (reads, writes int64) { return 0, 0 }
 
 // Name identifies the algorithm (e.g. "dd1r").
-func (s *Single) Name() string { return s.inner.Name() }
+func (s *Single) Name() string { return s.ix.Unwrap().Name() }
 
 // Capture visits the whole domain with the index directly: there is
 // nothing concurrent to drain.
-func (s *Single) Capture(fn func(lo, hi int64, inner Index) error) error {
-	var inner Index = s.inner
-	if s.upd != nil {
-		inner = s.upd
-	}
-	return fn(math.MinInt64, math.MaxInt64, inner)
+func (s *Single) Capture(fn func(lo, hi int64, inner Index)) {
+	fn(math.MinInt64, math.MaxInt64, s.ix)
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dberr"
 	"repro/internal/updates"
 	"repro/internal/xrand"
 )
@@ -20,11 +19,7 @@ func newUpdatableExec(t *testing.T, n int, seed uint64) *Executor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, ok := updates.Wrap(ix)
-	if !ok {
-		t.Fatal("dd1r must be updatable")
-	}
-	return New(u)
+	return New(updatable(ix))
 }
 
 // TestApplyOpsMatchesSerialUpdates: a batch applied through ApplyOps must
@@ -64,17 +59,6 @@ func TestApplyOpsMatchesSerialUpdates(t *testing.T) {
 		if gc != wc || gs != ws {
 			t.Fatalf("query [%d,%d): batched (%d,%d) != serial (%d,%d)", a, b, gc, gs, wc, ws)
 		}
-	}
-}
-
-func TestApplyOpsUpdatesUnsupported(t *testing.T) {
-	ix, err := core.Build(xrand.New(1).Perm(1000), "dd1r", core.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := New(ix) // not wrapped with updates: no inserter
-	if _, _, err := x.ApplyOps([]Op{{Value: 1}}); !errors.Is(err, dberr.ErrUpdatesUnsupported) {
-		t.Fatalf("err = %v, want ErrUpdatesUnsupported", err)
 	}
 }
 

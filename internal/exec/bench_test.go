@@ -55,7 +55,7 @@ func converge(q func(a, b int64) []int64, ranges []Range) {
 // with BenchmarkMutexConvergedParallel — the acceptance bar for this layer
 // is >2x throughput at GOMAXPROCS >= 4.
 func BenchmarkExecConvergedParallel(b *testing.B) {
-	x := New(core.NewCrack(xrand.New(97).Perm(benchN), core.Options{Seed: 98}))
+	x := New(updatable(core.NewCrack(xrand.New(97).Perm(benchN), core.Options{Seed: 98})))
 	ranges := benchRangeSet()
 	ctx := context.Background()
 	converge(func(lo, hi int64) []int64 { return values(x, lo, hi) }, ranges)
@@ -96,7 +96,7 @@ func BenchmarkMutexConvergedParallel(b *testing.B) {
 // acquisition answers the whole converged range set into a fresh
 // BatchBuffer, the shape DB.QueryBatch uses.
 func BenchmarkExecBatchConverged(b *testing.B) {
-	x := New(core.NewCrack(xrand.New(97).Perm(benchN), core.Options{Seed: 98}))
+	x := New(updatable(core.NewCrack(xrand.New(97).Perm(benchN), core.Options{Seed: 98})))
 	ranges := benchRangeSet()
 	ctx := context.Background()
 	converge(func(lo, hi int64) []int64 { return values(x, lo, hi) }, ranges)

@@ -1,10 +1,9 @@
 // Package exec is the unified concurrent execution layer for adaptive
 // indexes: one adaptive read/write locking discipline that every
 // goroutine-safe path in the repository routes through (the facade's
-// DB handle and Synchronized wrapper, the sharded index, the benchmark
-// harness). It also owns Backend (backend.go), the one per-column surface
-// the facade and internal/table serve every column through, in every
-// mode.
+// DB handle, the sharded index, the benchmark harness). It also owns
+// Backend (backend.go), the one per-column surface the facade and
+// internal/table serve every column through, in every mode.
 //
 // Cracking inverts the usual reader/writer economics — every query may
 // physically reorganize the column, so a mutual-exclusion lock is the
@@ -37,51 +36,35 @@ package exec
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"math"
 	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dberr"
 )
 
-// Index is the surface the executor drives: any single-threaded adaptive
-// index (core algorithms, hybrids, the updates wrapper). The executor
-// assumes exclusive ownership of it.
+// Index is the surface the executor drives: one engine-backed index
+// behind its pending-update wrapper, which *updates.Index implements and
+// every backend holds. The executor assumes exclusive ownership of it.
 type Index interface {
 	Query(a, b int64) core.Result
-	Name() string
-	Stats() core.Stats
-}
-
-// prober is the optional fast-path surface: fused convergence probe plus
-// read-only answer, sharing one cracker-index descent (see
-// core.Engine.TryAnswerReadOnly). core.Engine implements it directly;
-// updates.Index implements it with a pending-update check layered on top.
-type prober interface {
+	// TryAnswerReadOnly is the fused convergence probe and read-only
+	// answer (see core.Engine.TryAnswerReadOnly), appending to dst; ok is
+	// false when the range needs reorganizing or covers a pending update.
 	TryAnswerReadOnly(a, b int64, dst []int64) (_ []int64, ok bool)
 	TryAnswerReadOnlyAggregate(a, b int64) (count int, sum int64, ok bool)
-}
-
-// inserter is the optional update surface (the updates wrapper).
-type inserter interface {
 	Insert(v int64)
 	Delete(v int64)
-}
-
-// bulkInserter is the optional bulk update surface (updates.Index): a
-// whole batch of values merges into the sorted pending queues in one
-// pass instead of one binary-search-and-copy per value.
-type bulkInserter interface {
+	// InsertMany and DeleteMany merge a whole batch into the sorted
+	// pending queues in one pass.
 	InsertMany(vs []int64)
 	DeleteMany(vs []int64)
-}
-
-// engineAccessor is satisfied by every engine-backed core index.
-type engineAccessor interface {
+	Pending() int
+	PendingSnapshot() (inserts, deletes []int64)
 	Engine() *core.Engine
+	Name() string
+	Stats() core.Stats
 }
 
 // Range is one half-open value range [Lo, Hi) of a batched query.
@@ -94,26 +77,14 @@ type Range struct {
 type Executor struct {
 	mu    stripeLock
 	inner Index
-	p     prober   // nil: every query takes the write lock
-	ins   inserter // nil: updates unsupported
 
 	writeQueries atomic.Int64 // queries answered under the exclusive lock
 }
 
-// New wraps inner. The fast read path engages when inner exposes a
-// convergence probe — directly (updates.Index) or through an engine-backed
-// core index — and degrades to exclusive locking otherwise (hybrids).
+// New wraps inner.
 func New(inner Index) *Executor {
 	x := &Executor{inner: inner}
 	x.mu.init()
-	if p, ok := inner.(prober); ok {
-		x.p = p
-	} else if acc, ok := inner.(engineAccessor); ok {
-		x.p = acc.Engine()
-	}
-	if ins, ok := inner.(inserter); ok {
-		x.ins = ins
-	}
 	return x
 }
 
@@ -138,16 +109,14 @@ func (x *Executor) QueryAppendCtx(ctx context.Context, a, b int64, dst []int64) 
 	if err := ctx.Err(); err != nil {
 		return dst, err
 	}
-	if x.p != nil {
-		s := x.mu.rlock()
-		out, ok := x.p.TryAnswerReadOnly(a, b, dst)
-		if ok {
-			s.reads.Add(1)
-		}
-		x.mu.runlock(s)
-		if ok {
-			return out, nil
-		}
+	s := x.mu.rlock()
+	out, ok := x.inner.TryAnswerReadOnly(a, b, dst)
+	if ok {
+		s.reads.Add(1)
+	}
+	x.mu.runlock(s)
+	if ok {
+		return out, nil
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -166,16 +135,14 @@ func (x *Executor) QueryAggregateCtx(ctx context.Context, a, b int64) (count int
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	if x.p != nil {
-		s := x.mu.rlock()
-		count, sum, ok := x.p.TryAnswerReadOnlyAggregate(a, b)
-		if ok {
-			s.reads.Add(1)
-		}
-		x.mu.runlock(s)
-		if ok {
-			return count, sum, nil
-		}
+	s := x.mu.rlock()
+	count, sum, ok := x.inner.TryAnswerReadOnlyAggregate(a, b)
+	if ok {
+		s.reads.Add(1)
+	}
+	x.mu.runlock(s)
+	if ok {
+		return count, sum, nil
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -257,25 +224,21 @@ func (x *Executor) QueryBatchInto(ctx context.Context, ranges []Range, bb *Batch
 	sortedOrder(ranges, bb.order)
 
 	pending := bb.order[:0] // reuses order's backing array; reads stay ahead
-	if x.p != nil {
-		reads := int64(0)
-		s := x.mu.rlock()
-		for _, i := range bb.order {
-			r := ranges[i]
-			start := len(bb.vals)
-			if res, ok := x.p.TryAnswerReadOnly(r.Lo, r.Hi, bb.vals); ok {
-				bb.vals = res
-				bb.offs[i] = [2]int{start, len(bb.vals)}
-				reads++
-			} else {
-				pending = append(pending, i)
-			}
+	reads := int64(0)
+	s := x.mu.rlock()
+	for _, i := range bb.order {
+		r := ranges[i]
+		start := len(bb.vals)
+		if res, ok := x.inner.TryAnswerReadOnly(r.Lo, r.Hi, bb.vals); ok {
+			bb.vals = res
+			bb.offs[i] = [2]int{start, len(bb.vals)}
+			reads++
+		} else {
+			pending = append(pending, i)
 		}
-		s.reads.Add(reads)
-		x.mu.runlock(s)
-	} else {
-		pending = bb.order
 	}
+	s.reads.Add(reads)
+	x.mu.runlock(s)
 	if len(pending) > 0 {
 		x.mu.Lock()
 		for _, i := range pending {
@@ -305,26 +268,20 @@ func (bb *BatchBuffer) stitch() [][]int64 {
 }
 
 // Insert queues value v for insertion (merged into the column by the first
-// query whose range covers it). It errors when the wrapped index cannot
-// take updates.
+// query whose range covers it). It never fails; the error completes
+// Backend.
 func (x *Executor) Insert(v int64) error {
-	if x.ins == nil {
-		return fmt.Errorf("exec: %s: %w", x.inner.Name(), dberr.ErrUpdatesUnsupported)
-	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.ins.Insert(v)
+	x.inner.Insert(v)
 	return nil
 }
 
 // Delete queues the removal of one occurrence of v, like Insert.
 func (x *Executor) Delete(v int64) error {
-	if x.ins == nil {
-		return fmt.Errorf("exec: %s: %w", x.inner.Name(), dberr.ErrUpdatesUnsupported)
-	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.ins.Delete(v)
+	x.inner.Delete(v)
 	return nil
 }
 
@@ -337,45 +294,29 @@ type Op struct {
 
 // ApplyOps queues a whole batch of updates under a single exclusive lock
 // acquisition — the group-commit apply. Per-value Insert/Delete pays one
-// write-lock handshake per value; ApplyOps pays one per batch, and when
-// the wrapped index exposes the bulk surface (updates.Index) the batch
-// merges into the sorted pending queues in one pass. It returns how long
-// the batch waited for the exclusive section (lockWait) and how long it
-// held it (apply), so callers can decompose write tail latency; the
-// updates-unsupported error is returned before any lock is taken.
+// write-lock handshake per value; ApplyOps pays one per batch, and the
+// batch merges into the sorted pending queues in one pass per run. It
+// returns how long the batch waited for the exclusive section (lockWait)
+// and how long it held it (apply), so callers can decompose write tail
+// latency.
 func (x *Executor) ApplyOps(ops []Op) (lockWait, apply time.Duration, err error) {
 	if len(ops) == 0 {
 		return 0, 0, nil
 	}
-	if x.ins == nil {
-		return 0, 0, fmt.Errorf("exec: %s: %w", x.inner.Name(), dberr.ErrUpdatesUnsupported)
-	}
 	start := time.Now()
 	x.mu.Lock()
 	locked := time.Now()
-	applyRuns(x.ins, ops)
+	applyRuns(x.inner, ops)
 	done := time.Now()
 	x.mu.Unlock()
 	return locked.Sub(start), done.Sub(locked), nil
 }
 
-// applyRuns queues ops in batch order. When ins exposes the bulk surface
-// (updates.Index) it applies maximal same-kind runs. Order matters: a
-// delete annihilates a pending insert queued before it, so a batch-wide
-// insert/delete split would resolve an insert-then-delete pair
-// differently from serial application.
-func applyRuns(ins inserter, ops []Op) {
-	bulk, ok := ins.(bulkInserter)
-	if !ok {
-		for _, op := range ops {
-			if op.Delete {
-				ins.Delete(op.Value)
-			} else {
-				ins.Insert(op.Value)
-			}
-		}
-		return
-	}
+// applyRuns queues ops in batch order, one bulk call per maximal
+// same-kind run. Order matters: a delete annihilates a pending insert
+// queued before it, so a batch-wide insert/delete split would resolve an
+// insert-then-delete pair differently from serial application.
+func applyRuns(ix Index, ops []Op) {
 	for i := 0; i < len(ops); {
 		j := i + 1
 		for j < len(ops) && ops[j].Delete == ops[i].Delete {
@@ -386,26 +327,19 @@ func applyRuns(ins inserter, ops []Op) {
 			run = append(run, op.Value)
 		}
 		if ops[i].Delete {
-			bulk.DeleteMany(run)
+			ix.DeleteMany(run)
 		} else {
-			bulk.InsertMany(run)
+			ix.InsertMany(run)
 		}
 		i = j
 	}
 }
 
-// Pending returns the number of queued, not-yet-merged updates (0 when
-// the wrapped index cannot take updates).
+// Pending returns the number of queued, not-yet-merged updates.
 func (x *Executor) Pending() int {
-	if x.ins == nil {
-		return 0
-	}
 	s := x.mu.rlock()
 	defer x.mu.runlock(s)
-	if p, ok := x.inner.(interface{ Pending() int }); ok {
-		return p.Pending()
-	}
-	return 0
+	return x.inner.Pending()
 }
 
 // Exclusive runs fn on the wrapped index under the exclusive lock, with
@@ -420,9 +354,8 @@ func (x *Executor) Exclusive(fn func(inner Index)) {
 }
 
 // Capture runs fn on the whole domain under Exclusive.
-func (x *Executor) Capture(fn func(lo, hi int64, inner Index) error) (err error) {
-	x.Exclusive(func(inner Index) { err = fn(math.MinInt64, math.MaxInt64, inner) })
-	return err
+func (x *Executor) Capture(fn func(lo, hi int64, inner Index)) {
+	x.Exclusive(func(inner Index) { fn(math.MinInt64, math.MaxInt64, inner) })
 }
 
 // Name identifies the wrapped algorithm.

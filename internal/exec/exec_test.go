@@ -20,6 +20,16 @@ func rangeSum(a, b int64) int64 {
 	return s
 }
 
+// updatable wraps an engine-backed core index in the pending-update
+// wrapper every backend serves.
+func updatable(ix core.Index) *updates.Index {
+	u, ok := updates.Wrap(ix)
+	if !ok {
+		panic("updates.Wrap rejected " + ix.Name())
+	}
+	return u
+}
+
 // values answers [lo, hi) as an owned slice through b's View: the
 // Executor's QueryAppendCtx, the Sharded QueryCtx fan-out. A background
 // context never fails, so an error panics.
@@ -57,7 +67,7 @@ func TestExecutorMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := New(ix)
+		x := New(updatable(ix))
 		rng := xrand.New(31)
 		for i := 0; i < 300; i++ {
 			a := rng.Int63n(n - 200)
@@ -82,7 +92,7 @@ func TestExecutorMatchesOracle(t *testing.T) {
 func TestExecutorConvergedQueriesUseReadPath(t *testing.T) {
 	const n = 10000
 	ix := core.NewCrack(xrand.New(7).Perm(n), core.Options{Seed: 8})
-	x := New(ix)
+	x := New(updatable(ix))
 
 	// First answer cracks on both bounds; the repeat finds exact cracks.
 	if got := values(x, 1000, 2000); len(got) != 1000 {
@@ -113,7 +123,7 @@ func TestExecutorSmallPieceReadPath(t *testing.T) {
 	// nothing ever cracks, yet answers stay correct.
 	const n = 512
 	ix := core.NewCrack(xrand.New(9).Perm(n), core.Options{Seed: 10, NoCrackSize: n})
-	x := New(ix)
+	x := New(updatable(ix))
 	for i := 0; i < 20; i++ {
 		a := int64(i * 20)
 		if got := values(x, a, a+10); len(got) != 10 {
@@ -131,7 +141,7 @@ func TestExecutorSmallPieceReadPath(t *testing.T) {
 func TestExecutorQueryBatch(t *testing.T) {
 	const n = 40000
 	ix := core.NewDD1R(xrand.New(40).Perm(n), core.Options{Seed: 41})
-	x := New(ix)
+	x := New(updatable(ix))
 	// Unsorted, overlapping, and degenerate ranges; results must come back
 	// in input order.
 	ranges := []Range{
@@ -168,16 +178,6 @@ func TestExecutorQueryBatch(t *testing.T) {
 	batch(x, ranges[:2])
 	if _, writes := x.PathStats(); writes != writesBefore {
 		t.Fatalf("converged batch took the write lock")
-	}
-}
-
-func TestExecutorInsertUnsupported(t *testing.T) {
-	x := New(core.NewCrack(xrand.New(1).Perm(100), core.Options{}))
-	if err := x.Insert(5); err == nil {
-		t.Fatal("bare core index accepted an insert")
-	}
-	if err := x.Delete(5); err == nil {
-		t.Fatal("bare core index accepted a delete")
 	}
 }
 
@@ -271,7 +271,7 @@ func TestExecutorRaceStress(t *testing.T) {
 func TestExecutorConcurrentQueriesRaceFree(t *testing.T) {
 	const n = 50000
 	inner := core.NewMDD1R(xrand.New(30).Perm(n), core.Options{Seed: 13})
-	x := New(inner)
+	x := New(updatable(inner))
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -303,7 +303,7 @@ func TestExecutorConcurrentQueriesRaceFree(t *testing.T) {
 	if got := x.Stats().Queries; got != 8*50*2 {
 		t.Fatalf("queries = %d, want %d", got, 8*50*2)
 	}
-	if x.Name() != "exec(mdd1r)" {
+	if x.Name() != "exec(updatable(mdd1r))" {
 		t.Fatalf("name = %q", x.Name())
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pool"
-	"repro/internal/updates"
 )
 
 // Sharded is a parallel cracking index: the column is value-range
@@ -29,7 +28,7 @@ import (
 // (shards are not contiguous with one another).
 //
 // Updates route by value: each shard is wrapped with the pending-update
-// machinery (when the algorithm is engine-backed), and Insert/Delete hand
+// machinery, and Insert/Delete hand
 // the value to the one shard whose range owns it, where it merges lazily
 // like on any single index.
 type Sharded struct {
@@ -74,12 +73,11 @@ func NewSharded(values []int64, spec string, k int, opt core.Options) (*Sharded,
 		if i < len(bounds) {
 			hi = bounds[i]
 		}
-		ix, err := core.Build(b, spec, opt)
+		u, err := wrap(core.Build(b, spec, opt))
 		if err != nil {
 			return nil, fmt.Errorf("exec: sharded: %w", err)
 		}
-		u, _ := updates.Wrap(ix)
-		s.shards = append(s.shards, shard{lo: lo, hi: hi, ex: shared(ix, u)})
+		s.shards = append(s.shards, shard{lo: lo, hi: hi, ex: New(u)})
 		lo = hi
 	}
 	return s, nil
@@ -109,11 +107,11 @@ func RestoreSharded(states []core.SnapshotState, bounds []int64, spec string, op
 		if hi <= lo {
 			return nil, fmt.Errorf("exec: sharded restore: bounds not ascending at shard %d", i)
 		}
-		ix, u, err := restore(st, spec, opt)
+		u, err := restore(st, spec, opt)
 		if err != nil {
 			return nil, fmt.Errorf("exec: sharded restore: shard %d: %w", i, err)
 		}
-		s.shards = append(s.shards, shard{lo: lo, hi: hi, ex: shared(ix, u)})
+		s.shards = append(s.shards, shard{lo: lo, hi: hi, ex: New(u)})
 		lo = hi
 	}
 	return s, nil
@@ -379,8 +377,7 @@ func (s *Sharded) QueryBatchInto(ctx context.Context, ranges []Range, bb *BatchB
 }
 
 // Insert queues value v for insertion on the shard whose value range owns
-// it; the shard merges it lazily like any single index. It errors when the
-// algorithm cannot take updates.
+// it; the shard merges it lazily like any single index.
 func (s *Sharded) Insert(v int64) error { return s.shardFor(v).ex.Insert(v) }
 
 // Delete queues the removal of one occurrence of v, like Insert.
@@ -484,13 +481,10 @@ func (s *Sharded) ExclusiveAll(fn func(inners []Index)) {
 
 // Capture runs fn on every shard's range under ExclusiveAll, in shard
 // order.
-func (s *Sharded) Capture(fn func(lo, hi int64, inner Index) error) (err error) {
+func (s *Sharded) Capture(fn func(lo, hi int64, inner Index)) {
 	s.ExclusiveAll(func(inners []Index) {
 		for i, inner := range inners {
-			if err = fn(s.shards[i].lo, s.shards[i].hi, inner); err != nil {
-				return
-			}
+			fn(s.shards[i].lo, s.shards[i].hi, inner)
 		}
 	})
-	return err
 }

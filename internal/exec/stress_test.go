@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/updates"
 	"repro/internal/xrand"
 )
 
@@ -27,7 +26,7 @@ func TestParallelMaterializeRaceStress(t *testing.T) {
 		workers = 8
 		iters   = 12
 	)
-	x := New(core.NewCrack(xrand.New(3).Perm(n), core.Options{Seed: 4}))
+	x := New(updatable(core.NewCrack(xrand.New(3).Perm(n), core.Options{Seed: 4})))
 	if out := values(x, wideLo, wideHi); len(out) != wideLen { // converge the wide bounds
 		t.Fatalf("warmup got %d values, want %d", len(out), wideLen)
 	}
@@ -85,11 +84,11 @@ func TestParallelCrackRaceStress(t *testing.T) {
 		workers = 8
 		iters   = 24
 	)
-	x := New(core.NewDD1R(xrand.New(5).Perm(n), core.Options{
+	x := New(updatable(core.NewDD1R(xrand.New(5).Perm(n), core.Options{
 		Seed:             6,
 		ParallelCrackMin: 1 << 14,
 		CoarseInitPieces: 4,
-	}))
+	})))
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -138,10 +137,7 @@ func TestSharedReadsBesideMergesRaceStress(t *testing.T) {
 		ranges = 64
 		writes = 300
 	)
-	u, ok := updates.Wrap(core.NewDD1R(xrand.New(7).Perm(n), core.Options{Seed: 8}))
-	if !ok {
-		t.Fatal("Wrap rejected dd1r")
-	}
+	u := updatable(core.NewDD1R(xrand.New(7).Perm(n), core.Options{Seed: 8}))
 	x := New(u)
 	ctx := context.Background()
 	rng := xrand.New(9)

@@ -70,7 +70,7 @@ func TestPathStatsCountsEveryRead(t *testing.T) {
 	)
 	ix := core.NewCrack(xrand.New(60).Perm(n), core.Options{Seed: 61})
 	ranges := convergedRanges(ix, 62, 64, 32, n)
-	x := New(ix)
+	x := New(updatable(ix))
 	if len(x.mu.stripes) != 4 {
 		t.Fatalf("%d stripes, want GOMAXPROCS = 4", len(x.mu.stripes))
 	}
@@ -150,11 +150,7 @@ func TestWriterExcludesEveryStripe(t *testing.T) {
 	)
 	ix := core.NewCrack(xrand.New(70).Perm(n), core.Options{Seed: 71})
 	ranges := convergedRanges(ix, 72, 64, 48, half)
-	u, ok := updates.Wrap(ix)
-	if !ok {
-		t.Fatal("Wrap rejected crack")
-	}
-	f := &inFlightIndex{Index: u}
+	f := &inFlightIndex{Index: updatable(ix)}
 	x := New(f)
 
 	var done atomic.Bool

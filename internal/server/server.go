@@ -442,7 +442,7 @@ type UpdateResponse struct {
 
 // ErrorResponse is the body of every non-2xx response: a human-readable
 // message and a stable machine-readable code ("unknown_column",
-// "updates_unsupported", "pending_updates", "snapshot_unsupported",
+// "pending_updates", "snapshot_unsupported",
 // "snapshot_unconfigured", "over_capacity", "bad_request", "canceled",
 // "closed", "unsupported", "internal").
 type ErrorResponse struct {
@@ -1245,8 +1245,6 @@ func statusFor(err error) (int, string) {
 	switch {
 	case errors.Is(err, crackdb.ErrUnknownColumn):
 		return http.StatusBadRequest, "unknown_column"
-	case errors.Is(err, crackdb.ErrUpdatesUnsupported):
-		return http.StatusUnprocessableEntity, "updates_unsupported"
 	case errors.Is(err, crackdb.ErrPendingUpdates):
 		// Not-yet-merged updates would be lost by a snapshot; the caller
 		// can drain them with covering queries and retry.

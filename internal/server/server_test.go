@@ -306,23 +306,6 @@ func TestInsertDeleteFlow(t *testing.T) {
 	}
 }
 
-func TestUpdatesUnsupportedMapsTo422(t *testing.T) {
-	db, err := crackdb.Open(crackdb.MakeData(testRows, 7), "aicc", crackdb.WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s := New(db, Config{Info: Info{Rows: testRows, Permutation: true}})
-	rec := post(t, s, "/v1/insert", `{"value": 5}`)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("insert on hybrid: status %d (%s)", rec.Code, rec.Body)
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Code != "updates_unsupported" {
-		t.Fatalf("insert on hybrid: body %q", rec.Body)
-	}
-}
-
 func TestClosedDBMapsTo503(t *testing.T) {
 	db, err := crackdb.Open(crackdb.MakeData(testRows, 7), crackdb.DD1R,
 		crackdb.WithConcurrency(crackdb.Shared))

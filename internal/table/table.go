@@ -87,10 +87,10 @@ type crackerMap struct {
 
 // New creates a table from named columns, all of equal length, served in
 // mode; the table owns the slices afterwards. algorithm selects the
-// cracking flavor for selection indexes (any core spec, e.g. "crack",
-// "dd1r", "pmdd1r-10", or a partition/merge hybrid outside projection
-// tables); a non-nil group attaches a group-commit batcher to every
-// column backend.
+// cracking flavor for selection indexes (any engine-backed core spec,
+// e.g. "crack", "dd1r", "pmdd1r-10"; others fail with
+// dberr.ErrUnknownAlgorithm); a non-nil group attaches a group-commit
+// batcher to every column backend.
 func New(cols map[string][]int64, algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
 	names := slices.Sorted(maps.Keys(cols))
 	rows := 0
@@ -106,8 +106,8 @@ func New(cols map[string][]int64, algorithm string, mode exec.Mode, opt core.Opt
 		return nil, err
 	}
 	if mode.Kind == exec.ModeSingle && len(names) > 1 { // a projection table
-		if _, err := core.Build(nil, algorithm, opt); err != nil {
-			return nil, err // projection needs an engine-backed algorithm
+		if _, err := exec.Build(nil, algorithm, t.mode, opt); err != nil {
+			return nil, err // the columns build on first use: check the spec now
 		}
 		for i, name := range names {
 			t.cols[i].base = cols[name]
@@ -328,7 +328,7 @@ func (t *Table) Close() {
 // order: built columns from their live cracker indexes (drained, so the
 // sizes are consistent), a projection table's unqueried columns as one
 // unbroken piece.
-func (t *Table) PieceSizes() ([]int, error) {
+func (t *Table) PieceSizes() []int {
 	var sizes []int
 	for i := range t.cols {
 		s := &t.cols[i]
@@ -336,13 +336,9 @@ func (t *Table) PieceSizes() ([]int, error) {
 			sizes = append(sizes, len(s.base))
 			continue
 		}
-		cs, err := exec.PieceSizes(s.col)
-		if err != nil {
-			return nil, err
-		}
-		sizes = append(sizes, cs...)
+		sizes = append(sizes, exec.PieceSizes(s.col)...)
 	}
-	return sizes, nil
+	return sizes
 }
 
 // Snapshot captures the whole table as a manifest: one entry per column
@@ -352,7 +348,7 @@ func (t *Table) PieceSizes() ([]int, error) {
 // columns capture their base values with no cracks. Each column's
 // capture is atomic; the cut is per column, matching the independence of
 // per-column updates.
-func (t *Table) Snapshot() (snapshot.Manifest, error) {
+func (t *Table) Snapshot() snapshot.Manifest {
 	cols := make([]snapshot.TableColumn, len(t.names))
 	for i, name := range t.names {
 		cols[i].Name = name
@@ -362,13 +358,9 @@ func (t *Table) Snapshot() (snapshot.Manifest, error) {
 				State: core.SnapshotState{Values: slices.Clone(s.base)}}}
 			continue
 		}
-		parts, err := exec.CaptureParts(s.col)
-		if err != nil {
-			return snapshot.Manifest{}, err
-		}
-		cols[i].Parts = parts
+		cols[i].Parts = exec.CaptureParts(s.col)
 	}
-	return snapshot.Manifest{Columns: cols}, nil
+	return snapshot.Manifest{Columns: cols}
 }
 
 // SelectProject answers SELECT proj FROM t WHERE lo <= sel AND sel < hi

@@ -232,9 +232,8 @@ func TestSelectionIndexesIndependentPerAttribute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes, err := exec.PieceSizes(cb)
-		if err != nil || len(sizes) != tc.pieces || cb.Stats().Touched != 0 {
-			t.Fatalf("%v: b has pieces %v (err %v) and touched %d after querying a", tc.mode, sizes, err, cb.Stats().Touched)
+		if sizes := exec.PieceSizes(cb); len(sizes) != tc.pieces || cb.Stats().Touched != 0 {
+			t.Fatalf("%v: b has pieces %v and touched %d after querying a", tc.mode, sizes, cb.Stats().Touched)
 		}
 	}
 }

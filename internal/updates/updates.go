@@ -394,6 +394,9 @@ func Wrap(inner core.Index) (*Index, bool) {
 // Engine exposes the wrapped index's engine (snapshotting, introspection).
 func (u *Index) Engine() *core.Engine { return u.engine }
 
+// Unwrap returns the wrapped cracking index.
+func (u *Index) Unwrap() core.Index { return u.inner }
+
 // Insert queues v for insertion; it becomes visible to the first query
 // whose range covers it.
 func (u *Index) Insert(v int64) { u.pending.Insert(v) }

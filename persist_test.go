@@ -83,13 +83,38 @@ func TestFacadeSnapshotRejectsPendingUpdates(t *testing.T) {
 	}
 }
 
+// TestFacadeSnapshotRejectsHybrids: a snapshot saved to a file or a
+// store cannot be reopened as the sorted baseline or a partition/merge
+// hybrid. Those specs have no engine to restore into, so the file and
+// store entry points refuse them just as OpenSnapshot does.
 func TestFacadeSnapshotRejectsHybrids(t *testing.T) {
-	db, err := crackdb.Open(crackdb.MakeData(1_000, 5), crackdb.AICS)
+	db, err := crackdb.Open(crackdb.MakeData(1_000, 5), crackdb.Crack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Snapshot(); !errors.Is(err, crackdb.ErrSnapshotUnsupported) {
-		t.Fatalf("hybrid snapshot: err = %v", err)
+	path := filepath.Join(t.TempDir(), "db.crks")
+	if err := db.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := db.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := crackdb.NewMemSnapshotStore()
+	if err := crackdb.SaveSnapshotTo(store, "db", snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"sort", "aicc", "aics", "aicc1r", "aics1r"} {
+		if _, err := crackdb.OpenSnapshotFile(path, spec); !errors.Is(err, crackdb.ErrUnknownAlgorithm) {
+			t.Errorf("OpenSnapshotFile(%q): err = %v, want ErrUnknownAlgorithm", spec, err)
+		}
+		if _, err := crackdb.OpenSnapshotFrom(store, "db", spec); !errors.Is(err, crackdb.ErrUnknownAlgorithm) {
+			t.Errorf("OpenSnapshotFrom(%q): err = %v, want ErrUnknownAlgorithm", spec, err)
+		}
+	}
+	// The file itself is intact: it reopens under a served spec.
+	if _, err := crackdb.OpenSnapshotFile(path, crackdb.Crack); err != nil {
+		t.Fatalf("OpenSnapshotFile(crack): %v", err)
 	}
 }
 

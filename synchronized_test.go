@@ -9,44 +9,50 @@ import (
 	crackdb "repro"
 )
 
-// TestSynchronizedHybridFallback covers the no-probe branch of a Shared
-// DB: the partition/merge hybrids expose no convergence probe, so every
-// query must serialize under the exclusive lock — and still answer
-// correctly, including batches and aggregates.
+// TestSynchronizedHybridFallback: a Shared DB has no probe-less
+// fallback left. The partition/merge hybrids, which had no convergence
+// probe and serialized every query, are refused at open. Every served
+// spec answers queries, batches and aggregates correctly through the
+// executor's lock paths, and a cracking spec answers a repeated query
+// under the shared read lock.
 func TestSynchronizedHybridFallback(t *testing.T) {
 	const n = 30_000
 	ctx := context.Background()
-	for _, spec := range []string{crackdb.AICS, crackdb.AICC1R} {
-		db, err := crackdb.Open(crackdb.MakeData(n, 17), spec, crackdb.WithSeed(18),
-			crackdb.WithConcurrency(crackdb.Shared))
+	shared := crackdb.WithConcurrency(crackdb.Shared)
+	for _, spec := range []string{"aics", "aicc1r"} {
+		if _, err := crackdb.Open(crackdb.MakeData(n, 17), spec, shared); !errors.Is(err, crackdb.ErrUnknownAlgorithm) {
+			t.Fatalf("%s: Shared open err = %v, want ErrUnknownAlgorithm", spec, err)
+		}
+	}
+	var want int64
+	for v := int64(2000); v < 2100; v++ {
+		want += v
+	}
+	for _, spec := range crackdb.Algorithms() {
+		db, err := crackdb.Open(crackdb.MakeData(n, 17), spec, crackdb.WithSeed(18), shared)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", spec, err)
 		}
-		if got, err := db.Query(ctx, crackdb.Range(1000, 1500)); err != nil || got.Count() != 500 {
-			t.Fatalf("%s: count = %d (err %v)", spec, got.Count(), err)
-		}
-		agg, err := db.QueryAggregate(ctx, crackdb.Range(2000, 2100))
-		var want int64
-		for v := int64(2000); v < 2100; v++ {
-			want += v
-		}
-		if err != nil || agg.Count != 100 || agg.Sum != want {
-			t.Fatalf("%s: aggregate (%d, %d), want (100, %d) (err %v)", spec, agg.Count, agg.Sum, want, err)
+		for range 2 {
+			if got, err := db.Query(ctx, crackdb.Range(1000, 1500)); err != nil || got.Count() != 500 {
+				t.Fatalf("%s: count = %d (err %v)", spec, got.Count(), err)
+			}
+			agg, err := db.QueryAggregate(ctx, crackdb.Range(2000, 2100))
+			if err != nil || agg.Count != 100 || agg.Sum != want {
+				t.Fatalf("%s: aggregate (%d, %d), want (100, %d) (err %v)", spec, agg.Count, agg.Sum, want, err)
+			}
 		}
 		out, err := db.QueryBatch(ctx, []crackdb.Predicate{crackdb.Range(5000, 5100), crackdb.Range(10, 20)})
 		if err != nil || out[0].Count() != 100 || out[1].Count() != 10 {
 			t.Fatalf("%s: batch %v (err %v)", spec, out, err)
 		}
-		// Hybrids cannot take updates; the DB must say so.
-		if err := db.Insert(1); !errors.Is(err, crackdb.ErrUpdatesUnsupported) {
-			t.Fatalf("%s: hybrid insert error = %v", spec, err)
+		// Two queries, two aggregates and a two-predicate batch.
+		reads, writes, ok := db.PathStats()
+		if !ok || reads+writes != 6 || writes == 0 {
+			t.Fatalf("%s: reads=%d writes=%d ok=%v; every query must pass the executor", spec, reads, writes, ok)
 		}
-		// Every query above took the exclusive path: no probe exists.
-		if reads, writes, ok := db.PathStats(); !ok || reads != 0 || writes == 0 {
-			t.Fatalf("%s: reads=%d writes=%d ok=%v; hybrid must use the write path", spec, reads, writes, ok)
-		}
-		if db.Stats().Queries == 0 || db.Name() == "" {
-			t.Fatalf("%s: stats/name broken", spec)
+		if spec == crackdb.Crack && reads == 0 {
+			t.Fatalf("%s: reads=%d; a repeated query must take the read path", spec, reads)
 		}
 	}
 }

@@ -317,10 +317,12 @@ func (db *DB) QueryAggregate(ctx context.Context, p Predicate) (Aggregate, error
 	return agg, nil
 }
 
-// SelectProject answers SELECT proj WHERE p on a table DB with late
-// (row-id) tuple reconstruction: p's column (resolved like Query's, so
-// scope it with On) is cracked as a side effect, and proj is fetched from
-// its base column by row id. Multi-range predicates concatenate in
+// SelectProject answers SELECT proj WHERE p on a table DB through a
+// sideways cracker map: a copy of p's column (resolved like Query's, so
+// scope it with On) cracked by the DB's algorithm with proj's values
+// travelling in tandem, so the projection is one contiguous copy. The map
+// is built lazily per (selection, projection) column pair from the
+// columns as they were opened. Multi-range predicates concatenate in
 // ascending range order, like Query. Projection is single-threaded: only
 // Single-mode tables serve it; Shared and Sharded tables fail with
 // errors.ErrUnsupported and single-column DBs with ErrUnknownColumn.
@@ -328,21 +330,6 @@ func (db *DB) QueryAggregate(ctx context.Context, p Predicate) (Aggregate, error
 // their row alignment and fail with ErrSnapshotUnsupported and
 // ErrUpdatesUnsupported respectively.
 func (db *DB) SelectProject(ctx context.Context, p Predicate, proj string) ([]int64, error) {
-	return db.project(ctx, p, proj, (*table.Table).SelectProject)
-}
-
-// SelectProjectSideways answers SelectProject's query through a sideways
-// cracker map: proj's values physically travel with the selection column
-// during cracking, so the projection is one contiguous copy. The map is
-// built lazily per (selection, projection) column pair; the contract is
-// SelectProject's.
-func (db *DB) SelectProjectSideways(ctx context.Context, p Predicate, proj string) ([]int64, error) {
-	return db.project(ctx, p, proj, (*table.Table).SelectProjectSideways)
-}
-
-// project answers every range of p through one reconstruction strategy.
-func (db *DB) project(ctx context.Context, p Predicate, proj string,
-	strategy func(t *table.Table, sel, proj string, lo, hi int64) ([]int64, error)) ([]int64, error) {
 	if err := db.check(ctx); err != nil {
 		return nil, err
 	}
@@ -355,7 +342,7 @@ func (db *DB) project(ctx context.Context, p Predicate, proj string,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		vals, err := strategy(db.tbl, sel, proj, r[0], r[1])
+		vals, err := db.tbl.SelectProject(sel, proj, r[0], r[1])
 		if err != nil {
 			return nil, fmt.Errorf("crackdb: %w", err)
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	crackdb "repro"
+	"repro/internal/xrand"
 )
 
 func sumRange(lo, hi int64) int64 {
@@ -507,9 +508,10 @@ func TestConstructorsDoNotCopy(t *testing.T) {
 	}
 }
 
-// TestSelectProjectEverySpec: every spec OpenTable accepts answers both
-// projection strategies on a Single table, and the sorted baseline — whose
-// index has no engine to project from — is refused when the table opens.
+// TestSelectProjectEverySpec: every spec OpenTable accepts projects
+// exactly on a Single table, over a permutation and over a duplicate-heavy
+// column, and the sorted baseline — whose index has no engine to project
+// from — is refused when the table opens.
 func TestSelectProjectEverySpec(t *testing.T) {
 	const n = 2000
 	ctx := context.Background()
@@ -529,27 +531,59 @@ func TestSelectProjectEverySpec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenTable(%s): %v", spec, err)
 		}
-		for _, project := range []func(*crackdb.DB, context.Context, crackdb.Predicate, string) ([]int64, error){
-			(*crackdb.DB).SelectProject, (*crackdb.DB).SelectProjectSideways,
-		} {
-			for _, r := range [][2]int64{{1, 3}, {100, 400}, {-5, n + 5}} {
-				got, err := project(db, ctx, crackdb.Range(r[0], r[1]).On("a"), "b")
-				lo, hi := max(r[0], 0), min(r[1], n)
-				var sum int64
-				for _, v := range got {
-					sum += v
+		for _, r := range [][2]int64{{1, 3}, {100, 400}, {-5, n + 5}} {
+			got, err := db.SelectProject(ctx, crackdb.Range(r[0], r[1]).On("a"), "b")
+			lo, hi := max(r[0], 0), min(r[1], n)
+			var sum int64
+			for _, v := range got {
+				sum += v
+			}
+			if err != nil || int64(len(got)) != hi-lo || sum != 3*sumRange(lo, hi) {
+				t.Fatalf("%s %v: %d rows, sum %d (err %v), want %d rows, sum %d", spec, r, len(got), sum, err, hi-lo, 3*sumRange(lo, hi))
+			}
+		}
+	}
+
+	// Duplicate-heavy selection values in [-150, 150), negatives included,
+	// and small thresholds, so the stochastic, materializing and
+	// progressive paths all run: each answer must equal, as a multiset,
+	// a row-by-row scan of the original slices.
+	rng := xrand.New(47)
+	a, b := make([]int64, n), make([]int64, n)
+	for i := range a {
+		a[i], b[i] = rng.Int63n(300)-150, rng.Int63n(1<<40)
+	}
+	for _, spec := range crackdb.Algorithms() {
+		db, err := crackdb.OpenTable(map[string][]int64{"a": slices.Clone(a), "b": slices.Clone(b)}, spec,
+			crackdb.WithSeed(49), crackdb.WithCrackSize(16), crackdb.WithProgressiveSize(64))
+		if err != nil {
+			t.Fatalf("OpenTable(%s): %v", spec, err)
+		}
+		for q := 0; q < 60; q++ {
+			lo := rng.Int63n(320) - 160
+			hi := lo + rng.Int63n(80)
+			got, err := db.SelectProject(ctx, crackdb.Range(lo, hi).On("a"), "b")
+			if err != nil {
+				t.Fatalf("%s [%d,%d): %v", spec, lo, hi, err)
+			}
+			var want []int64
+			for i, v := range a {
+				if lo <= v && v < hi {
+					want = append(want, b[i])
 				}
-				if err != nil || int64(len(got)) != hi-lo || sum != 3*sumRange(lo, hi) {
-					t.Fatalf("%s %v: %d rows, sum %d (err %v), want %d rows, sum %d", spec, r, len(got), sum, err, hi-lo, 3*sumRange(lo, hi))
-				}
+			}
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s [%d,%d): projected %d rows, want %d (multisets differ)", spec, lo, hi, len(got), len(want))
 			}
 		}
 	}
 }
 
-// TestDBSelectProject pins projection on DB: both reconstruction
-// strategies answer exactly on a Single-mode table, and every handle that
-// cannot project fails with its sentinel.
+// TestDBSelectProject pins projection on DB: it answers exactly on a
+// Single-mode table, and every handle that cannot project fails with its
+// sentinel.
 func TestDBSelectProject(t *testing.T) {
 	const n = 5000
 	a := crackdb.MakeData(n, 43)
@@ -568,35 +602,29 @@ func TestDBSelectProject(t *testing.T) {
 		}
 		return db
 	}
-	strategies := map[string]func(*crackdb.DB, context.Context, crackdb.Predicate, string) ([]int64, error){
-		"late":     (*crackdb.DB).SelectProject,
-		"sideways": (*crackdb.DB).SelectProjectSideways,
-	}
 	ctx := context.Background()
-	for name, project := range strategies {
-		db := openTable(t)
-		// Twice: the second pass runs on the cracks the first one made.
-		for pass := 0; pass < 2; pass++ {
-			got, err := project(db, ctx, crackdb.Range(300, 400).Or(crackdb.Range(100, 110)).On("a"), "b")
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+	db := openTable(t)
+	// Twice: the second pass runs on the cracks the first one made.
+	for pass := 0; pass < 2; pass++ {
+		got, err := db.SelectProject(ctx, crackdb.Range(300, 400).Or(crackdb.Range(100, 110)).On("a"), "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 110 {
+			t.Fatalf("%d rows, want 110", len(got))
+		}
+		// Ascending range order: [100,110) first, then [300,400).
+		var lowSum, highSum int64
+		for i, v := range got {
+			if i < 10 {
+				lowSum += v
+			} else {
+				highSum += v
 			}
-			if len(got) != 110 {
-				t.Fatalf("%s: %d rows, want 110", name, len(got))
-			}
-			// Ascending range order: [100,110) first, then [300,400).
-			var lowSum, highSum int64
-			for i, v := range got {
-				if i < 10 {
-					lowSum += v
-				} else {
-					highSum += v
-				}
-			}
-			if lowSum != 3*sumRange(100, 110) || highSum != 3*sumRange(300, 400) {
-				t.Fatalf("%s: sums (%d, %d), want (%d, %d)", name, lowSum, highSum,
-					3*sumRange(100, 110), 3*sumRange(300, 400))
-			}
+		}
+		if lowSum != 3*sumRange(100, 110) || highSum != 3*sumRange(300, 400) {
+			t.Fatalf("sums (%d, %d), want (%d, %d)", lowSum, highSum,
+				3*sumRange(100, 110), 3*sumRange(300, 400))
 		}
 	}
 
@@ -650,11 +678,9 @@ func TestDBSelectProject(t *testing.T) {
 			return openTable(t), canceled, crackdb.Range(0, 10).On("a"), "b"
 		}, context.Canceled},
 	} {
-		for name, project := range strategies {
-			db, cctx, p, proj := c.prep(t)
-			if _, err := project(db, cctx, p, proj); !errors.Is(err, c.want) {
-				t.Fatalf("%s/%s: err = %v, want %v", c.name, name, err, c.want)
-			}
+		db, cctx, p, proj := c.prep(t)
+		if _, err := db.SelectProject(cctx, p, proj); !errors.Is(err, c.want) {
+			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
 }

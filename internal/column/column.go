@@ -17,10 +17,10 @@
 //     used by progressive stochastic cracking (a single crack completed
 //     collaboratively by several queries).
 //
-// A column optionally carries a row-identifier payload that is permuted in
-// tandem with the values, mirroring a column-store's (rowid, value) pairs.
-// All primitives maintain the cost counters the paper reports (tuples
-// touched, swaps performed).
+// A column optionally carries a second attribute's values as a payload
+// permuted in tandem with its own, which is how a sideways cracker map
+// keeps a projected attribute aligned. All primitives maintain the cost
+// counters the paper reports (tuples touched, swaps performed).
 package column
 
 import "fmt"
@@ -37,14 +37,13 @@ type Stats struct {
 func (s *Stats) Reset() { s.Touched, s.Swaps = 0, 0 }
 
 // Column is a cracker column: a dense array of values, optionally paired
-// with row identifiers and/or a second attribute's values permuted in
-// tandem. The Payload column is what sideways cracking ([18], see
-// internal/table) uses: the projected attribute physically travels with
-// the selection attribute, so projection never needs random access.
+// with a second attribute's values permuted in tandem. The Payload column
+// is what sideways cracking ([18], see internal/table) uses: the projected
+// attribute physically travels with the selection attribute, so
+// projection never needs random access.
 type Column struct {
 	Values  []int64
-	RowIDs  []uint32 // nil when row identifiers are not tracked
-	Payload []int64  // nil when no tandem attribute is attached
+	Payload []int64 // nil when no tandem attribute is attached
 	Stats   Stats
 }
 
@@ -54,20 +53,10 @@ func New(values []int64) *Column {
 	return &Column{Values: values}
 }
 
-// NewWithRowIDs wraps values and assigns each tuple its initial position as
-// row identifier, as a column-store load would.
-func NewWithRowIDs(values []int64) *Column {
-	ids := make([]uint32, len(values))
-	for i := range ids {
-		ids[i] = uint32(i)
-	}
-	return &Column{Values: values, RowIDs: ids}
-}
-
 // Len returns the number of tuples in the column.
 func (c *Column) Len() int { return len(c.Values) }
 
-// Clone returns a deep copy of the column's data (Values, RowIDs,
+// Clone returns a deep copy of the column's data (Values and
 // Payload). Stats deliberately does NOT travel: the copy starts with
 // zeroed counters by construction. That is a contract, not an accident —
 // the benchmark harness clones one pristine column per algorithm and
@@ -76,9 +65,6 @@ func (c *Column) Len() int { return len(c.Values) }
 // per-algorithm cost comparison.
 func (c *Column) Clone() *Column {
 	cp := &Column{Values: append([]int64(nil), c.Values...)}
-	if c.RowIDs != nil {
-		cp.RowIDs = append([]uint32(nil), c.RowIDs...)
-	}
 	if c.Payload != nil {
 		cp.Payload = append([]int64(nil), c.Payload...)
 	}
@@ -96,9 +82,6 @@ func NewWithPayload(values, payload []int64) *Column {
 
 func (c *Column) swap(i, j int) {
 	c.Values[i], c.Values[j] = c.Values[j], c.Values[i]
-	if c.RowIDs != nil {
-		c.RowIDs[i], c.RowIDs[j] = c.RowIDs[j], c.RowIDs[i]
-	}
 	if c.Payload != nil {
 		c.Payload[i], c.Payload[j] = c.Payload[j], c.Payload[i]
 	}
@@ -117,12 +100,12 @@ func (c *Column) checkRange(lo, hi int) {
 // behind a crack (pivot, p).
 //
 // Values-only columns take a specialized kernel (crackInTwoVals); columns
-// carrying row identifiers or a tandem payload permute every attribute
-// together through the generic path.
+// carrying a tandem payload permute both attributes together through the
+// generic path.
 func (c *Column) CrackInTwo(lo, hi int, pivot int64) int {
 	c.checkRange(lo, hi)
 	c.Stats.Touched += int64(hi - lo)
-	if c.RowIDs == nil && c.Payload == nil {
+	if c.Payload == nil {
 		p, swaps := crackInTwoVals(c.Values[lo:hi:hi], pivot)
 		c.Stats.Swaps += swaps
 		return lo + p
@@ -159,7 +142,7 @@ func (c *Column) CrackInTwo(lo, hi int, pivot int64) int {
 // encountered after the first tuple >= pivot). That is an upper bound on
 // — not equal to — the Hoare pair-exchange count the tandem path
 // records: a Hoare exchange fixes two misplaced tuples at once, so
-// values-only and rowid/payload columns can report different Swaps for
+// values-only and payload columns can report different Swaps for
 // the same logical operation. Swaps is a kernel-level diagnostic;
 // Touched is the machine-independent cost metric the paper compares.
 func crackInTwoVals(v []int64, pivot int64) (p int, swaps int64) {
@@ -194,15 +177,15 @@ func crackInTwoVals(v []int64, pivot int64) (p int, swaps int64) {
 // branch. Touched stays the logical cost of the operation (one examination
 // of the piece, as the paper counts it); how a kernel schedules its memory
 // accesses — Lomuto's unconditional pair writes, the second pass here — is
-// below the machine-independent cost model. Columns with row identifiers
-// or a payload keep the single-pass generic path.
+// below the machine-independent cost model. Columns with a payload keep
+// the single-pass generic path.
 func (c *Column) CrackInThree(lo, hi int, a, b int64) (p1, p2 int) {
 	c.checkRange(lo, hi)
 	if a > b {
 		panic(fmt.Sprintf("column: CrackInThree with a=%d > b=%d", a, b))
 	}
 	c.Stats.Touched += int64(hi - lo)
-	if c.RowIDs == nil && c.Payload == nil {
+	if c.Payload == nil {
 		v := c.Values
 		q1, s1 := crackInTwoVals(v[lo:hi:hi], a)
 		p1 = lo + q1
@@ -269,7 +252,7 @@ func (c *Column) SplitAndMaterialize(lo, hi int, pivot, a, b int64, out []int64)
 	if a > b {
 		a = b // normalize so the rank compare sees an empty interval
 	}
-	if c.RowIDs == nil && c.Payload == nil {
+	if c.Payload == nil {
 		v := c.Values[lo:hi:hi]
 		r := 0
 		for r < len(v) && v[r] < pivot {
@@ -325,7 +308,7 @@ func (c *Column) SplitAndMaterialize(lo, hi int, pivot, a, b int64, out []int64)
 func (c *Column) SplitAndMaterializeGE(lo, hi int, pivot, a int64, out []int64) ([]int64, int) {
 	c.checkRange(lo, hi)
 	c.Stats.Touched += int64(hi - lo)
-	if c.RowIDs == nil && c.Payload == nil {
+	if c.Payload == nil {
 		v := c.Values[lo:hi:hi]
 		r := 0
 		for r < len(v) && v[r] < pivot {
@@ -379,7 +362,7 @@ func (c *Column) SplitAndMaterializeGE(lo, hi int, pivot, a int64, out []int64) 
 func (c *Column) SplitAndMaterializeLT(lo, hi int, pivot, b int64, out []int64) ([]int64, int) {
 	c.checkRange(lo, hi)
 	c.Stats.Touched += int64(hi - lo)
-	if c.RowIDs == nil && c.Payload == nil {
+	if c.Payload == nil {
 		v := c.Values[lo:hi:hi]
 		r := 0
 		for r < len(v) && v[r] < pivot {

@@ -229,14 +229,24 @@ func TestCrackPanicsOnBadRange(t *testing.T) {
 	New([]int64{1, 2, 3}).CrackInTwo(0, 4, 2)
 }
 
-func TestRowIDsFollowValues(t *testing.T) {
+// positions returns 0..n-1 as a payload: after any tandem permutation,
+// Payload[i] is the original position of Values[i].
+func positions(n int) []int64 {
+	pos := make([]int64, n)
+	for i := range pos {
+		pos[i] = int64(i)
+	}
+	return pos
+}
+
+func TestPayloadFollowsValues(t *testing.T) {
 	vals := []int64{13, 16, 4, 9, 2, 12, 7, 1, 19, 3, 14, 11, 8, 6}
-	c := NewWithRowIDs(append([]int64(nil), vals...))
+	c := NewWithPayload(append([]int64(nil), vals...), positions(len(vals)))
 	c.CrackInTwo(0, c.Len(), 10)
 	c.CrackInThree(0, c.Len(), 3, 12)
-	for i, id := range c.RowIDs {
-		if vals[id] != c.Values[i] {
-			t.Fatalf("row id %d at pos %d does not match value %d", id, i, c.Values[i])
+	for i, pos := range c.Payload {
+		if vals[pos] != c.Values[i] {
+			t.Fatalf("payload %d at pos %d does not match value %d", pos, i, c.Values[i])
 		}
 	}
 }
@@ -409,11 +419,11 @@ func TestTouchedAccounting(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	c := NewWithRowIDs([]int64{3, 1, 2})
+	c := NewWithPayload([]int64{3, 1, 2}, positions(3))
 	cp := c.Clone()
 	cp.Values[0] = 99
-	cp.RowIDs[0] = 7
-	if c.Values[0] != 3 || c.RowIDs[0] != 0 {
+	cp.Payload[0] = 7
+	if c.Values[0] != 3 || c.Payload[0] != 0 {
 		t.Fatal("Clone shares storage with original")
 	}
 }

@@ -100,22 +100,21 @@ func BenchmarkMDD1RMaterialize(b *testing.B) {
 	}
 }
 
-// BenchmarkCrackInTwoRowIDs covers the payload-carrying path (rowids
-// permuted in tandem), which cannot take the values-only fast loop.
-func BenchmarkCrackInTwoRowIDs(b *testing.B) {
+// BenchmarkCrackInTwoPayload covers the payload-carrying path (a second
+// attribute permuted in tandem, as a sideways map cracks), which cannot
+// take the values-only fast loop.
+func BenchmarkCrackInTwoPayload(b *testing.B) {
 	const n = 1 << 20
 	pristine, scratch := kernelData(n)
-	ids := make([]uint32, n)
+	payload := make([]int64, n)
 	b.Run(fmt.Sprintf("n=%dK", n>>10), func(b *testing.B) {
 		b.SetBytes(8 * n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			copy(scratch, pristine)
-			for j := range ids {
-				ids[j] = uint32(j)
-			}
-			c := &Column{Values: scratch, RowIDs: ids}
+			copy(payload, pristine)
+			c := NewWithPayload(scratch, payload)
 			b.StartTimer()
 			if p := c.CrackInTwo(0, n, n/2); p != n/2 {
 				b.Fatalf("crack position %d", p)

@@ -197,17 +197,16 @@ func parallelPartitionChunked(v []int64, pivot int64, chunk int) (int, int64) {
 }
 
 // parallelOK reports whether the piece [lo, hi) can take the parallel
-// kernels at all: only bare value columns qualify (row ids or a tandem
-// payload keep the generic serial path, exactly like the specialized
-// serial kernels).
+// kernels at all: only bare value columns qualify (a tandem payload keeps
+// the generic serial path, exactly like the specialized serial kernels).
 func (c *Column) parallelOK() bool {
-	return c.RowIDs == nil && c.Payload == nil
+	return c.Payload == nil
 }
 
 // ParallelCrackInTwo is CrackInTwo executed by the chunked parallel
 // kernel: same split position, same per-side multisets, order within a
 // side unspecified (see the package's serial-equivalence contract above).
-// Columns carrying row ids or a payload, and pieces too small to
+// Columns carrying a payload, and pieces too small to
 // coordinate over, fall back to CrackInTwo.
 func (c *Column) ParallelCrackInTwo(lo, hi int, pivot int64) int {
 	if !c.parallelOK() {

@@ -289,21 +289,21 @@ func TestParallelSplitAndMaterialize(t *testing.T) {
 }
 
 // TestParallelFallbacks asserts columns the parallel kernels cannot
-// handle — row ids or a tandem payload — quietly take the serial tandem
-// path with identical results.
+// handle — a tandem payload — quietly take the serial tandem path with
+// identical results.
 func TestParallelFallbacks(t *testing.T) {
 	const n = 10_000
 	data := xrand.New(3).Perm(n)
-	c := NewWithRowIDs(append([]int64(nil), data...))
+	c := NewWithPayload(append([]int64(nil), data...), positions(n))
 	p := c.ParallelCrackInTwo(0, n, int64(n/2))
 	if p != n/2 {
 		t.Fatalf("split %d, want %d", p, n/2)
 	}
 	for i := 0; i < n; i++ {
-		// Row ids must still travel with their values: row id r points at
-		// the value's original position, so data[r] must equal the value.
-		if data[c.RowIDs[i]] != c.Values[i] {
-			t.Fatalf("row id %d detached from value %d at %d", c.RowIDs[i], c.Values[i], i)
+		// The payload must still travel with its values: Payload[i] is the
+		// value's original position, so data[Payload[i]] must equal it.
+		if data[c.Payload[i]] != c.Values[i] {
+			t.Fatalf("payload %d detached from value %d at %d", c.Payload[i], c.Values[i], i)
 		}
 	}
 }
@@ -312,7 +312,7 @@ func TestParallelFallbacks(t *testing.T) {
 // the data but starts with zeroed counters, keeping the bench harness's
 // per-algorithm cost isolation intentional.
 func TestCloneDropsStats(t *testing.T) {
-	c := NewWithRowIDs([]int64{5, 2, 9, 1})
+	c := NewWithPayload([]int64{5, 2, 9, 1}, positions(4))
 	c.CrackInTwo(0, c.Len(), 4)
 	if c.Stats.Touched == 0 {
 		t.Fatal("source column has no cost to drop; test is vacuous")
@@ -321,8 +321,8 @@ func TestCloneDropsStats(t *testing.T) {
 	if cp.Stats.Touched != 0 || cp.Stats.Swaps != 0 {
 		t.Fatalf("Clone carried counters over: %+v", cp.Stats)
 	}
-	if len(cp.Values) != c.Len() || len(cp.RowIDs) != c.Len() {
-		t.Fatalf("Clone dropped data: %d values, %d row ids", len(cp.Values), len(cp.RowIDs))
+	if len(cp.Values) != c.Len() || len(cp.Payload) != c.Len() {
+		t.Fatalf("Clone dropped data: %d values, %d payload", len(cp.Values), len(cp.Payload))
 	}
 	cp.Values[0] = -1
 	if c.Values[0] == -1 {

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Crack is original database cracking [16]: each select operator cracks
@@ -90,11 +89,7 @@ func (s *Sort) Query(a, b int64) Result {
 	res := Result{col: s.e.col}
 	n := s.e.col.Len()
 	if !s.sorted {
-		if s.e.col.RowIDs != nil {
-			sortWithRowIDs(s.e.col.Values, s.e.col.RowIDs)
-		} else {
-			slices.Sort(s.e.col.Values)
-		}
+		slices.Sort(s.e.col.Values)
 		s.sorted = true
 		// Analytic touched-tuples accounting for the sort: n*ceil(log2 n)
 		// comparisons-worth of work, the conventional cost model. Wall
@@ -119,20 +114,3 @@ func (s *Sort) Name() string { return "sort" }
 
 // Stats implements Index.
 func (s *Sort) Stats() Stats { return s.e.stats() }
-
-// sortWithRowIDs sorts values and keeps the rowid payload aligned.
-func sortWithRowIDs(values []int64, ids []uint32) {
-	idx := make([]int, len(values))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return values[idx[i]] < values[idx[j]] })
-	vtmp := make([]int64, len(values))
-	itmp := make([]uint32, len(ids))
-	for i, j := range idx {
-		vtmp[i] = values[j]
-		itmp[i] = ids[j]
-	}
-	copy(values, vtmp)
-	copy(ids, itmp)
-}

@@ -6,29 +6,6 @@ import (
 	"repro/internal/xrand"
 )
 
-func TestSortKeepsRowIDsAligned(t *testing.T) {
-	const n = 5000
-	original := xrand.New(70).Perm(n)
-	s := NewSort(append([]int64(nil), original...), Options{TrackRowIDs: true})
-	s.Query(100, 200)
-	col := s.e.Column()
-	if col.RowIDs == nil {
-		t.Fatal("row ids dropped")
-	}
-	for i, id := range col.RowIDs {
-		if original[id] != col.Values[i] {
-			t.Fatalf("row id %d at pos %d maps to %d, column holds %d",
-				id, i, original[id], col.Values[i])
-		}
-	}
-	// Column must be fully sorted after the first query.
-	for i := 1; i < n; i++ {
-		if col.Values[i-1] > col.Values[i] {
-			t.Fatal("column not sorted")
-		}
-	}
-}
-
 func TestSortIdempotentAcrossQueries(t *testing.T) {
 	s := NewSort(xrand.New(71).Perm(1000), Options{})
 	first := s.Stats()

@@ -41,11 +41,9 @@ type Engine struct {
 
 func newEngine(values []int64, opt Options) *Engine {
 	opt = opt.withDefaults()
-	var col *column.Column
-	if opt.TrackRowIDs {
-		col = column.NewWithRowIDs(values)
-	} else {
-		col = column.New(values)
+	col := column.New(values)
+	if opt.Payload != nil {
+		col = column.NewWithPayload(values, opt.Payload)
 	}
 	e := &Engine{
 		col:    col,

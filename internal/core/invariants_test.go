@@ -83,12 +83,13 @@ func checkPhysicalInvariants(t *testing.T, e *Engine, original []int64) {
 		}
 	}
 
-	// Row-id payload, when present, must still match original values.
-	if col.RowIDs != nil {
-		for i, id := range col.RowIDs {
-			if original[id] != col.Values[i] {
-				t.Fatalf("row id %d at pos %d maps to %d, column holds %d",
-					id, i, original[id], col.Values[i])
+	// A payload of original positions, when present, must still point
+	// at each value's original slot.
+	if col.Payload != nil {
+		for i, pos := range col.Payload {
+			if original[pos] != col.Values[i] {
+				t.Fatalf("payload %d at pos %d maps to %d, column holds %d",
+					pos, i, original[pos], col.Values[i])
 			}
 		}
 	}
@@ -101,8 +102,12 @@ func TestPhysicalInvariantsAcrossAlgorithms(t *testing.T) {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
 			t.Parallel()
+			pos := make([]int64, n)
+			for i := range pos {
+				pos[i] = int64(i)
+			}
 			ix, err := Build(append([]int64(nil), original...), spec,
-				Options{Seed: 51, TrackRowIDs: true})
+				Options{Seed: 51, Payload: pos})
 			if err != nil {
 				t.Fatal(err)
 			}

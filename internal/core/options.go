@@ -90,9 +90,11 @@ type Options struct {
 	// sequence behave identically. Defaults to 1.
 	Seed uint64
 
-	// TrackRowIDs attaches a row-identifier payload that is permuted in
-	// tandem with the values, as a column-store's (rowid, value) pairs.
-	TrackRowIDs bool
+	// Payload attaches a second attribute, one value per row of the
+	// column, permuted in tandem with the values: the projected attribute
+	// of a sideways cracker map. Build takes ownership of it; every
+	// algorithm Algorithms lists keeps it aligned ("sort" does not).
+	Payload []int64
 }
 
 func (o Options) withDefaults() Options {
@@ -139,8 +141,8 @@ type Stats struct {
 	// Swaps counts tuple movements during reorganization. It is a
 	// kernel-level diagnostic, not a cross-kernel comparable: the
 	// branchless values-only kernels count each displaced qualifying
-	// tuple, the tandem (rowid/payload) kernels count Hoare pair
-	// exchanges. Compare physical cost across algorithms with Touched.
+	// tuple, the tandem (payload) kernels count Hoare pair exchanges.
+	// Compare physical cost across algorithms with Touched.
 	Swaps int64
 	// Cracks is the number of cracks in the cracker index.
 	Cracks int

@@ -18,8 +18,9 @@ type CrackEntry struct {
 // snapshot package serializes; restoring it yields an index that resumes
 // with all adaptation earned so far (the paper's §6 "disk-based
 // processing" direction needs exactly this ability to persist cracker
-// state). A column's row-id payload is not part of it: row ids serve
-// projection from a live row-order base, which a snapshot never carries.
+// state). A tandem payload is not part of it: only a sideways map
+// carries one, and a map is rebuilt from the table's row-order base,
+// which a snapshot never holds.
 type SnapshotState struct {
 	Values []int64
 	Cracks []CrackEntry

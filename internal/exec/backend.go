@@ -241,9 +241,6 @@ type Single struct {
 // Query answers [a, b), merging the pending updates it covers first.
 func (s *Single) Query(a, b int64) core.Result { return s.ix.Query(a, b) }
 
-// Engine exposes the index's engine; table projection reads its row ids.
-func (s *Single) Engine() *core.Engine { return s.ix.Engine() }
-
 // Merged returns the number of updates merged into the column so far.
 func (s *Single) Merged() int64 { return s.ix.Merged() }
 

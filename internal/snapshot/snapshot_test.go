@@ -11,11 +11,17 @@ import (
 )
 
 // crackedState builds a realistic snapshot: a cracked index after a batch
-// of queries. With rowIDs the index cracks through the tandem row-id
-// kernels; the captured state never carries the row ids.
-func crackedState(t testing.TB, n int, rowIDs bool) core.SnapshotState {
+// of queries. With tandem the index carries a payload, as a sideways map
+// does, and cracks through the tandem kernels; the captured state never
+// carries the payload.
+func crackedState(t testing.TB, n int, tandem bool) core.SnapshotState {
 	t.Helper()
-	ix := core.NewCrack(xrand.New(1).Perm(n), core.Options{Seed: 2, TrackRowIDs: rowIDs})
+	values := xrand.New(1).Perm(n)
+	opt := core.Options{Seed: 2}
+	if tandem {
+		opt.Payload = slices.Clone(values)
+	}
+	ix := core.NewCrack(values, opt)
 	rng := xrand.New(3)
 	for i := 0; i < 50; i++ {
 		a := rng.Int63n(int64(n) - 10)
@@ -39,10 +45,11 @@ func roundTrip(t *testing.T, m Manifest) Manifest {
 }
 
 // TestSnapshotRoundTrip: a captured state round-trips exactly, also when
-// the index tracked row ids — those never reach the stream (flag 0).
+// the index carried a tandem payload — it never reaches the stream, whose
+// row-id flag stays 0.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, rowIDs := range []bool{false, true} {
-		st := crackedState(t, 5000, rowIDs)
+	for _, tandem := range []bool{false, true} {
+		st := crackedState(t, 5000, tandem)
 		var buf bytes.Buffer
 		if err := WriteManifest(&buf, Single(st)); err != nil {
 			t.Fatal(err)
@@ -50,7 +57,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		// Layout: magic, column count, name length, part count, bounds,
 		// length, then the row-id flag.
 		if flag := buf.Bytes()[56]; flag != 0 {
-			t.Fatalf("rowIDs=%v: row-id flag %d written, want 0", rowIDs, flag)
+			t.Fatalf("tandem=%v: row-id flag %d written, want 0", tandem, flag)
 		}
 		m, err := ReadManifest(&buf)
 		if err != nil {

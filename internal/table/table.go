@@ -3,21 +3,17 @@
 // the attribute level — a query reorganizes only the columns it
 // references — and other attributes are reconstructed on demand.
 //
-// Two reconstruction strategies are provided:
-//
-//   - Row-id reconstruction: the selection column carries a row-id payload
-//     permuted in tandem (column.Column.RowIDs); projected attributes are
-//     fetched from their base columns by row id. This is classic late
-//     tuple reconstruction, paying one random access per result tuple.
-//
-//   - Sideways cracking (after Idreos et al. [18], simplified): for an
-//     attribute pair (A, B) where queries select on A and project B, a
-//     cracker map holds B's values physically aligned with a cracked copy
-//     of A — the partition swaps move both attributes together — so
-//     projection is a contiguous copy, never random access. Maps are
-//     created lazily on first use and refined adaptively like any other
-//     cracker column ("pieces of cracker columns are dynamically
-//     created ... based on storage restrictions", §2).
+// Projection is sideways cracking (after Idreos et al. [18], simplified):
+// for an attribute pair (A, B) where queries select on A and project B, a
+// cracker map holds B's values physically aligned with a cracked copy of
+// A — the partition swaps move both attributes together — so projection
+// is a contiguous copy, never random access. A map is an index of the
+// table's own algorithm with B as its column's tandem payload, so it
+// cracks exactly as a selection on A would: a stochastic table's maps
+// stay robust on sequential patterns. Maps are created lazily on first
+// use and refined adaptively like any other cracker column ("pieces of
+// cracker columns are dynamically created ... based on storage
+// restrictions", §2).
 //
 // Selection uses any core cracking algorithm. Every column is one
 // exec.Backend in the table's mode — unsynchronized in Single mode, one
@@ -26,11 +22,11 @@
 // table then owns. Columns share no physical state, so queries on
 // different columns of a concurrent table run fully in parallel.
 //
-// Projection is single-threaded and needs an immutable row-order base, so
-// only a Single table with at least two columns projects: it keeps each
-// adopted slice as that base and makes the column's cracker copy, with
-// row ids, on the column's first selection or write (original cracking's
-// "cracker column on first query"). No other column tracks row ids.
+// Projection is single-threaded and builds its maps from an immutable
+// row-order base, so only a Single table with at least two columns
+// projects: it keeps each adopted slice as that base and makes the
+// column's cracker copy on the column's first selection or write
+// (original cracking's "cracker column on first query").
 //
 // A single-column database is a one-column table whose column is unnamed.
 package table
@@ -43,8 +39,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/cindex"
-	"repro/internal/column"
 	"repro/internal/core"
 	"repro/internal/dberr"
 	"repro/internal/exec"
@@ -53,8 +47,7 @@ import (
 
 // Table is a column-store table: named columns of equal length. Selections
 // and writes through Column are safe for concurrent use in the Shared and
-// Sharded modes; the projection paths, which only Single tables serve, are
-// not.
+// Sharded modes; SelectProject, which only Single tables serve, is not.
 type Table struct {
 	names []string // sorted
 	// cols[i] is column names[i], made at construction: a query finds its
@@ -66,7 +59,7 @@ type Table struct {
 	mode  exec.Mode            // Shards clamped to the row count
 	group *exec.BatcherOptions // nil without group commit
 
-	maps map[[2]string]*crackerMap // sideways maps keyed by (sel, proj)
+	maps map[[2]string]core.Index // sideways maps keyed by (sel, proj)
 }
 
 // slot is one column. In a projection table (see New) base is the
@@ -76,13 +69,6 @@ type Table struct {
 type slot struct {
 	base []int64
 	col  *exec.Column
-}
-
-// crackerMap is a sideways map: a copy of the selection attribute cracked
-// query-driven, with the projected attribute permuted in tandem.
-type crackerMap struct {
-	col *column.Column
-	idx *cindex.Tree
 }
 
 // New creates a table from named columns, all of equal length, served in
@@ -131,7 +117,7 @@ func New(cols map[string][]int64, algorithm string, mode exec.Mode, opt core.Opt
 // exec.Restore, so a Sharded(k) table restored with the captured k keeps
 // its shard bounds. Restored columns have no row-order base, so a
 // restored table answers every per-column selection exactly but rejects
-// the projection paths with dberr.ErrSnapshotUnsupported.
+// SelectProject with dberr.ErrSnapshotUnsupported.
 func Restore(m snapshot.Manifest, algorithm string, mode exec.Mode, opt core.Options, group *exec.BatcherOptions) (*Table, error) {
 	names := make([]string, len(m.Columns))
 	for i, c := range m.Columns {
@@ -166,7 +152,7 @@ func newTable(names []string, rows int, algorithm string, mode exec.Mode, opt co
 		}
 	}
 	return &Table{names: names, cols: make([]slot, len(names)), rows: rows,
-		algo: algorithm, opt: opt, mode: mode, group: group, maps: make(map[[2]string]*crackerMap)}, nil
+		algo: algorithm, opt: opt, mode: mode, group: group, maps: make(map[[2]string]core.Index)}, nil
 }
 
 // unnamed reports whether t is a single-column database: one column,
@@ -224,14 +210,12 @@ func (t *Table) Column(name string) (*exec.Column, error) {
 }
 
 // column returns column i's backend. A projection table's column is made
-// here on first use: a cracker copy of its base, with row ids. Projection
-// tables are Single, so nothing races the build.
+// here on first use: a cracker copy of its base. Projection tables are
+// Single, so nothing races the build.
 func (t *Table) column(i int) (*exec.Column, error) {
 	s := &t.cols[i]
 	if s.col == nil {
-		opt := t.opt
-		opt.TrackRowIDs = true
-		b, err := exec.Build(slices.Clone(s.base), t.algo, t.mode, opt)
+		b, err := exec.Build(slices.Clone(s.base), t.algo, t.mode, t.opt)
 		if err != nil {
 			return nil, err
 		}
@@ -256,19 +240,18 @@ func (t *Table) built() iter.Seq[*exec.Column] {
 // sideways maps; a projection table's unqueried columns report nothing.
 func (t *Table) Stats() core.Stats {
 	var agg core.Stats
-	for c := range t.built() {
-		st := c.Stats()
+	add := func(st core.Stats) {
 		agg.Queries += st.Queries
 		agg.Touched += st.Touched
 		agg.Swaps += st.Swaps
 		agg.Cracks += st.Cracks
 		agg.Pieces += st.Pieces
 	}
+	for c := range t.built() {
+		add(c.Stats())
+	}
 	for _, m := range t.maps {
-		agg.Touched += m.col.Stats.Touched
-		agg.Swaps += m.col.Stats.Swaps
-		agg.Cracks += m.idx.Len()
-		agg.Pieces += m.idx.Len() + 1
+		add(m.Stats())
 	}
 	return agg
 }
@@ -364,52 +347,11 @@ func (t *Table) Snapshot() snapshot.Manifest {
 }
 
 // SelectProject answers SELECT proj FROM t WHERE lo <= sel AND sel < hi
-// with late tuple reconstruction: the selection column is cracked as a
-// side effect, and proj is fetched from its base column through the
-// row-id payload.
+// through the sideways map of (sel, proj), built on the pair's first
+// projection from copies of the two base columns and cracked by the
+// table's algorithm as a side effect. A view answer is one contiguous
+// copy of the projected values.
 func (t *Table) SelectProject(sel, proj string, lo, hi int64) ([]int64, error) {
-	i, j, err := t.projectable(sel, proj)
-	if err != nil {
-		return nil, err
-	}
-	c, err := t.column(i)
-	if err != nil {
-		return nil, err
-	}
-	base := t.cols[j].base
-	si := c.Backend.(*exec.Single) // projectable checked the mode
-	res := si.Query(lo, hi)
-	e := si.Engine()
-	col := e.Column()
-	out := make([]int64, 0, res.Count())
-	if res.ViewLen() == res.Count() {
-		// Pure view: project the contiguous qualifying area by row id.
-		for i := res.ViewLo(); i < res.ViewHi(); i++ {
-			out = append(out, base[col.RowIDs[i]])
-		}
-		return out, nil
-	}
-	// Stochastic variants materialize end pieces without row ids; recover
-	// them by scanning the (now partially cracked) end pieces for
-	// qualifying values. The middle view still projects contiguously.
-	if hi <= lo {
-		return out, nil
-	}
-	plo, _, _, _, phi, _ := e.CrackerIndex().Bounds(lo, hi, col.Len())
-	for i := plo; i < phi; i++ {
-		if v := col.Values[i]; lo <= v && v < hi {
-			out = append(out, base[col.RowIDs[i]])
-		}
-	}
-	return out, nil
-}
-
-// SelectProjectSideways answers the same query through a sideways cracker
-// map: the projected attribute physically travels with the selection
-// attribute during cracking, so the projection is one contiguous copy.
-// The map is built lazily for each (sel, proj) pair and cracked
-// query-driven.
-func (t *Table) SelectProjectSideways(sel, proj string, lo, hi int64) ([]int64, error) {
 	i, j, err := t.projectable(sel, proj)
 	if err != nil {
 		return nil, err
@@ -417,28 +359,40 @@ func (t *Table) SelectProjectSideways(sel, proj string, lo, hi int64) ([]int64, 
 	key := [2]string{t.names[i], t.names[j]}
 	m, ok := t.maps[key]
 	if !ok {
-		m = &crackerMap{
-			col: column.NewWithPayload(slices.Clone(t.cols[i].base), slices.Clone(t.cols[j].base)),
-			idx: &cindex.Tree{},
+		opt := t.opt
+		opt.Payload = slices.Clone(t.cols[j].base)
+		if m, err = core.Build(slices.Clone(t.cols[i].base), t.algo, opt); err != nil {
+			return nil, err
 		}
 		t.maps[key] = m
 	}
-	if lo >= hi {
-		return nil, nil
+	res := m.Query(lo, hi)
+	e := m.(interface{ Engine() *core.Engine }).Engine() // every served spec has one
+	col := e.Column()
+	if n := res.ViewLen(); n == res.Count() {
+		return slices.Clone(col.Payload[res.ViewLo() : res.ViewLo()+n]), nil
 	}
-	p1 := m.crackBound(lo)
-	p2 := m.crackBound(hi)
-	return append([]int64(nil), m.col.Payload[p1:p2]...), nil
+	// MDD1R and the progressive variants materialize end pieces without
+	// their payload: rescan the pieces holding the answer, now partially
+	// cracked, for qualifying values.
+	out := make([]int64, 0, res.Count())
+	plo, _, _, _, phi, _ := e.CrackerIndex().Bounds(lo, hi, col.Len())
+	for k := plo; k < phi; k++ {
+		if v := col.Values[k]; lo <= v && v < hi {
+			out = append(out, col.Payload[k])
+		}
+	}
+	return out, nil
 }
 
 // Maps returns the number of sideways maps materialized so far.
 func (t *Table) Maps() int { return len(t.maps) }
 
-// projectable reports whether the projection paths can serve (sel, proj),
-// returning the two columns' indexes. Both reconstruction strategies are
-// single-threaded and read base columns aligned row-for-row with the
-// selection index, which restored columns (they have no base) and
-// written-to columns (updates never touch base) do not offer.
+// projectable reports whether SelectProject can serve (sel, proj),
+// returning the two columns' indexes. Maps are single-threaded and built
+// from base columns aligned row for row, which restored columns (they
+// have no base) and written-to columns (updates never touch base) do not
+// offer.
 func (t *Table) projectable(sel, proj string) (i, j int, err error) {
 	if j, err = t.slot(proj); err != nil || len(t.names) < 2 {
 		return 0, 0, fmt.Errorf("table: no column %q to project: %w", proj, dberr.ErrUnknownColumn)
@@ -460,17 +414,4 @@ func (t *Table) projectable(sel, proj string) (i, j int, err error) {
 		}
 	}
 	return i, j, nil
-}
-
-// crackBound cracks the map on v (query-driven), keeping the projected
-// values aligned through the column's tandem payload, and returns the
-// crack position.
-func (m *crackerMap) crackBound(v int64) int {
-	lo, hi, exact := m.idx.PieceFor(v, m.col.Len())
-	if exact {
-		return lo
-	}
-	p := m.col.CrackInTwo(lo, hi, v)
-	m.idx.Insert(v, p)
-	return p
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
@@ -100,7 +101,7 @@ func TestSelectMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestSelectProjectRowIDReconstruction(t *testing.T) {
+func TestSelectProjectReconstruction(t *testing.T) {
 	for _, algo := range []string{"crack", "dd1r", "mdd1r", "pmdd1r-10"} {
 		tbl, _ := makeTable(t, 5000, algo)
 		rng := xrand.New(9)
@@ -142,7 +143,7 @@ func TestSelectProjectSideways(t *testing.T) {
 	for q := 0; q < 60; q++ {
 		lo := rng.Int63n(4800)
 		hi := lo + rng.Int63n(150) + 1
-		got, err := tbl.SelectProjectSideways("a", "c", lo, hi)
+		got, err := tbl.SelectProject("a", "c", lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,14 +162,54 @@ func TestSelectProjectSideways(t *testing.T) {
 		t.Fatalf("maps = %d, want 1 (one (a,c) pair)", tbl.Maps())
 	}
 	// A second pair materializes a second map.
-	if _, err := tbl.SelectProjectSideways("a", "b", 10, 20); err != nil {
+	if _, err := tbl.SelectProject("a", "b", 10, 20); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Maps() != 2 {
 		t.Fatalf("maps = %d, want 2", tbl.Maps())
 	}
-	if _, err := tbl.SelectProjectSideways("a", "zzz", 0, 1); err == nil {
+	if _, err := tbl.SelectProject("a", "zzz", 0, 1); err == nil {
 		t.Fatal("unknown projection accepted")
+	}
+}
+
+// TestProjectionRobustness holds projection to the paper's robustness bar
+// (the same as TestRobustnessTuplesTouched's for selections): on a DD1R
+// table, sequential 1 000-wide projections touch at most 2.5x what random
+// ones of the same size do. A map that cracked exactly on each bound
+// would degrade to original cracking's scan cost on the sequential
+// pattern.
+func TestProjectionRobustness(t *testing.T) {
+	const n, q, s = 200_000, 1_000, 1_000
+	for _, seed := range []uint64{3, 11} {
+		touched := func(pattern string) int64 {
+			a := xrand.New(seed).Perm(n)
+			b := make([]int64, n)
+			for i, v := range a {
+				b[i] = v * 2
+			}
+			tbl, err := New(map[string][]int64{"a": a, "b": b}, "dd1r", exec.Mode{}, core.Options{Seed: seed}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := workload.New(pattern, workload.Params{N: n, Q: q, S: s, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range q {
+				lo, hi := gen.Next()
+				got, err := tbl.SelectProject("a", "b", lo, hi)
+				if err != nil || int64(len(got)) != hi-lo {
+					t.Fatalf("seed %d %s [%d,%d): %d rows (err %v)", seed, pattern, lo, hi, len(got), err)
+				}
+			}
+			return tbl.Stats().Touched
+		}
+		random, sequential := touched("random"), touched("sequential")
+		if float64(sequential) > 2.5*float64(random) {
+			t.Errorf("seed %d: sequential projections touched %d, %.2fx the random %d; want <= 2.5x",
+				seed, sequential, float64(sequential)/float64(random), random)
+		}
 	}
 }
 
@@ -176,12 +217,12 @@ func TestSidewaysMapConvergence(t *testing.T) {
 	// Repeating a query must stop touching tuples: the map has exact
 	// cracks for its bounds.
 	tbl, _ := makeTable(t, 10000, "crack")
-	if _, err := tbl.SelectProjectSideways("a", "b", 2000, 3000); err != nil {
+	if _, err := tbl.SelectProject("a", "b", 2000, 3000); err != nil {
 		t.Fatal(err)
 	}
 	touched := tbl.Stats().Touched
 	for i := 0; i < 5; i++ {
-		if _, err := tbl.SelectProjectSideways("a", "b", 2000, 3000); err != nil {
+		if _, err := tbl.SelectProject("a", "b", 2000, 3000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,13 +289,6 @@ func TestSelectEmptyAndInvertedRanges(t *testing.T) {
 		if len(got) != 0 {
 			t.Fatalf("range [%d,%d) returned %d values", q[0], q[1], len(got))
 		}
-		side, err := tbl.SelectProjectSideways("a", "b", q[0], q[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(side) != 0 {
-			t.Fatalf("sideways range [%d,%d) returned %d values", q[0], q[1], len(side))
-		}
 	}
 }
 
@@ -264,9 +298,9 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatalf("fresh table stats: %+v", s)
 	}
 	selectVals(tbl, "a", 10, 20)
-	tbl.SelectProjectSideways("a", "b", 30, 40)
+	tbl.SelectProject("a", "b", 30, 40)
 	s := tbl.Stats()
-	if s.Queries != 1 || s.Touched == 0 || s.Cracks == 0 {
+	if s.Queries != 2 || s.Touched == 0 || s.Cracks == 0 {
 		t.Fatalf("stats after queries: %+v", s)
 	}
 }

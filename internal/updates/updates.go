@@ -61,7 +61,6 @@ func RippleInsert(col *column.Column, idx *cindex.Tree, v int64) {
 			panic("updates: no hole within reach after spreading the slack")
 		}
 	}
-	id := uint32(col.Len() - idx.Holes())
 	for i := crossed - 1; i >= 0; i-- {
 		if p := cross[i]; p != hole {
 			moveRun(col, p, hole, 1)
@@ -69,9 +68,6 @@ func RippleInsert(col *column.Column, idx *cindex.Tree, v int64) {
 		}
 	}
 	col.Values[hole] = v
-	if col.RowIDs != nil {
-		col.RowIDs[hole] = id
-	}
 	col.Stats.Touched++
 	if crossed > 0 {
 		idx.RangeShift(v, 1)
@@ -126,13 +122,10 @@ func RippleDelete(col *column.Column, idx *cindex.Tree, v int64) bool {
 	return true
 }
 
-// moveRun moves the k tuples at from to start at slot to, row ids
-// included; the two runs never overlap.
+// moveRun moves the k tuples at from to start at slot to; the two runs
+// never overlap.
 func moveRun(col *column.Column, from, to, k int) {
 	copy(col.Values[to:to+k], col.Values[from:from+k])
-	if col.RowIDs != nil {
-		copy(col.RowIDs[to:to+k], col.RowIDs[from:from+k])
-	}
 	col.Stats.Touched += int64(k)
 	col.Stats.Swaps += int64(k)
 }
@@ -204,11 +197,6 @@ func grow(col *column.Column, idx *cindex.Tree, extra int) {
 	copy(vals, col.Values)
 	fillHoles(vals[n:])
 	col.Values = vals
-	if col.RowIDs != nil {
-		ids := make([]uint32, n+extra)
-		copy(ids, col.RowIDs)
-		col.RowIDs = ids
-	}
 	idx.AddHoles(math.MaxInt64, extra)
 }
 

@@ -61,8 +61,8 @@ func SaveSnapshotFile(path string, snap DBSnapshot) error {
 // single-column DB, named columns as a table. Every column is rebuilt
 // here from its captured cracked state and pending queues. Restored
 // columns have no row-order base, so a restored table serves every
-// per-column selection but SelectProject and SelectProjectSideways fail
-// with ErrSnapshotUnsupported.
+// per-column selection but SelectProject fails with
+// ErrSnapshotUnsupported.
 func OpenSnapshot(snap DBSnapshot, algorithm string, opts ...Option) (*DB, error) {
 	cfg, err := configure(opts)
 	if err != nil {

@@ -196,17 +196,6 @@ func TestFacadeTable(t *testing.T) {
 	if sum != want {
 		t.Fatalf("projection sum = %d, want %d", sum, want)
 	}
-	side, err := tbl.SelectProjectSideways(ctx, crackdb.Range(100, 200).On("a"), "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum = 0
-	for _, v := range side {
-		sum += v
-	}
-	if sum != want {
-		t.Fatalf("sideways sum = %d, want %d", sum, want)
-	}
 	if tbl.Stats().Touched == 0 {
 		t.Fatal("no physical work recorded")
 	}

@@ -19,10 +19,12 @@ type Concurrency struct {
 	m exec.Mode
 }
 
-// Single serves queries on the caller's goroutine with no locking and
-// zero-copy results. The DB is not safe for concurrent use in this mode;
-// it is the fastest choice for single-threaded workloads (the paper's
-// experimental setting).
+// Single serves queries on the caller's goroutine through the executor
+// with its lock elided: the same algorithm as Shared (a converged query is
+// a plain read, any other cracks), with no locking and zero-copy results.
+// The DB is not safe for concurrent use in this mode; it is the fastest
+// choice for single-threaded workloads (the paper's experimental
+// setting).
 var Single = Concurrency{}
 
 // Shared serves queries through the adaptive read/write execution layer
@@ -301,12 +303,8 @@ func (db *DB) QueryAggregate(ctx context.Context, p Predicate) (Aggregate, error
 	}
 	var agg Aggregate
 	for _, r := range p.rangeList() {
-		// Re-check between the ranges of a multi-range predicate so long
-		// Single-mode aggregates cancel cleanly too (the concurrent
-		// backends also check inside the executor).
-		if err := ctx.Err(); err != nil {
-			return Aggregate{}, err
-		}
+		// Every backend checks ctx first, so a canceled multi-range
+		// aggregate stops between its ranges.
 		count, sum, err := c.QueryAggregateCtx(ctx, r[0], r[1])
 		if err != nil {
 			return Aggregate{}, err
@@ -474,21 +472,16 @@ func (db *DB) PendingUpdates() int { return db.tbl.Pending() }
 // shards and columns where applicable.
 func (db *DB) Stats() Stats { return db.tbl.Stats() }
 
-// PathStats reports how many queries the adaptive execution layer
-// answered under the shared read lock versus the exclusive write lock —
-// the observable form of the executor's convergence-driven adaptivity
-// (README "Concurrency model"). ok is false for modes without an
-// executor (Single mode, column or table), whose counters would be
-// meaningless. On a sharded DB a multi-shard query counts once per shard
-// it touched: the counters measure executor lock traffic. Concurrent
-// table databases sum the counters across their column executors.
-func (db *DB) PathStats() (reads, writes int64, ok bool) {
-	if db.cfg.conc.m.Kind == exec.ModeSingle {
-		return 0, 0, false
-	}
-	reads, writes = db.tbl.PathStats()
-	return reads, writes, true
-}
+// PathStats reports how many queries the execution layer answered on its
+// read path (converged: a plain read, under the shared lock in the
+// concurrent modes) versus its write path (reorganizing, under the
+// exclusive lock) — the observable form of convergence (README
+// "Concurrency model"). Every mode has an executor, Single's with its
+// lock elided, so every answered range counts once. On a sharded DB a
+// multi-shard query counts once per shard it touched: the counters
+// measure executor traffic. Table databases sum the counters across their
+// column executors.
+func (db *DB) PathStats() (reads, writes int64) { return db.tbl.PathStats() }
 
 // PieceSizes returns the current sizes (in tuples) of the column's
 // pieces, in storage order — the physical-refinement state the paper

@@ -669,6 +669,19 @@ func TestDBSelectProject(t *testing.T) {
 			}
 			return db, ctx, crackdb.Range(0, 10).On("a"), "b"
 		}, crackdb.ErrUpdatesUnsupported},
+		{"written and merged", func(t *testing.T) (*crackdb.DB, context.Context, crackdb.Predicate, string) {
+			db := openTable(t)
+			if err := db.InsertOn("a", 5); err != nil {
+				t.Fatal(err)
+			}
+			// A covering query merges the insert: nothing stays queued, so
+			// only the merged count remembers the write (5 is in a twice).
+			res, err := db.Query(ctx, crackdb.Range(0, 10).On("a"))
+			if err != nil || res.Count() != 11 || db.PendingUpdates() != 0 {
+				t.Fatalf("count=%d pending=%d err=%v; want the insert merged", res.Count(), db.PendingUpdates(), err)
+			}
+			return db, ctx, crackdb.Range(0, 10).On("a"), "b"
+		}, crackdb.ErrUpdatesUnsupported},
 		{"closed", func(t *testing.T) (*crackdb.DB, context.Context, crackdb.Predicate, string) {
 			db := openTable(t)
 			db.Close()

@@ -25,10 +25,11 @@ const (
 	// DefaultSwapPct is the progressive swap budget (P10% in the paper,
 	// its default stochastic cracking strategy for most experiments).
 	DefaultSwapPct = 10
-	// DefaultNoCrackSize is the piece-size threshold (tuples) below which
-	// the concurrent executor answers queries by scanning the piece under a
-	// shared lock instead of cracking it under an exclusive one: 1 KB of
-	// values, cheap enough that further splitting buys nothing.
+	// DefaultNoCrackSize is the piece-size threshold (tuples) at or below
+	// which the executor, in every mode, answers a query bound by scanning
+	// its piece (under a shared lock where there is one) instead of
+	// cracking it: 1 KB of values, cheap enough that further splitting
+	// buys nothing.
 	DefaultNoCrackSize = 128
 	// DefaultParallelCrackMin is the piece-size threshold (tuples) at or
 	// above which crack operations route through the parallel partition
@@ -57,8 +58,10 @@ type Options struct {
 	SwapPct int
 
 	// NoCrackSize is the piece-size threshold (in tuples) at or below which
-	// TryAnswerReadOnly treats a query bound as converged: the piece
-	// is scanned read-only instead of being cracked. Defaults to
+	// TryAnswerReadOnly and TryView treat a query bound as converged: the
+	// piece is scanned instead of being cracked. The executor probes every
+	// query this way in every mode; Query itself, which the figure harness
+	// and sideways maps call directly, always cracks. Defaults to
 	// DefaultNoCrackSize; set it negative to require exact cracks.
 	NoCrackSize int
 

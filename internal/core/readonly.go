@@ -17,114 +17,94 @@ func (e *Engine) converged(lo, hi int, exact bool) bool {
 	return exact || hi-lo <= e.opt.NoCrackSize
 }
 
-// TryAnswerReadOnly answers [a, b) without mutating the engine — no
-// cracks, no counters, no shared buffers, so it is safe under a shared
-// lock — when the query is converged: both bounds are converged (see
-// converged). It appends the qualifying values to dst. ok is false — with
-// dst returned unchanged — when answering would require reorganization.
-// Probe and answer share one cracker-index descent (Tree.Bounds), which
-// keeps the executor's read path as cheap as a write-path lookup.
-func (e *Engine) TryAnswerReadOnly(a, b int64, dst []int64) (_ []int64, ok bool) {
+// probe is the convergence probe every probe-first answer shares: one
+// cracker-index descent for both bounds (Tree.Bounds). ok is false when a
+// bound needs a crack (see converged). Otherwise [a, b)'s answer is the
+// values in range of the end pieces left and right (column slices, nil
+// when the bound is an exact crack) plus every live value of positions
+// [lo, hi) between them, which qualify whole.
+func (e *Engine) probe(a, b int64) (left, right []int64, lo, hi int, ok bool) {
 	n := e.col.Len()
 	if a >= b || n == 0 {
-		return dst, true
+		return nil, nil, 0, 0, true
 	}
 	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
 	if !e.converged(loA, hiA, exactA) || !e.converged(loB, hiB, exactB) {
+		return nil, nil, 0, 0, false
+	}
+	vals := e.col.Values
+	// Both bounds inside the same uncracked piece: one filtered scan. An
+	// empty piece can share its start with a neighbour, so both ends must
+	// match.
+	if !exactA && !exactB && loA == loB && hiA == hiB {
+		return vals[loA:hiA], nil, 0, 0, true
+	}
+	lo, hi = loA, loB
+	if !exactA {
+		left, lo = vals[loA:hiA], hiA
+	}
+	if !exactB {
+		right = vals[loB:hiB]
+	}
+	return left, right, lo, hi, true
+}
+
+// TryAnswerReadOnly answers [a, b) without mutating the engine — no
+// cracks, no counters, no shared buffers, so it is safe under a shared
+// lock — when the query is converged (see probe), appending the
+// qualifying values to dst. ok is false — with dst returned unchanged —
+// when answering would require reorganization. Probe and answer share one
+// cracker-index descent, which keeps the executor's read path as cheap as
+// a write-path lookup.
+func (e *Engine) TryAnswerReadOnly(a, b int64, dst []int64) (_ []int64, ok bool) {
+	left, right, lo, hi, ok := e.probe(a, b)
+	if !ok {
 		return dst, false
 	}
-	return e.answerPieces(dst, a, b, loA, hiA, exactA, loB, hiB, exactB), true
+	if dst == nil {
+		// One exact allocation for the middle plus at most the end pieces.
+		dst = make([]int64, 0, len(left)+hi-lo+len(right))
+	}
+	dst = e.appendLive(appendInRange(dst, left, a, b), lo, hi)
+	return appendInRange(dst, right, a, b), true
 }
 
 // TryAnswerReadOnlyAggregate is TryAnswerReadOnly returning only (count,
 // sum).
 func (e *Engine) TryAnswerReadOnlyAggregate(a, b int64) (count int, sum int64, ok bool) {
-	n := e.col.Len()
-	if a >= b || n == 0 {
-		return 0, 0, true
-	}
-	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
-	if !e.converged(loA, hiA, exactA) || !e.converged(loB, hiB, exactB) {
+	left, right, lo, hi, ok := e.probe(a, b)
+	if !ok {
 		return 0, 0, false
 	}
-	count, sum = e.aggregatePieces(a, b, loA, hiA, exactA, loB, hiB, exactB)
-	return count, sum, true
+	count, sum = countInRange(left, a, b)
+	count, sum = e.addLive(count, sum, lo, hi)
+	c, s := countInRange(right, a, b)
+	return count + c, sum + s, true
 }
 
-// answerPieces assembles the answer from the bound pieces: filtered scans
-// of the end pieces, a bulk copy of everything between them.
-func (e *Engine) answerPieces(dst []int64, a, b int64, loA, hiA int, exactA bool, loB, hiB int, exactB bool) []int64 {
-	vals := e.col.Values
-
-	// Both bounds inside the same uncracked piece: one filtered scan.
-	if !exactA && !exactB && loA == loB && hiA == hiB {
-		return appendInRange(dst, vals[loA:hiA], a, b)
+// TryView answers [a, b) like TryAnswerReadOnly, without cracking, but as
+// a Result valid until the next query: the middle is a view into the
+// column, and the end pieces (at most NoCrackSize tuples each) are
+// filtered into the engine's reusable end buffers. It writes those
+// buffers, so unlike TryAnswerReadOnly it needs the index to itself. ok is
+// false when answering would require reorganization.
+func (e *Engine) TryView(a, b int64) (_ Result, ok bool) {
+	left, right, lo, hi, ok := e.probe(a, b)
+	if !ok {
+		return Result{}, false
 	}
-
-	if dst == nil {
-		// One exact allocation for the contiguous middle plus at most the
-		// two end pieces.
-		est := hiB - loA
-		if exactB {
-			est = loB - loA
-		}
-		dst = make([]int64, 0, est)
-	}
-	// Left end piece: qualifying values are those >= a (all below b — b's
-	// piece is above — unless b shares a's piece, which the guard covers).
-	viewStart := loA
-	if !exactA {
-		dst = appendInRange(dst, vals[loA:hiA], a, b)
-		viewStart = hiA
-	}
-	// Middle: every piece strictly between the bound pieces qualifies
-	// whole — one contiguous copy, fanned out to the worker pool when wide,
-	// or one per live run when merged updates left holes between them.
-	if loB > viewStart {
-		if e.idx.Holes() == 0 {
-			dst = appendBulk(dst, vals[viewStart:loB])
-		} else {
-			dst = e.appendLive(dst, viewStart, loB)
-		}
-	}
-	// Right end piece: qualifying values are those < b.
-	if !exactB {
-		dst = appendInRange(dst, vals[loB:hiB], a, b)
-	}
-	return dst
-}
-
-func (e *Engine) aggregatePieces(a, b int64, loA, hiA int, exactA bool, loB, hiB int, exactB bool) (count int, sum int64) {
-	vals := e.col.Values
-
-	if !exactA && !exactB && loA == loB && hiA == hiB {
-		return countInRange(vals[loA:hiA], a, b)
-	}
-
-	viewStart := loA
-	if !exactA {
-		c, s := countInRange(vals[loA:hiA], a, b)
-		count, sum = count+c, sum+s
-		viewStart = hiA
-	}
-	if loB > viewStart {
-		if e.idx.Holes() == 0 {
-			count, sum = addAll(count, sum, vals[viewStart:loB])
-		} else {
-			count, sum = e.addLive(count, sum, viewStart, loB)
-		}
-	}
-	if !exactB {
-		c, s := countInRange(vals[loB:hiB], a, b)
-		count, sum = count+c, sum+s
-	}
-	return count, sum
+	e.leftBuf = appendInRange(e.leftBuf[:0], left, a, b)
+	e.rightBuf = appendInRange(e.rightBuf[:0], right, a, b)
+	return e.settle(Result{col: e.col, lo: lo, hi: hi, left: e.leftBuf, right: e.rightBuf}), true
 }
 
 // appendLive appends the live values of positions [lo, hi), which may
 // span holes, to dst.
 func (e *Engine) appendLive(dst []int64, lo, hi int) []int64 {
 	vals := e.col.Values
+	if e.idx.Holes() == 0 || hi <= lo {
+		return appendBulk(dst, vals[lo:hi])
+	}
 	e.idx.Live(lo, hi, func(lo, hi int) { dst = appendBulk(dst, vals[lo:hi]) })
 	return dst
 }
@@ -132,6 +112,9 @@ func (e *Engine) appendLive(dst []int64, lo, hi int) []int64 {
 // addLive is appendLive adding to a running count and sum instead.
 func (e *Engine) addLive(count int, sum int64, lo, hi int) (int, int64) {
 	vals := e.col.Values
+	if e.idx.Holes() == 0 || hi <= lo {
+		return addAll(count, sum, vals[lo:hi])
+	}
 	e.idx.Live(lo, hi, func(lo, hi int) { count, sum = addAll(count, sum, vals[lo:hi]) })
 	return count, sum
 }

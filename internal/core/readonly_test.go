@@ -10,7 +10,7 @@ import (
 // read-only answers on every engine-backed algorithm: a read-only answer
 // that comes back ok must agree with the oracle, a range just answered by
 // Query must come back ok when the algorithm cracks on query bounds, and
-// the read-only path must never change any observable state.
+// neither the read-only path nor TryView may change any observable state.
 func TestAnswerReadOnlyMatchesQuery(t *testing.T) {
 	const n = 20000
 	// The algorithms whose Query leaves exact cracks on both bounds. The
@@ -55,8 +55,15 @@ func TestAnswerReadOnlyMatchesQuery(t *testing.T) {
 			if aok && (int64(c) != b-a || s != wantSum) {
 				t.Fatalf("%s TryAnswerReadOnlyAggregate [%d,%d): got (%d,%d)", spec, a, b, c, s)
 			}
+			res, vok := e.TryView(a, b)
+			if vok != ok {
+				t.Fatalf("%s [%d,%d): TryView ok=%v disagrees with values ok=%v", spec, a, b, vok, ok)
+			}
+			if vok && (int64(res.Count()) != b-a || res.Sum() != wantSum) {
+				t.Fatalf("%s TryView [%d,%d): got (%d,%d)", spec, a, b, res.Count(), res.Sum())
+			}
 			if after := ix.Stats(); after != statsBefore {
-				t.Fatalf("%s: read-only path mutated stats: %+v -> %+v", spec, statsBefore, after)
+				t.Fatalf("%s: probe-first paths mutated stats: %+v -> %+v", spec, statsBefore, after)
 			}
 		}
 		for i := 0; i < 100; i++ {
@@ -159,6 +166,9 @@ func TestAnswerReadOnlyDuplicatesAndEdges(t *testing.T) {
 		}
 		if c, s, _ := e.TryAnswerReadOnlyAggregate(a, b); c != wc || s != ws {
 			t.Fatalf("round %d [%d,%d): aggregate (%d,%d), want (%d,%d)", qi, a, b, c, s, wc, ws)
+		}
+		if res, _ := e.TryView(a, b); res.Count() != wc || res.Sum() != ws {
+			t.Fatalf("round %d [%d,%d): view (%d,%d), want (%d,%d)", qi, a, b, res.Count(), res.Sum(), wc, ws)
 		}
 	}
 	for qi := 0; qi < 3; qi++ {

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -14,8 +13,9 @@ import (
 )
 
 // Backend is one column's adaptive index as the facade and the table serve
-// it, whatever the execution mode: Single (unsynchronized), Executor
-// (adaptive read/write locking) or Sharded (range-partitioned executors).
+// it, whatever the execution mode: Executor (adaptive read/write locking),
+// Single (an Executor with its lock elided) or Sharded (range-partitioned
+// executors). Every mode runs one physical algorithm.
 // The paper cracks at the attribute level (§2), so a stand-alone column
 // and a table column are the same thing, built, queried, written,
 // captured and measured through this one surface.
@@ -53,7 +53,7 @@ type Backend interface {
 type ModeKind uint8
 
 const (
-	ModeSingle  ModeKind = iota // one unsynchronized index
+	ModeSingle  ModeKind = iota // one Executor with its lock elided
 	ModeShared                  // one Executor
 	ModeSharded                 // Shards range-partitioned executors
 )
@@ -153,7 +153,7 @@ func restore(st core.SnapshotState, spec string, opt core.Options) (*updates.Ind
 // serve puts one index behind mode's single-index backend.
 func serve(u *updates.Index, mode Mode) Backend {
 	if mode.Kind == ModeSingle {
-		return &Single{ix: u}
+		return &Single{Executor: newExecutor(u, true), ix: u}
 	}
 	return New(u)
 }
@@ -231,88 +231,30 @@ func (c *Column) Apply(ctx context.Context, ops []Op) (t Timings, grouped bool, 
 	return t, false, err
 }
 
-// Single is the Single-mode Backend: one adaptive index served on the
-// caller's goroutine with no locking, so View returns the engine's
+// Single is the Single-mode Backend: the Executor with its lock elided, so
+// every mode runs one physical algorithm (a converged query is a plain
+// read, any other cracks) and counts its paths alike. Only the serving
+// differs: nothing is synchronized, and View returns the engine's
 // zero-copy view. Not safe for concurrent use.
 type Single struct {
+	*Executor
 	ix *updates.Index
 }
 
-// Query answers [a, b), merging the pending updates it covers first.
-func (s *Single) Query(a, b int64) core.Result { return s.ix.Query(a, b) }
-
-// Merged returns the number of updates merged into the column so far.
-func (s *Single) Merged() int64 { return s.ix.Merged() }
-
-// View answers [a, b) as the engine's zero-copy view.
-func (s *Single) View(_ context.Context, a, b int64) (core.Result, error) {
-	return s.Query(a, b), nil
-}
-
-// QueryAppendCtx appends [a, b)'s values to dst.
-func (s *Single) QueryAppendCtx(_ context.Context, a, b int64, dst []int64) ([]int64, error) {
-	return s.Query(a, b).Materialize(dst), nil
-}
-
-// QueryAggregateCtx returns [a, b)'s count and sum without copying.
-func (s *Single) QueryAggregateCtx(_ context.Context, a, b int64) (count int, sum int64, err error) {
-	res := s.Query(a, b)
-	return res.Count(), res.Sum(), nil
-}
-
-// QueryBatchInto answers the ranges in input order into bb's arena. Each
-// result is materialized at once — a later range may reorganize the
-// column, so views cannot be held across the batch.
-func (s *Single) QueryBatchInto(ctx context.Context, ranges []Range, bb *BatchBuffer) ([][]int64, error) {
-	bb.reset(len(ranges))
-	for i, r := range ranges {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		start := len(bb.vals)
-		if r.Lo < r.Hi {
-			bb.vals = s.Query(r.Lo, r.Hi).Materialize(bb.vals)
-		}
-		bb.offs[i] = [2]int{start, len(bb.vals)}
+// View answers [a, b) as the engine's view, valid until the next query:
+// probed first like every executor read, cracking only when the probe
+// refuses.
+func (s *Single) View(ctx context.Context, a, b int64) (core.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return core.Result{}, err
 	}
-	return bb.stitch(), nil
+	if res, ok := s.ix.TryView(a, b); ok {
+		s.mu.stripes[0].reads.Add(1) // the elided lock's one stripe
+		return res, nil
+	}
+	s.writeQueries.Add(1)
+	return s.ix.Query(a, b), nil
 }
-
-// Insert queues v, merged by the first query whose range covers it
-// (Ripple merge, [17]).
-func (s *Single) Insert(v int64) error {
-	s.ix.Insert(v)
-	return nil
-}
-
-// Delete queues the removal of one occurrence of v, like Insert.
-func (s *Single) Delete(v int64) error {
-	s.ix.Delete(v)
-	return nil
-}
-
-// ApplyOps queues a write batch in order; with no lock to wait for, only
-// apply is measured.
-func (s *Single) ApplyOps(ops []Op) (lockWait, apply time.Duration, err error) {
-	start := time.Now()
-	applyRuns(s.ix, ops)
-	return 0, time.Since(start), nil
-}
-
-// Pending returns the number of queued, not-yet-merged updates.
-func (s *Single) Pending() int { return s.ix.Pending() }
-
-// Stats reports the index's counters.
-func (s *Single) Stats() core.Stats { return s.ix.Stats() }
-
-// PathStats is zero: Single mode has no read/write paths.
-func (s *Single) PathStats() (reads, writes int64) { return 0, 0 }
 
 // Name identifies the algorithm (e.g. "dd1r").
 func (s *Single) Name() string { return s.ix.Unwrap().Name() }
-
-// Capture visits the whole domain with the index directly: there is
-// nothing concurrent to drain.
-func (s *Single) Capture(fn func(lo, hi int64, inner Index)) {
-	fn(math.MinInt64, math.MaxInt64, s.ix)
-}

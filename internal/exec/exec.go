@@ -1,9 +1,11 @@
-// Package exec is the unified concurrent execution layer for adaptive
-// indexes: one adaptive read/write locking discipline that every
-// goroutine-safe path in the repository routes through (the facade's
-// DB handle, the sharded index, the benchmark harness). It also owns
-// Backend (backend.go), the one per-column surface the facade and
-// internal/table serve every column through, in every mode.
+// Package exec is the unified execution layer for adaptive indexes: one
+// adaptive read/write locking discipline that every query path in the
+// repository routes through, in every mode (the facade's DB handle, the
+// sharded index, the benchmark harness). Single mode is the same
+// Executor with its lock elided, so the mode decides how a query locks,
+// never which cracks it makes. It also owns Backend (backend.go), the
+// one per-column surface the facade and internal/table serve every
+// column through.
 //
 // Cracking inverts the usual reader/writer economics — every query may
 // physically reorganize the column, so a mutual-exclusion lock is the
@@ -61,6 +63,8 @@ type Index interface {
 	InsertMany(vs []int64)
 	DeleteMany(vs []int64)
 	Pending() int
+	// Merged counts the updates merged into the column so far.
+	Merged() int64
 	PendingSnapshot() (inserts, deletes []int64)
 	Engine() *core.Engine
 	Name() string
@@ -82,9 +86,12 @@ type Executor struct {
 }
 
 // New wraps inner.
-func New(inner Index) *Executor {
+func New(inner Index) *Executor { return newExecutor(inner, false) }
+
+// newExecutor wraps inner behind a real or (Single mode) an elided lock.
+func newExecutor(inner Index, elided bool) *Executor {
 	x := &Executor{inner: inner}
-	x.mu.init()
+	x.mu.init(elided)
 	return x
 }
 

@@ -28,8 +28,13 @@ import (
 // writer also raises writers, and a reader that sees it raised first waits
 // on stripe 0, which the writer locks first and unlocks last. Readers only
 // read that word; writers, which lock every stripe anyway, write it.
+//
+// An elided lock (Single mode, one caller at a time by contract) locks
+// nothing: it has one stripe, which every reader gets and counts itself
+// on, so the executor above it runs the same code in every mode.
 type stripeLock struct {
 	stripes []stripe
+	elided  bool
 	pool    sync.Pool     // of *stripe
 	next    atomic.Uint32 // round robin for pool.New
 	writers atomic.Int32  // writers waiting for or holding the lock
@@ -43,7 +48,11 @@ type stripe struct {
 	_     [128 - unsafe.Sizeof(sync.RWMutex{}) - 8]byte
 }
 
-func (l *stripeLock) init() {
+func (l *stripeLock) init(elided bool) {
+	if l.elided = elided; elided {
+		l.stripes = make([]stripe, 1)
+		return
+	}
 	l.stripes = make([]stripe, runtime.GOMAXPROCS(0))
 	l.pool.New = func() any {
 		return &l.stripes[int(l.next.Add(1)-1)%len(l.stripes)]
@@ -52,6 +61,9 @@ func (l *stripeLock) init() {
 
 // rlock read-locks one stripe and returns it for runlock.
 func (l *stripeLock) rlock() *stripe {
+	if l.elided {
+		return &l.stripes[0]
+	}
 	if l.writers.Load() != 0 {
 		l.stripes[0].mu.RLock()
 		l.stripes[0].mu.RUnlock()
@@ -62,6 +74,9 @@ func (l *stripeLock) rlock() *stripe {
 }
 
 func (l *stripeLock) runlock(s *stripe) {
+	if l.elided {
+		return
+	}
 	s.mu.RUnlock()
 	l.pool.Put(s)
 }
@@ -69,6 +84,9 @@ func (l *stripeLock) runlock(s *stripe) {
 // Lock locks every stripe, in index order so concurrent writers cannot
 // deadlock; Unlock releases them in reverse.
 func (l *stripeLock) Lock() {
+	if l.elided {
+		return
+	}
 	l.writers.Add(1)
 	for i := range l.stripes {
 		l.stripes[i].mu.Lock()
@@ -76,6 +94,9 @@ func (l *stripeLock) Lock() {
 }
 
 func (l *stripeLock) Unlock() {
+	if l.elided {
+		return
+	}
 	for i := len(l.stripes) - 1; i >= 0; i-- {
 		l.stripes[i].mu.Unlock()
 	}

@@ -190,7 +190,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	unlock := s.lockSerial()
 	st := cur.db.Stats()
 	pending := cur.db.PendingUpdates()
-	reads, writes, hasPath := cur.db.PathStats()
+	reads, writes := cur.db.PathStats()
 	sizes, sizesErr := cur.db.PieceSizes()
 	unlock()
 
@@ -275,12 +275,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE crackserver_pending_updates gauge\n")
 	fmt.Fprintf(w, "crackserver_pending_updates %d\n", pending)
 
-	if hasPath {
-		fmt.Fprintf(w, "# HELP crackserver_exec_path_queries_total Executor queries by lock path.\n")
-		fmt.Fprintf(w, "# TYPE crackserver_exec_path_queries_total counter\n")
-		fmt.Fprintf(w, "crackserver_exec_path_queries_total{path=\"read\"} %d\n", reads)
-		fmt.Fprintf(w, "crackserver_exec_path_queries_total{path=\"write\"} %d\n", writes)
-	}
+	fmt.Fprintf(w, "# HELP crackserver_exec_path_queries_total Executor queries by lock path.\n")
+	fmt.Fprintf(w, "# TYPE crackserver_exec_path_queries_total counter\n")
+	fmt.Fprintf(w, "crackserver_exec_path_queries_total{path=\"read\"} %d\n", reads)
+	fmt.Fprintf(w, "crackserver_exec_path_queries_total{path=\"write\"} %d\n", writes)
 	if sizesErr == nil && len(sizes) > 0 && cur.info.Rows > 0 {
 		maxSize := 0
 		for _, sz := range sizes {

@@ -496,8 +496,8 @@ type StatsResponse struct {
 
 	Index IndexStats `json:"index"`
 
-	// HasPathStats guards ReadQueries/WriteQueries (executor modes only).
-	HasPathStats bool  `json:"has_path_stats"`
+	// ReadQueries and WriteQueries split the ranges the executor answered
+	// by path: converged (a plain read) or reorganizing.
 	ReadQueries  int64 `json:"read_queries"`
 	WriteQueries int64 `json:"write_queries"`
 
@@ -1073,7 +1073,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	unlock := s.lockSerial()
 	st := cur.db.Stats()
 	pending := cur.db.PendingUpdates()
-	reads, writes, hasPath := cur.db.PathStats()
+	reads, writes := cur.db.PathStats()
 	sizes, sizesErr := cur.db.PieceSizes()
 	unlock()
 
@@ -1091,7 +1091,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Queries: st.Queries, Touched: st.Touched, Swaps: st.Swaps,
 			Cracks: st.Cracks, Pieces: st.Pieces,
 		},
-		HasPathStats: hasPath,
 		ReadQueries:  reads,
 		WriteQueries: writes,
 	}

@@ -346,8 +346,8 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Index.Queries != 20 || st.Index.Pieces < 2 {
 		t.Fatalf("index counters: %+v", st.Index)
 	}
-	if !st.HasPathStats || st.ReadQueries+st.WriteQueries != 20 {
-		t.Fatalf("path stats: has=%v read=%d write=%d", st.HasPathStats, st.ReadQueries, st.WriteQueries)
+	if st.ReadQueries+st.WriteQueries != 20 {
+		t.Fatalf("path stats: read=%d write=%d", st.ReadQueries, st.WriteQueries)
 	}
 	if st.Pieces == nil || st.Pieces.Pieces < 2 || st.Pieces.Skew <= 0 {
 		t.Fatalf("piece stats: %+v", st.Pieces)

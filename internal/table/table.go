@@ -9,15 +9,18 @@
 // A — the partition swaps move both attributes together — so projection
 // is a contiguous copy, never random access. A map is an index of the
 // table's own algorithm with B as its column's tandem payload, so it
-// cracks exactly as a selection on A would: a stochastic table's maps
-// stay robust on sequential patterns. Maps are created lazily on first
+// cracks as a selection on A would, and a stochastic table's maps stay
+// robust on sequential patterns, with one difference: a map still cracks
+// a bound's piece of at most core.Options.NoCrackSize tuples, which a
+// selection scans, because it answers through the payload view and a
+// probe's answer carries no payload. Maps are created lazily on first
 // use and refined adaptively like any other cracker column ("pieces of
 // cracker columns are dynamically created ... based on storage
 // restrictions", §2).
 //
 // Selection uses any core cracking algorithm. Every column is one
-// exec.Backend in the table's mode — unsynchronized in Single mode, one
-// executor in Shared mode, k range-partitioned executors in Sharded(k)
+// exec.Backend in the table's mode — one executor with its lock elided in
+// Single mode, one executor in Shared mode, k range-partitioned executors in Sharded(k)
 // mode — built at open over the slice the caller handed in, which the
 // table then owns. Columns share no physical state, so queries on
 // different columns of a concurrent table run fully in parallel.
@@ -408,10 +411,16 @@ func (t *Table) projectable(sel, proj string) (i, j int, err error) {
 			return 0, 0, fmt.Errorf("table: a column was restored from a snapshot, projections need row alignment: %w",
 				dberr.ErrSnapshotUnsupported)
 		}
-		if c := s.col; c != nil && (c.Pending() > 0 || c.Backend.(*exec.Single).Merged() > 0) {
+		if c := s.col; c != nil && written(c) {
 			return 0, 0, fmt.Errorf("table: a column has updates, projections read the immutable base: %w",
 				dberr.ErrUpdatesUnsupported)
 		}
 	}
 	return i, j, nil
+}
+
+// written reports whether column c has taken a write, queued or merged.
+func written(c *exec.Column) (w bool) {
+	c.Capture(func(_, _ int64, inner exec.Index) { w = w || inner.Pending() > 0 || inner.Merged() > 0 })
+	return w
 }

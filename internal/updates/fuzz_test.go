@@ -92,6 +92,9 @@ func FuzzPendingInterleave(f *testing.F) {
 			if vals, ok := u.TryAnswerReadOnly(a, b, nil); ok {
 				check("read-only query", a, b, vals)
 			}
+			if res, ok := u.TryView(a, b); ok {
+				check("view", a, b, res.Materialize(nil))
+			}
 			if c, s, ok := u.TryAnswerReadOnlyAggregate(a, b); ok {
 				if wantC, wantS := want(a, b); c != wantC || s != wantS {
 					t.Fatalf("%s read-only aggregate [%d, %d): got (%d, %d), model says (%d, %d)",

@@ -446,6 +446,16 @@ func (u *Index) TryAnswerReadOnly(a, b int64, dst []int64) (_ []int64, ok bool) 
 	return u.engine.TryAnswerReadOnly(a, b, dst)
 }
 
+// TryView is TryAnswerReadOnly answering as the engine's Result, valid
+// until the next query (see core.Engine.TryView): the probe-first view of
+// a Single-mode backend.
+func (u *Index) TryView(a, b int64) (_ core.Result, ok bool) {
+	if u.pending.PendingInRange(a, b) {
+		return core.Result{}, false
+	}
+	return u.engine.TryView(a, b)
+}
+
 // TryAnswerReadOnlyAggregate is TryAnswerReadOnly returning only (count,
 // sum).
 func (u *Index) TryAnswerReadOnlyAggregate(a, b int64) (count int, sum int64, ok bool) {

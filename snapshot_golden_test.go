@@ -12,18 +12,20 @@ import (
 )
 
 // goldenShapes are the DB shapes whose WriteSnapshot streams are pinned
-// byte for byte under testdata/: each name is a golden file's stem, cols
-// the columns the fixed workload drives ("" for a column DB).
+// byte for byte under testdata/: golden is the pinned file's stem, cols
+// the columns the fixed workload drives ("" for a column DB). Single and
+// Shared run one physical algorithm, so a Single shape must write its
+// Shared twin's bytes.
 var goldenShapes = []struct {
-	name string
-	open func() (*crackdb.DB, error)
-	cols []string
+	name, golden string
+	open         func() (*crackdb.DB, error)
+	cols         []string
 }{
-	{"column-single", goldenColumn(crackdb.Single), []string{""}},
-	{"column-shared", goldenColumn(crackdb.Shared), []string{""}},
-	{"column-sharded-2", goldenColumn(crackdb.Sharded(2)), []string{""}},
-	{"table-single", goldenTable(crackdb.Single), []string{"a", "b"}},
-	{"table-shared", goldenTable(crackdb.Shared), []string{"a", "b"}},
+	{"column-single", "column-shared", goldenColumn(crackdb.Single), []string{""}},
+	{"column-shared", "column-shared", goldenColumn(crackdb.Shared), []string{""}},
+	{"column-sharded-2", "column-sharded-2", goldenColumn(crackdb.Sharded(2)), []string{""}},
+	{"table-single", "table-shared", goldenTable(crackdb.Single), []string{"a", "b"}},
+	{"table-shared", "table-shared", goldenTable(crackdb.Shared), []string{"a", "b"}},
 }
 
 const goldenRows = 2_000
@@ -70,7 +72,8 @@ func goldenWorkload(t *testing.T, db *crackdb.DB, cols []string) {
 
 // TestSnapshotBytesGolden pins the snapshot bytes of column DBs in every
 // mode and of two-column Single and Shared tables after a fixed workload:
-// how a DB holds its columns must not change what it writes.
+// how a DB holds its columns, and whether it locks them, must not change
+// what it writes.
 func TestSnapshotBytesGolden(t *testing.T) {
 	for _, g := range goldenShapes {
 		t.Run(g.name, func(t *testing.T) {
@@ -87,7 +90,7 @@ func TestSnapshotBytesGolden(t *testing.T) {
 			if err := crackdb.WriteSnapshot(&got, snap); err != nil {
 				t.Fatal(err)
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", "golden-"+g.name+".crks"))
+			want, err := os.ReadFile(filepath.Join("testdata", "golden-"+g.golden+".crks"))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -561,6 +561,10 @@ func (c *Coordinator) scatter(ctx context.Context, lo, hi int64, aggregate bool)
 			errs[i] = fmt.Errorf("range [%d, %d): %d results for one sub-range", rt.lo, rt.hi, len(resp.Results))
 			return
 		}
+		if r := resp.Results[0]; !aggregate && r.Count != len(r.Values) {
+			errs[i] = fmt.Errorf("range [%d, %d): count %d for %d values", rt.lo, rt.hi, r.Count, len(r.Values))
+			return
+		}
 		results[i] = resp.Results[0]
 	}
 	if len(spans) == 1 {

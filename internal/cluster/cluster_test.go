@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/cluster/client"
 	"repro/internal/server"
 )
@@ -565,5 +566,103 @@ func TestPendingUpdatesRideMigration(t *testing.T) {
 	}
 	if resp.Results[0].Count != 3 {
 		t.Fatalf("inserted values after migration: count %d, want 3", resp.Results[0].Count)
+	}
+}
+
+// TestTrailingBytesRefused: a single server, a catalog table and the
+// coordinator answer 400 to a request body with anything but whitespace
+// after its JSON value, and a refused write leaves no trace; a trailing
+// newline, as json.Encoder clients send, is still accepted.
+func TestTrailingBytesRefused(t *testing.T) {
+	node := func() *LocalNode {
+		nd, err := StartLocalNode(LocalNodeConfig{N: testRows, Seed: 7, Lo: 0, Hi: testRows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nd.Close)
+		return nd
+	}
+	coord, _ := startCluster(t, 2, Config{})
+	cat := catalog.New(catalog.Config{})
+	if err := cat.Add("t", node().Srv); err != nil {
+		t.Fatal(err)
+	}
+	for _, tg := range []struct {
+		name, prefix string
+		h            http.Handler
+	}{
+		{"server", "/v1", node().Srv.Handler()},
+		{"catalog", "/v1/tables/t", cat.Handler()},
+		{"coordinator", "/v1", coord.Handler()},
+	} {
+		fives := func() int {
+			var resp server.QueryResponse
+			if code := do(t, tg.h, "POST", tg.prefix+"/query", `{"lo":5,"hi":6,"aggregate":true}`, &resp); code != http.StatusOK {
+				t.Fatalf("%s: count query: status %d", tg.name, code)
+			}
+			return resp.Results[0].Count
+		}
+		for _, c := range []struct {
+			path, body  string
+			code, fives int
+		}{
+			{"/insert", `{"values":[5]} trailing`, http.StatusBadRequest, 1},
+			{"/insert", `{"values":[5]}{"values":[5]}`, http.StatusBadRequest, 1},
+			{"/delete", `{"value":5},`, http.StatusBadRequest, 1},
+			{"/query", `{"lo":1,"hi":5}{"lo":7}`, http.StatusBadRequest, 1},
+			{"/query", `{"lo":1,"hi":5} x`, http.StatusBadRequest, 1},
+			{"/query", `{"queries":[{"lo":1,"hi":5}]}]`, http.StatusBadRequest, 1},
+			{"/query", `{"lo":1,"hi":5}` + "\n", http.StatusOK, 1},
+			{"/insert", `{"values":[5]}` + " \r\n", http.StatusOK, 2},
+		} {
+			if code := do(t, tg.h, "POST", tg.prefix+c.path, c.body, nil); code != c.code {
+				t.Errorf("%s: POST %s %q: status %d, want %d", tg.name, c.path, c.body, code, c.code)
+			}
+			if got := fives(); got != c.fives {
+				t.Fatalf("%s: after POST %s %q: %d fives, want %d", tg.name, c.path, c.body, got, c.fives)
+			}
+		}
+	}
+}
+
+// TestInconsistentBackendResult: a backend answering a range with a count
+// other than its number of values fails the range with 502 instead of
+// having its answer forwarded; an aggregate, which carries no values,
+// passes.
+func TestInconsistentBackendResult(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		server.WriteJSON(w, http.StatusOK, server.HealthResponse{Status: "ok", Rows: 3, ShardLo: 0, ShardHi: 3})
+	})
+	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
+		var req server.QueryRequest
+		if !server.DecodeBody(w, r, &req) {
+			return
+		}
+		res := server.QueryResult{Count: 3, Sum: 3, Values: []int64{1, 2}}
+		if req.Aggregate {
+			res.Values = nil
+		}
+		server.WriteQueryResponse(w, server.QueryResponse{Results: []server.QueryResult{res}})
+	})
+	backend := httptest.NewServer(mux)
+	t.Cleanup(backend.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	coord, err := New(ctx, []string{backend.URL}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	rec := httptest.NewRecorder()
+	coord.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/query", strings.NewReader(`{"lo":0,"hi":3}`)))
+	var e server.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadGateway || e.Code != "backend_unavailable" {
+		t.Fatalf("range query: status %d, body %s; want 502 backend_unavailable", rec.Code, rec.Body)
+	}
+	var resp server.QueryResponse
+	if code := do(t, coord.Handler(), "POST", "/v1/query", `{"lo":0,"hi":3,"aggregate":true}`, &resp); code != http.StatusOK ||
+		resp.Results[0].Count != 3 || resp.Results[0].Sum != 3 {
+		t.Fatalf("aggregate: status %d, %+v; want 200 with count 3, sum 3", code, resp.Results)
 	}
 }

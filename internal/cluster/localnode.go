@@ -49,10 +49,13 @@ func StartLocalNode(cfg LocalNodeConfig) (*LocalNode, error) {
 	if cfg.Mode == crackdb.Single {
 		cfg.Mode = crackdb.Shared
 	}
+	// MakeData is a permutation of [0, N), so the node owns exactly the
+	// values of [Lo, Hi) ∩ [0, N): the slice is sized once.
 	var values []int64
-	if cfg.Lo < cfg.Hi {
+	if lo, hi := max(cfg.Lo, 0), min(cfg.Hi, cfg.N); lo < hi {
+		values = make([]int64, 0, hi-lo)
 		for _, v := range crackdb.MakeData(cfg.N, cfg.Seed) {
-			if v >= cfg.Lo && v < cfg.Hi {
+			if v >= lo && v < hi {
 				values = append(values, v)
 			}
 		}

@@ -71,10 +71,10 @@ type Options struct {
 	// process-wide worker pool; smaller pieces keep the serial branchless
 	// kernel. 0 (the default) disables parallel cracking entirely; set it
 	// to DefaultParallelCrackMin for the standard threshold. The parallel
-	// kernel preserves split positions and per-side multisets exactly, but
-	// not the order within a side, so cross-seed physical-layout
-	// determinism holds only at equal GOMAXPROCS relative to the serial
-	// kernel's layout — see column's serial-equivalence contract.
+	// kernel preserves split positions and per-side multisets exactly, and
+	// its layout is the same at every GOMAXPROCS; it differs from the
+	// serial kernel's layout only in the order within a side — see
+	// column's serial-equivalence contract.
 	ParallelCrackMin int
 
 	// CoarseInitPieces pre-cuts the column into about this many

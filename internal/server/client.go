@@ -76,10 +76,16 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("server: %d %s: %s", e.Status, e.Code, e.Message)
 }
 
-// Query posts req to /v1/query.
+// Query posts req to /v1/query. A one-range request is written without
+// reflection.
 func (c *Client) Query(ctx context.Context, req QueryRequest) (QueryResponse, error) {
 	var resp QueryResponse
-	err := c.post(ctx, "/v1/query", req, &resp)
+	var err error
+	if req.oneRange() {
+		err = c.send(ctx, "/v1/query", appendQueryRequest(make([]byte, 0, 64), req), &resp)
+	} else {
+		err = c.post(ctx, "/v1/query", req, &resp)
+	}
 	return resp, err
 }
 
@@ -206,6 +212,12 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	if err != nil {
 		return err
 	}
+	return c.send(ctx, path, payload, out)
+}
+
+// send posts a JSON payload. The transport may read it after the call
+// returns, so it is never a pooled buffer.
+func (c *Client) send(ctx context.Context, path string, payload []byte, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+c.path(path), bytes.NewReader(payload))
 	if err != nil {
 		return err

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -89,6 +92,21 @@ func FuzzQueryResponseCodec(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	// Runs of every length the parse folds eight bytes at a time, and one
+	// past int64, in both signs.
+	for n := 1; n <= 20; n++ {
+		run := strings.Repeat("9", n)
+		f.Add([]byte(`{"results":[{"count":2,"sum":0,"values":[` + run + ",-" + run + `]}]}`))
+	}
+	// Leading zeros, and the bytes either side of the digits in ASCII
+	// ('/' and ':' to '?'), which must end a run.
+	for _, v := range []string{"00", "007", "-01", "0123456789", "-0", "1/", "1:", "12;", "123<", "1234=", "12345>", "123456?"} {
+		f.Add([]byte(`{"results":[{"count":1,"sum":0,"values":[` + v + `]}]}`))
+	}
+	// Digits ending inside the body's last eight bytes, where the load
+	// reads past the end.
+	f.Add([]byte(`{"results":[{"count":1,"sum":1,"values":[12345678]}]}`))
+	f.Add([]byte(`{"results":[{"count":1,"sum":1,"values":[1234567`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want QueryResponse
 		wantErr := json.Unmarshal(data, &want)
@@ -119,6 +137,46 @@ func valuesResponse(n int) QueryResponse {
 		vals[i] = int64(5_000_000 + i)
 	}
 	return QueryResponse{Results: []QueryResult{valuesResult(vals)}}
+}
+
+// wideResponse is a one-result response over n values spread evenly over
+// 1 to 19 digits, every other one negative.
+func wideResponse(n int) QueryResponse {
+	vals := make([]int64, n)
+	for i := range vals {
+		v := int64(pow10[i%19]) + int64(i)*7919%int64(pow10[i%19]) // i%19+1 digits
+		if i%2 == 1 {
+			v = -v
+		}
+		vals[i] = v
+	}
+	return QueryResponse{Results: []QueryResult{valuesResult(vals)}}
+}
+
+// TestDigits checks digitCount and appendValues against strconv at every
+// power of ten and one below it, in both signs, and at the int64 ends.
+func TestDigits(t *testing.T) {
+	vals := []int64{0, math.MinInt64, math.MaxInt64}
+	for n := 1; n <= 19; n++ {
+		for _, u := range []uint64{pow10[n-1], pow10[n] - 1} {
+			if got := digitCount(u); got != n {
+				t.Errorf("digitCount(%d) = %d, want %d", u, got, n)
+			}
+			if u <= math.MaxInt64 {
+				vals = append(vals, int64(u), -int64(u))
+			}
+		}
+	}
+	var want []byte
+	for i, v := range vals {
+		if i > 0 {
+			want = append(want, ',')
+		}
+		want = strconv.AppendInt(want, v, 10)
+	}
+	if got := appendValues([]byte("x"), vals); string(got) != "x"+string(want) {
+		t.Fatalf("appendValues:\n got %s\nwant x%s", got, want)
+	}
 }
 
 // TestQueryResponseCodecAllocs pins the codec off reflection (which costs
@@ -198,22 +256,185 @@ func TestQueryWireCompat(t *testing.T) {
 }
 
 // BenchmarkQueryResponseCodec compares the codec with the encoding/json
-// calls it replaced on a 1 000-value body: json.NewEncoder in the
-// handlers, json.NewDecoder on the response stream in the Client.
+// calls it replaced on 1 000-value bodies: json.NewEncoder in the
+// handlers, json.NewDecoder on the response stream in the Client. "keys"
+// holds 7-digit keys, the shape of a cluster_scan answer; "wide" spreads
+// its values over 1 to 19 digits, half of them negative.
 func BenchmarkQueryResponseCodec(b *testing.B) {
-	resp := valuesResponse(1000)
-	body := AppendQueryResponse(nil, resp)
+	for _, shape := range []struct {
+		name string
+		resp QueryResponse
+	}{{"keys", valuesResponse(1000)}, {"wide", wideResponse(1000)}} {
+		resp := shape.resp
+		body := AppendQueryResponse(nil, resp)
+		for _, bc := range []struct {
+			name string
+			fn   func()
+		}{
+			{"encode", func() { body = AppendQueryResponse(body[:0], resp) }},
+			{"decode", func() { _, _ = decodeQueryResponse(body) }},
+			{"json-encode", func() { _ = json.NewEncoder(io.Discard).Encode(resp) }},
+			{"json-decode", func() { var r QueryResponse; _ = json.NewDecoder(bytes.NewReader(body)).Decode(&r) }},
+		} {
+			b.Run(shape.name+"/"+bc.name, func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					bc.fn()
+				}
+			})
+		}
+	}
+}
+
+// strictDecode is the reference request decode: a json.Decoder refusing
+// unknown fields, and json.Valid refusing anything after the value.
+func strictDecode(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if !json.Valid(data) {
+		return errors.New("data after the value")
+	}
+	return nil
+}
+
+// requestFrom builds a one-range request from fuzz bytes: flag bits
+// choose which fields are set, and lo and hi read little-endian int64s
+// from the rest.
+func requestFrom(data []byte) QueryRequest {
+	var req QueryRequest
+	if len(data) == 0 {
+		return req
+	}
+	flags := data[0]
+	data = data[1:]
+	next := func() int64 {
+		var word [8]byte
+		k := copy(word[:], data)
+		data = data[k:]
+		return int64(binary.LittleEndian.Uint64(word[:]))
+	}
+	if flags&1 != 0 {
+		req.Lo = next()
+	}
+	if flags&2 != 0 {
+		req.Hi = next()
+	}
+	req.Aggregate = flags&4 != 0
+	return req
+}
+
+// FuzzQueryRequestCodec pins the request codec to encoding/json in both
+// directions: any one-range request encodes to exactly json.Marshal's
+// bytes, which take the direct parse, and any input decodes to the strict
+// decoder's value, failing exactly when it fails, trailing bytes
+// included.
+func FuzzQueryRequestCodec(f *testing.F) {
+	for _, seed := range []string{
+		`{"lo":1,"hi":5}`,
+		`{"lo":-9223372036854775808,"hi":9223372036854775807,"aggregate":true}`,
+		`{"hi":5}`,
+		`{"lo":5}` + "\n",
+		`{"aggregate":true}`,
+		`{}`,
+		`{"lo":1,"hi":5}{"lo":7}`,
+		`{"lo":1,"hi":5} trailing`,
+		`{"lo":1,"hi":5} ` + "\r\n\t",
+		`{"lo":0,"hi":0}`,
+		`{"lo":-0,"hi":1}`,
+		`{"lo":01,"hi":5}`,
+		`{"lo":1.5,"hi":5}`,
+		`{"lo":1e3,"hi":5}`,
+		`{"lo":9223372036854775808}`,
+		`{"lo":12345678901234567890}`,
+		`{"hi":5,"lo":1}`,
+		`{"lo":1,"lo":2}`,
+		`{"LO":1,"Hi":2}`,
+		`{"lo":1,"hi":5,"aggregate":false}`,
+		`{"lo":1,"hi":5,"extra":1}`,
+		`{"lo":1,"hi":5,}`,
+		`{"or":[{"lo":1,"hi":2},{"lo":5,"hi":9}],"col":"a"}`,
+		`{"queries":[{"lo":1,"hi":2},{"or":[{"lo":0,"hi":0}]}],"aggregate":true}`,
+		`{"col":"<a&b>\u2028"}`,
+		` {"lo":1}`,
+		`null`,
+		`{"lo":1`,
+		`{"lo":1:,"hi":5}`,
+		`{"lo":1/,"hi":5}`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want, got QueryRequest
+		wantErr := strictDecode(data, &want)
+		err := decodeRequest(data, &got)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("decode %q: error %v, encoding/json error %v", data, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decode %q:\n got %#v\nwant %#v", data, got, want)
+		}
+		for _, req := range []QueryRequest{want, requestFrom(data)} {
+			if !req.oneRange() {
+				continue
+			}
+			body := appendQueryRequest(nil, req)
+			ref, err := json.Marshal(req)
+			if err != nil || !bytes.Equal(body, ref) {
+				t.Fatalf("encode %#v:\n got %q\nwant %q (%v)", req, body, ref, err)
+			}
+			if !parseQueryRequest(body, new(QueryRequest)) {
+				t.Fatalf("canonical body %q fell back to encoding/json", body)
+			}
+		}
+	})
+}
+
+// TestQueryRequestCodecAllocs pins the request path off reflection
+// (json.Marshal and a strict json.Decoder cost about 8 allocations for
+// this body): encoding into a reused buffer and decoding the canonical
+// body allocate nothing.
+func TestQueryRequestCodecAllocs(t *testing.T) {
+	req := QueryRequest{QueryItem: QueryItem{Lo: 4_000_000, Hi: 4_001_000}, Aggregate: true}
+	buf := appendQueryRequest(nil, req)
+	if enc := testing.AllocsPerRun(100, func() {
+		buf = appendQueryRequest(buf[:0], req)
+	}); enc != 0 {
+		t.Fatalf("encode: %v allocs/op, want 0", enc)
+	}
+	var got QueryRequest
+	if dec := testing.AllocsPerRun(100, func() {
+		if err := decodeRequest(buf, &got); err != nil {
+			t.Fatal(err)
+		}
+	}); dec != 0 {
+		t.Fatalf("decode: %v allocs/op, want 0", dec)
+	}
+	if !reflect.DeepEqual(got, req) {
+		t.Fatalf("decoded %+v, want %+v", got, req)
+	}
+}
+
+// BenchmarkQueryRequestCodec compares the request codec with the
+// encoding/json calls it replaced on a cluster_scan request: json.Marshal
+// in the Client, the strict json.Decoder in DecodeBody.
+func BenchmarkQueryRequestCodec(b *testing.B) {
+	req := QueryRequest{QueryItem: QueryItem{Lo: 4_000_000, Hi: 4_001_000}}
+	body := appendQueryRequest(nil, req)
 	for _, bc := range []struct {
 		name string
 		fn   func()
 	}{
-		{"encode", func() { body = AppendQueryResponse(body[:0], resp) }},
-		{"decode", func() { _, _ = decodeQueryResponse(body) }},
-		{"json-encode", func() { _ = json.NewEncoder(io.Discard).Encode(resp) }},
-		{"json-decode", func() { var r QueryResponse; _ = json.NewDecoder(bytes.NewReader(body)).Decode(&r) }},
+		{"encode", func() { body = appendQueryRequest(body[:0], req) }},
+		{"decode", func() { var r QueryRequest; _ = decodeRequest(body, &r) }},
+		{"json-encode", func() { _, _ = json.Marshal(req) }},
+		{"json-decode", func() { var r QueryRequest; _ = strictDecode(body, &r) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				bc.fn()

@@ -70,7 +70,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"os"
@@ -1200,15 +1199,10 @@ const maxBodyBytes = 8 << 20
 const maxConvergenceSamples = 512
 
 // DecodeBody strictly decodes the JSON request body into v, writing the
-// 400 itself on failure.
+// 400 itself on failure: unknown fields and anything but whitespace after
+// the value are refused. A /v1/query body takes the codec's direct parse.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
-		return false
-	}
-	return true
+	return decodeBody(w, r, v, false)
 }
 
 // maxRestoreBytes bounds POST /v1/restore bodies: a migrated shard's
@@ -1220,17 +1214,20 @@ const maxRestoreBytes = 1 << 30
 // legitimately empty (POST /v1/snapshot predates its request type); an
 // empty or whitespace body leaves v at its zero value.
 func decodeOptionalBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return decodeBody(w, r, v, true)
+}
+
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
+	bp, body, err := readPooled(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	defer putBody(bp, body)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
 		return false
 	}
-	if len(bytes.TrimSpace(body)) == 0 {
+	if optional && onlySpace(body) {
 		return true
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeRequest(body, v); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad_request", "decoding body: "+err.Error())
 		return false
 	}

@@ -28,8 +28,9 @@
 //	crackserver -addr :8080 -coordinator -backends=http://127.0.0.1:9001,http://127.0.0.1:9002
 //
 // Backends announcing the same [lo, hi) range form a replica set: the
-// coordinator fans every update out to all of them, hedges reads across
-// them, and keeps serving (and re-seeding the laggard) when one dies.
+// coordinator fans every update out to all of them, fails reads over
+// between them, and keeps serving (and re-seeding the laggard) when one
+// dies.
 // -replicas makes the minimum per-range replica count a boot-time check;
 // POST /v1/drain moves all of a node's ranges elsewhere for maintenance
 // (see internal/cluster).
@@ -217,13 +218,7 @@ func main() {
 			}
 			log.Printf("building [%d, %d) slice of a %d-row permutation (seed %d)...",
 				*shardLo, *shardHi, *shardOf, *seed)
-			var data []int64
-			for _, v := range crackdb.MakeData(*shardOf, *seed) {
-				if v >= *shardLo && v < *shardHi {
-					data = append(data, v)
-				}
-			}
-			return data
+			return cluster.SliceOf(*shardOf, *seed, *shardLo, *shardHi)
 		}}}
 	}
 

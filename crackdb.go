@@ -155,16 +155,9 @@ func WithSwapBudget(pct int) Option {
 // partition kernel, which partitions on all cores via the process-wide
 // worker pool. It preserves every crack's split position and per-side
 // multiset exactly; only the physical order of values within a side may
-// differ from the serial kernel's. Use WithParallelCrackMin to tune the
-// threshold.
+// differ from the serial kernel's.
 func WithParallelCrack() Option {
 	return func(c *config) { c.core.ParallelCrackMin = core.DefaultParallelCrackMin }
-}
-
-// WithParallelCrackMin enables parallel cracking with an explicit
-// piece-size threshold in tuples (see WithParallelCrack); 0 disables.
-func WithParallelCrackMin(tuples int) Option {
-	return func(c *config) { c.core.ParallelCrackMin = tuples }
 }
 
 // WithCoarseInit pre-cuts the column into about p value-ranged pieces at

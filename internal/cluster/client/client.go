@@ -1,8 +1,8 @@
 // Package client is the cluster coordinator's resilient view of one
 // crackserver backend: the plain wire client (internal/server.Client)
 // wrapped with per-attempt timeouts, bounded retries with exponential
-// backoff, hedged reads, and a circuit breaker whose state the
-// coordinator surfaces in /debug/metrics.
+// backoff, failover across a range's replicas, and a circuit breaker
+// whose state the coordinator surfaces in /debug/metrics.
 //
 // The retry policy is deliberately asymmetric. Reads are idempotent —
 // answering a range query twice refines the index twice but returns the
@@ -32,20 +32,13 @@ import (
 type Config struct {
 	// Timeout bounds each attempt (default 5s).
 	Timeout time.Duration
-	// Retries is the number of re-attempts after the first try for
-	// idempotent requests (default 2; updates use their own narrow
-	// policy regardless).
+	// Retries is the number of repeat passes over a replica set (for one
+	// backend, re-attempts) after the first try (default 2; updates
+	// retry only under their own narrow rule).
 	Retries int
-	// Backoff is the sleep before the first retry, doubling per attempt
+	// Backoff is the sleep before the first repeat, doubling per repeat
 	// (default 25ms).
 	Backoff time.Duration
-	// HedgeDelay, when > 0, hedges an in-flight read after this delay and
-	// takes whichever response lands first. Through Backend.Query the
-	// hedge re-asks the same backend (a fresh request can overtake one
-	// stuck behind a reorganization drain); through QueryAcross — the
-	// replicated read path — the hedge goes to the next replica instead,
-	// which turns the tail-tolerance trick into fault tolerance.
-	HedgeDelay time.Duration
 	// FailThreshold is the number of consecutive failures that opens the
 	// circuit (default 3).
 	FailThreshold int
@@ -107,7 +100,6 @@ type Backend struct {
 	// counters for /debug/metrics (guarded by mu too; they move on the
 	// same transitions).
 	retries int64
-	hedges  int64
 	trips   int64
 }
 
@@ -156,16 +148,18 @@ func (b *Backend) ResetCircuit() {
 	b.fails = 0
 }
 
-// Counters reports the retry and hedge totals for metrics.
-func (b *Backend) Counters() (retries, hedges int64) {
+// Retries reports how many re-attempts the backend has been sent, for
+// metrics.
+func (b *Backend) Retries() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.retries, b.hedges
+	return b.retries
 }
 
 // allow gates an attempt on the circuit: open circuits reject until the
-// cooldown elapses, then let probes through half-open.
-func (b *Backend) allow() error {
+// cooldown elapses, then let probes through half-open. An admitted
+// retry is counted.
+func (b *Backend) allow(retry bool) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == circuitOpen {
@@ -173,6 +167,9 @@ func (b *Backend) allow() error {
 			return fmt.Errorf("%w (%s)", ErrCircuitOpen, b.url)
 		}
 		b.state = circuitHalfOpen
+	}
+	if retry {
+		b.retries++
 	}
 	return nil
 }
@@ -222,15 +219,12 @@ func retriableRead(err error) bool {
 // ProvablyNotApplied reports whether a failed update provably never
 // reached the backend's index: connection refusals, the fast-reject
 // statuses (429, 503) sent before any state changed, and an open
-// circuit. The coordinator's replication layer keys its journal on this
-// — an op that provably missed a replica can be queued and replayed
-// later without double-apply risk, while an ambiguous failure forces a
-// full re-seed of that replica instead.
-func ProvablyNotApplied(err error) bool { return retriableUpdate(err) }
-
-// retriableUpdate reports whether an update provably never applied, so a
-// retry cannot double-apply it.
-func retriableUpdate(err error) bool {
+// circuit. It is the update retry rule, and the coordinator's
+// replication layer keys its journal on it — an op that provably missed
+// a replica can be queued and replayed later without double-apply risk,
+// while an ambiguous failure forces a full re-seed of that replica
+// instead.
+func ProvablyNotApplied(err error) bool {
 	var apiErr *server.APIError
 	if errors.As(err, &apiErr) {
 		return apiErr.Status == http.StatusTooManyRequests ||
@@ -243,147 +237,99 @@ func retriableUpdate(err error) bool {
 	return errors.Is(err, ErrCircuitOpen)
 }
 
-// attempt runs one call under the per-attempt timeout and feeds the
-// circuit.
-func attempt[T any](ctx context.Context, b *Backend, call func(context.Context) (T, error)) (T, error) {
-	var zero T
-	if err := b.allow(); err != nil {
-		return zero, err
-	}
-	actx, cancel := context.WithTimeout(ctx, b.cfg.Timeout)
-	defer cancel()
-	out, err := call(actx)
-	b.record(err)
-	if err != nil {
-		return zero, err
-	}
-	return out, nil
-}
-
-// retrying runs call with the read policy: up to cfg.Retries
-// re-attempts, exponential backoff between them.
-func retrying[T any](ctx context.Context, b *Backend, retriable func(error) bool, call func(context.Context) (T, error)) (T, error) {
+// call is every backend call: fn under the per-attempt timeout, fed to
+// each backend's circuit, in passes over the replica set bs (one backend
+// is a set of one; bs[0]'s Config sets the retry schedule). A pass asks
+// each replica once, in order, and the first answer wins, so a dead
+// replica costs one failed attempt and an open-circuited one none. An
+// error retriable refuses (any error, for a nil rule) returns at once.
+// Only a pass in which some replica failed retriably backs off (Backoff,
+// doubling) and repeats, up to Retries more passes: a pass whose every
+// attempt the circuits refused ends the call at once, as no circuit
+// closes within one backoff.
+func call[T any](ctx context.Context, bs []*Backend, retriable func(error) bool, timeout time.Duration,
+	fn func(*server.Client, context.Context) (T, error)) (T, error) {
 	var zero T
 	var lastErr error
-	for try := 0; try <= b.cfg.Retries; try++ {
-		if try > 0 {
-			b.mu.Lock()
-			b.retries++
-			b.mu.Unlock()
-			select {
-			case <-ctx.Done():
-				return zero, ctx.Err()
-			case <-time.After(b.cfg.Backoff << (try - 1)):
+	for pass := 0; ; pass++ {
+		again := false
+		for _, b := range bs {
+			if err := ctx.Err(); err != nil {
+				return zero, err
 			}
+			if err := b.allow(pass > 0); err != nil {
+				lastErr = err
+				continue
+			}
+			actx, cancel := context.WithTimeout(ctx, timeout)
+			out, err := fn(b.api, actx)
+			cancel()
+			b.record(err)
+			if err == nil {
+				return out, nil
+			}
+			if retriable == nil || !retriable(err) {
+				return zero, err
+			}
+			lastErr, again = err, true
 		}
-		out, err := attempt(ctx, b, call)
-		if err == nil {
-			return out, nil
+		if !again || pass == bs[0].cfg.Retries {
+			return zero, lastErr
 		}
-		lastErr = err
-		if !retriable(err) {
-			break
-		}
-	}
-	return zero, lastErr
-}
-
-// hedged wraps a read with the hedge policy: when the first attempt has
-// not answered within HedgeDelay, an identical second request races it
-// and the first response wins.
-func hedged[T any](ctx context.Context, b *Backend, call func(context.Context) (T, error)) (T, error) {
-	if b.cfg.HedgeDelay <= 0 {
-		return retrying(ctx, b, retriableRead, call)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		out T
-		err error
-	}
-	results := make(chan outcome, 2)
-	launch := func() {
-		out, err := retrying(hctx, b, retriableRead, call)
-		results <- outcome{out, err}
-	}
-	go launch()
-	timer := time.NewTimer(b.cfg.HedgeDelay)
-	defer timer.Stop()
-	launched := 1
-	for {
 		select {
-		case <-timer.C:
-			if launched == 1 {
-				b.mu.Lock()
-				b.hedges++
-				b.mu.Unlock()
-				go launch()
-				launched++
-			}
-		case res := <-results:
-			// First success wins; a failure only settles the call once no
-			// sibling is still running.
-			if res.err == nil || launched == 1 {
-				return res.out, res.err
-			}
-			launched--
 		case <-ctx.Done():
-			var zero T
 			return zero, ctx.Err()
+		case <-time.After(bs[0].cfg.Backoff << pass):
 		}
 	}
 }
 
-// Query posts a query request, with retries and (when configured) a
-// hedge.
-func (b *Backend) Query(ctx context.Context, req server.QueryRequest) (server.QueryResponse, error) {
-	return hedged(ctx, b, func(ctx context.Context) (server.QueryResponse, error) {
-		return b.api.Query(ctx, req)
+// QueryAcross answers one read against a replica set, preferred replica
+// first, failing over to the next replica when an attempt errors or a
+// circuit refuses it, with the read retry rule (see call). It fails only
+// when every replica has failed.
+func QueryAcross(ctx context.Context, bs []*Backend, req server.QueryRequest) (server.QueryResponse, error) {
+	if len(bs) == 0 {
+		return server.QueryResponse{}, errors.New("cluster: no replicas to query")
+	}
+	return call(ctx, bs, retriableRead, bs[0].cfg.Timeout, func(api *server.Client, ctx context.Context) (server.QueryResponse, error) {
+		return api.Query(ctx, req)
 	})
 }
 
 // Insert queues values on the backend, retrying only when the request
 // provably never applied.
 func (b *Backend) Insert(ctx context.Context, values ...int64) (pending int, err error) {
-	return retrying(ctx, b, retriableUpdate, func(ctx context.Context) (int, error) {
-		return b.api.Insert(ctx, values...)
+	return call(ctx, []*Backend{b}, ProvablyNotApplied, b.cfg.Timeout, func(api *server.Client, ctx context.Context) (int, error) {
+		return api.Insert(ctx, values...)
 	})
 }
 
 // Delete queues value removals, with the update retry policy.
 func (b *Backend) Delete(ctx context.Context, values ...int64) (pending int, err error) {
-	return retrying(ctx, b, retriableUpdate, func(ctx context.Context) (int, error) {
-		return b.api.Delete(ctx, values...)
+	return call(ctx, []*Backend{b}, ProvablyNotApplied, b.cfg.Timeout, func(api *server.Client, ctx context.Context) (int, error) {
+		return api.Delete(ctx, values...)
 	})
 }
 
 // Health fetches the backend's readiness payload (no retries: the health
 // loop is itself the retry).
 func (b *Backend) Health(ctx context.Context) (server.HealthResponse, error) {
-	return attempt(ctx, b, func(ctx context.Context) (server.HealthResponse, error) {
-		return b.api.Health(ctx)
-	})
+	return call(ctx, []*Backend{b}, nil, b.cfg.Timeout, (*server.Client).Health)
 }
 
 // Stats fetches the backend's /v1/stats, with read retries.
 func (b *Backend) Stats(ctx context.Context) (server.StatsResponse, error) {
-	return retrying(ctx, b, retriableRead, func(ctx context.Context) (server.StatsResponse, error) {
-		return b.api.Stats(ctx)
-	})
+	return call(ctx, []*Backend{b}, retriableRead, b.cfg.Timeout, (*server.Client).Stats)
 }
 
 // SnapshotRange pulls the manifest stream of [lo, hi) from the backend —
 // the donor side of a migration. One attempt, under the read timeout
 // scaled up for the payload.
 func (b *Backend) SnapshotRange(ctx context.Context, lo, hi int64) ([]byte, error) {
-	if err := b.allow(); err != nil {
-		return nil, err
-	}
-	actx, cancel := context.WithTimeout(ctx, 4*b.cfg.Timeout)
-	defer cancel()
-	stream, err := b.api.SnapshotRange(actx, lo, hi)
-	b.record(err)
-	return stream, err
+	return call(ctx, []*Backend{b}, nil, 4*b.cfg.Timeout, func(api *server.Client, ctx context.Context) ([]byte, error) {
+		return api.SnapshotRange(ctx, lo, hi)
+	})
 }
 
 // RestoreSnapshot feeds a manifest stream to the backend's POST
@@ -391,90 +337,9 @@ func (b *Backend) SnapshotRange(ctx context.Context, lo, hi int64) ([]byte, erro
 // — the joiner side of a migration. One attempt (a replayed restore is
 // harmless but a timeout here should surface, not loop).
 func (b *Backend) RestoreSnapshot(ctx context.Context, stream []byte, lo, hi int64) (server.RestoreResponse, error) {
-	if err := b.allow(); err != nil {
-		return server.RestoreResponse{}, err
-	}
-	actx, cancel := context.WithTimeout(ctx, 4*b.cfg.Timeout)
-	defer cancel()
-	resp, err := b.api.RestoreSnapshot(actx, stream, lo, hi)
-	b.record(err)
-	return resp, err
-}
-
-// QueryAcross answers one read against a replica set: it asks bs[0] (the
-// preferred replica) first, points the hedge at the *next* replica —
-// after HedgeDelay without an answer a second copy of the request races
-// on the other node — and fails over immediately when an attempt errors.
-// The first success wins; the call fails only when every replica has
-// failed. With one backend it degrades to Backend.Query (same-node
-// hedging), so an unreplicated route behaves exactly as before.
-func QueryAcross(ctx context.Context, bs []*Backend, req server.QueryRequest) (server.QueryResponse, error) {
-	switch len(bs) {
-	case 0:
-		return server.QueryResponse{}, errors.New("cluster: no replicas to query")
-	case 1:
-		return bs[0].Query(ctx, req)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		resp server.QueryResponse
-		err  error
-	}
-	results := make(chan outcome, len(bs))
-	next := 0
-	launch := func() {
-		b := bs[next]
-		next++
-		go func() {
-			// Per-attempt retries still apply, but no same-node hedge: the
-			// sibling replica *is* the hedge here.
-			resp, err := retrying(hctx, b, retriableRead, func(ctx context.Context) (server.QueryResponse, error) {
-				return b.api.Query(ctx, req)
-			})
-			results <- outcome{resp, err}
-		}()
-	}
-	launch()
-	var hedgeC <-chan time.Time
-	var timer *time.Timer
-	if delay := bs[0].cfg.HedgeDelay; delay > 0 {
-		timer = time.NewTimer(delay)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-	inflight := 1
-	var lastErr error
-	for {
-		select {
-		case <-hedgeC:
-			if next < len(bs) {
-				// Count the hedge against the replica that was too slow.
-				bs[0].mu.Lock()
-				bs[0].hedges++
-				bs[0].mu.Unlock()
-				launch()
-				inflight++
-				timer.Reset(bs[0].cfg.HedgeDelay)
-			}
-		case res := <-results:
-			inflight--
-			if res.err == nil {
-				return res.resp, nil
-			}
-			lastErr = res.err
-			if next < len(bs) {
-				// Immediate failover: a dead replica costs one failed attempt,
-				// not the request.
-				launch()
-				inflight++
-			} else if inflight == 0 {
-				return server.QueryResponse{}, lastErr
-			}
-		case <-ctx.Done():
-			return server.QueryResponse{}, ctx.Err()
-		}
-	}
+	return call(ctx, []*Backend{b}, nil, 4*b.cfg.Timeout, func(api *server.Client, ctx context.Context) (server.RestoreResponse, error) {
+		return api.RestoreSnapshot(ctx, stream, lo, hi)
+	})
 }
 
 // Drain flips the backend's own drain flag (POST /v1/drain) so its
@@ -482,20 +347,13 @@ func QueryAcross(ctx context.Context, bs []*Backend, req server.QueryRequest) (s
 // coordinator drain. One attempt; the routing table, not this flag, is
 // what stops traffic.
 func (b *Backend) Drain(ctx context.Context) (server.DrainResponse, error) {
-	return attempt(ctx, b, func(ctx context.Context) (server.DrainResponse, error) {
-		return b.api.Drain(ctx)
-	})
+	return call(ctx, []*Backend{b}, nil, b.cfg.Timeout, (*server.Client).Drain)
 }
 
 // Retain asks the backend to shrink to [lo, hi) — the donor's final
-// migration step.
+// migration step. One attempt, under the scaled-up timeout.
 func (b *Backend) Retain(ctx context.Context, lo, hi int64) (server.RestoreResponse, error) {
-	if err := b.allow(); err != nil {
-		return server.RestoreResponse{}, err
-	}
-	actx, cancel := context.WithTimeout(ctx, 4*b.cfg.Timeout)
-	defer cancel()
-	resp, err := b.api.Retain(actx, lo, hi)
-	b.record(err)
-	return resp, err
+	return call(ctx, []*Backend{b}, nil, 4*b.cfg.Timeout, func(api *server.Client, ctx context.Context) (server.RestoreResponse, error) {
+		return api.Retain(ctx, lo, hi)
+	})
 }

@@ -2,7 +2,7 @@
 // scatter-gather coordinator that value-routes queries and updates to N
 // backends, each owning one contiguous shard of the value domain, and
 // keeps serving through node trouble via health-checked backends, per-
-// backend circuit breakers and hedged reads (internal/cluster/client).
+// backend circuit breakers and replica failover (internal/cluster/client).
 //
 // It is the paper's §6 "distribution" direction taken one level above
 // internal/exec's in-process sharding: the same value-range partitioning
@@ -23,9 +23,9 @@
 // a node may hold stale tuples outside the ranges the table says it
 // owns, but no query ever asks it for them.
 //
-// Reads go to the preferred (first) replica; the read hedge points at
-// the *next* replica rather than the same node, and an error fails over
-// immediately, so a dead backend degrades latency, not availability.
+// Reads go to the preferred (first) replica, and an error or an open
+// circuit fails over to the next replica at once, before any retry
+// backoff, so a dead backend degrades latency, not availability.
 // Updates ack only after every live replica acked; a replica that
 // provably missed an op is taken out of the read set and journaled, and
 // is caught up (journal replay, or a full re-seed from a peer snapshot
@@ -71,7 +71,7 @@ import (
 // Config configures a Coordinator.
 type Config struct {
 	// Client is the per-backend resilience policy (timeouts, retries,
-	// hedging, circuit breaker).
+	// circuit breaker).
 	Client client.Config
 	// HealthInterval is the background health-probe period (default
 	// 500ms).
@@ -131,7 +131,7 @@ func (n *node) live() bool { return !n.out.Load() && !n.drained.Load() }
 
 // route is one routing-table entry: the nodes in replicas each hold a
 // copy of the values in [lo, hi). The first replica is preferred for
-// reads; the rest are hedge/failover targets.
+// reads; the rest are failover targets.
 type route struct {
 	lo, hi   int64
 	replicas []*node
@@ -517,9 +517,9 @@ func planSpans(routes []route, lo, hi int64) []span {
 
 // scatter answers one half-open range across the routing table: one
 // clamped sub-request per intersecting range, each answered by that
-// range's replica set (preferred replica first, cross-replica hedge and
-// failover behind it), gathered in ascending route (= value-range)
-// order so multi-range answers merge deterministically.
+// range's replica set (preferred replica first, failover behind it),
+// gathered in ascending route (= value-range) order so multi-range
+// answers merge deterministically.
 func (c *Coordinator) scatter(ctx context.Context, lo, hi int64, aggregate bool) (server.QueryResult, error) {
 	var out server.QueryResult
 	if lo >= hi {
@@ -899,11 +899,9 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 			fmt.Fprintf(w, "crackcluster_backend_circuit{backend=%q,state=%q} %d\n", n.URL(), s, v)
 		}
-		retries, hedges := n.Counters()
 		fmt.Fprintf(w, "crackcluster_backend_consecutive_failures{backend=%q} %d\n", n.URL(), fails)
 		fmt.Fprintf(w, "crackcluster_backend_circuit_trips_total{backend=%q} %d\n", n.URL(), trips)
-		fmt.Fprintf(w, "crackcluster_backend_retries_total{backend=%q} %d\n", n.URL(), retries)
-		fmt.Fprintf(w, "crackcluster_backend_hedges_total{backend=%q} %d\n", n.URL(), hedges)
+		fmt.Fprintf(w, "crackcluster_backend_retries_total{backend=%q} %d\n", n.URL(), n.Retries())
 	}
 }
 

@@ -21,11 +21,27 @@ type LocalNodeConfig struct {
 	// owns nothing — a joiner waiting for a migration.
 	Lo, Hi    int64
 	Algorithm string
-	// Mode is the DB concurrency mode (default Shared — the node serves
-	// concurrent HTTP traffic).
-	Mode      crackdb.Concurrency
 	AuthToken string
 	Options   []crackdb.Option
+}
+
+// SliceOf returns the values of the cluster dataset MakeData(n, seed)
+// falling in [lo, hi), in the permutation's order: the data of the node
+// owning that range. MakeData is a permutation of [0, n), so the node
+// owns exactly the values of [lo, hi) ∩ [0, n) and the slice is sized
+// once.
+func SliceOf(n int64, seed uint64, lo, hi int64) []int64 {
+	lo, hi = max(lo, 0), min(hi, n)
+	if lo >= hi {
+		return nil
+	}
+	values := make([]int64, 0, hi-lo)
+	for _, v := range crackdb.MakeData(n, seed) {
+		if v >= lo && v < hi {
+			values = append(values, v)
+		}
+	}
+	return values
 }
 
 // LocalNode is an in-process crackserver backend on a loopback port,
@@ -41,26 +57,14 @@ type LocalNode struct {
 }
 
 // StartLocalNode boots a backend per cfg on 127.0.0.1:0 and returns
-// once it is serving.
+// once it is serving. The DB runs in Shared mode: the node serves
+// concurrent HTTP traffic.
 func StartLocalNode(cfg LocalNodeConfig) (*LocalNode, error) {
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = crackdb.DD1R
 	}
-	if cfg.Mode == crackdb.Single {
-		cfg.Mode = crackdb.Shared
-	}
-	// MakeData is a permutation of [0, N), so the node owns exactly the
-	// values of [Lo, Hi) ∩ [0, N): the slice is sized once.
-	var values []int64
-	if lo, hi := max(cfg.Lo, 0), min(cfg.Hi, cfg.N); lo < hi {
-		values = make([]int64, 0, hi-lo)
-		for _, v := range crackdb.MakeData(cfg.N, cfg.Seed) {
-			if v >= lo && v < hi {
-				values = append(values, v)
-			}
-		}
-	}
-	opts := append([]crackdb.Option{crackdb.WithConcurrency(cfg.Mode)}, cfg.Options...)
+	values := SliceOf(cfg.N, cfg.Seed, cfg.Lo, cfg.Hi)
+	opts := append([]crackdb.Option{crackdb.WithConcurrency(crackdb.Shared)}, cfg.Options...)
 	db, err := crackdb.Open(values, cfg.Algorithm, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: local node [%d, %d): %w", cfg.Lo, cfg.Hi, err)

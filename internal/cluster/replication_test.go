@@ -108,7 +108,6 @@ func TestReplicatedClusterSurvivesBackendKill(t *testing.T) {
 		HealthInterval: 50 * time.Millisecond,
 		Client: client.Config{
 			Timeout: 2 * time.Second, Retries: 1, Backoff: 5 * time.Millisecond,
-			HedgeDelay: 25 * time.Millisecond,
 		},
 	})
 	h := coord.Handler()
@@ -366,7 +365,6 @@ func TestDrainClusterEquivalence(t *testing.T) {
 		HealthInterval: 50 * time.Millisecond,
 		Client: client.Config{
 			Timeout: 2 * time.Second, Retries: 1, Backoff: 5 * time.Millisecond,
-			HedgeDelay: 25 * time.Millisecond,
 		},
 	})
 	h := coord.Handler()

@@ -39,14 +39,6 @@ func (db *DB) SaveSnapshot(path string) error {
 	return snapshot.SaveManifestFile(path, snap)
 }
 
-// SaveSnapshotFile writes an already-captured DBSnapshot to path (atomic
-// temp-file write + rename, CRC32 protected). Use it when the capture
-// and the file write should not hold the DB's locks together — the
-// serving layer captures under the drain, then writes outside it.
-func SaveSnapshotFile(path string, snap DBSnapshot) error {
-	return snapshot.SaveManifestFile(path, snap)
-}
-
 // OpenSnapshot restores a DB from a snapshot manifest, resuming with all
 // adaptation earned so far, in any concurrency mode. The target layout
 // need not match the source: restoring a sharded snapshot into Single or
@@ -104,7 +96,7 @@ func OpenSnapshotFile(path, algorithm string, opts ...Option) (*DB, error) {
 
 // WriteSnapshot serializes a DBSnapshot to w in the CRKS stream format
 // (CRC32-trailed, self-describing version). It is the transport form of
-// SaveSnapshotFile: the serving layer streams captured shard ranges over
+// SaveSnapshot: the serving layer streams captured shard ranges over
 // HTTP with it during live migration.
 func WriteSnapshot(w io.Writer, snap DBSnapshot) error {
 	return snapshot.WriteManifest(w, snap)
@@ -136,13 +128,6 @@ func NewFileSnapshotStore(dir string) (*snapshot.FileStore, error) {
 // encoded CRKS streams — tests and single-process fleets use it; every
 // Save/Load round-trips the wire codec.
 func NewMemSnapshotStore() *snapshot.MemStore { return snapshot.NewMemStore() }
-
-// SaveSnapshotTo writes an already-captured DBSnapshot under key in the
-// store. Like SaveSnapshotFile, it holds no DB locks: capture first,
-// store outside the drain.
-func SaveSnapshotTo(store SnapshotStore, key string, snap DBSnapshot) error {
-	return store.Save(key, snap)
-}
 
 // OpenSnapshotFrom loads the manifest under key from the store and
 // restores a DB from it, in any concurrency mode (see OpenSnapshot). A

@@ -101,7 +101,7 @@ func TestFacadeSnapshotRejectsHybrids(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := crackdb.NewMemSnapshotStore()
-	if err := crackdb.SaveSnapshotTo(store, "db", snap); err != nil {
+	if err := store.Save("db", snap); err != nil {
 		t.Fatal(err)
 	}
 	for _, spec := range []string{"sort", "aicc", "aics", "aicc1r", "aics1r"} {

@@ -86,7 +86,6 @@ const (
 	FiftyFifty    = "fiftyfifty"
 	FlipCoin      = "flipcoin"
 	SizeSelective = "sizeselective"
-	AutoTune      = "autotune" // extension: dynamic algorithm choice (paper §6)
 )
 
 // Result is the outcome of a range query. Single-mode queries return a
@@ -143,11 +142,6 @@ func WithCrackSize(tuples int) Option {
 // progressive cracking spreads work across queries.
 func WithProgressiveSize(tuples int) Option {
 	return func(c *config) { c.core.ProgressiveSize = tuples }
-}
-
-// WithSwapBudget sets the progressive swap budget in percent (P1%..P100%).
-func WithSwapBudget(pct int) Option {
-	return func(c *config) { c.core.SwapPct = pct }
 }
 
 // WithParallelCrack routes crack operations on pieces of at least

@@ -177,7 +177,7 @@ func TestFacadeOptions(t *testing.T) {
 	ctx := context.Background()
 	db, err := crackdb.Open(crackdb.MakeData(50_000, 3), "pmdd1r-1",
 		crackdb.WithSeed(11), crackdb.WithCrackSize(128),
-		crackdb.WithProgressiveSize(1024), crackdb.WithSwapBudget(5))
+		crackdb.WithProgressiveSize(1024))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,8 +220,12 @@ func TestDBSnapshotModes(t *testing.T) {
 }
 
 func TestDBSentinelErrors(t *testing.T) {
-	if _, err := crackdb.Open(nil, "not-an-algorithm"); !errors.Is(err, crackdb.ErrUnknownAlgorithm) {
-		t.Fatalf("unknown algorithm error = %v", err)
+	// The bare progressive spellings are gone: a pmdd1r-<pct> spec is
+	// the one way to set the swap budget.
+	for _, spec := range []string{"not-an-algorithm", "pmdd1r", "scrack", "autotune"} {
+		if _, err := crackdb.Open(nil, spec); !errors.Is(err, crackdb.ErrUnknownAlgorithm) {
+			t.Fatalf("%s: unknown algorithm error = %v", spec, err)
+		}
 	}
 	if _, err := crackdb.Open(nil, "bogus", crackdb.WithConcurrency(crackdb.Sharded(2))); !errors.Is(err, crackdb.ErrUnknownAlgorithm) {
 		t.Fatalf("sharded unknown algorithm error = %v", err)

@@ -1,9 +1,10 @@
 package cluster
 
 // The chaos suite: replication's promises checked under injected
-// faults. faultproxy sits between the coordinator and each backend, so
-// backends can be killed, revived and made flaky while the data
-// underneath stays oracle-checkable.
+// faults. The fault layer (faults_test.go) is the coordinator's
+// transport, so backends can be killed, revived, partitioned and made to
+// reject or lose updates while the data underneath stays
+// oracle-checkable.
 
 import (
 	"bytes"
@@ -18,19 +19,20 @@ import (
 	"time"
 
 	"repro/internal/cluster/client"
-	"repro/internal/cluster/faultproxy"
 	"repro/internal/xrand"
 )
 
 // startReplicatedCluster boots ranges×replicas local nodes — replica
-// sets share a slice of [0, testRows) — each behind a faultproxy, plus
-// a coordinator that requires the full replica count. proxies[r][k] is
-// replica k of range r.
-func startReplicatedCluster(t *testing.T, ranges, replicas int, ccfg Config) (*Coordinator, [][]*faultproxy.Proxy) {
+// sets share a slice of [0, testRows) — plus a coordinator that requires
+// the full replica count and reaches them through a fault layer.
+// urls[r][k] is replica k of range r.
+func startReplicatedCluster(t *testing.T, ranges, replicas int, ccfg Config) (*Coordinator, *faults, [][]string) {
 	t.Helper()
+	f := newFaults()
 	ccfg.Replicas = replicas
-	proxies := make([][]*faultproxy.Proxy, ranges)
-	var urls []string
+	ccfg.Client.HTTPClient = &http.Client{Transport: f}
+	urls := make([][]string, ranges)
+	var all []string
 	for r := 0; r < ranges; r++ {
 		lo := int64(testRows) * int64(r) / int64(ranges)
 		hi := int64(testRows) * int64(r+1) / int64(ranges)
@@ -42,23 +44,18 @@ func startReplicatedCluster(t *testing.T, ranges, replicas int, ccfg Config) (*C
 				t.Fatalf("range %d replica %d: %v", r, k, err)
 			}
 			t.Cleanup(nd.Close)
-			p, err := faultproxy.New(nd.URL, uint64(r*10+k+1))
-			if err != nil {
-				t.Fatalf("faultproxy for range %d replica %d: %v", r, k, err)
-			}
-			t.Cleanup(p.Close)
-			proxies[r] = append(proxies[r], p)
-			urls = append(urls, p.URL())
+			urls[r] = append(urls[r], nd.URL)
+			all = append(all, nd.URL)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	coord, err := New(ctx, urls, ccfg)
+	coord, err := New(ctx, all, ccfg)
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
 	t.Cleanup(coord.Close)
-	return coord, proxies
+	return coord, f, urls
 }
 
 // postJSON sends one request through the handler without involving t,
@@ -97,14 +94,15 @@ func aggQuery(h http.Handler, lo, hi int64) (int64, int64, error) {
 }
 
 // TestReplicatedClusterSurvivesBackendKill is the headline chaos
-// property: with 2 replicas per range, killing a backend in the middle
-// of a mixed query/insert/delete storm costs nothing visible — zero
-// failed requests, every answer oracle-correct, and after the killed
-// node is revived, caught up and its *sibling* killed, every
-// acknowledged update is still readable from the recovered copy alone
-// (nothing lost, nothing doubled, no stale clamp leaks).
+// property: with 2 replicas per range, a backend that loses the
+// responses of inserts it applied and is then killed in the middle of a
+// mixed query/insert/delete storm costs nothing visible — zero failed
+// requests, every answer oracle-correct, and after the killed node is
+// revived, caught up and its *sibling* killed, every acknowledged update
+// is still readable from the recovered copy alone (nothing lost, nothing
+// doubled, no stale clamp leaks).
 func TestReplicatedClusterSurvivesBackendKill(t *testing.T) {
-	coord, proxies := startReplicatedCluster(t, 2, 2, Config{
+	coord, f, urls := startReplicatedCluster(t, 2, 2, Config{
 		HealthInterval: 50 * time.Millisecond,
 		Client: client.Config{
 			Timeout: 2 * time.Second, Retries: 1, Backoff: 5 * time.Millisecond,
@@ -191,17 +189,25 @@ func TestReplicatedClusterSurvivesBackendKill(t *testing.T) {
 			mu.Unlock()
 		}(w)
 	}
-	// The controller: once the storm is demonstrably mid-flight, kill
-	// one replica of the top range. Everything after this point runs
-	// against a cluster with a dead backend.
-	killed := proxies[1][1]
+	// The controller: once the storm is demonstrably mid-flight, one
+	// replica of the top range applies inserts but loses their
+	// responses (between 30 and 60 acked inserts), which must send it to
+	// a re-seed, never a replay; then it is killed. Everything after
+	// that runs against a cluster with a dead backend.
+	killed := urls[1][1]
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for ackedInserts.Load() < 60 {
-			time.Sleep(2 * time.Millisecond)
+		waitAcked := func(n int64) {
+			for ackedInserts.Load() < n {
+				time.Sleep(2 * time.Millisecond)
+			}
 		}
-		killed.Kill()
+		waitAcked(30)
+		f.set(killed, "/v1/insert", dropAfter)
+		waitAcked(60)
+		f.set(killed, "/v1/insert", pass)
+		f.kill(killed)
 	}()
 	wg.Wait()
 	if len(failures) > 0 {
@@ -226,45 +232,46 @@ func TestReplicatedClusterSurvivesBackendKill(t *testing.T) {
 	// re-seed, the coordinator decides — then kill its sibling. Every
 	// acked update must now be served by the recovered copy alone: the
 	// sharpest possible "no lost ack" check.
-	if err := killed.Revive(); err != nil {
-		t.Fatal(err)
-	}
+	f.revive(killed)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := coord.Recover(ctx, killed.URL()); err != nil {
+	if err := coord.Recover(ctx, killed); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	proxies[1][0].Kill()
+	f.kill(urls[1][0])
 	verify("after recovery and sibling kill")
 }
 
 // TestRecoverReplaysOrReseeds pins which catch-up path a miss leads to.
 // A provable miss (an injected 503 on every insert) is journaled and
-// Recover replays it; an ambiguous one (an insert that never answers)
-// marks the replica for a full re-seed from its sibling. Either way the
-// recovered copy alone then serves every acked update.
+// Recover replays it; an ambiguous one (an insert that never answers, or
+// one the replica applied whose response was lost) marks the replica for
+// a full re-seed from its sibling, since replaying an applied op would
+// apply it twice. Either way the recovered copy alone then serves every
+// acked update.
 func TestRecoverReplaysOrReseeds(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		rule     faultproxy.Rule
+		rule     fault
 		reseeded bool
 	}{
-		{"replay", faultproxy.Rule{Mode: faultproxy.Flaky, Rate: 1}, false},
-		{"reseed", faultproxy.Rule{Mode: faultproxy.Blackhole}, true},
+		{"replay", rejectBefore, false},
+		{"reseed", partition, true},
+		{"drop-after", dropAfter, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// No health probes: the test, not the loop, decides when to
 			// recover.
-			coord, proxies := startReplicatedCluster(t, 1, 2, Config{
+			coord, f, urls := startReplicatedCluster(t, 1, 2, Config{
 				HealthInterval: time.Hour,
 				Client: client.Config{
 					Timeout: 300 * time.Millisecond, Retries: 1, Backoff: 5 * time.Millisecond,
 				},
 			})
 			h := coord.Handler()
-			faulty, sibling := proxies[0][1], proxies[0][0]
-			n := coord.findNode(faulty.URL())
-			faulty.Set("/v1/insert", tc.rule)
+			faulty, sibling := urls[0][1], urls[0][0]
+			n := coord.findNode(faulty)
+			f.set(faulty, "/v1/insert", tc.rule)
 
 			var wantCnt, wantSum int64
 			for i := int64(0); i < 5; i++ {
@@ -287,10 +294,10 @@ func TestRecoverReplaysOrReseeds(t *testing.T) {
 			if !tc.reseeded && n.journalLen() != 6 {
 				t.Fatalf("journal holds %d ops, want all 6 missed", n.journalLen())
 			}
-			faulty.Set("/v1/insert", faultproxy.Rule{})
+			f.set(faulty, "/v1/insert", pass)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			if err := coord.Recover(ctx, faulty.URL()); err != nil {
+			if err := coord.Recover(ctx, faulty); err != nil {
 				t.Fatalf("recover: %v", err)
 			}
 			if n.out.Load() || n.journalLen() != 0 {
@@ -301,7 +308,7 @@ func TestRecoverReplaysOrReseeds(t *testing.T) {
 				t.Fatalf("recovered node restored=%v, want %v", restored, tc.reseeded)
 			}
 
-			sibling.Kill()
+			f.kill(sibling)
 			cnt, sum, err := aggQuery(h, testRows, maxInt64)
 			if err != nil {
 				t.Fatal(err)
@@ -361,7 +368,7 @@ func TestAddReplicaWarm(t *testing.T) {
 // node ends with no routed ranges, and when the drain has to move data
 // (last copy), the handoff is warm.
 func TestDrainClusterEquivalence(t *testing.T) {
-	coord, _ := startReplicatedCluster(t, 3, 2, Config{
+	coord, _, _ := startReplicatedCluster(t, 3, 2, Config{
 		HealthInterval: 50 * time.Millisecond,
 		Client: client.Config{
 			Timeout: 2 * time.Second, Retries: 1, Backoff: 5 * time.Millisecond,

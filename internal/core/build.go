@@ -14,7 +14,6 @@ import (
 //	ddc, ddr, dd1c, dd1r                  — data-driven stochastic cracking
 //	mdd1r                                 — stochastic cracking with materialization
 //	pmdd1r-<pct>                          — progressive, e.g. pmdd1r-10 (P10%)
-//	scrack                                — alias for pmdd1r with opt.SwapPct
 //	fiftyfifty, flipcoin                  — per-query selective strategies
 //	every-<x>                             — stochastic every x-th query
 //	scrackmon-<x>                         — per-piece monitoring threshold x
@@ -42,16 +41,12 @@ func Build(values []int64, spec string, opt Options) (Index, error) {
 		return NewDD1R(values, opt), nil
 	case "mdd1r":
 		return NewMDD1R(values, opt), nil
-	case "scrack", "pmdd1r":
-		return NewPMDD1R(values, opt), nil
 	case "fiftyfifty":
 		return NewFiftyFifty(values, opt), nil
 	case "flipcoin":
 		return NewFlipCoin(values, opt), nil
 	case "sizeselective":
 		return NewSizeSelective(values, opt), nil
-	case "autotune":
-		return NewAutoTune(values, opt), nil
 	}
 	if pct, ok := suffixInt(spec, "pmdd1r-"); ok {
 		if pct < 1 || pct > 100 {
@@ -103,7 +98,6 @@ func Algorithms() []string {
 		"ddc", "ddr", "dd1c", "dd1r",
 		"mdd1r", "pmdd1r-1", "pmdd1r-10", "pmdd1r-50", "pmdd1r-100",
 		"fiftyfifty", "flipcoin", "every-4", "scrackmon-10", "sizeselective",
-		"autotune",
 		"r1crack", "r2crack", "r4crack", "r8crack",
 	}
 }

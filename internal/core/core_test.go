@@ -87,7 +87,7 @@ func engineSpecs() []string {
 		"ddc", "ddr", "dd1c", "dd1r",
 		"mdd1r", "pmdd1r-1", "pmdd1r-10", "pmdd1r-50", "pmdd1r-100",
 		"fiftyfifty", "flipcoin", "every-4", "every-8",
-		"scrackmon-1", "scrackmon-10", "sizeselective", "autotune",
+		"scrackmon-1", "scrackmon-10", "sizeselective",
 		"r1crack", "r2crack", "r4crack", "r8crack",
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/column"
 	"repro/internal/core"
 	"repro/internal/dberr"
 	"repro/internal/hybrids"
@@ -70,9 +71,15 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// MakeData builds the paper's dataset: a seeded shuffle of [0, n).
+// MakeData builds the paper's dataset: a seeded shuffle of [0, n), in an
+// array from column.Alloc.
 func MakeData(n int64, seed uint64) []int64 {
-	return xrand.New(seed).Perm(int(n))
+	data := column.Alloc(int(n))
+	for i := range data {
+		data[i] = int64(i)
+	}
+	xrand.New(seed).Shuffle(data)
+	return data
 }
 
 // Algorithms lists every spec the figure harness draws: the engine family

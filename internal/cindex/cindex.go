@@ -364,11 +364,15 @@ func (t *Tree) PieceFor(v int64, n int) (lo, hi int, exact bool) {
 // successor are then the next slots of a's leaf, or the first slots of
 // that subtree's leftmost leaf, rather than a second descent from the
 // root. Any other b takes PieceFor.
-func (t *Tree) Bounds(a, b int64, n int) (loA, hiA int, exactA bool, loB, hiB int, exactB bool) {
+//
+// closes reports that b is the key of the crack closing a's piece. The
+// live slots [loA, hiA) then hold every live value of [a, b) and more
+// only below a; the slots [hiA, loB) are that piece's holes.
+func (t *Tree) Bounds(a, b int64, n int) (loA, hiA int, exactA bool, loB, hiB int, exactB, closes bool) {
 	loA, hiA = 0, n-t.tail
 	l, acc, right, j, rAcc := t.find(a)
 	if l == nil {
-		return loA, hiA, false, loA, hiA, false
+		return loA, hiA, false, loA, hiA, false, false
 	}
 	c := l.at(a)
 	if c > 0 {
@@ -378,7 +382,7 @@ func (t *Tree) Bounds(a, b int64, n int) (loA, hiA int, exactA bool, loB, hiB in
 	// next leaf, which is not the root and so holds a successor as well.
 	if c == l.n {
 		if right == nil {
-			return loA, hiA, exactA, loA, hiA, false // a's piece is the last
+			return loA, hiA, exactA, loA, hiA, false, false // a's piece is the last
 		}
 		l, acc = leftmost(right, j, rAcc)
 		c, right = 0, nil
@@ -386,7 +390,7 @@ func (t *Tree) Bounds(a, b int64, n int) (loA, hiA int, exactA bool, loB, hiB in
 	hiA = l.end(c, acc)
 	switch key := l.keys[c]; {
 	case b < key:
-		return loA, hiA, exactA, loA, hiA, false
+		return loA, hiA, exactA, loA, hiA, false, false
 	case b == key:
 		loB, hiB = l.slots[c].pos+acc, n-t.tail
 		if c+1 < l.n {
@@ -395,10 +399,10 @@ func (t *Tree) Bounds(a, b int64, n int) (loA, hiA int, exactA bool, loB, hiB in
 			r, racc := leftmost(right, j, rAcc)
 			hiB = r.end(0, racc)
 		}
-		return loA, hiA, exactA, loB, hiB, true
+		return loA, hiA, exactA, loB, hiB, true, true
 	}
 	loB, hiB, exactB = t.PieceFor(b, n)
-	return loA, hiA, exactA, loB, hiB, exactB
+	return loA, hiA, exactA, loB, hiB, exactB, false
 }
 
 // Above returns the crack that closes the piece holding v — the crack with

@@ -659,7 +659,7 @@ func BenchmarkBoundsConverged(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := &ps[i&(probes-1)]
-		loA, _, _, _, hiB, _ := tr.Bounds(p.a, p.b, n)
+		loA, _, _, _, hiB, _, _ := tr.Bounds(p.a, p.b, n)
 		for _, v := range col[p.at : p.at+10] {
 			sink += v
 		}
@@ -681,7 +681,7 @@ func TestBoundConverged(t *testing.T) {
 		return exact || hi-lo <= threshold
 	}
 	both := func(a, b int64, threshold int) (bool, bool) {
-		loA, hiA, exA, loB, hiB, exB := tr.Bounds(a, b, n)
+		loA, hiA, exA, loB, hiB, exB, _ := tr.Bounds(a, b, n)
 		return converged(loA, hiA, exA, threshold), converged(loB, hiB, exB, threshold)
 	}
 	// Empty tree: the whole column is one piece; converged only when the
@@ -814,9 +814,14 @@ func boundsAgree(t *testing.T, tr *Tree, n int, ps []int64) bool {
 			if b <= a {
 				continue
 			}
-			loA, hiA, exA, loB, hiB, exB := tr.Bounds(a, b, n)
+			loA, hiA, exA, loB, hiB, exB, closes := tr.Bounds(a, b, n)
 			wloA, whiA, wexA := tr.PieceFor(a, n)
 			wloB, whiB, wexB := tr.PieceFor(b, n)
+			key, _, _, ok := tr.Above(a, n)
+			if wcloses := ok && key == b; closes != wcloses {
+				t.Errorf("Bounds(%d, %d) closes = %v, Above gives %v", a, b, closes, wcloses)
+				return false
+			}
 			if loA != wloA || hiA != whiA || exA != wexA || loB != wloB || hiB != whiB || exB != wexB {
 				t.Errorf("Bounds(%d, %d) = [%d,%d) %v, [%d,%d) %v; PieceFor gives [%d,%d) %v, [%d,%d) %v",
 					a, b, loA, hiA, exA, loB, hiB, exB, wloA, whiA, wexA, wloB, whiB, wexB)

@@ -317,8 +317,11 @@ func compare(tr *Tree, m *model, r *xrand.Rand) error {
 			return fmt.Errorf("CounterFor(%d) = %d, model %d", v, got, want)
 		}
 		for _, b := range ps[i+1 : min(i+4, len(ps))] {
-			loA, hiA, exA, loB, hiB, exB := tr.Bounds(v, b, m.n)
+			loA, hiA, exA, loB, hiB, exB, closes := tr.Bounds(v, b, m.n)
 			wloB, whiB, wexB := m.pieceFor(b)
+			if wk, _, _, wok := m.above(v); closes != (wok && wk == b) {
+				return fmt.Errorf("Bounds(%d, %d) closes = %v, model %v", v, b, closes, wok && wk == b)
+			}
 			if loA != wlo || hiA != whi || exA != wexact || loB != wloB || hiB != whiB || exB != wexB {
 				return fmt.Errorf("Bounds(%d, %d) = [%d,%d) %v, [%d,%d) %v; model [%d,%d) %v, [%d,%d) %v",
 					v, b, loA, hiA, exA, loB, hiB, exB, wlo, whi, wexact, wloB, whiB, wexB)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	crackdb "repro"
+	"repro/internal/column"
 	"repro/internal/server"
 )
 
@@ -35,7 +36,7 @@ func SliceOf(n int64, seed uint64, lo, hi int64) []int64 {
 	if lo >= hi {
 		return nil
 	}
-	values := make([]int64, 0, hi-lo)
+	values := column.Alloc(int(hi - lo))[:0]
 	for _, v := range crackdb.MakeData(n, seed) {
 		if v >= lo && v < hi {
 			values = append(values, v)

@@ -64,9 +64,11 @@ func (c *Column) Len() int { return len(c.Values) }
 // Clone that inherited the source's counters would silently skew every
 // per-algorithm cost comparison.
 func (c *Column) Clone() *Column {
-	cp := &Column{Values: append([]int64(nil), c.Values...)}
+	cp := &Column{Values: Alloc(len(c.Values))}
+	copy(cp.Values, c.Values)
 	if c.Payload != nil {
-		cp.Payload = append([]int64(nil), c.Payload...)
+		cp.Payload = Alloc(len(c.Payload))
+		copy(cp.Payload, c.Payload)
 	}
 	return cp
 }

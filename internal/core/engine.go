@@ -117,7 +117,7 @@ func (e *Engine) queryMixed(a, b int64, stoch func(lo, hi int, v int64) bool) Re
 	if a >= b || n == 0 {
 		return res
 	}
-	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
+	loA, hiA, exactA, loB, hiB, exactB, _ := e.idx.Bounds(a, b, n)
 
 	// Both bounds inside the same piece, neither already cracked. Note an
 	// empty piece can share its start with a neighboring piece, so both
@@ -192,7 +192,7 @@ func (e *Engine) settle(res Result) Result {
 	if e.idx.Holes() == 0 || res.hi <= res.lo {
 		return res
 	}
-	buf := e.appendLive(append(e.leftBuf[:0], res.left...), res.lo, res.hi)
+	buf := e.appendLive(append(e.leftBuf[:0], res.left...), res.lo, res.hi, false)
 	e.leftBuf = append(buf, res.right...)
 	return Result{col: e.col, left: e.leftBuf}
 }

@@ -22,22 +22,28 @@ func (e *Engine) converged(lo, hi int, exact bool) bool {
 // bound needs a crack (see converged). Otherwise [a, b)'s answer is the
 // values in range of the end pieces left and right (column slices, nil
 // when the bound is an exact crack) plus every live value of positions
-// [lo, hi) between them, which qualify whole.
-func (e *Engine) probe(a, b int64) (left, right []int64, lo, hi int, ok bool) {
+// [lo, hi) between them, which qualify whole. dense reports that
+// [lo, hi) holds no hole, so its values need no walk of the live runs.
+func (e *Engine) probe(a, b int64) (left, right []int64, lo, hi int, dense, ok bool) {
 	n := e.col.Len()
 	if a >= b || n == 0 {
-		return nil, nil, 0, 0, true
+		return nil, nil, 0, 0, true, true
 	}
-	loA, hiA, exactA, loB, hiB, exactB := e.idx.Bounds(a, b, n)
+	loA, hiA, exactA, loB, hiB, exactB, closes := e.idx.Bounds(a, b, n)
 	if !e.converged(loA, hiA, exactA) || !e.converged(loB, hiB, exactB) {
-		return nil, nil, 0, 0, false
+		return nil, nil, 0, 0, false, false
 	}
 	vals := e.col.Values
-	// Both bounds inside the same uncracked piece: one filtered scan. An
-	// empty piece can share its start with a neighbour, so both ends must
-	// match.
-	if !exactA && !exactB && loA == loB && hiA == hiB {
-		return vals[loA:hiA], nil, 0, 0, true
+	switch {
+	// b's crack closes a's piece: the piece's live slots hold the answer,
+	// whole when a's crack opens it, and its holes lie past them.
+	case closes && exactA:
+		return nil, nil, loA, hiA, true, true
+	// closes, or both bounds inside the same uncracked piece: one filtered
+	// scan. An empty piece can share its start with a neighbour, so both
+	// ends must match.
+	case closes, !exactA && !exactB && loA == loB && hiA == hiB:
+		return vals[loA:hiA], nil, 0, 0, true, true
 	}
 	lo, hi = loA, loB
 	if !exactA {
@@ -46,7 +52,7 @@ func (e *Engine) probe(a, b int64) (left, right []int64, lo, hi int, ok bool) {
 	if !exactB {
 		right = vals[loB:hiB]
 	}
-	return left, right, lo, hi, true
+	return left, right, lo, hi, e.idx.Holes() == 0, true
 }
 
 // TryAnswerReadOnly answers [a, b) without mutating the engine — no
@@ -57,7 +63,7 @@ func (e *Engine) probe(a, b int64) (left, right []int64, lo, hi int, ok bool) {
 // cracker-index descent, which keeps the executor's read path as cheap as
 // a write-path lookup.
 func (e *Engine) TryAnswerReadOnly(a, b int64, dst []int64) (_ []int64, ok bool) {
-	left, right, lo, hi, ok := e.probe(a, b)
+	left, right, lo, hi, dense, ok := e.probe(a, b)
 	if !ok {
 		return dst, false
 	}
@@ -65,19 +71,19 @@ func (e *Engine) TryAnswerReadOnly(a, b int64, dst []int64) (_ []int64, ok bool)
 		// One exact allocation for the middle plus at most the end pieces.
 		dst = make([]int64, 0, len(left)+hi-lo+len(right))
 	}
-	dst = e.appendLive(appendInRange(dst, left, a, b), lo, hi)
+	dst = e.appendLive(appendInRange(dst, left, a, b), lo, hi, dense)
 	return appendInRange(dst, right, a, b), true
 }
 
 // TryAnswerReadOnlyAggregate is TryAnswerReadOnly returning only (count,
 // sum).
 func (e *Engine) TryAnswerReadOnlyAggregate(a, b int64) (count int, sum int64, ok bool) {
-	left, right, lo, hi, ok := e.probe(a, b)
+	left, right, lo, hi, dense, ok := e.probe(a, b)
 	if !ok {
 		return 0, 0, false
 	}
 	count, sum = countInRange(left, a, b)
-	count, sum = e.addLive(count, sum, lo, hi)
+	count, sum = e.addLive(count, sum, lo, hi, dense)
 	c, s := countInRange(right, a, b)
 	return count + c, sum + s, true
 }
@@ -89,20 +95,24 @@ func (e *Engine) TryAnswerReadOnlyAggregate(a, b int64) (count int, sum int64, o
 // buffers, so unlike TryAnswerReadOnly it needs the index to itself. ok is
 // false when answering would require reorganization.
 func (e *Engine) TryView(a, b int64) (_ Result, ok bool) {
-	left, right, lo, hi, ok := e.probe(a, b)
+	left, right, lo, hi, dense, ok := e.probe(a, b)
 	if !ok {
 		return Result{}, false
 	}
 	e.leftBuf = appendInRange(e.leftBuf[:0], left, a, b)
 	e.rightBuf = appendInRange(e.rightBuf[:0], right, a, b)
-	return e.settle(Result{col: e.col, lo: lo, hi: hi, left: e.leftBuf, right: e.rightBuf}), true
+	res := Result{col: e.col, lo: lo, hi: hi, left: e.leftBuf, right: e.rightBuf}
+	if dense {
+		return res, true
+	}
+	return e.settle(res), true
 }
 
 // appendLive appends the live values of positions [lo, hi), which may
-// span holes, to dst.
-func (e *Engine) appendLive(dst []int64, lo, hi int) []int64 {
+// span holes unless dense says they do not, to dst.
+func (e *Engine) appendLive(dst []int64, lo, hi int, dense bool) []int64 {
 	vals := e.col.Values
-	if e.idx.Holes() == 0 || hi <= lo {
+	if dense || hi <= lo {
 		return appendBulk(dst, vals[lo:hi])
 	}
 	e.idx.Live(lo, hi, func(lo, hi int) { dst = appendBulk(dst, vals[lo:hi]) })
@@ -110,9 +120,9 @@ func (e *Engine) appendLive(dst []int64, lo, hi int) []int64 {
 }
 
 // addLive is appendLive adding to a running count and sum instead.
-func (e *Engine) addLive(count int, sum int64, lo, hi int) (int, int64) {
+func (e *Engine) addLive(count int, sum int64, lo, hi int, dense bool) (int, int64) {
 	vals := e.col.Values
-	if e.idx.Holes() == 0 || hi <= lo {
+	if dense || hi <= lo {
 		return addAll(count, sum, vals[lo:hi])
 	}
 	e.idx.Live(lo, hi, func(lo, hi int) { count, sum = addAll(count, sum, vals[lo:hi]) })

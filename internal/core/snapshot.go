@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/column"
 	"repro/internal/dberr"
 )
 
@@ -113,7 +114,9 @@ func Restore(st SnapshotState, spec string, opt Options) (Index, error) {
 	// reorganize the values before the snapshot's cracks (recorded against
 	// the snapshot's layout) are re-inserted, corrupting them.
 	opt.CoarseInitPieces = 0
-	ix, err := Build(append([]int64(nil), st.Values...), spec, opt)
+	values := column.Alloc(len(st.Values))
+	copy(values, st.Values)
+	ix, err := Build(values, spec, opt)
 	if err != nil {
 		return nil, err
 	}

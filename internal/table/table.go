@@ -379,7 +379,7 @@ func (t *Table) SelectProject(sel, proj string, lo, hi int64) ([]int64, error) {
 	// their payload: rescan the pieces holding the answer, now partially
 	// cracked, for qualifying values.
 	out := make([]int64, 0, res.Count())
-	plo, _, _, _, phi, _ := e.CrackerIndex().Bounds(lo, hi, col.Len())
+	plo, _, _, _, phi, _, _ := e.CrackerIndex().Bounds(lo, hi, col.Len())
 	for k := plo; k < phi; k++ {
 		if v := col.Values[k]; lo <= v && v < hi {
 			out = append(out, col.Payload[k])

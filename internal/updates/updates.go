@@ -193,7 +193,7 @@ func shiftPiece(col *column.Column, m pieceMove) {
 // grow appends extra holes to the end of the column's last piece.
 func grow(col *column.Column, idx *cindex.Tree, extra int) {
 	n := col.Len()
-	vals := make([]int64, n+extra)
+	vals := column.Alloc(n + extra)
 	copy(vals, col.Values)
 	fillHoles(vals[n:])
 	col.Values = vals

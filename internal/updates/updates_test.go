@@ -584,3 +584,103 @@ func TestPendingInRange(t *testing.T) {
 		}
 	}
 }
+
+// TestConvergedRangesOverHoles checks the probe-first answers on holed
+// columns left by random merges. A range whose upper bound is the crack
+// closing its lower bound's piece is answered from that piece's live
+// slots, without walking the live runs; a range spanning further cracks
+// walks them. Both must agree with a multiset model, through the value,
+// aggregate and view answers.
+func TestConvergedRangesOverHoles(t *testing.T) {
+	const n = 4000
+	closingHoled := 0 // closing ranges whose piece ends in holes
+	for seed := uint64(1); seed <= 20; seed++ {
+		inner, err := core.Build(xrand.New(seed).Perm(n), "crack", core.Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, _ := Wrap(inner)
+		model := make([]int, n)
+		for v := range model {
+			model[v] = 1
+		}
+		rng := xrand.New(seed + 1000)
+		for i := 0; i < 300; i++ {
+			a := rng.Int63n(n)
+			u.Query(a, a+1+rng.Int63n(50))
+		}
+		for i := 0; i < 300; i++ {
+			v := rng.Int63n(n)
+			if rng.Bool() {
+				u.Insert(v)
+				model[v]++
+			} else if model[v] > 0 {
+				u.Delete(v)
+				model[v]--
+			}
+			u.Query(v, v+1) // merges v
+		}
+		idx := u.Engine().CrackerIndex()
+		if idx.Holes() == 0 {
+			t.Fatalf("seed %d: the merges left no holes", seed)
+		}
+		check := func(a, b int64) {
+			t.Helper()
+			var wantC int
+			var wantS int64
+			for v := max(a, 0); v < min(b, n); v++ {
+				wantC += model[v]
+				wantS += v * int64(model[v])
+			}
+			vals, ok := u.TryAnswerReadOnly(a, b, nil)
+			if !ok {
+				return // a bound needs a crack
+			}
+			if c, s := countSum(vals); c != wantC || s != wantS {
+				t.Fatalf("seed %d [%d, %d): read-only (%d, %d), model (%d, %d)", seed, a, b, c, s, wantC, wantS)
+			}
+			if c, s, _ := u.TryAnswerReadOnlyAggregate(a, b); c != wantC || s != wantS {
+				t.Fatalf("seed %d [%d, %d): aggregate (%d, %d), model (%d, %d)", seed, a, b, c, s, wantC, wantS)
+			}
+			res, _ := u.TryView(a, b)
+			if c, s := countSum(res.Materialize(nil)); c != wantC || s != wantS {
+				t.Fatalf("seed %d [%d, %d): view (%d, %d), model (%d, %d)", seed, a, b, c, s, wantC, wantS)
+			}
+		}
+		type crack struct {
+			key   int64
+			holes int
+		}
+		var cracks []crack
+		idx.Ascend(func(key int64, _, holes int) bool {
+			cracks = append(cracks, crack{key, holes})
+			return true
+		})
+		for i := 1; i < len(cracks); i++ {
+			lo, hi := cracks[i-1].key, cracks[i].key
+			if _, _, _, _, _, _, closes := idx.Bounds(lo, hi, u.Engine().Column().Len()); !closes {
+				t.Fatalf("seed %d: Bounds(%d, %d) of adjacent cracks does not close", seed, lo, hi)
+			}
+			if cracks[i].holes > 0 {
+				closingHoled++
+			}
+			check(lo, hi)                                  // a's crack opens the piece
+			check(lo+(hi-lo)/2+1, hi)                      // a inside the piece
+			check(lo, hi+1)                                // b inside the next piece
+			check(lo, cracks[min(i+2, len(cracks)-1)].key) // across cracks
+		}
+	}
+	if closingHoled == 0 {
+		t.Fatal("no closing range ended in holes: the test exercised nothing")
+	}
+}
+
+func countSum(vals []int64) (count int, sum int64) {
+	for _, v := range vals {
+		if v == holeCanary {
+			return -1, 0
+		}
+		sum += v
+	}
+	return len(vals), sum
+}

@@ -103,9 +103,30 @@ func (r *Rand) Perm(n int) []int64 {
 	return p
 }
 
-// Shuffle permutes p in place (Fisher-Yates).
+// shuffleBatch is how many swap targets Shuffle draws before it swaps.
+const shuffleBatch = 64
+
+// Shuffle permutes p in place: the textbook Fisher-Yates shuffle, which
+// swaps p[i] with p[Intn(i+1)] for i from len(p)-1 down to 1. Its output
+// for a seed is part of the dataset's definition (MakeData, and every
+// cluster node's slice of it), so it must never change.
+//
+// It draws the swap targets shuffleBatch at a time, from the same stream
+// in the same order, then does that batch's swaps in a loop of loads that
+// do not wait on the generator or on each other: on a column larger than
+// the cache their misses overlap instead of queueing one per swap.
 func (r *Rand) Shuffle(p []int64) {
-	for i := len(p) - 1; i > 0; i-- {
+	var js [shuffleBatch]int
+	i := len(p) - 1
+	for ; i >= shuffleBatch; i -= shuffleBatch {
+		for k := range js {
+			js[k] = r.Intn(i - k + 1)
+		}
+		for k, j := range js {
+			p[i-k], p[j] = p[j], p[i-k]
+		}
+	}
+	for ; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}

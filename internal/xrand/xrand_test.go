@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -150,6 +151,47 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 }
 
+// fisherYates is the textbook shuffle Shuffle must reproduce bit for bit:
+// the dataset MakeData builds, and every cluster node's slice of it, is
+// defined by this loop.
+func fisherYates(r *Rand, p []int64) {
+	for i := len(p) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+}
+
+// TestShuffleMatchesFisherYates checks the batched Shuffle against the
+// textbook loop on every length up to a few batches, on every length a
+// batch boundary away from a multiple of the batch, and on 20 seeds: the
+// same permutation, and the stream left in the same state.
+func TestShuffleMatchesFisherYates(t *testing.T) {
+	var sizes []int
+	for n := 0; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	for k := 5; 64*k+1 <= 10_000; k++ {
+		sizes = append(sizes, 64*k-1, 64*k, 64*k+1)
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		for _, n := range sizes {
+			want, got := make([]int64, n), make([]int64, n)
+			for i := range want {
+				want[i], got[i] = int64(i), int64(i)
+			}
+			ref, r := New(seed), New(seed)
+			fisherYates(ref, want)
+			r.Shuffle(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d, n %d: Shuffle differs from Fisher-Yates", seed, n)
+			}
+			if r.Uint64() != ref.Uint64() {
+				t.Fatalf("seed %d, n %d: Shuffle consumed a different share of the stream", seed, n)
+			}
+		}
+	}
+}
+
 func TestUniformityChiSquared(t *testing.T) {
 	// Coarse uniformity check: 16 buckets over many draws. The chi-squared
 	// statistic for 15 degrees of freedom should comfortably sit below 40
@@ -188,4 +230,12 @@ func BenchmarkIntn(b *testing.B) {
 		sink += r.Intn(1000000)
 	}
 	_ = sink
+}
+
+func BenchmarkShuffle(b *testing.B) {
+	p := New(1).Perm(1 << 22)
+	r := New(2)
+	for i := 0; i < b.N; i++ {
+		r.Shuffle(p)
+	}
 }

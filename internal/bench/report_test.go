@@ -63,7 +63,9 @@ func TestReportRunsAtSmallScale(t *testing.T) {
 		t.Fatalf("only %d checks ran", total)
 	}
 	// At 300k/600 scale the major shape results already hold; allow a few
-	// borderline factor checks to miss.
+	// borderline factor checks to miss. Every check but Fig. 8's two
+	// counts tuples touched, so its outcome is the same on every run of a
+	// seed.
 	if passed*4 < total*3 {
 		t.Fatalf("only %d/%d shape checks passed at small scale:\n%s", passed, total, out)
 	}

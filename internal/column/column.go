@@ -21,6 +21,13 @@
 // permuted in tandem with its own, which is how a sideways cracker map
 // keeps a projected attribute aligned. All primitives maintain the cost
 // counters the paper reports (tuples touched, swaps performed).
+//
+// Values-only cracks run a branchless scalar Lomuto loop. On amd64 CPUs
+// with AVX-512F (and an OS that saves the ZMM state), an assembly kernel
+// runs the same loop eight tuples per step and writes exactly the
+// permutation the scalar loop writes, so layouts, counts and snapshots
+// are the same on every CPU. CPUID picks the path once at start-up; other
+// CPUs, other architectures and -tags purego builds run the scalar loop.
 package column
 
 import "fmt"
@@ -140,6 +147,13 @@ func (c *Column) CrackInTwo(lo, hi int, pivot int64) int {
 // branch at all. The already-partitioned prefix is skipped first, which
 // also spares its write traffic.
 //
+// The scalar loop (lomuto) is the definition. On amd64 CPUs with
+// AVX-512 (see crack_amd64.go), crackVector runs the same steps eight
+// tuples at a time and writes exactly the permutation the scalar loop
+// writes, so layouts, counts and snapshots are the same on every CPU;
+// the scalar loop then runs the tail. Other CPUs, other architectures and
+// -tags purego builds run the scalar loop throughout.
+//
 // swaps counts every tuple < pivot that had to move left (those
 // encountered after the first tuple >= pivot). That is an upper bound on
 // — not equal to — the Hoare pair-exchange count the tandem path
@@ -152,8 +166,17 @@ func crackInTwoVals(v []int64, pivot int64) (p int, swaps int64) {
 	for r < len(v) && v[r] < pivot {
 		r++
 	}
-	j := r
-	for i := r; i < len(v); i++ {
+	j, i := crackVector(v, pivot, r, r)
+	j = lomuto(v, pivot, j, i)
+	return j, int64(j - r)
+}
+
+// lomuto runs the Lomuto steps for v[i:] and returns the new j. v[:j]
+// holds the lows and v[j:i] the run of highs; each step moves v[i] to the
+// run's front slot and the front to slot i, and grows the lows by one
+// when v[i] < pivot.
+func lomuto(v []int64, pivot int64, j, i int) int {
+	for ; i < len(v); i++ {
 		x := v[i]
 		v[i] = v[j]
 		v[j] = x
@@ -163,7 +186,7 @@ func crackInTwoVals(v []int64, pivot int64) (p int, swaps int64) {
 		}
 		j += d
 	}
-	return j, int64(j - r)
+	return j
 }
 
 // CrackInThree partitions positions [lo, hi) on two pivots a < b so that

@@ -19,10 +19,20 @@ func decodeVals(data []byte) []int64 {
 }
 
 // FuzzCrackInTwo drives the partition primitive with arbitrary data and
-// pivots, asserting the crack invariant and multiset preservation.
+// pivots, asserting the crack invariant, multiset preservation, and that
+// the layout is the scalar reference's slot for slot (so the AVX-512 path,
+// where the CPU has one, writes the scalar loop's permutation).
 func FuzzCrackInTwo(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}, int64(5))
 	f.Add([]byte{}, int64(0))
+	// 64 values alternating runs of lows and highs: long enough for
+	// several vector blocks after the scalar warm-up.
+	seed := make([]byte, 8*64)
+	for i := 0; i < 64; i++ {
+		binary.LittleEndian.PutUint64(seed[8*i:], uint64(i*37%64))
+	}
+	f.Add(seed, int64(20))
+	f.Add(seed, int64(60))
 	f.Fuzz(func(t *testing.T, data []byte, pivot int64) {
 		vals := decodeVals(data)
 		before := multiset(vals, 0, len(vals))
@@ -43,6 +53,16 @@ func FuzzCrackInTwo(f *testing.F) {
 		}
 		if !sameMultiset(before, multiset(c.Values, 0, len(vals))) {
 			t.Fatal("multiset changed")
+		}
+		ref := append([]int64(nil), vals...)
+		wp, ws := crackInTwoScalar(ref, pivot)
+		if p != wp || c.Stats.Swaps != ws {
+			t.Fatalf("(split, swaps) = (%d, %d), scalar (%d, %d)", p, c.Stats.Swaps, wp, ws)
+		}
+		for i := range ref {
+			if c.Values[i] != ref[i] {
+				t.Fatalf("slot %d holds %d, scalar %d", i, c.Values[i], ref[i])
+			}
 		}
 	})
 }

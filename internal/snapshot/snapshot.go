@@ -353,7 +353,7 @@ func readInts(r io.Reader, n uint64) ([]int64, error) {
 	for uint64(len(out)) < n {
 		c := int(min(n-uint64(len(out)), readChunk))
 		start := len(out)
-		out = slices.Grow(out, c)[: start+c : start+c]
+		out = slices.Grow(out, c)[:start+c]
 		if err := binary.Read(r, binary.LittleEndian, out[start:]); err != nil {
 			return nil, err
 		}

@@ -76,9 +76,21 @@ type DB struct {
 	// every column is one exec.Backend behind its optional group-commit
 	// batcher.
 	tbl *table.Table
+	// one is the column of a one-column table, resolved at open: an
+	// unscoped predicate queries it without a lookup. nil otherwise.
+	one *exec.Column
 	// algo and cfg are what the DB was opened with; Reopen reuses them.
 	algo string
 	cfg  config
+}
+
+// newDB wraps a table opened with algorithm and cfg.
+func newDB(t *table.Table, algorithm string, cfg config) *DB {
+	db := &DB{algo: algorithm, cfg: cfg, tbl: t}
+	if len(t.Columns()) <= 1 {
+		db.one, _ = t.Column("") // a one-column table's column is built
+	}
+	return db
 }
 
 // Open builds a DB over a single integer column using the named algorithm
@@ -120,7 +132,7 @@ func OpenTable(cols map[string][]int64, algorithm string, opts ...Option) (*DB, 
 	if err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
-	return &DB{algo: algorithm, cfg: cfg, tbl: t}, nil
+	return newDB(t, algorithm, cfg), nil
 }
 
 // Close marks the handle closed; subsequent queries, updates and
@@ -167,8 +179,12 @@ func (db *DB) column(name string) (*exec.Column, error) {
 	return c, nil
 }
 
-// resolve maps a predicate to the backend of the column it queries.
+// resolve maps a predicate to the backend of the column it queries: on a
+// one-column DB an unscoped predicate's is the column resolved at open.
 func (db *DB) resolve(p Predicate) (*exec.Column, error) {
+	if db.one != nil && p.col == "" && p.conflict == "" {
+		return db.one, nil
+	}
 	name, err := scope(p)
 	if err != nil {
 		return nil, err

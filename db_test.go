@@ -238,9 +238,20 @@ func TestDBSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A single-column DB rejects column-scoped predicates.
-	if _, err := db.Query(context.Background(), crackdb.Eq(1).On("a")); !errors.Is(err, crackdb.ErrUnknownColumn) {
-		t.Fatalf("scoped predicate error = %v", err)
+	// A single-column DB rejects column-scoped predicates and predicates
+	// composed across columns through every entry point, though an
+	// unscoped one skips the column lookup.
+	ctx := context.Background()
+	for _, p := range []crackdb.Predicate{crackdb.Eq(1).On("a"), crackdb.Eq(1).On("a").And(crackdb.Eq(2).On("b"))} {
+		if _, err := db.Query(ctx, p); !errors.Is(err, crackdb.ErrUnknownColumn) {
+			t.Fatalf("Query(%v) error = %v", p, err)
+		}
+		if _, err := db.QueryAppend(ctx, p, nil); !errors.Is(err, crackdb.ErrUnknownColumn) {
+			t.Fatalf("QueryAppend(%v) error = %v", p, err)
+		}
+		if _, err := db.QueryAggregate(ctx, p); !errors.Is(err, crackdb.ErrUnknownColumn) {
+			t.Fatalf("QueryAggregate(%v) error = %v", p, err)
+		}
 	}
 	// Closed handles fail every operation with ErrClosed.
 	if err := db.Close(); err != nil {

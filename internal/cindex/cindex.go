@@ -5,6 +5,15 @@
 // converged lookup touches a few cache lines per level instead of one
 // dependent pointer per binary decision.
 //
+// A converged lookup skips the inner levels: a directory cuts the key
+// range into equal buckets, each naming the leaf that holds the bucket's
+// first key, and the leaves are linked left to right, so a lookup loads
+// its bucket and lands on its leaf, or steps right along a link. A bucket
+// names a leaf but not the deltas above it, so the directory is kept only
+// while no lazy delta is pending: the first range shift that leaves one
+// retires it, and Relayout and Load, which clear every delta, build it
+// again.
+//
 // A crack (key, pos) states that every tuple at a position < pos has a
 // value < key, and every tuple at a position >= pos has a value >= key.
 // Cracks are immutable once placed — physical reorganization only ever
@@ -55,7 +64,36 @@ type Tree struct {
 	counter0 int64 // crack counter of the piece that starts at position 0
 	holes    int   // holes in the whole column
 	tail     int   // holes at the end of the last piece
+	leaves   int   // leaves in the tree
+	dir      directory
 }
+
+// directory cuts the keys [lo, hi] into buckets of 1<<shift keys; bucket b
+// names the leaf that holds key lo + b<<shift, so bucket 0 names the first
+// leaf and a key below lo belongs to it too. Keys at or above the last
+// leaf's first key, lastKey, go to that leaf directly, so hi reaches
+// lastKey and the buckets from lastKey on are never read. Every position
+// in the tree is absolute while the directory is kept; buckets is nil
+// otherwise, and while the tree is a single leaf.
+type directory struct {
+	buckets []*leaf
+	lo, hi  int64
+	shift   uint
+	lastKey int64
+	last    *leaf
+}
+
+const (
+	// dirPerLeaf is the most buckets a directory is built with per leaf.
+	// Splits dilute it; below dirPerLeaf/4 the directory is built again, at
+	// the finer resolution the key range allows.
+	dirPerLeaf = 32
+	// dirSteps is how many links a lookup steps right along before it
+	// gives up on the directory and descends: a dense run of leaves in one
+	// bucket costs a lookup a few loads more than the descent, not one per
+	// leaf in the run.
+	dirSteps = 2
+)
 
 // block heads every node: its entry count and its keys, ascending, with
 // the unused slots holding math.MaxInt64.
@@ -70,6 +108,7 @@ type leaf struct {
 	block
 	slots   [fanout - 1]slot
 	counter [fanout - 1]int64 // crack counter of the piece starting at each crack
+	next    *leaf             // the leaf to the right; nil for the last one
 }
 
 type slot struct {
@@ -162,13 +201,22 @@ func (t *Tree) Holes() int { return t.holes }
 // the end of its last piece.
 func (t *Tree) End(n int) int { return n - t.tail }
 
-// find descends to the leaf whose key range holds v and returns it (nil in
-// an empty tree) with the delta accumulated on the way, and the nearest
-// subtree right of the path: child j of right, whose frame starts at
-// rAcc. right is nil when the leaf is the last one.
-func (t *Tree) find(v int64) (l *leaf, acc int, right *inner, j, rAcc int) {
+// find returns the leaf whose key range holds v (nil in an empty tree),
+// with c = l.at(v), the delta accumulated down to it, and the way to the
+// leaf after it (see succ): the nearest subtree right of the path, child j
+// of right, whose frame starts at rAcc. right is nil when the leaf is the
+// last one or the directory found it.
+func (t *Tree) find(v int64) (l *leaf, c, acc int, right *inner, j, rAcc int) {
+	if t.dir.buckets != nil {
+		if l, c := t.dir.land(v); l != nil {
+			return l, c, 0, nil, 0, 0
+		}
+	}
 	if t.levels == 0 {
-		return t.top, 0, nil, 0, 0
+		if t.top == nil {
+			return nil, 0, 0, nil, 0, 0
+		}
+		return t.top, t.top.at(v), 0, nil, 0, 0
 	}
 	in := t.root
 	for h := t.levels; ; h-- {
@@ -179,10 +227,60 @@ func (t *Tree) find(v int64) (l *leaf, acc int, right *inner, j, rAcc int) {
 		e := &in.edges[i]
 		acc += e.delta
 		if h == 1 {
-			return e.lf, acc, right, j, rAcc
+			return e.lf, e.lf.at(v), acc, right, j, rAcc
 		}
 		in = e.in
 	}
+}
+
+// land returns the leaf holding v and c = l.at(v) through the directory,
+// or nil when that takes more than dirSteps links. The bucket's leaf
+// holds v unless v lies past its last key, and only then is the next
+// leaf's first key read.
+func (d *directory) land(v int64) (l *leaf, c int) {
+	if v >= d.lastKey {
+		return d.last, d.last.at(v)
+	}
+	var b uint64
+	if v > d.lo {
+		b = uint64(v-d.lo) >> d.shift
+	}
+	l = d.buckets[b]
+	if l.negative() {
+		panic("cindex: a negative hole count")
+	}
+	if c = l.at(v); c < l.n {
+		return l, c
+	}
+	// v < lastKey, so a leaf right of l starts above v and l.next exists
+	// until then.
+	for i := 0; l.next.keys[0] <= v; i++ {
+		if i == dirSteps {
+			return nil, 0
+		}
+		l = l.next
+	}
+	return l, l.at(v)
+}
+
+// negative reports whether a hole count on one of l's slot lines is below
+// zero, which none is. It reads one count from each: read before the
+// rank, their cache misses go out beside the key lines' rather than after
+// the rank picks a slot (Go has no prefetch instruction, and a load a
+// branch reads is one the compiler keeps).
+func (l *leaf) negative() bool {
+	return l.slots[2].holes|l.slots[6].holes|l.slots[10].holes|l.slots[14].holes < 0
+}
+
+// succ returns the leaf after l and its accumulated delta, given what find
+// returned for l: the leftmost leaf of child j of right, or l's next link
+// when right is nil — after the last leaf that is nil, and with the
+// directory kept every delta is zero.
+func succ(l *leaf, right *inner, j, rAcc int) (*leaf, int) {
+	if right == nil {
+		return l.next, 0
+	}
+	return leftmost(right, j, rAcc)
 }
 
 // leftmost returns the first leaf under child j of in, whose frame starts
@@ -205,7 +303,7 @@ func leftmost(in *inner, j, acc int) (*leaf, int) {
 // holes, and the split piece's holes stay with its upper part.
 func (t *Tree) Insert(key int64, pos int) bool {
 	if t.levels == 0 && t.top == nil {
-		t.top = newLeaf()
+		t.top, t.leaves = newLeaf(), 1
 	}
 	var path [maxLevels]*inner
 	var turn [maxLevels]int
@@ -244,16 +342,30 @@ func (t *Tree) Insert(key int64, pos int) bool {
 	} else {
 		r.insertAt(c-l.n, key, pos-acc, counter)
 	}
-	// Hand the new leaf up: each level takes it beside the child it was
-	// split from, with that child's delta, or splits in turn.
+	r.next, l.next = l.next, r
+	t.leaves++
+	t.handUp(path[:t.levels], turn[:t.levels], r)
+	switch {
+	case t.leaves == 2:
+		t.reindex() // a lone leaf had no delta
+	case t.dir.buckets != nil:
+		t.dir.split(t, l, r)
+	}
+	return true
+}
+
+// handUp puts leaf r, just split off, into the tree: each level of path
+// takes it beside the child turn says it was split from, with that child's
+// delta, or splits in turn; a root split grows a level.
+func (t *Tree) handUp(path []*inner, turn []int, r *leaf) {
 	up := edge{first: r.slots[0].pos, lf: r}
 	sep := r.keys[0]
-	for d := t.levels - 1; d >= 0; d-- {
+	for d := len(path) - 1; d >= 0; d-- {
 		in, i := path[d], turn[d]
 		up.delta = in.edges[i].delta
 		if in.n < fanout {
 			in.insertAt(i+1, sep, up)
-			return true
+			return
 		}
 		rin, rsep := in.split()
 		if i+1 <= in.n {
@@ -264,7 +376,6 @@ func (t *Tree) Insert(key int64, pos int) bool {
 		// rin's first crack is that of its first child, moved from in.
 		up, sep = edge{first: rin.edges[0].delta + rin.edges[0].first, in: rin}, rsep
 	}
-	// The root split: grow a level.
 	root := newInner(t.levels + 1)
 	root.n = 2
 	root.keys[0] = sep
@@ -277,7 +388,6 @@ func (t *Tree) Insert(key int64, pos int) bool {
 	root.edges[1] = up
 	t.root = root
 	t.levels++
-	return true
 }
 
 func (l *leaf) insertAt(c int, key int64, pos int, counter int64) {
@@ -333,6 +443,88 @@ func (in *inner) split() (*inner, int64) {
 	return r, sep
 }
 
+// split keeps the directory after leaf l split off r to its right: the
+// buckets whose first key r now holds name r. Buckets from lastKey on are
+// never read, so the split of the last leaf only brings the buckets from
+// its first key to r's into use, naming l. A key range outgrown at either
+// end, or a leaf count the buckets no longer resolve, builds the
+// directory again, leaving as much room again past the end outgrown. So
+// a bucket is written once per build or per split of its leaf, the key
+// span and the leaf count only grow, and a build, linear in the leaves,
+// comes at most twice per doubling of either: upkeep is amortized O(1)
+// per crack.
+func (d *directory) split(t *Tree, l, r *leaf) {
+	s := r.keys[0]
+	switch {
+	case s <= d.lo: // r is the second leaf, and bucket 0 must name the first
+		t.index(mirror(d.hi, s), d.hi)
+	case s > d.hi: // r is the last leaf and past every bucket
+		lo := t.first().keys[0]
+		t.index(lo, mirror(lo, s))
+	case d.shift > 0 && len(d.buckets) < t.leaves*dirPerLeaf/4:
+		t.reindex()
+	case l == d.last:
+		for b := d.above(d.lastKey); b < d.above(s); b++ {
+			d.buckets[b] = l
+		}
+		d.last, d.lastKey = r, s
+	default:
+		for b := d.above(s); b < d.above(r.next.keys[0]); b++ {
+			d.buckets[b] = r
+		}
+	}
+}
+
+// above returns the first bucket whose first key is at or above k, for
+// lo < k <= hi.
+func (d *directory) above(k int64) int { return int((uint64(k-d.lo)-1)>>d.shift + 1) }
+
+// mirror returns 2s - x clamped to the int64 range: the key as far past s
+// as x lies before it.
+func mirror(x, s int64) int64 {
+	if s >= x {
+		if d := uint64(s) - uint64(x); d <= uint64(math.MaxInt64)-uint64(s) {
+			return int64(uint64(s) + d)
+		}
+		return math.MaxInt64
+	}
+	if d := uint64(x) - uint64(s); d <= uint64(s)+1<<63 {
+		return int64(uint64(s) - d)
+	}
+	return math.MinInt64
+}
+
+// first returns the first leaf of a tree with inner levels.
+func (t *Tree) first() *leaf {
+	l, _ := leftmost(t.root, 0, 0)
+	return l
+}
+
+// index builds the directory over the keys [lo, hi], lo below the second
+// leaf's first key and hi at or above the last leaf's, with at most
+// dirPerLeaf buckets per leaf: the narrowest power-of-two bucket that
+// allows. The tree has two leaves or more, and every delta is zero.
+func (t *Tree) index(lo, hi int64) {
+	span := uint64(hi) - uint64(lo)
+	shift := uint(0)
+	for span>>shift >= uint64(t.leaves*dirPerLeaf) {
+		shift++
+	}
+	buckets := make([]*leaf, span>>shift+1)
+	l := t.first()
+	for b := range buckets {
+		key := int64(uint64(lo) + uint64(b)<<shift)
+		for l.next != nil && l.next.keys[0] <= key {
+			l = l.next
+		}
+		buckets[b] = l
+	}
+	for l.next != nil {
+		l = l.next
+	}
+	t.dir = directory{buckets: buckets, lo: lo, hi: hi, shift: shift, lastKey: l.keys[0], last: l}
+}
+
 // PieceFor returns the live slots [lo, hi) of the piece that holds value v
 // in a column of n slots, together with exact: whether a crack lies exactly
 // at key v (in which case a query bound at v needs no further cracking).
@@ -340,51 +532,46 @@ func (in *inner) split() (*inner, int64) {
 // piece.
 func (t *Tree) PieceFor(v int64, n int) (lo, hi int, exact bool) {
 	lo, hi = 0, n-t.tail
-	l, acc, right, j, rAcc := t.find(v)
+	l, c, acc, right, j, rAcc := t.find(v)
 	if l == nil {
 		return lo, hi, false
 	}
-	c := l.at(v)
 	if c > 0 {
 		lo, exact = l.slots[c-1].pos+acc, l.keys[c-1] == v
 	}
 	if c < l.n {
 		hi = l.end(c, acc)
-	} else if right != nil {
-		r, racc := leftmost(right, j, rAcc)
+	} else if r, racc := succ(l, right, j, rAcc); r != nil {
 		hi = r.end(0, racc)
 	}
 	return lo, hi, exact
 }
 
 // Bounds returns PieceFor(a, n) followed by PieceFor(b, n), for a < b, in
-// one descent whenever b lies in a's piece or on the crack that closes it —
-// the common case for a converged query. The descent for a remembers the
-// nearest subtree right of its path; the crack closing a's piece and its
-// successor are then the next slots of a's leaf, or the first slots of
-// that subtree's leftmost leaf, rather than a second descent from the
-// root. Any other b takes PieceFor.
+// one lookup whenever b lies in a's piece or on the crack that closes it —
+// the common case for a converged query. The crack closing a's piece and
+// its successor are then the next slots of a's leaf, or the first slots of
+// the leaf after it (see succ), rather than a second lookup. Any other b
+// takes PieceFor.
 //
 // closes reports that b is the key of the crack closing a's piece. The
 // live slots [loA, hiA) then hold every live value of [a, b) and more
 // only below a; the slots [hiA, loB) are that piece's holes.
 func (t *Tree) Bounds(a, b int64, n int) (loA, hiA int, exactA bool, loB, hiB int, exactB, closes bool) {
 	loA, hiA = 0, n-t.tail
-	l, acc, right, j, rAcc := t.find(a)
+	l, c, acc, right, j, rAcc := t.find(a)
 	if l == nil {
 		return loA, hiA, false, loA, hiA, false, false
 	}
-	c := l.at(a)
 	if c > 0 {
 		loA, exactA = l.slots[c-1].pos+acc, l.keys[c-1] == a
 	}
 	// The crack closing a's piece is slot c of l, or the first slot of the
 	// next leaf, which is not the root and so holds a successor as well.
 	if c == l.n {
-		if right == nil {
+		if l, acc = succ(l, right, j, rAcc); l == nil {
 			return loA, hiA, exactA, loA, hiA, false, false // a's piece is the last
 		}
-		l, acc = leftmost(right, j, rAcc)
 		c, right = 0, nil
 	}
 	hiA = l.end(c, acc)
@@ -395,8 +582,7 @@ func (t *Tree) Bounds(a, b int64, n int) (loA, hiA int, exactA bool, loB, hiB in
 		loB, hiB = l.slots[c].pos+acc, n-t.tail
 		if c+1 < l.n {
 			hiB = l.end(c+1, acc)
-		} else if right != nil {
-			r, racc := leftmost(right, j, rAcc)
+		} else if r, racc := succ(l, right, j, rAcc); r != nil {
 			hiB = r.end(0, racc)
 		}
 		return loA, hiA, exactA, loB, hiB, true, true
@@ -421,17 +607,11 @@ func (t *Tree) Above(v int64, n int) (key int64, pos, holes int, ok bool) {
 // closing returns the leaf and slot of the crack closing v's piece, with
 // the leaf's accumulated delta; l is nil when v's piece is the last.
 func (t *Tree) closing(v int64) (l *leaf, c, acc int) {
-	l, acc, right, j, rAcc := t.find(v)
-	if l == nil {
-		return nil, 0, 0
-	}
-	if c = l.at(v); c < l.n {
+	l, c, acc, right, j, rAcc := t.find(v)
+	if l == nil || c < l.n {
 		return l, c, acc
 	}
-	if right == nil {
-		return nil, 0, 0
-	}
-	l, acc = leftmost(right, j, rAcc)
+	l, acc = succ(l, right, j, rAcc)
 	return l, 0, acc
 }
 
@@ -447,23 +627,15 @@ func (t *Tree) AddHoles(v int64, delta int) {
 
 // Has reports whether a crack at exactly key v exists.
 func (t *Tree) Has(v int64) bool {
-	l, _, _, _, _ := t.find(v)
-	if l == nil {
-		return false
-	}
-	c := l.at(v)
-	return c > 0 && l.keys[c-1] == v
+	l, c, _, _, _, _ := t.find(v)
+	return l != nil && c > 0 && l.keys[c-1] == v
 }
 
 // CounterFor returns a pointer to the crack counter of the piece containing
 // value v. Counters survive position shifts; the pointer remains valid
 // until the next Insert, which may move the counter to another node.
 func (t *Tree) CounterFor(v int64) *int64 {
-	l, _, _, _, _ := t.find(v)
-	if l == nil {
-		return &t.counter0
-	}
-	if c := l.at(v); c > 0 {
+	if l, c, _, _, _, _ := t.find(v); l != nil && c > 0 {
 		return &l.counter[c-1]
 	}
 	return &t.counter0
@@ -480,6 +652,9 @@ func (t *Tree) RangeShift(afterKey int64, delta int) {
 		in := t.root
 		for {
 			i := in.child(afterKey)
+			if i+1 < in.n && delta != 0 {
+				t.dir = directory{} // a delta is pending from here on
+			}
 			for k := i + 1; k < in.n; k++ {
 				in.edges[k].delta += delta
 			}
@@ -613,9 +788,20 @@ func (t *Tree) Relayout(tail int, fn func(pos, holes int) (int, int)) {
 	t.holes = tail
 	if t.levels > 0 {
 		t.holes += t.root.relayout(0, fn)
+		t.reindex()
 	} else if t.top != nil {
 		t.holes += t.top.relayout(0, fn)
 	}
+}
+
+// reindex builds the directory of a tree with inner levels over the keys
+// from its first leaf's first key to its last leaf's.
+func (t *Tree) reindex() {
+	in := t.root
+	for in.h > 1 {
+		in = in.edges[in.n-1].in
+	}
+	t.index(t.first().keys[0], in.edges[in.n-1].lf.keys[0])
 }
 
 // relayout rewrites the subtree's positions as absolute ones, clearing
@@ -673,7 +859,11 @@ func (t *Tree) Load(k int, crack func(i int) (key int64, pos int)) {
 			i++
 		}
 		level[li] = node{edge{first: l.slots[0].pos, lf: l}, l.keys[0]}
+		if li > 0 {
+			level[li-1].e.lf.next = l
+		}
 	}
+	t.leaves = len(level)
 	if len(level) == 1 {
 		t.top = level[0].e.lf
 		return
@@ -696,6 +886,7 @@ func (t *Tree) Load(k int, crack func(i int) (key int64, pos int)) {
 	}
 	t.root = level[0].e.in
 	t.levels = t.root.h
+	t.reindex()
 }
 
 // spread returns how many nodes of capacity c hold m entries.

@@ -3,6 +3,7 @@ package cindex
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -67,20 +68,23 @@ func checkTree(t testing.TB, tr *Tree) {
 // inner node has two children); each separator the smallest key under its
 // child, every key of a child within its separators, and the unused key
 // slots math.MaxInt64; each child's first position that of its first
-// crack; the size and hole bookkeeping; and a depth of at most
-// ⌈log_{B/2} k⌉ + 1.
+// crack; the size and hole bookkeeping; a depth of at most
+// ⌈log_{B/2} k⌉ + 1; and the leaf links and the directory (dirErr).
 func treeErr(tr *Tree) error {
 	const half = fanout / 2
 	var (
 		k, holes  int
 		leafDepth = -1
 		prev      int64
+		leaves    []*leaf
+		delta     bool // some delta is non-zero
 	)
 	var walkLeaf func(l *leaf, d, acc int, root bool) (int64, int, error)
 	walkLeaf = func(l *leaf, d, acc int, root bool) (int64, int, error) {
 		if l.n < 1 || l.n > len(l.keys) || !root && l.n < half {
 			return 0, 0, fmt.Errorf("leaf at depth %d holds %d cracks", d, l.n)
 		}
+		leaves = append(leaves, l)
 		if leafDepth >= 0 && d != leafDepth {
 			return 0, 0, fmt.Errorf("leaves at depths %d and %d", leafDepth, d)
 		}
@@ -108,6 +112,7 @@ func treeErr(tr *Tree) error {
 		var loPos int
 		for i := 0; i < in.n; i++ {
 			e := in.edges[i]
+			delta = delta || e.delta != 0
 			var (
 				least int64
 				first int
@@ -169,6 +174,50 @@ func treeErr(tr *Tree) error {
 	}
 	if d := depth(tr); k > 0 && d > bound {
 		return fmt.Errorf("depth %d over %d cracks exceeds %d", d, k, bound)
+	}
+	return dirErr(tr, leaves, delta)
+}
+
+// dirErr checks that the next links visit leaves, the tree's leaves in key
+// order, once each, and that a directory exists only while no delta is
+// pending and names, for every bucket below the last leaf's first key, the
+// leaf holding the bucket's first key (so it starts at or before it).
+func dirErr(tr *Tree, leaves []*leaf, delta bool) error {
+	if tr.leaves != len(leaves) {
+		return fmt.Errorf("tree counts %d leaves, holds %d", tr.leaves, len(leaves))
+	}
+	for i, l := range leaves {
+		if i+1 < len(leaves) && l.next != leaves[i+1] || i+1 == len(leaves) && l.next != nil {
+			return fmt.Errorf("leaf %d of %d links to the wrong leaf", i, len(leaves))
+		}
+	}
+	d := &tr.dir
+	switch {
+	case d.buckets == nil:
+		return nil
+	case delta:
+		return fmt.Errorf("a directory is kept while a delta is pending")
+	case len(leaves) < 2:
+		return fmt.Errorf("a directory over %d leaves", len(leaves))
+	case d.last != leaves[len(leaves)-1] || d.lastKey != d.last.keys[0]:
+		return fmt.Errorf("directory's last leaf starts at %d, the tree's at %d", d.lastKey, leaves[len(leaves)-1].keys[0])
+	case d.hi < d.lastKey || d.lo >= leaves[1].keys[0]:
+		return fmt.Errorf("directory covers [%d, %d], leaves run from below %d to %d", d.lo, d.hi, leaves[1].keys[0], d.lastKey)
+	case uint64(d.hi-d.lo)>>d.shift != uint64(len(d.buckets)-1):
+		return fmt.Errorf("%d buckets of 1<<%d keys over [%d, %d]", len(d.buckets), d.shift, d.lo, d.hi)
+	}
+	i := 0
+	for b, l := range d.buckets {
+		key := int64(uint64(d.lo) + uint64(b)<<d.shift)
+		if key >= d.lastKey {
+			break // lookups from lastKey on go to the last leaf
+		}
+		for i+1 < len(leaves) && leaves[i+1].keys[0] <= key {
+			i++
+		}
+		if l != leaves[i] {
+			return fmt.Errorf("bucket %d (key %d) names a leaf starting at %d, not leaf %d starting at %d", b, key, l.keys[0], i, leaves[i].keys[0])
+		}
 	}
 	return nil
 }
@@ -354,6 +403,39 @@ func TestAgainstReferenceModel(t *testing.T) {
 			t.Fatalf("PieceFor(%d) = [%d,%d) %v, ref [%d,%d) %v", v, lo, hi, exact, rlo, rhi, rexact)
 		}
 	}
+}
+
+// TestDirectoryDenseRun checks lookups where many leaves share a bucket:
+// a few cracks near both ends of the int64 range and a dense run of them
+// in a narrow one, so a lookup in the run steps along the links until it
+// gives up on the directory and descends.
+func TestDirectoryDenseRun(t *testing.T) {
+	const n = 1 << 20
+	keys := []int64{math.MinInt64 + 1, -1 << 62, 1 << 62, math.MaxInt64 - 1}
+	for k := int64(0); k < 4000; k++ {
+		keys = append(keys, 1000+3*k)
+	}
+	slices.Sort(keys)
+	var tr Tree
+	ref := &refIndex{}
+	for i := range keys {
+		j := i * 7919 % len(keys) // every key once, in scattered order
+		tr.Insert(keys[j], j)
+		ref.insert(keys[j], j)
+	}
+	checkTree(t, &tr)
+	if tr.dir.buckets == nil {
+		t.Fatal("no directory")
+	}
+	ps := probes(&tr)
+	for _, v := range ps {
+		lo, hi, exact := tr.PieceFor(v, n)
+		rlo, rhi, rexact := ref.pieceFor(v, n)
+		if lo != rlo || hi != rhi || exact != rexact {
+			t.Fatalf("PieceFor(%d) = [%d,%d) %v, ref [%d,%d) %v", v, lo, hi, exact, rlo, rhi, rexact)
+		}
+	}
+	boundsAgree(t, &tr, n, ps)
 }
 
 func TestRangeShiftAgainstReference(t *testing.T) {
@@ -587,6 +669,40 @@ func TestHolesAgainstReference(t *testing.T) {
 	}
 }
 
+// TestInsertAscendingAllocatesLinearly: inserting n ascending keys (the
+// order of a sequential workload, each query's bound past every crack)
+// allocates O(n) bytes. Each split of the last leaf can outgrow the
+// directory's key range; the directory built then must leave room for as
+// much again, or every such split rebuilds it and the inserts cost
+// O(n²) bytes and time.
+func TestInsertAscendingAllocatesLinearly(t *testing.T) {
+	const n, checks = 1 << 20, 64
+	var tr Tree
+	var before, now runtime.MemStats
+	runtime.ReadMemStats(&before)
+	// Ascending inserts leave every leaf half full: 64 bytes a crack in
+	// leaves, about 11 in inner nodes, and at most 32 in a directory built
+	// with dirPerLeaf buckets per leaf, built at most a few times over per
+	// doubling of the leaves. Checking along the way fails a quadratic
+	// variant early.
+	const perKey = 256
+	for i := 0; i < n; i++ {
+		tr.Insert(16*int64(i), i)
+		if (i+1)%(n/checks) != 0 {
+			continue
+		}
+		runtime.ReadMemStats(&now)
+		if per := float64(now.TotalAlloc-before.TotalAlloc) / float64(i+1); per > perKey {
+			t.Fatalf("%d ascending inserts allocated %.1f bytes per key, want <= %d", i+1, per, perKey)
+		}
+	}
+	t.Logf("%.1f bytes allocated per key", float64(now.TotalAlloc-before.TotalAlloc)/n)
+	checkTree(t, &tr)
+	if tr.dir.buckets == nil {
+		t.Fatal("no directory after ascending inserts")
+	}
+}
+
 func BenchmarkInsert(b *testing.B) {
 	r := xrand.New(1)
 	keys := make([]int64, b.N)
@@ -630,7 +746,9 @@ func BenchmarkRangeShift(b *testing.B) {
 // with) over n = 10 M positions of a sorted column, each lookup on a
 // replayed range whose bounds are two neighbouring cracks, followed by a
 // 10-value read at a random place in an 80 MB column, so the index
-// competes with the answers for cache as it does in a query.
+// competes with the answers for cache as it does in a query. directory
+// looks up through the directory; shifted runs the same lookups after one
+// RangeShift has retired it, as on a column that takes updates.
 func BenchmarkBoundsConverged(b *testing.B) {
 	const k, n, probes = 23_207, 10_000_000, 1 << 16
 	r := xrand.New(1)
@@ -655,19 +773,28 @@ func BenchmarkBoundsConverged(b *testing.B) {
 		j := r.Intn(k - 1)
 		ps[i] = probe{keys[j], keys[j+1], r.Intn(n - 10)}
 	}
-	var sink int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := &ps[i&(probes-1)]
-		loA, _, _, _, hiB, _, _ := tr.Bounds(p.a, p.b, n)
-		for _, v := range col[p.at : p.at+10] {
-			sink += v
+	run := func(b *testing.B) {
+		var sink int64
+		for i := 0; i < b.N; i++ {
+			p := &ps[i&(probes-1)]
+			loA, _, _, _, hiB, _, _ := tr.Bounds(p.a, p.b, n)
+			for _, v := range col[p.at : p.at+10] {
+				sink += v
+			}
+			sink += int64(loA + hiB)
 		}
-		sink += int64(loA + hiB)
+		if sink == 0 {
+			b.Fatal("no work")
+		}
 	}
-	if sink == 0 {
-		b.Fatal("no work")
+	b.Run("directory", run)
+	// Shifting the upper half of the cracks one position leaves a delta
+	// pending on the root's right.
+	tr.RangeShift(keys[k/2], 1)
+	if tr.dir.buckets != nil {
+		b.Fatal("a RangeShift kept the directory")
 	}
+	b.Run("shifted", run)
 }
 
 // TestBoundConverged checks what Bounds gives the engine's convergence

@@ -143,6 +143,12 @@ func treeOps(seed uint64, order uint8, keys int, ops []byte) error {
 	if err := compare(&tr, m, r); err != nil {
 		return fmt.Errorf("after building %d cracks: %w", keys, err)
 	}
+	if tr.levels > 0 && tr.dir.buckets == nil {
+		return fmt.Errorf("no directory after building %d cracks", keys)
+	}
+	// fresh: no range shift since the build or the last Relayout, so the
+	// directory must be there.
+	fresh := true
 	for i, op := range ops {
 		v := r.Int63n(domain+32) - 16
 		var name string
@@ -166,6 +172,7 @@ func treeOps(seed uint64, order uint8, keys int, ops []byte) error {
 				d = -1
 			}
 			name = fmt.Sprintf("RangeShift(%d, %d)", v, d)
+			fresh = false
 			tr.RangeShift(v, d)
 			m.shift(v, d)
 			m.n += d
@@ -178,6 +185,7 @@ func treeOps(seed uint64, order uint8, keys int, ops []byte) error {
 			}
 			h := 1 + r.Intn(3)
 			name = fmt.Sprintf("AddHoles(%d, %d)", v, h)
+			fresh = false
 			tr.AddHoles(v, h)
 			tr.RangeShift(v, h)
 			m.holeAt(v, h)
@@ -185,6 +193,7 @@ func treeOps(seed uint64, order uint8, keys int, ops []byte) error {
 			m.n += h
 		case 4:
 			name = "Relayout"
+			fresh = true
 			if err := relayoutBoth(&tr, m, r); err != nil {
 				return err
 			}
@@ -196,6 +205,9 @@ func treeOps(seed uint64, order uint8, keys int, ops []byte) error {
 		}
 		if err := compare(&tr, m, r); err != nil {
 			return fmt.Errorf("op %d, %s: %w", i, name, err)
+		}
+		if fresh && tr.levels > 0 && tr.dir.buckets == nil {
+			return fmt.Errorf("op %d, %s: no directory, and no delta is pending", i, name)
 		}
 	}
 	return nil
@@ -370,10 +382,15 @@ func compareLive(tr *Tree, m *model, r *xrand.Rand) error {
 func opsKeys(keys uint16) int { return fanout*fanout + int(keys)%(fanout*fanout) }
 
 // FuzzTreeOps replays fuzzed op sequences against the reference model
-// (treeOps); the seed corpus covers each way to build the tree.
+// (treeOps); the seed corpus covers each way to build the tree, with every
+// op and with only the ops that keep the directory (Insert, Relayout and
+// CounterFor).
 func FuzzTreeOps(f *testing.F) {
 	for order := uint8(0); order < 4; order++ {
 		f.Add(uint64(order), order, uint16(order)*37, []byte{0, 1, 2, 3, 4, 5, 3, 3, 1, 2, 5, 0, 0, 4})
+	}
+	for order := uint8(0); order < 4; order++ {
+		f.Add(uint64(order)+4, order, uint16(order)*101, []byte{0, 0, 5, 0, 0, 0, 4, 0, 0, 5, 0, 0, 0, 0, 4, 0, 0, 0})
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, order uint8, keys uint16, ops []byte) {
 		if len(ops) > 64 {

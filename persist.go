@@ -79,7 +79,7 @@ func openSnapshot(snap DBSnapshot, algorithm string, cfg config) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crackdb: %w", err)
 	}
-	return &DB{algo: algorithm, cfg: cfg, tbl: t}, nil
+	return newDB(t, algorithm, cfg), nil
 }
 
 // OpenSnapshotFile reads a snapshot file written by SaveSnapshot and

@@ -10,9 +10,10 @@ import (
 )
 
 // Benchmark-regression gating: parse `go test -bench` output, reduce each
-// benchmark's samples to a median, and compare a current run against a
-// committed baseline. CI runs this through cmd/benchgate and fails the
-// bench job when a kernel benchmark regresses past the threshold.
+// benchmark's samples to a median, and compare HEAD's run against the
+// merge-base's, both taken on one machine with their counts interleaved.
+// CI runs this through cmd/benchgate and fails the bench job when a kernel
+// benchmark regresses past the threshold.
 
 // BenchSamples collects every sample of one benchmark across -count runs.
 type BenchSamples struct {
@@ -38,9 +39,9 @@ func median(xs []float64) float64 {
 }
 
 // ParseBench reads `go test -bench` output (any interleaved non-benchmark
-// lines are skipped) and returns samples keyed by benchmark name. The
-// trailing GOMAXPROCS suffix (-8) is stripped so baselines gate across
-// machines with different core counts.
+// lines are skipped) and returns samples keyed by benchmark name, in the
+// order they appear. The trailing GOMAXPROCS suffix (-8) is stripped, so
+// a name is the same on any core count.
 func ParseBench(r io.Reader) (map[string]*BenchSamples, error) {
 	out := map[string]*BenchSamples{}
 	sc := bufio.NewScanner(r)
@@ -92,22 +93,37 @@ func stripProcs(name string) string {
 	return name[:i]
 }
 
-// GateFinding is one benchmark's baseline-vs-current comparison.
+// GateFinding is one benchmark's base-vs-head comparison.
 type GateFinding struct {
 	Name    string
-	BaseNs  float64
-	CurNs   float64
-	Ratio   float64 // CurNs / BaseNs; > 1 is slower
+	BaseNs  float64 // median ns/op of the base samples
+	HeadNs  float64 // median ns/op of the head samples
+	Ratio   float64 // median of the paired head/base ratios; > 1 is slower
 	Regress bool
 }
 
-// Gate compares current against baseline for every benchmark whose name
-// has one of the given prefixes (empty prefixes = every baseline entry).
-// A benchmark regresses when its median ns/op exceeds the baseline median
-// by more than threshold (1.15 = +15%). A gated baseline benchmark
-// missing from the current run is an error — renaming a kernel benchmark
-// must not silently drop it from the gate.
-func Gate(baseline, current map[string]*BenchSamples, prefixes []string, threshold float64) ([]GateFinding, error) {
+// pairedRatio returns the median of head[i]/base[i] over the samples both
+// runs have. The two builds' counts run interleaved, so sample i of each
+// saw the same moment of the machine, and a host that drifts during the
+// run moves both sides of a pair together.
+func pairedRatio(base, head []float64) float64 {
+	n := min(len(base), len(head))
+	ratios := make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		if base[i] > 0 {
+			ratios = append(ratios, head[i]/base[i])
+		}
+	}
+	return median(ratios)
+}
+
+// Gate compares head against base for every benchmark of base whose name
+// has one of the given prefixes (empty prefixes = every base benchmark).
+// A benchmark regresses when the median of its paired head/base ns/op
+// ratios exceeds threshold (1.15 = +15%). A gated base benchmark missing
+// from head is an error — renaming a kernel benchmark must not silently
+// drop it from the gate.
+func Gate(base, head map[string]*BenchSamples, prefixes []string, threshold float64) ([]GateFinding, error) {
 	matches := func(name string) bool {
 		if len(prefixes) == 0 {
 			return true
@@ -120,38 +136,35 @@ func Gate(baseline, current map[string]*BenchSamples, prefixes []string, thresho
 		return false
 	}
 	var names []string
-	for name := range baseline {
+	for name := range base {
 		if matches(name) {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		return nil, fmt.Errorf("bench: no baseline benchmark matches %v", prefixes)
+		return nil, fmt.Errorf("bench: no base benchmark matches %v", prefixes)
 	}
 	var findings []GateFinding
 	var regressed, missing []string
 	for _, name := range names {
-		cur, ok := current[name]
+		h, ok := head[name]
 		if !ok {
 			missing = append(missing, name)
 			continue
 		}
-		base := baseline[name]
-		f := GateFinding{Name: name, BaseNs: base.MedianNs(), CurNs: cur.MedianNs()}
-		if f.BaseNs > 0 {
-			f.Ratio = f.CurNs / f.BaseNs
-		}
+		b := base[name]
+		f := GateFinding{Name: name, BaseNs: b.MedianNs(), HeadNs: h.MedianNs(), Ratio: pairedRatio(b.NsPerOp, h.NsPerOp)}
 		f.Regress = f.Ratio > threshold
 		if f.Regress {
-			regressed = append(regressed, fmt.Sprintf("%s %.0f -> %.0f ns/op (%+.1f%%)",
-				name, f.BaseNs, f.CurNs, (f.Ratio-1)*100))
+			regressed = append(regressed, fmt.Sprintf("%s %.0f -> %.0f ns/op (paired %+.1f%%)",
+				name, f.BaseNs, f.HeadNs, (f.Ratio-1)*100))
 		}
 		findings = append(findings, f)
 	}
 	switch {
 	case len(missing) > 0:
-		return findings, fmt.Errorf("bench: gated benchmarks missing from current run (renamed? refresh the baseline): %s",
+		return findings, fmt.Errorf("bench: gated benchmarks missing from head (renamed?): %s",
 			strings.Join(missing, ", "))
 	case len(regressed) > 0:
 		return findings, fmt.Errorf("bench: ns/op regression beyond %+.0f%%:\n  %s",

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-const baselineBench = `goos: linux
+const baseBench = `goos: linux
 goarch: amd64
 pkg: repro/internal/column
 cpu: Intel(R) Xeon(R)
@@ -18,10 +18,10 @@ BenchmarkUnrelated-8               	     100	    500000 ns/op
 PASS
 `
 
-// shifted rewrites every ns/op sample of baselineBench by factor.
+// shifted rewrites every ns/op sample of baseBench by factor.
 func shifted(t *testing.T, factor float64) map[string]*BenchSamples {
 	t.Helper()
-	base := parse(t, baselineBench)
+	base := parse(t, baseBench)
 	out := map[string]*BenchSamples{}
 	for name, b := range base {
 		c := &BenchSamples{Name: name, Iters: b.Iters}
@@ -45,7 +45,7 @@ func parse(t *testing.T, s string) map[string]*BenchSamples {
 var gatePrefixes = []string{"BenchmarkCrackInTwo", "BenchmarkConvergedProbe"}
 
 func TestParseBench(t *testing.T) {
-	m := parse(t, baselineBench)
+	m := parse(t, baseBench)
 	b := m["BenchmarkCrackInTwo/n=1M"]
 	if b == nil {
 		t.Fatalf("missing benchmark; parsed: %v", m)
@@ -62,7 +62,7 @@ func TestParseBench(t *testing.T) {
 }
 
 func TestGatePassesWithinThreshold(t *testing.T) {
-	findings, err := Gate(parse(t, baselineBench), shifted(t, 1.10), gatePrefixes, 1.15)
+	findings, err := Gate(parse(t, baseBench), shifted(t, 1.10), gatePrefixes, 1.15)
 	if err != nil {
 		t.Fatalf("10%% drift must pass a 15%% gate: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestGatePassesWithinThreshold(t *testing.T) {
 // TestGateFailsOnInjectedRegression is the CI acceptance proof: a >15%
 // ns/op regression injected into the kernel benchmarks fails the gate.
 func TestGateFailsOnInjectedRegression(t *testing.T) {
-	findings, err := Gate(parse(t, baselineBench), shifted(t, 1.20), gatePrefixes, 1.15)
+	findings, err := Gate(parse(t, baseBench), shifted(t, 1.20), gatePrefixes, 1.15)
 	if err == nil {
 		t.Fatal("20% regression must fail a 15% gate")
 	}
@@ -93,7 +93,7 @@ func TestGateFailsOnInjectedRegression(t *testing.T) {
 }
 
 func TestGateImprovementPasses(t *testing.T) {
-	if _, err := Gate(parse(t, baselineBench), shifted(t, 0.5), gatePrefixes, 1.15); err != nil {
+	if _, err := Gate(parse(t, baseBench), shifted(t, 0.5), gatePrefixes, 1.15); err != nil {
 		t.Fatalf("an improvement must pass: %v", err)
 	}
 }
@@ -101,8 +101,8 @@ func TestGateImprovementPasses(t *testing.T) {
 func TestGateMissingBenchmarkFails(t *testing.T) {
 	cur := shifted(t, 1.0)
 	delete(cur, "BenchmarkConvergedProbe")
-	if _, err := Gate(parse(t, baselineBench), cur, gatePrefixes, 1.15); err == nil {
-		t.Fatal("a gated benchmark missing from the current run must fail")
+	if _, err := Gate(parse(t, baseBench), cur, gatePrefixes, 1.15); err == nil {
+		t.Fatal("a gated benchmark missing from the head run must fail")
 	}
 }
 
@@ -110,7 +110,22 @@ func TestGateUnmatchedIgnored(t *testing.T) {
 	// BenchmarkUnrelated regresses 10x but is not gated.
 	cur := shifted(t, 1.0)
 	cur["BenchmarkUnrelated"].NsPerOp = []float64{5_000_000}
-	if _, err := Gate(parse(t, baselineBench), cur, gatePrefixes, 1.15); err != nil {
+	if _, err := Gate(parse(t, baseBench), cur, gatePrefixes, 1.15); err != nil {
 		t.Fatalf("ungated benchmark must not fail the gate: %v", err)
+	}
+}
+
+// TestGateRatioIsPairedMedian pins the comparison: the median of the
+// per-pair head/base ratios, sample i against sample i.
+func TestGateRatioIsPairedMedian(t *testing.T) {
+	base := map[string]*BenchSamples{"BenchmarkCrackInTwo/n=1M": {NsPerOp: []float64{100, 200, 300}}}
+	head := map[string]*BenchSamples{"BenchmarkCrackInTwo/n=1M": {NsPerOp: []float64{180, 210, 320}}}
+	findings, err := Gate(base, head, gatePrefixes, 1.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pairs 1.8, 1.05 and 1.0667: one slow pair does not move the median.
+	if got := findings[0].Ratio; got < 1.066 || got > 1.067 {
+		t.Fatalf("ratio %v, want the paired median 320/300", got)
 	}
 }

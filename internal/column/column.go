@@ -28,6 +28,16 @@
 // permutation the scalar loop writes, so layouts, counts and snapshots
 // are the same on every CPU. CPUID picks the path once at start-up; other
 // CPUs, other architectures and -tags purego builds run the scalar loop.
+// A crack over a piece larger than the L2 cache waits on memory, not on
+// the block step, so each block prefetches both of the loop's streams, the
+// tuples ahead of v[i] and the run of highs ahead of v[j], 2 KiB ahead:
+// the fastest distance of a 512 B–4 KiB sweep at 1 Mi–10 M tuples (see
+// crackAhead in crack_amd64.s).
+//
+// Column arrays sit on transparent huge pages where Linux gives them:
+// Alloc asks for them before first touch, and an engine that adopts an
+// array the caller already wrote collapses it with OnHugePages
+// (alloc_linux.go).
 package column
 
 import "fmt"

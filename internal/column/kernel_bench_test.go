@@ -10,9 +10,9 @@ import (
 
 // Kernel microbenchmarks for the physical reorganization primitives — the
 // hot loops every cracking algorithm is built from. Their names are stable
-// interfaces: the CI bench job gates ns/op regressions against
-// bench/baseline/kernels.txt by benchmark name (see cmd/benchgate), so
-// renaming one silently drops it from the gate.
+// interfaces: the CI bench job gates HEAD's ns/op against the merge-base's
+// by benchmark name (see cmd/benchgate), and a gated benchmark that
+// disappears fails the gate.
 //
 // Every iteration partitions a fresh copy of the data (a partitioned piece
 // would re-partition for free), with the copy outside the timed section.
@@ -26,9 +26,12 @@ var kernelSizes = []struct {
 }
 
 // kernelData returns a seeded shuffle of [0, n) — the paper's dataset —
-// plus a same-length scratch slice the benchmark partitions in place.
+// plus a same-length scratch slice the benchmark partitions in place. The
+// scratch comes from Alloc, as every product column does, so the kernels
+// crack the memory the engine cracks: huge pages where the kernel gives
+// them.
 func kernelData(n int) (pristine, scratch []int64) {
-	return xrand.New(42).Perm(n), make([]int64, n)
+	return xrand.New(42).Perm(n), Alloc(n)
 }
 
 func BenchmarkCrackInTwo(b *testing.B) {

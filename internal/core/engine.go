@@ -41,6 +41,10 @@ type Engine struct {
 
 func newEngine(values []int64, opt Options) *Engine {
 	opt = opt.withDefaults()
+	// The engine adopts the caller's arrays: this is where they move onto
+	// huge pages, once.
+	column.OnHugePages(values)
+	column.OnHugePages(opt.Payload)
 	col := column.New(values)
 	if opt.Payload != nil {
 		col = column.NewWithPayload(values, opt.Payload)

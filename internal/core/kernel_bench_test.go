@@ -7,8 +7,8 @@ import (
 )
 
 // Converged-path microbenchmarks. BenchmarkConvergedProbe is part of the
-// CI kernel regression gate (bench/baseline/kernels.txt, cmd/benchgate):
-// its name is a stable interface.
+// CI kernel regression gate (cmd/benchgate): its name is a stable
+// interface.
 
 const (
 	probeN      = 1 << 20

@@ -115,6 +115,7 @@ func New(values []int64, kind Kind, stochastic bool, opt Options) *Hybrid {
 	if len(values) == 0 {
 		k = 0
 	}
+	column.OnHugePages(values) // the partitions adopt the caller's array
 	for i := 0; i < k; i++ {
 		lo := i * len(values) / k
 		hi := (i + 1) * len(values) / k
